@@ -30,8 +30,8 @@ use bench::{assert_outputs_identical, neighbors, scale};
 use bioseq::{Sequence, SequenceDb};
 use dbindex::{DbIndex, IndexConfig, ShardedIndex};
 use engine::{
-    search_batch, search_batch_sharded_traced, search_batch_topk_resident, EngineKind,
-    QueryResult, SearchConfig,
+    search_batch, search_batch_blocks, search_batch_sharded_traced, EngineKind, QueryResult,
+    SearchConfig,
 };
 use faultfn::mix64;
 use obsv::TraceSession;
@@ -134,15 +134,16 @@ fn main() {
         // guarded measurement rather than a noisy one.
         let config = SearchConfig::new(EngineKind::MuBlastp).with_top_k(k);
         let t0 = Instant::now();
-        let outcome = search_batch_topk_resident(&db, &index, neighbors(), &queries, &config, None);
+        let Ok(outcome) =
+            search_batch_blocks(&db, &index, neighbors(), &queries, &config, None, &session);
         let wall = t0.elapsed().as_secs_f64();
         assert_outputs_identical(&reference, &outcome.results, &format!("K={k} resident top-k"));
         assert_eq!(
-            outcome.stats.blocks_scanned + outcome.stats.blocks_skipped,
+            outcome.topk.blocks_scanned + outcome.topk.blocks_skipped,
             n_blocks,
             "K={k}: pruning counters must account for every block"
         );
-        let skip_ratio = outcome.stats.blocks_skipped as f64 / (n_blocks as f64).max(1.0);
+        let skip_ratio = outcome.topk.blocks_skipped as f64 / (n_blocks as f64).max(1.0);
 
         // Sharded makespans from *serial* passes (one shard task at a
         // time), so CPU time-slicing cannot pollute the column and the
@@ -172,7 +173,7 @@ fn main() {
             k,
             wall,
             exhaustive_wall,
-            outcome.stats.blocks_skipped,
+            outcome.topk.blocks_skipped,
             skip_ratio * 100.0,
             shard_skipped,
             makespan,
@@ -181,7 +182,11 @@ fn main() {
         let tag = format!("topk/k{k}");
         report.push(format!("{tag}/wall"), wall, "s");
         report.push(format!("{tag}/exhaustive_wall"), exhaustive_wall, "s");
-        report.push(format!("{tag}/blocks_skipped"), outcome.stats.blocks_skipped as f64, "count");
+        report.push(
+            format!("{tag}/blocks_skipped"),
+            outcome.topk.blocks_skipped as f64,
+            "count",
+        );
         report.push(format!("{tag}/skip_ratio"), skip_ratio, "ratio");
         report.push(format!("{tag}/sharded_blocks_skipped"), shard_skipped as f64, "count");
         report.push(format!("{tag}/makespan"), makespan, "s");

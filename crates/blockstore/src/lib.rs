@@ -1,5 +1,5 @@
-//! Out-of-core database search: the v3 block/chunk store behind an LRU
-//! decoded-block cache and the engine's shard-backend seam.
+//! Out-of-core database search: the block/chunk store behind an LRU
+//! decoded-block cache, as a block source for the engine's one executor.
 //!
 //! The paper's execution structure — a serial loop over index blocks
 //! with parallel queries inside each block (Alg. 3) — already bounds the
@@ -11,10 +11,10 @@
 //!   budget, strict LRU, shared across stores, with atomic hit / miss /
 //!   eviction / residency counters ([`CacheCounters`]) exported through
 //!   the serve stats frame;
-//! * [`SequenceStore`] — one open v3 file: footer directory + cached
-//!   block fetches, every failure a typed [`StoreError`];
-//! * [`search_store`] — the engine's streamed block loop over a store,
-//!   bit-identical to a resident search;
+//! * [`SequenceStore`] — one open store file: footer directory + cached
+//!   block fetches, every failure a typed [`StoreError`]; an
+//!   [`engine::BlockSource`], so [`engine::search_batch_blocks`] searches
+//!   it bit-identically to a resident index;
 //! * [`StreamingShards`] — [`engine::ShardBackend`] over disk-resident
 //!   shards, so the sharded driver's dispatch, deadline, degradation and
 //!   statistics-correct merge machinery runs unchanged out-of-core, with
@@ -31,8 +31,7 @@ pub mod stream;
 
 pub use cache::{BlockCache, CacheCounters, CounterSnapshot};
 pub use stream::{
-    search_store, search_store_topk, write_store_file, SequenceStore, StoreError, StreamingShard,
-    StreamingShards,
+    write_store_file, SequenceStore, StoreError, StreamingShard, StreamingShards,
     FAULT_FETCH_FLIP, FAULT_FETCH_LATENCY, FAULT_FETCH_SHORT,
 };
 
@@ -41,7 +40,7 @@ mod tests {
     use super::*;
     use bioseq::{Sequence, SequenceDb};
     use dbindex::{DbIndex, IndexConfig};
-    use engine::{search_batch, EngineKind, SearchConfig};
+    use engine::{search_batch, BlockSource, EngineKind, QueryResult, SearchConfig};
     use scoring::{NeighborTable, SearchParams, BLOSUM62};
     use std::sync::{Arc, OnceLock};
 
@@ -79,6 +78,18 @@ mod tests {
             .collect()
     }
 
+    /// The one executor over any block source, untraced.
+    fn search<S: BlockSource>(
+        db: &SequenceDb,
+        source: &S,
+        queries: &[Sequence],
+        cfg: &SearchConfig,
+    ) -> Result<Vec<QueryResult>, S::Error> {
+        let session = obsv::TraceSession::disabled();
+        engine::search_batch_blocks(db, source, neighbors(), queries, cfg, None, &session)
+            .map(|out| out.results)
+    }
+
     #[test]
     fn store_search_is_bit_identical_to_resident_search() {
         let db = toy_db();
@@ -94,9 +105,16 @@ mod tests {
             faultfn::Faults::none(),
         )
         .unwrap();
-        let out = search_store(&db, &store, neighbors(), &queries, &cfg).unwrap();
+        let out = search(&db, &store, &queries, &cfg).unwrap();
         assert!(reference.iter().any(|r| !r.alignments.is_empty()));
         engine::results_identical(&reference, &out).expect("outputs must be bit-identical");
+        // LPT dispatch and the scheduling chunk are honoured out of core
+        // too, and change nothing but the order work is handed out in.
+        let mut lpt = cfg.clone().with_threads(3);
+        lpt.longest_first = true;
+        lpt.chunk = 2;
+        let out = search(&db, &store, &queries, &lpt).unwrap();
+        engine::results_identical(&reference, &out).expect("LPT order must not change results");
     }
 
     #[test]
@@ -112,12 +130,12 @@ mod tests {
         let store =
             SequenceStore::open(std::io::Cursor::new(bytes), Arc::clone(&cache), faultfn::Faults::none())
                 .unwrap();
-        search_store(&db, &store, neighbors(), &queries, &cfg).unwrap();
+        search(&db, &store, &queries, &cfg).unwrap();
         let first = cache.counters().snapshot();
         assert_eq!(first.misses, n_blocks, "cold pass fetches every block");
         assert_eq!(first.fetched_blocks, n_blocks);
         assert!(first.decoded_postings > 0);
-        search_store(&db, &store, neighbors(), &queries, &cfg).unwrap();
+        search(&db, &store, &queries, &cfg).unwrap();
         let second = cache.counters().snapshot();
         assert_eq!(second.misses, first.misses, "warm pass fetches nothing");
         assert_eq!(second.hits, first.hits + n_blocks);
@@ -137,7 +155,7 @@ mod tests {
             let cache = Arc::new(BlockCache::new(u64::MAX));
             let store =
                 SequenceStore::open(std::io::Cursor::new(bytes.clone()), cache, faults).unwrap();
-            let err = search_store(&db, &store, neighbors(), &queries, &cfg)
+            let err = search(&db, &store, &queries, &cfg)
                 .expect_err("injected fault must fail the search");
             assert!(matches!(err, StoreError::Format(_)), "{site}: {err}");
         }
@@ -156,7 +174,7 @@ mod tests {
             .build();
         let cache = Arc::new(BlockCache::new(u64::MAX));
         let store = SequenceStore::open(std::io::Cursor::new(bytes), cache, faults).unwrap();
-        let out = search_store(&db, &store, neighbors(), &queries, &cfg).unwrap();
+        let out = search(&db, &store, &queries, &cfg).unwrap();
         engine::results_identical(&reference, &out).expect("outputs must be bit-identical");
     }
 

@@ -1,27 +1,27 @@
 //! Disk-backed sequence stores and the streaming shard backend.
 //!
-//! [`SequenceStore`] opens a v3 block/chunk file by reading only its
+//! [`SequenceStore`] opens a block/chunk store file by reading only its
 //! footer directory, then serves decoded blocks one at a time through a
-//! shared [`BlockCache`]. [`search_store`] drives the engine's streamed
-//! block loop over such a store, and [`StreamingShards`] implements
-//! [`engine::ShardBackend`] so the sharded driver — LPT dispatch,
-//! deadlines, fault injection, `Shard` spans, statistics-correct merge —
-//! runs unchanged over disk-resident shards. Output is bit-identical to
-//! the resident engines; the only new failure mode is storage, which
-//! surfaces as [`StoreError`] (typed, never a panic) and degrades a
-//! sharded search exactly like a lost resident shard.
+//! shared [`BlockCache`]. It is an [`engine::BlockSource`], so
+//! [`engine::search_batch_blocks`] — the same block loop that searches a
+//! resident index — searches it directly, and [`StreamingShards`]
+//! implements [`engine::ShardBackend`] so the sharded driver — LPT
+//! dispatch, deadlines, fault injection, `Shard` spans,
+//! statistics-correct merge — runs unchanged over disk-resident shards.
+//! Output is bit-identical to the resident engines; the only new failure
+//! mode is storage, which surfaces as [`StoreError`] (typed, never a
+//! panic) and degrades a sharded search exactly like a lost resident
+//! shard.
 
 use crate::cache::BlockCache;
-use bioseq::{Sequence, SequenceDb, SequenceId};
+use bioseq::{SequenceDb, SequenceId};
 use dbindex::{
-    read_directory, DbIndex, IndexBlock, IndexConfig, SerialError, ShardPlan, StoreDirectory,
-    StoreWriter,
+    read_directory, BlockBound, DbIndex, IndexBlock, IndexConfig, SerialError, ShardPlan,
+    StoreDirectory, StoreWriter,
 };
-use engine::{QueryResult, SearchConfig, ShardBackend, ShardFailCause};
+use engine::{BlockSource, ShardBackend};
 use faultfn::Faults;
-use obsv::{Trace, TraceSession};
-use scoring::NeighborTable;
-use std::cell::RefCell;
+use std::borrow::Borrow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -71,7 +71,7 @@ impl From<SerialError> for StoreError {
     }
 }
 
-/// One open v3 store: a seekable reader, its footer directory, and a
+/// One open store: a seekable reader, its footer directory, and a
 /// handle into a shared [`BlockCache`].
 ///
 /// The reader sits behind a mutex so one store can serve concurrent
@@ -163,8 +163,30 @@ impl<R: Read + Seek> SequenceStore<R> {
     }
 }
 
-/// Serialize `index` as a v3 store file at `path` via the streaming
-/// writer, returning the directory.
+/// A store is a block source: bounds come straight from the v4 footer
+/// directory, so a block the top-k pruner skips is never read from disk at
+/// all — the I/O the pruning mode exists to save. v3 stores carry no
+/// bounds, so every block scans (still exact, just unpruned). A fetch
+/// failure of a block that actually needed scanning aborts the search with
+/// its typed error.
+impl<R: Read + Seek> BlockSource for SequenceStore<R> {
+    type Error = StoreError;
+
+    fn num_blocks(&self) -> usize {
+        SequenceStore::num_blocks(self)
+    }
+
+    fn bound(&self, i: usize) -> Option<BlockBound> {
+        self.dir.blocks.get(i).and_then(|m| m.bound)
+    }
+
+    fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, StoreError> {
+        self.block(i)
+    }
+}
+
+/// Serialize `index` as a store file (format [`dbindex::STORE_VERSION`])
+/// at `path` via the streaming writer, returning the directory.
 pub fn write_store_file(index: &DbIndex, path: &Path) -> Result<StoreDirectory, StoreError> {
     let file = std::fs::File::create(path)?;
     let mut writer = StoreWriter::new(std::io::BufWriter::new(file), index.config())?;
@@ -176,76 +198,6 @@ pub fn write_store_file(index: &DbIndex, path: &Path) -> Result<StoreDirectory, 
     Ok(dir)
 }
 
-/// Search a batch against a disk-resident store: the engine's streamed
-/// block loop, fed one cached block at a time. Output is bit-identical to
-/// [`engine::search_batch`] over the same index; a fetch failure aborts
-/// the whole search with its typed error (no partial results escape).
-pub fn search_store<R: Read + Seek>(
-    db: &SequenceDb,
-    store: &SequenceStore<R>,
-    neighbors: &NeighborTable,
-    queries: &[Sequence],
-    config: &SearchConfig,
-) -> Result<Vec<QueryResult>, StoreError> {
-    if config.top_k.is_some() {
-        // Pruned reporting mode: bounds come from the store directory.
-        return search_store_topk(db, store, neighbors, queries, config, None)
-            .map(|o| o.results);
-    }
-    let first_error: RefCell<Option<StoreError>> = RefCell::new(None);
-    let mut next = 0usize;
-    let n = store.num_blocks();
-    let blocks = std::iter::from_fn(|| {
-        if next >= n {
-            return None;
-        }
-        match store.block(next) {
-            Ok(b) => {
-                next += 1;
-                Some(b)
-            }
-            Err(e) => {
-                *first_error.borrow_mut() = Some(e);
-                None
-            }
-        }
-    });
-    let results = engine::search_batch_streamed(db, blocks, neighbors, queries, config);
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(results),
-    }
-}
-
-/// Top-k pruned search against a disk-resident store: per-block bounds
-/// come straight from the v4 footer directory, so a skipped block is
-/// never read from disk at all — the I/O the pruning mode exists to
-/// save. v3 stores carry no bounds, so every block scans (still exact,
-/// just unpruned). Output is bit-identical to the exhaustive search with
-/// the reporting cap applied; a fetch failure of a block that actually
-/// needed scanning aborts with its typed error.
-pub fn search_store_topk<R: Read + Seek>(
-    db: &SequenceDb,
-    store: &SequenceStore<R>,
-    neighbors: &NeighborTable,
-    queries: &[Sequence],
-    config: &SearchConfig,
-    shared: Option<&engine::TopKShared>,
-) -> Result<engine::TopKOutcome, StoreError> {
-    let bounds: Vec<Option<dbindex::BlockBound>> =
-        store.directory().blocks.iter().map(|m| m.bound).collect();
-    engine::search_batch_topk_blocks(
-        db,
-        store.num_blocks(),
-        &bounds,
-        |i| store.block(i),
-        neighbors,
-        queries,
-        config,
-        shared,
-    )
-}
-
 /// One disk-resident shard: its sub-database (needed by the finish
 /// stages), the local→global id map, and its open store.
 pub struct StreamingShard<R: Read + Seek> {
@@ -253,7 +205,7 @@ pub struct StreamingShard<R: Read + Seek> {
     pub ids: Vec<SequenceId>,
     /// The shard's sequences, in ascending global-id order.
     pub db: SequenceDb,
-    /// The shard's v3 store.
+    /// The shard's open store.
     pub store: SequenceStore<R>,
 }
 
@@ -291,7 +243,7 @@ impl<R: Read + Seek> StreamingShards<R> {
 }
 
 impl StreamingShards<std::fs::File> {
-    /// Partition `db` into `shards` LPT-balanced shards, write one v3
+    /// Partition `db` into `shards` LPT-balanced shards, write one
     /// store file per shard under `dir` (`shard<K>.mubp`), and open them
     /// all through one cache. Shard indexes are built one at a time and
     /// dropped after writing, so peak memory is one shard's index.
@@ -336,65 +288,18 @@ impl StreamingShards<std::fs::File> {
 }
 
 impl<R: Read + Seek + Send> ShardBackend for StreamingShards<R> {
+    type Source = SequenceStore<R>;
+
     fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    fn shard_residues(&self, s: usize) -> usize {
-        self.shards[s].db.total_residues()
     }
 
     fn global_db(&self) -> (usize, usize) {
         (self.global_residues, self.global_seqs)
     }
 
-    /// Stream-search one shard. Engine spans are not recorded on this
-    /// path (the streamed block loop is untraced); the driver's `Shard`
-    /// span still times the task. A storage failure — I/O, truncation,
-    /// CRC mismatch, injected fault — degrades the shard with
-    /// [`ShardFailCause::Storage`] instead of failing the search.
-    fn search_shard(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        _session: &TraceSession,
-    ) -> Result<(Vec<QueryResult>, Trace), ShardFailCause> {
+    fn shard(&self, s: usize) -> (&SequenceDb, &[SequenceId], &SequenceStore<R>) {
         let shard = &self.shards[s];
-        let mut results = search_store(&shard.db, &shard.store, neighbors, queries, inner)
-            .map_err(|_| ShardFailCause::Storage)?;
-        // Report in global subject ids.
-        for qr in &mut results {
-            for a in &mut qr.alignments {
-                a.subject = shard.ids[a.subject as usize];
-            }
-        }
-        Ok((results, Trace::new()))
-    }
-
-    /// Pruned top-k over one disk shard: bounds from the shard store's
-    /// directory, cross-shard thresholds consulted before each fetch — a
-    /// block pruned here was never read from disk. Storage failures
-    /// degrade exactly like the exhaustive path.
-    fn search_shard_topk(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        shared: &engine::TopKShared,
-        _session: &TraceSession,
-    ) -> Result<(engine::TopKOutcome, Trace), ShardFailCause> {
-        let shard = &self.shards[s];
-        let mut out =
-            search_store_topk(&shard.db, &shard.store, neighbors, queries, inner, Some(shared))
-                .map_err(|_| ShardFailCause::Storage)?;
-        for qr in &mut out.results {
-            for a in &mut qr.alignments {
-                a.subject = shard.ids[a.subject as usize];
-            }
-        }
-        Ok((out, Trace::new()))
+        (&shard.db, &shard.ids, &shard.store)
     }
 }

@@ -13,12 +13,14 @@ use crate::results::{QueryResult, Seed, StageCounts};
 use crate::scratch::Scratch;
 use crate::topk::{QueryPruner, TopKSet, TopKShared, TopKStats};
 use bioseq::{Sequence, SequenceDb};
-use dbindex::{BlockBound, DbIndex};
+use dbindex::{BlockBound, DbIndex, IndexBlock};
 use memsim::NullTracer;
 use obsv::{Stage, StageObs, Trace, TraceSession, NO_BLOCK};
-use parallel::{parallel_map_dynamic, parallel_map_dynamic_with_state};
+use parallel::parallel_map_dynamic_with_state;
 use qindex::QueryIndex;
 use scoring::{NeighborTable, SearchParams};
+use std::borrow::Borrow;
+use std::convert::Infallible;
 
 pub use crate::kernels::mublastp::ReorderAlgo as SortAlgo;
 
@@ -105,6 +107,13 @@ impl SearchConfig {
         self
     }
 
+    /// The reported-subject cap in force: `max_reported`, lowered to `K`
+    /// under top-k (the effective k the watermark tracks).
+    pub(crate) fn reported_cap(&self) -> usize {
+        let cap = self.params.max_reported;
+        self.top_k.map_or(cap, |k| cap.min(k as usize))
+    }
+
     /// Builder: set the worker-thread count for the dynamic scheduler.
     pub fn with_threads(mut self, threads: usize) -> SearchConfig {
         self.threads = threads;
@@ -118,7 +127,82 @@ impl SearchConfig {
     }
 }
 
-/// Search a query batch against a database.
+/// Where the block loop gets its index blocks: a resident [`DbIndex`], a
+/// disk store behind a cache, or anything else that can list its blocks
+/// and produce one on demand. The one interface [`search_batch_blocks`]
+/// searches through, so "out-of-core" and "sharded" are choices of source,
+/// not copies of the executor.
+pub trait BlockSource {
+    /// Why a fetch can fail ([`Infallible`] for resident blocks).
+    type Error;
+
+    /// Number of blocks; valid block ids are `0..num_blocks()`.
+    fn num_blocks(&self) -> usize;
+
+    /// Block `i`'s score bound, available *without* fetching the block
+    /// (the pruner's skip-before-fetch). `None` = no bound recorded (e.g.
+    /// a v3 store): the block is always scanned. Only consulted when
+    /// `config.top_k` is set.
+    fn bound(&self, i: usize) -> Option<BlockBound>;
+
+    /// Materialise block `i`.
+    fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Self::Error>;
+}
+
+impl BlockSource for [IndexBlock] {
+    type Error = Infallible;
+
+    fn num_blocks(&self) -> usize {
+        self.len()
+    }
+
+    fn bound(&self, i: usize) -> Option<BlockBound> {
+        Some(BlockBound::from_block(&self[i]))
+    }
+
+    fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
+        Ok(&self[i])
+    }
+}
+
+impl BlockSource for DbIndex {
+    type Error = Infallible;
+
+    fn num_blocks(&self) -> usize {
+        self.blocks().len()
+    }
+
+    fn bound(&self, i: usize) -> Option<BlockBound> {
+        self.blocks().bound(i)
+    }
+
+    fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
+        self.blocks().fetch(i)
+    }
+}
+
+/// What one batch search produced.
+#[derive(Debug, Default)]
+pub struct SearchOutcome {
+    /// Per-query results in batch order. With `config.top_k = Some(K)`
+    /// they are bit-identical to an exhaustive search run with
+    /// `params.max_reported = min(max_reported, K)`.
+    pub results: Vec<QueryResult>,
+    /// Stage spans (empty under a disabled session). Span `query` fields
+    /// are batch indices, `block` fields are ids local to the source, and
+    /// `trace_id` is 0 — callers coalescing several requests re-attribute
+    /// with [`Trace::assign_trace_ids`].
+    pub trace: Trace,
+    /// Block pruning counters; all zero for an exhaustive search.
+    pub topk: TopKStats,
+    /// Per-query k-th-best preliminary E-value this search established
+    /// (`+∞` when fewer than `K` subjects were admitted); empty for an
+    /// exhaustive search. A sharded driver publishes these to the shared
+    /// watermark after the shard's task succeeds.
+    pub kth_evalues: Vec<f64>,
+}
+
+/// Search a query batch against a resident database.
 ///
 /// `index` is required for the database-indexed engines and ignored by the
 /// query-indexed one. `neighbors` must have been built with
@@ -136,14 +220,8 @@ pub fn search_batch(
     search_batch_traced(db, index, neighbors, queries, config, &TraceSession::disabled()).0
 }
 
-/// [`search_batch`] plus wall-clock stage spans: every pipeline stage of
-/// every `(query, block)` records one span into a per-worker
-/// [`obsv::Recorder`] (handed out with the worker's `Scratch`; no locks in
-/// the kernels), and the recorders are merged into one [`Trace`] after
-/// each parallel-for joins. Span `query` fields are batch indices and
-/// `trace_id` is 0 — callers coalescing several requests re-attribute
-/// with [`Trace::assign_trace_ids`]. With a disabled `session` the cost is
-/// a few never-taken branches per stage and the trace comes back empty.
+/// [`search_batch`] plus the wall-clock stage spans of
+/// [`SearchOutcome::trace`].
 ///
 /// # Panics
 /// Panics if a database-indexed engine is requested without an index.
@@ -155,26 +233,79 @@ pub fn search_batch_traced(
     config: &SearchConfig,
     session: &TraceSession,
 ) -> (Vec<QueryResult>, Trace) {
-    if let Some(k) = config.top_k {
-        if matches!(config.kind, EngineKind::QueryIndexed) {
-            // No blocks to skip in the query-indexed engine: top-k is
-            // just a cap on the reported subjects.
-            let mut cfg = config.clone();
-            cfg.top_k = None;
-            cfg.params.max_reported = cfg.params.max_reported.min(k as usize);
-            return search_batch_traced(db, index, neighbors, queries, &cfg, session);
-        }
-        let Some(index) = index else {
-            // lint: allow(panic-reach): contract panic — same contract as
-            // the exhaustive arm below.
-            panic!(
-                "database-indexed engines need a DbIndex (got None for {:?})",
-                config.kind
-            )
-        };
-        let outcome = search_batch_topk_resident(db, index, neighbors, queries, config, None);
-        return (outcome.results, Trace::new());
+    let blocks: &[IndexBlock] = match index {
+        Some(index) => index.blocks(),
+        None if matches!(config.kind, EngineKind::QueryIndexed) => &[],
+        // lint: allow(panic-reach): contract panic — every serving caller
+        // (serve::SearchSession) builds the index with the engine; a None
+        // here is a harness bug, not a data fault.
+        None => panic!(
+            "database-indexed engines need a DbIndex (got None for {:?})",
+            config.kind
+        ),
+    };
+    let Ok(out) = search_batch_blocks(db, blocks, neighbors, queries, config, None, session);
+    (out.results, out.trace)
+}
+
+/// The batch executor — the paper's Alg. 3, and the only copy of it: a
+/// serial loop over the blocks of `source` with a dynamic parallel-for
+/// over the queries inside each block, then the finish pass over queries.
+/// Resident, out-of-core and per-shard searches differ only in `source`.
+/// The query-indexed engine has no blocks: it makes one parallel pass over
+/// the whole of `db` and never touches `source`.
+///
+/// Every pipeline stage of every `(query, block)` records one span into a
+/// per-worker [`obsv::Recorder`] (handed out with the worker's `Scratch`;
+/// no locks in the kernels), merged into [`SearchOutcome::trace`] after
+/// each parallel-for joins. With a disabled `session` that costs a few
+/// never-taken branches per stage.
+///
+/// **Exhaustive** (`config.top_k = None`): blocks are fetched in ascending
+/// id order, each exactly once; no bound is read and no pruning state is
+/// built.
+///
+/// **Top-k** (`config.top_k = Some(K)`, database-indexed engines): the
+/// reporting cap becomes `min(max_reported, K)` and blocks are pruned.
+/// Blocks that can never be pruned go first, then bounded ones best-first
+/// so the threshold drops early. Each scanned whole-subject block feeds
+/// its subjects' preliminary E-values — computed by exactly the candidate
+/// pipeline the finish stage ranks by
+/// ([`crate::finish::subject_candidates`]) — into a per-query [`TopKSet`].
+/// A block is skipped, *without being fetched*, only when for **every**
+/// query its best-case E-value is strictly worse than
+/// `min(evalue_cutoff, local k-th, shared k-th)`; the finish pass over the
+/// surviving seeds is unchanged, so bit-identity with the capped
+/// exhaustive search holds by construction (`DESIGN.md` §3.7). `shared`
+/// carries cross-shard thresholds that tighten pruning further; this
+/// function only reads it — its caller publishes
+/// [`SearchOutcome::kth_evalues`], on success.
+///
+/// A failed fetch aborts the search with the source's error; no partial
+/// result escapes.
+pub fn search_batch_blocks<S: BlockSource + ?Sized>(
+    db: &SequenceDb,
+    source: &S,
+    neighbors: &NeighborTable,
+    queries: &[Sequence],
+    config: &SearchConfig,
+    shared: Option<&TopKShared>,
+    session: &TraceSession,
+) -> Result<SearchOutcome, S::Error> {
+    if queries.is_empty() {
+        return Ok(SearchOutcome::default());
     }
+    let capped: SearchConfig;
+    let config = if config.top_k.is_some() {
+        capped = {
+            let mut c = config.clone();
+            c.params.max_reported = config.reported_cap();
+            c
+        };
+        &capped
+    } else {
+        config
+    };
     // SEG query masking (`blastp -seg yes`): hard-mask low-complexity
     // query regions to X before any stage, for every engine alike.
     let masked_storage: Vec<Sequence>;
@@ -195,6 +326,8 @@ pub fn search_batch_traced(
     let (db_residues, db_seqs) = config
         .effective_db
         .unwrap_or((db.total_residues(), db.len()));
+    let evalue_model = &config.params.gapped_stats;
+    let cutoff = config.params.evalue_cutoff;
     // LPT dispatch order (identity when disabled).
     let dispatch: Vec<usize> = {
         let mut order: Vec<usize> = (0..queries.len()).collect();
@@ -203,32 +336,115 @@ pub fn search_batch_traced(
         }
         order
     };
-    // Per-worker state: scratch plus a span recorder (same lifecycle).
-    let worker_state = |w: usize| {
-        let mut rec = session.recorder();
-        rec.set_worker(w as u32);
-        (Scratch::new(), rec)
+    let by_blocks = !matches!(config.kind, EngineKind::QueryIndexed);
+    let n_blocks = if by_blocks { source.num_blocks() } else { 0 };
+    let mut pruning = (by_blocks && config.top_k.is_some()).then(|| Pruning {
+        bounds: (0..n_blocks).map(|i| source.bound(i)).collect(),
+        pruners: queries
+            .iter()
+            .map(|q| QueryPruner::new(q.residues(), &config.params.matrix))
+            .collect(),
+        sets: (0..queries.len())
+            .map(|_| TopKSet::new(config.params.max_reported))
+            .collect(),
+    });
+    let mut topk = TopKStats::default();
+    let mut order: Vec<usize> = (0..n_blocks).collect();
+    if let Some(p) = &pruning {
+        // Visit order: blocks that can never be pruned first (they must
+        // be scanned anyway and tighten the watermark for free), then
+        // bounded blocks in descending best-possible-score order so strong
+        // subjects are admitted early and the threshold drops fast. Purely
+        // a heuristic: the output is order-independent because a skip
+        // decision is only ever taken when provably harmless.
+        let best_bound = |i: usize| match &p.bounds[i] {
+            Some(b) => p.pruners.iter().map(|q| q.bound_raw(b)).max().unwrap_or(0),
+            None => i32::MAX,
+        };
+        order.sort_by_cached_key(|&i| {
+            (
+                p.prunable_bound(i).is_some(),
+                std::cmp::Reverse(best_bound(i)),
+                i,
+            )
+        });
+    }
+    // One pass = one parallel-for over the queries, against one block or
+    // (query-indexed, no blocks) against the whole database.
+    let passes: Vec<Option<usize>> = if by_blocks {
+        order.into_iter().map(Some).collect()
+    } else {
+        vec![None]
     };
+    let mut all: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
+        .map(|_| (Vec::new(), StageCounts::default()))
+        .collect();
     let mut trace = Trace::new();
-    let results = match config.kind {
-        EngineKind::QueryIndexed => {
-            let (per_query, states) = parallel_map_dynamic_with_state(
-                config.threads,
-                queries.len(),
-                config.chunk,
-                worker_state,
-                |(scratch, rec), slot| {
-                    let qi = dispatch[slot];
-                    let query = queries[qi].residues();
-                    let qidx = QueryIndex::build(query, neighbors);
-                    let mut counts = StageCounts::default();
-                    scratch.seeds.clear();
-                    let mut nt = NullTracer;
-                    let mut ctx = null_ctx(&mut nt);
-                    rec.set_ctx(0, qi as u32, NO_BLOCK);
-                    query_indexed::search_db(
+    for block_id in passes {
+        // Per-query skip decision, for whole-subject blocks under pruning.
+        // Strict `>`: a subject *tying* the k-th E-value can still
+        // displace it on the subject-id tie-break.
+        let prunable: Option<Vec<bool>> = pruning.as_ref().and_then(|p| {
+            let bound = p.prunable_bound(block_id?)?;
+            Some(
+                queries
+                    .iter()
+                    .enumerate()
+                    .map(|(qi, q)| {
+                        let cap = p.pruners[qi].bound_raw(bound);
+                        let best_ev =
+                            evalue_model.evalue_effective(cap, q.len(), db_residues, db_seqs);
+                        let threshold = cutoff
+                            .min(p.sets[qi].kth())
+                            .min(shared.map_or(f64::INFINITY, |s| s.load(qi)));
+                        best_ev > threshold
+                    })
+                    .collect(),
+            )
+        });
+        if pruning.is_some() {
+            if prunable
+                .as_ref()
+                .is_some_and(|q| q.iter().all(|&skip| skip))
+            {
+                topk.blocks_skipped += 1;
+                continue;
+            }
+            topk.blocks_scanned += 1;
+        }
+        let fetched = match block_id {
+            Some(i) => Some(source.fetch(i)?),
+            None => None,
+        };
+        let block: Option<&IndexBlock> = fetched.as_ref().map(Borrow::borrow);
+        let span_block = block_id.map_or(NO_BLOCK, |i| i as u32);
+        let (per_query, states) = parallel_map_dynamic_with_state(
+            config.threads,
+            queries.len(),
+            config.chunk,
+            // Per-worker state: scratch plus a span recorder (same lifecycle).
+            |w| {
+                let mut rec = session.recorder();
+                rec.set_worker(w as u32);
+                (Scratch::new(), rec)
+            },
+            |(scratch, rec), slot| {
+                let qi = dispatch[slot];
+                if prunable.as_ref().is_some_and(|p| p[qi]) {
+                    // This block cannot affect query qi's top-k; skip its
+                    // seeding entirely.
+                    return (qi, Vec::new(), StageCounts::default(), Vec::new());
+                }
+                let query = queries[qi].residues();
+                let mut counts = StageCounts::default();
+                scratch.seeds.clear();
+                let mut nt = NullTracer;
+                let mut ctx = null_ctx(&mut nt);
+                rec.set_ctx(0, qi as u32, span_block);
+                match block {
+                    None => query_indexed::search_db(
                         query,
-                        &qidx,
+                        &QueryIndex::build(query, neighbors),
                         db,
                         &config.params,
                         scratch,
@@ -236,383 +452,20 @@ pub fn search_batch_traced(
                         &mut ctx,
                         rec,
                         &[],
-                    );
-                    (qi, std::mem::take(&mut scratch.seeds), counts)
-                },
-            );
-            for (_, rec) in states {
-                trace.absorb(rec);
-            }
-            let mut ordered: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
-                .map(|_| (Vec::new(), StageCounts::default()))
-                .collect();
-            for (qi, seeds, counts) in per_query {
-                ordered[qi] = (seeds, counts);
-            }
-            finish_all(db, queries, ordered, config, db_residues, db_seqs, session, &mut trace)
-        }
-        EngineKind::DbInterleaved | EngineKind::MuBlastp => {
-            let Some(index) = index else {
-                // lint: allow(panic-reach): contract panic — every serving
-                // caller (serve::SearchSession) builds the index with the
-                // engine; a None here is a harness bug, not a data fault.
-                panic!(
-                    "database-indexed engines need a DbIndex (got None for {:?})",
-                    config.kind
-                )
-            };
-            let mut all: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
-                .map(|_| (Vec::new(), StageCounts::default()))
-                .collect();
-            // Alg. 3: serial block loop, parallel query loop inside.
-            for (block_id, block) in index.blocks().iter().enumerate() {
-                let (per_query, states) = parallel_map_dynamic_with_state(
-                    config.threads,
-                    queries.len(),
-                    config.chunk,
-                    worker_state,
-                    |(scratch, rec), slot| {
-                        let qi = dispatch[slot];
-                        let query = queries[qi].residues();
-                        let mut counts = StageCounts::default();
-                        scratch.seeds.clear();
-                        let mut nt = NullTracer;
-                        let mut ctx = null_ctx(&mut nt);
-                        rec.set_ctx(0, qi as u32, block_id as u32);
-                        match config.kind {
-                            EngineKind::DbInterleaved => db_interleaved::search_block(
-                                query,
-                                block,
-                                neighbors,
-                                &config.params,
-                                scratch,
-                                &mut counts,
-                                &mut ctx,
-                                rec,
-                            ),
-                            EngineKind::MuBlastp => mublastp::search_block(
-                                query,
-                                block,
-                                neighbors,
-                                &config.params,
-                                scratch,
-                                &mut counts,
-                                &mut ctx,
-                                rec,
-                                config.sort,
-                                config.prefilter,
-                            ),
-                            // lint: allow(panic-reach): this match arm sits
-                            // under the DbInterleaved|MuBlastp outer arm.
-                            EngineKind::QueryIndexed => unreachable!(),
-                        }
-                        (qi, std::mem::take(&mut scratch.seeds), counts)
-                    },
-                );
-                for (_, rec) in states {
-                    trace.absorb(rec);
-                }
-                for (qi, seeds, counts) in per_query {
-                    all[qi].0.extend(seeds);
-                    all[qi].1.add(&counts);
-                }
-            }
-            finish_all(db, queries, all, config, db_residues, db_seqs, session, &mut trace)
-        }
-    };
-    trace.normalize();
-    (results, trace)
-}
-
-/// Search a batch against index blocks arriving from a stream (e.g.
-/// `dbindex::BlockStream` over a file) — the out-of-memory-index workflow
-/// the paper's block loop enables. Blocks are consumed one at a time, so
-/// peak memory is one block plus per-thread state. The item type is
-/// anything that borrows an [`dbindex::IndexBlock`] — owned blocks from a
-/// file stream and `Arc`'d blocks from a block cache both work. Only the
-/// database-indexed engines are meaningful here.
-///
-/// # Panics
-/// Panics if `config.kind` is [`EngineKind::QueryIndexed`].
-pub fn search_batch_streamed<I, B>(
-    db: &SequenceDb,
-    blocks: I,
-    neighbors: &NeighborTable,
-    queries: &[Sequence],
-    config: &SearchConfig,
-) -> Vec<QueryResult>
-where
-    I: IntoIterator<Item = B>,
-    B: std::borrow::Borrow<dbindex::IndexBlock>,
-{
-    assert!(
-        !matches!(config.kind, EngineKind::QueryIndexed),
-        "streamed search is for database-indexed engines"
-    );
-    if let Some(k) = config.top_k {
-        // A bare block iterator carries no bounds to prune with; honour
-        // the reporting cap and search exhaustively. Pruned streaming
-        // lives in `blockstore::search_store`, where the store directory
-        // supplies the bounds.
-        let mut cfg = config.clone();
-        cfg.top_k = None;
-        cfg.params.max_reported = cfg.params.max_reported.min(k as usize);
-        return search_batch_streamed(db, blocks, neighbors, queries, &cfg);
-    }
-    let masked_storage: Vec<Sequence>;
-    let queries: &[Sequence] = if config.params.seg_filter {
-        masked_storage = queries
-            .iter()
-            .map(|q| {
-                Sequence::from_encoded(
-                    q.id.clone(),
-                    bioseq::seg_mask(q.residues(), &bioseq::SegParams::default()),
-                )
-            })
-            .collect();
-        &masked_storage
-    } else {
-        queries
-    };
-    let (db_residues, db_seqs) = config
-        .effective_db
-        .unwrap_or((db.total_residues(), db.len()));
-    let mut all: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
-        .map(|_| (Vec::new(), StageCounts::default()))
-        .collect();
-    for block in blocks {
-        let block = block.borrow();
-        let per_query = parallel_map_dynamic(
-            config.threads,
-            queries.len(),
-            config.chunk,
-            Scratch::new,
-            |scratch, qi| {
-                let query = queries[qi].residues();
-                let mut counts = StageCounts::default();
-                scratch.seeds.clear();
-                let mut nt = NullTracer;
-                let mut ctx = null_ctx(&mut nt);
-                match config.kind {
-                    EngineKind::DbInterleaved => db_interleaved::search_block(
-                        query,
-                        &block,
-                        neighbors,
-                        &config.params,
-                        scratch,
-                        &mut counts,
-                        &mut ctx,
-                        &mut obsv::NoObs,
                     ),
-                    EngineKind::MuBlastp => mublastp::search_block(
-                        query,
-                        &block,
-                        neighbors,
-                        &config.params,
-                        scratch,
-                        &mut counts,
-                        &mut ctx,
-                        &mut obsv::NoObs,
-                        config.sort,
-                        config.prefilter,
-                    ),
-                    // lint: allow(panic-reach): the streamed path rejects
-                    // QueryIndexed configurations before reaching here.
-                    EngineKind::QueryIndexed => unreachable!(),
-                }
-                (std::mem::take(&mut scratch.seeds), counts)
-            },
-        );
-        for (qi, (seeds, counts)) in per_query.into_iter().enumerate() {
-            all[qi].0.extend(seeds);
-            all[qi].1.add(&counts);
-        }
-    }
-    let mut trace = Trace::new();
-    finish_all(
-        db,
-        queries,
-        all,
-        config,
-        db_residues,
-        db_seqs,
-        &TraceSession::disabled(),
-        &mut trace,
-    )
-}
-
-/// Outcome of one pruned top-k batch search.
-#[derive(Debug)]
-pub struct TopKOutcome {
-    /// Per-query results — bit-identical to the exhaustive path run with
-    /// `params.max_reported = min(max_reported, K)`.
-    pub results: Vec<QueryResult>,
-    /// Block pruning counters.
-    pub stats: TopKStats,
-    /// Per-query k-th-best preliminary E-value established by this search
-    /// (`+∞` when fewer than `K` subjects were admitted). A sharded
-    /// driver publishes these to the shared watermark after the task
-    /// completes successfully.
-    pub kth_evalues: Vec<f64>,
-}
-
-/// Top-k pruned batch search over an abstract block source — the one
-/// implementation behind the resident and out-of-core pruned paths.
-///
-/// `bounds[i]` is block `i`'s stored [`BlockBound`] (`None` = no bound
-/// recorded, e.g. a v3 store: the block is always scanned). `fetch`
-/// materialises a block on demand; a *skipped block is never fetched*,
-/// which is where the out-of-core path saves I/O. `shared`, when present,
-/// carries cross-shard per-query thresholds that tighten pruning further
-/// (this function never publishes to it — its caller does, on success).
-///
-/// The search runs in two phases. Phase A walks blocks (unprunable ones
-/// first, then bounded ones best-first so the threshold drops early);
-/// each scanned whole-subject block feeds its subjects' preliminary
-/// E-values — computed by exactly the candidate pipeline the finish stage
-/// ranks by ([`crate::finish::subject_candidates`]) — into a per-query
-/// [`TopKSet`]. A block is skipped only when, for **every** query, its
-/// best-case E-value is strictly worse than
-/// `min(evalue_cutoff, local k-th, shared k-th)`. Phase B is the
-/// unchanged finish pass over all surviving seeds, so bit-identity with
-/// the exhaustive oracle holds by construction (skipped blocks provably
-/// contribute no reported subject; see `DESIGN.md` §3.7).
-///
-/// # Panics
-/// Panics if `config.top_k` is `None` or the engine is query-indexed.
-#[allow(clippy::too_many_arguments)]
-pub fn search_batch_topk_blocks<B, E, F>(
-    db: &SequenceDb,
-    n_blocks: usize,
-    bounds: &[Option<BlockBound>],
-    mut fetch: F,
-    neighbors: &NeighborTable,
-    queries: &[Sequence],
-    config: &SearchConfig,
-    shared: Option<&TopKShared>,
-) -> Result<TopKOutcome, E>
-where
-    B: std::borrow::Borrow<dbindex::IndexBlock>,
-    F: FnMut(usize) -> Result<B, E>,
-{
-    assert!(
-        !matches!(config.kind, EngineKind::QueryIndexed),
-        "top-k pruning is for database-indexed engines"
-    );
-    let Some(requested_k) = config.top_k else {
-        // lint: allow(panic-reach): contract panic — every caller routes
-        // here only when a top-k was requested.
-        panic!("search_batch_topk_blocks requires config.top_k")
-    };
-    // Normalise: top-k caps the reported subject count, and the effective
-    // k (what the watermark tracks) is that cap.
-    let mut config = config.clone();
-    config.params.max_reported = config.params.max_reported.min(requested_k as usize);
-    let k = config.params.max_reported;
-    let config = &config;
-    let masked_storage: Vec<Sequence>;
-    let queries: &[Sequence] = if config.params.seg_filter {
-        masked_storage = queries
-            .iter()
-            .map(|q| {
-                Sequence::from_encoded(
-                    q.id.clone(),
-                    bioseq::seg_mask(q.residues(), &bioseq::SegParams::default()),
-                )
-            })
-            .collect();
-        &masked_storage
-    } else {
-        queries
-    };
-    let (db_residues, db_seqs) = config
-        .effective_db
-        .unwrap_or((db.total_residues(), db.len()));
-    let evalue_model = &config.params.gapped_stats;
-    let cutoff = config.params.evalue_cutoff;
-    let mut stats = TopKStats::default();
-    let mut all: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
-        .map(|_| (Vec::new(), StageCounts::default()))
-        .collect();
-    if queries.is_empty() {
-        return Ok(TopKOutcome {
-            results: Vec::new(),
-            stats,
-            kth_evalues: Vec::new(),
-        });
-    }
-    let pruners: Vec<QueryPruner> = queries
-        .iter()
-        .map(|q| QueryPruner::new(q.residues(), &config.params.matrix))
-        .collect();
-    let mut sets: Vec<TopKSet> = (0..queries.len()).map(|_| TopKSet::new(k)).collect();
-
-    // Visit order: blocks that can never be pruned first (they must be
-    // scanned anyway and tighten the watermark for free), then bounded
-    // blocks in descending best-possible-score order so strong subjects
-    // are admitted early and the threshold drops fast. Purely a
-    // heuristic: the output is order-independent because a skip decision
-    // is only ever taken when provably harmless.
-    let eligible =
-        |i: usize| bounds.get(i).and_then(|b| b.as_ref()).is_some_and(|b| b.whole_only);
-    let best_bound: Vec<i32> = (0..n_blocks)
-        .map(|i| match bounds.get(i).and_then(|b| b.as_ref()) {
-            Some(b) => pruners.iter().map(|p| p.bound_raw(b)).max().unwrap_or(0),
-            None => i32::MAX,
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..n_blocks).collect();
-    order.sort_by_key(|&i| (eligible(i), std::cmp::Reverse(best_bound[i]), i));
-
-    for block_id in order {
-        let bound = bounds.get(block_id).and_then(|b| b.as_ref());
-        // Per-query skip decision. Strict `>`: a subject *tying* the k-th
-        // E-value can still displace it on the subject-id tie-break.
-        let prunable: Vec<bool> = queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| match bound {
-                Some(b) if b.whole_only => {
-                    let cap = pruners[qi].bound_raw(b);
-                    let best_ev = evalue_model.evalue_effective(cap, q.len(), db_residues, db_seqs);
-                    let threshold = cutoff
-                        .min(sets[qi].kth())
-                        .min(shared.map_or(f64::INFINITY, |s| s.load(qi)));
-                    best_ev > threshold
-                }
-                _ => false,
-            })
-            .collect();
-        if prunable.iter().all(|&p| p) {
-            stats.blocks_skipped += 1;
-            continue;
-        }
-        let fetched = fetch(block_id)?;
-        let block = fetched.borrow();
-        stats.blocks_scanned += 1;
-        // Admission runs only for whole-subject blocks: there, a
-        // subject's entire seed set comes from this one block, so the
-        // admission score equals the score the finish stage will rank the
-        // subject by — no slack in the watermark.
-        let admit_here = bound.is_some_and(|b| b.whole_only);
-        let per_query = parallel_map_dynamic(
-            config.threads,
-            queries.len(),
-            config.chunk,
-            Scratch::new,
-            |scratch, qi| {
-                if prunable[qi] {
-                    // This block cannot affect query qi's top-k; skip its
-                    // seeding entirely.
-                    return (Vec::new(), StageCounts::default(), Vec::new());
-                }
-                let query = queries[qi].residues();
-                let mut counts = StageCounts::default();
-                scratch.seeds.clear();
-                let mut nt = NullTracer;
-                let mut ctx = null_ctx(&mut nt);
-                match config.kind {
-                    EngineKind::DbInterleaved => db_interleaved::search_block(
+                    Some(block) if config.kind == EngineKind::DbInterleaved => {
+                        db_interleaved::search_block(
+                            query,
+                            block,
+                            neighbors,
+                            &config.params,
+                            scratch,
+                            &mut counts,
+                            &mut ctx,
+                            rec,
+                        )
+                    }
+                    Some(block) => mublastp::search_block(
                         query,
                         block,
                         neighbors,
@@ -620,27 +473,18 @@ where
                         scratch,
                         &mut counts,
                         &mut ctx,
-                        &mut obsv::NoObs,
-                    ),
-                    EngineKind::MuBlastp => mublastp::search_block(
-                        query,
-                        block,
-                        neighbors,
-                        &config.params,
-                        scratch,
-                        &mut counts,
-                        &mut ctx,
-                        &mut obsv::NoObs,
+                        rec,
                         config.sort,
                         config.prefilter,
                     ),
-                    // lint: allow(panic-reach): rejected by the assertion
-                    // at function entry.
-                    EngineKind::QueryIndexed => unreachable!(),
                 }
                 let seeds = std::mem::take(&mut scratch.seeds);
+                // Admission runs only for whole-subject blocks: there, a
+                // subject's entire seed set comes from this one block, so
+                // the admission score equals the score the finish stage
+                // will rank the subject by — no slack in the watermark.
                 let mut admitted: Vec<f64> = Vec::new();
-                if admit_here && !seeds.is_empty() && !query.is_empty() {
+                if prunable.is_some() && !seeds.is_empty() && !query.is_empty() {
                     let (per_subject, _) =
                         crate::finish::subject_candidates(query, db, seeds.clone(), &config.params);
                     for (_, cands) in &per_subject {
@@ -657,19 +501,22 @@ where
                         }
                     }
                 }
-                (seeds, counts, admitted)
+                (qi, seeds, counts, admitted)
             },
         );
-        for (qi, (seeds, counts, admitted)) in per_query.into_iter().enumerate() {
+        for (_, rec) in states {
+            trace.absorb(rec);
+        }
+        for (qi, seeds, counts, admitted) in per_query {
             all[qi].0.extend(seeds);
             all[qi].1.add(&counts);
-            for ev in admitted {
-                sets[qi].admit(ev);
+            if let Some(p) = &mut pruning {
+                for ev in admitted {
+                    p.sets[qi].admit(ev);
+                }
             }
         }
     }
-    let kth_evalues: Vec<f64> = sets.iter().map(|s| s.kth()).collect();
-    let mut trace = Trace::new();
     let results = finish_all(
         db,
         queries,
@@ -677,44 +524,33 @@ where
         config,
         db_residues,
         db_seqs,
-        &TraceSession::disabled(),
+        session,
         &mut trace,
     );
-    Ok(TopKOutcome { results, stats, kth_evalues })
+    trace.normalize();
+    let kth_evalues = pruning.map_or_else(Vec::new, |p| p.sets.iter().map(TopKSet::kth).collect());
+    Ok(SearchOutcome {
+        results,
+        trace,
+        topk,
+        kth_evalues,
+    })
 }
 
-/// Top-k pruned search over a resident [`DbIndex`]: block bounds are
-/// recomputed from the in-memory blocks (no store file needed), then the
-/// search runs through [`search_batch_topk_blocks`]. `shared` threads the
-/// cross-shard watermark when this index is one shard of a sharded
-/// search.
-///
-/// # Panics
-/// Panics if `config.top_k` is `None` or the engine is query-indexed.
-pub fn search_batch_topk_resident(
-    db: &SequenceDb,
-    index: &DbIndex,
-    neighbors: &NeighborTable,
-    queries: &[Sequence],
-    config: &SearchConfig,
-    shared: Option<&TopKShared>,
-) -> TopKOutcome {
-    let blocks = index.blocks();
-    let bounds: Vec<Option<BlockBound>> =
-        blocks.iter().map(|b| Some(BlockBound::from_block(b))).collect();
-    let outcome = search_batch_topk_blocks(
-        db,
-        blocks.len(),
-        &bounds,
-        |i| Ok::<&dbindex::IndexBlock, std::convert::Infallible>(&blocks[i]),
-        neighbors,
-        queries,
-        config,
-        shared,
-    );
-    match outcome {
-        Ok(o) => o,
-        Err(e) => match e {},
+/// Top-k state of one [`search_batch_blocks`] call; exists only while
+/// pruning.
+struct Pruning {
+    bounds: Vec<Option<BlockBound>>,
+    pruners: Vec<QueryPruner>,
+    sets: Vec<TopKSet>,
+}
+
+impl Pruning {
+    /// Block `i`'s bound if the block may be pruned at all: only
+    /// whole-subject blocks qualify (a fragment's subject also has seeds
+    /// in other blocks, so no single block bounds its score).
+    fn prunable_bound(&self, i: usize) -> Option<&BlockBound> {
+        self.bounds[i].as_ref().filter(|b| b.whole_only)
     }
 }
 
@@ -869,6 +705,27 @@ mod tests {
         assert_eq!(one, four);
     }
 
+    /// LPT dispatch and the scheduling chunk change the order work is
+    /// handed out in and nothing else — exhaustive and pruned alike.
+    #[test]
+    fn dispatch_order_and_chunk_do_not_change_results() {
+        let (db, index, mut queries) = small_world();
+        queries.reverse(); // lengths now differ from batch order
+        let mut params = SearchParams::blastp_defaults();
+        params.evalue_cutoff = 1e9;
+        for top_k in [None, Some(2)] {
+            let mut config = SearchConfig::new(EngineKind::MuBlastp)
+                .with_params(params.clone())
+                .with_threads(3);
+            config.top_k = top_k;
+            let plain = search_batch(&db, Some(&index), neighbors(), &queries, &config);
+            config.longest_first = true;
+            config.chunk = 2;
+            let lpt = search_batch(&db, Some(&index), neighbors(), &queries, &config);
+            assert_eq!(plain, lpt, "top_k={top_k:?}");
+        }
+    }
+
     #[test]
     fn queries_find_their_own_source_sequence() {
         let (db, index, queries) = small_world();
@@ -978,18 +835,31 @@ mod tests {
         let cfg = SearchConfig::new(EngineKind::MuBlastp)
             .with_params(params.clone())
             .with_top_k(1);
-        let out = search_batch_topk_resident(&db, &index, neighbors(), &queries, &cfg, None);
+        let session = TraceSession::new(obsv::ObsvConfig::on());
+        let Ok(out) = search_batch_blocks(&db, &index, neighbors(), &queries, &cfg, None, &session);
         assert!(index.blocks().len() > 3, "want a multi-block index");
         assert_eq!(
-            out.stats.blocks_scanned + out.stats.blocks_skipped,
+            out.topk.blocks_scanned + out.topk.blocks_skipped,
             index.blocks().len() as u64
         );
         assert!(
-            out.stats.blocks_skipped > 0,
+            out.topk.blocks_skipped > 0,
             "k=1 over {} blocks should skip some: {:?}",
             index.blocks().len(),
-            out.stats
+            out.topk
         );
+        // A pruned search is traced like any other: one Seed span per
+        // scanned block (one query), none for a skipped one.
+        let seeded: Vec<u32> = out
+            .trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::Seed)
+            .map(|s| s.block)
+            .collect();
+        assert_eq!(seeded.len() as u64, out.topk.blocks_scanned);
+        assert!(seeded.iter().all(|&b| (b as usize) < index.blocks().len()));
+        assert!(out.trace.spans.iter().any(|s| s.stage == Stage::Finish));
         // And still match the oracle.
         let mut oracle_cfg = SearchConfig::new(EngineKind::MuBlastp).with_params(params);
         oracle_cfg.params.max_reported = 1;

@@ -94,7 +94,7 @@ pub fn finish_query<O: StageObs>(
 
 /// Assembly + gapped extension + per-subject candidate ranking for one
 /// query's seeds — the shared front half of [`finish_query`], split out so
-/// the top-k pruner's admission pass (`driver::search_batch_topk_blocks`)
+/// the top-k pruner's admission pass (`driver::search_batch_blocks`)
 /// scores a whole-subject block with *exactly* the pipeline the finish
 /// stage will rank it by. Returns `(per-subject candidates, gapped
 /// extension count)`; each subject's candidates are sorted strongest

@@ -47,8 +47,8 @@ pub mod twohit;
 pub mod verify;
 
 pub use driver::{
-    search_batch, search_batch_streamed, search_batch_topk_blocks, search_batch_topk_resident,
-    search_batch_traced, EngineKind, SearchConfig, SortAlgo, TopKOutcome,
+    search_batch, search_batch_blocks, search_batch_traced, BlockSource, EngineKind, SearchConfig,
+    SearchOutcome, SortAlgo,
 };
 pub use hit::{HitPair, KeySpec};
 pub use instrument::{trace_engine, trace_engine_multicore, TraceReport};

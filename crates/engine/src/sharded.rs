@@ -28,11 +28,11 @@
 //! per-alignment E-value check already ran against the global search
 //! space inside the shard.
 
-use crate::driver::{search_batch_topk_resident, search_batch_traced, SearchConfig, TopKOutcome};
+use crate::driver::{search_batch_blocks, BlockSource, SearchConfig};
 use crate::results::{compare_alignments, Alignment, QueryResult, StageCounts};
 use crate::topk::{TopKShared, TopKStats};
-use bioseq::{Sequence, SequenceId};
-use dbindex::ShardedIndex;
+use bioseq::{Sequence, SequenceDb, SequenceId};
+use dbindex::{DbIndex, ShardedIndex};
 use obsv::{Stage, Trace, TraceSession, NO_QUERY};
 use parallel::parallel_map_dynamic_with_state;
 use scoring::NeighborTable;
@@ -77,132 +77,47 @@ impl ShardFailCause {
 /// abstraction behind [`search_batch_backend_traced`]. The resident
 /// [`ShardedIndex`] and the out-of-core streaming store implement this,
 /// so one driver owns dispatch order, deadlines, fault injection, span
-/// recording, and the statistics-correct merge for both.
+/// recording, the per-shard search and the statistics-correct merge for
+/// both.
 ///
 /// Contract: shards partition one global database whose sequences never
-/// span shards; [`ShardBackend::search_shard`] reports alignments in
-/// **global** subject ids, with E-values already computed against the
-/// `inner.effective_db` the driver pins to the global size (so merged
-/// rows need no re-scoring); a failing shard returns its cause instead of
-/// panicking.
+/// span shards.
 pub trait ShardBackend: Sync {
+    /// Where a shard's index blocks come from.
+    type Source: BlockSource + ?Sized;
+
     /// Number of partitions.
     fn num_shards(&self) -> usize;
-
-    /// Residues in shard `s` (drives LPT dispatch and coverage
-    /// accounting under degradation).
-    fn shard_residues(&self, s: usize) -> usize;
 
     /// `(total residues, sequence count)` of the whole database — the
     /// search space E-value statistics must use.
     fn global_db(&self) -> (usize, usize);
 
-    /// Run the batch against shard `s`, returning per-query results in
-    /// global subject ids plus the shard's engine spans.
-    fn search_shard(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        session: &TraceSession,
-    ) -> Result<(Vec<QueryResult>, Trace), ShardFailCause>;
+    /// Shard `s`: its sub-database, the global id of each local sequence
+    /// (`ids[local] == global`), and its block source.
+    fn shard(&self, s: usize) -> (&SequenceDb, &[SequenceId], &Self::Source);
 
-    /// Run a *pruned top-k* batch against shard `s` (`inner.top_k` is
-    /// set). `shared` carries the cross-shard per-query thresholds: an
-    /// implementation may **consult** it to skip blocks but must not
-    /// publish to it — the driver publishes the returned
-    /// [`TopKOutcome::kth_evalues`] only after the task completes, so a
-    /// shard that later fails never influenced the survivors' output
-    /// (the degraded-mode contract the chaos suite pins).
-    ///
-    /// The default implementation falls back to the exhaustive
-    /// [`ShardBackend::search_shard`] with the reporting cap applied —
-    /// exact, just unpruned — and reports no thresholds.
-    fn search_shard_topk(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        _shared: &TopKShared,
-        session: &TraceSession,
-    ) -> Result<(TopKOutcome, Trace), ShardFailCause> {
-        let mut cfg = inner.clone();
-        if let Some(k) = cfg.top_k.take() {
-            cfg.params.max_reported = cfg.params.max_reported.min(k as usize);
-        }
-        let (results, trace) = self.search_shard(s, neighbors, queries, &cfg, session)?;
-        Ok((
-            TopKOutcome {
-                results,
-                stats: TopKStats::default(),
-                kth_evalues: vec![f64::INFINITY; queries.len()],
-            },
-            trace,
-        ))
+    /// Residues in shard `s` (drives LPT dispatch and coverage
+    /// accounting under degradation).
+    fn shard_residues(&self, s: usize) -> usize {
+        self.shard(s).0.total_residues()
     }
 }
 
 impl ShardBackend for ShardedIndex {
+    type Source = DbIndex;
+
     fn num_shards(&self) -> usize {
         ShardedIndex::num_shards(self)
-    }
-
-    fn shard_residues(&self, s: usize) -> usize {
-        self.shards()[s].db.total_residues()
     }
 
     fn global_db(&self) -> (usize, usize) {
         (self.global_residues(), self.global_seqs())
     }
 
-    fn search_shard(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        session: &TraceSession,
-    ) -> Result<(Vec<QueryResult>, Trace), ShardFailCause> {
+    fn shard(&self, s: usize) -> (&SequenceDb, &[SequenceId], &DbIndex) {
         let shard = &self.shards()[s];
-        let (mut results, shard_trace) =
-            search_batch_traced(&shard.db, Some(&shard.index), neighbors, queries, inner, session);
-        // Report in global subject ids.
-        for qr in &mut results {
-            for a in &mut qr.alignments {
-                a.subject = shard.ids[a.subject as usize];
-            }
-        }
-        Ok((results, shard_trace))
-    }
-
-    fn search_shard_topk(
-        &self,
-        s: usize,
-        neighbors: &NeighborTable,
-        queries: &[Sequence],
-        inner: &SearchConfig,
-        shared: &TopKShared,
-        _session: &TraceSession,
-    ) -> Result<(TopKOutcome, Trace), ShardFailCause> {
-        let shard = &self.shards()[s];
-        let mut out = search_batch_topk_resident(
-            &shard.db,
-            &shard.index,
-            neighbors,
-            queries,
-            inner,
-            Some(shared),
-        );
-        for qr in &mut out.results {
-            for a in &mut qr.alignments {
-                a.subject = shard.ids[a.subject as usize];
-            }
-        }
-        // The pruned path records no engine spans (like the streamed
-        // exhaustive path); the driver's Shard span still covers the task.
-        Ok((out, Trace::new()))
+        (&shard.db, &shard.ids, &shard.index)
     }
 }
 
@@ -252,7 +167,7 @@ pub struct ShardedOutput {
     /// Residues in the whole sharded database.
     pub total_residues: usize,
     /// Top-k pruning counters summed over surviving shards. All zero for
-    /// exhaustive searches and for backends without pruning support.
+    /// exhaustive searches.
     pub topk: TopKStats,
 }
 
@@ -288,10 +203,12 @@ pub fn search_batch_sharded_traced(
 /// Sharded search over any [`ShardBackend`] — the generic driver behind
 /// [`search_batch_sharded_traced`]. The driver owns everything that must
 /// not differ between backends: LPT dispatch, deadline cancellation,
-/// fault injection, `Shard` span recording, degradation accounting, and
-/// the statistics-correct merge. Backends only fetch-and-search, which is
-/// why a disk-streaming shard produces bit-identical output to the
-/// resident one.
+/// fault injection, `Shard` span recording, the per-shard
+/// [`search_batch_blocks`] call, degradation accounting, and the
+/// statistics-correct merge. Backends only say where a shard's blocks
+/// come from, which is why a disk-streaming shard produces bit-identical
+/// output to the resident one; a block source that fails degrades its
+/// shard with [`ShardFailCause::Storage`].
 pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     backend: &B,
     neighbors: &NeighborTable,
@@ -300,21 +217,12 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     session: &TraceSession,
 ) -> ShardedOutput {
     let k = backend.num_shards();
-    // Normalise top-k up front: the reporting cap must be consistent
-    // between the per-shard searches and the merge truncation below.
-    let normalized: SearchConfig;
-    let config = if let Some(top) = config.top_k {
-        let mut c = config.clone();
-        c.params.max_reported = c.params.max_reported.min(top as usize);
-        normalized = c;
-        &normalized
-    } else {
-        config
-    };
     let global = config.effective_db.unwrap_or_else(|| backend.global_db());
-    // Cross-shard pruning thresholds, one watermark per query. A shard's
-    // k-th-best E-values are published only after its task succeeds, so a
-    // failed shard never influences the survivors' pruning decisions.
+    // Cross-shard pruning thresholds, one watermark per query (idle in an
+    // exhaustive search). A shard's k-th-best E-values are published only
+    // after its task succeeds, so a failed shard never influences the
+    // survivors' pruning decisions (the degraded-mode contract the chaos
+    // suite pins).
     let shared = TopKShared::new(queries.len());
     // LPT dispatch: largest shard first.
     let mut order: Vec<usize> = (0..k).collect();
@@ -343,21 +251,29 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
                 let mut inner = config.clone();
                 inner.threads = 1;
                 inner.effective_db = Some(global);
-                if config.top_k.is_some() {
-                    backend
-                        .search_shard_topk(s, neighbors, queries, &inner, &shared, session)
-                        .map(|(tk, trace)| {
-                            // Publish on success only (degraded contract).
-                            for (qi, &ev) in tk.kth_evalues.iter().enumerate() {
-                                shared.publish(qi, ev);
-                            }
-                            (tk.results, trace, tk.stats)
-                        })
-                } else {
-                    backend
-                        .search_shard(s, neighbors, queries, &inner, session)
-                        .map(|(r, t)| (r, t, TopKStats::default()))
-                }
+                let (db, ids, source) = backend.shard(s);
+                search_batch_blocks(
+                    db,
+                    source,
+                    neighbors,
+                    queries,
+                    &inner,
+                    Some(&shared),
+                    session,
+                )
+                .map_err(|_| ShardFailCause::Storage)
+                .map(|mut out| {
+                    for (qi, &ev) in out.kth_evalues.iter().enumerate() {
+                        shared.publish(qi, ev);
+                    }
+                    // Report in global subject ids.
+                    for qr in &mut out.results {
+                        for a in &mut qr.alignments {
+                            a.subject = ids[a.subject as usize];
+                        }
+                    }
+                    out
+                })
             };
             let done = Instant::now();
             rec.set_ctx(0, NO_QUERY, s as u32);
@@ -387,10 +303,10 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     for (s, outcome, timing) in per_shard {
         timings[s] = timing;
         match outcome {
-            Ok((results, shard_trace, shard_topk)) => {
-                trace.merge(shard_trace);
-                topk.add(&shard_topk);
-                for qr in results {
+            Ok(out) => {
+                trace.merge(out.trace);
+                topk.add(&out.topk);
+                for qr in out.results {
                     let slot = &mut merged[qr.query_index];
                     slot.alignments.extend(qr.alignments);
                     slot.counts.add(&qr.counts);
@@ -409,7 +325,7 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     // but never re-scores the rest — which is why surviving-shard output
     // stays bit-equal to the fault-free run.
     for qr in &mut merged {
-        merge_shard_alignments(&mut qr.alignments, config.params.max_reported);
+        merge_shard_alignments(&mut qr.alignments, config.reported_cap());
         qr.counts.reported = qr.alignments.len() as u64;
     }
     trace.normalize();
@@ -559,6 +475,129 @@ mod tests {
                 "query {qi}: survivors must not be re-scored"
             );
         }
+    }
+
+    /// A block source whose second fetch fails — a shard that dies
+    /// *after* it has scanned (and admitted subjects from) a block.
+    struct DiesMidSearch {
+        index: dbindex::DbIndex,
+        fetches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl BlockSource for DiesMidSearch {
+        type Error = ();
+
+        fn num_blocks(&self) -> usize {
+            self.index.num_blocks()
+        }
+
+        fn bound(&self, i: usize) -> Option<dbindex::BlockBound> {
+            self.index.bound(i)
+        }
+
+        fn fetch(&self, i: usize) -> Result<impl std::borrow::Borrow<dbindex::IndexBlock>, ()> {
+            match self
+                .fetches
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+            {
+                1 => Err(()),
+                _ => Ok(&self.index.blocks()[i]),
+            }
+        }
+    }
+
+    /// Shard 0: strong subjects behind [`DiesMidSearch`]; shard 1: short
+    /// weak ones, fully prunable against shard 0's k-th E-value.
+    struct StrongDyingShardAndWeakShard {
+        dbs: [SequenceDb; 2],
+        ids: [Vec<SequenceId>; 2],
+        sources: [DiesMidSearch; 2],
+    }
+
+    impl ShardBackend for StrongDyingShardAndWeakShard {
+        type Source = DiesMidSearch;
+
+        fn num_shards(&self) -> usize {
+            2
+        }
+
+        fn global_db(&self) -> (usize, usize) {
+            (
+                self.dbs.iter().map(SequenceDb::total_residues).sum(),
+                self.dbs.iter().map(SequenceDb::len).sum(),
+            )
+        }
+
+        fn shard(&self, s: usize) -> (&SequenceDb, &[SequenceId], &DiesMidSearch) {
+            (&self.dbs[s], &self.ids[s], &self.sources[s])
+        }
+    }
+
+    /// Convicts publish-before-success: a shard that admitted strong
+    /// subjects and *then* failed (a block fetch error) must not have
+    /// tightened the watermark the surviving shard prunes against — the
+    /// survivor's rows are bit-equal to searching it alone, and any
+    /// source error degrades the shard with the `Storage` cause.
+    #[test]
+    fn shard_failing_mid_search_never_tightens_the_survivors_watermark() {
+        let strong: SequenceDb = toy_db();
+        let query = Sequence::from_encoded("q", strong.get(0).residues().to_vec());
+        // Each weak subject is a 12-residue window of the query: it hits,
+        // but its block's best case is far below the query's self-hit.
+        let weak: SequenceDb = (0..4)
+            .map(|i| Sequence::from_encoded(format!("w{i}"), query.residues()[i..i + 12].to_vec()))
+            .collect();
+        let small_blocks = IndexConfig {
+            block_bytes: 256,
+            offset_bits: 15,
+            frag_overlap: 8,
+        };
+        let source = |db: &SequenceDb, fetches| DiesMidSearch {
+            index: dbindex::DbIndex::build(db, &small_blocks),
+            fetches: std::sync::atomic::AtomicUsize::new(fetches),
+        };
+        let n_strong = strong.len() as SequenceId;
+        let backend = StrongDyingShardAndWeakShard {
+            // The weak shard's counter starts past the failing fetch.
+            sources: [source(&strong, 0), source(&weak, 2)],
+            ids: [(0..n_strong).collect(), (n_strong..n_strong + 4).collect()],
+            dbs: [strong, weak],
+        };
+        assert!(
+            backend.sources[0].num_blocks() >= 2,
+            "the strong shard must reach a 2nd fetch"
+        );
+        // One worker: the strong (larger) shard runs, and dies, first.
+        let cfg = config().with_threads(1).with_top_k(1);
+        let session = TraceSession::disabled();
+        let out =
+            search_batch_backend_traced(&backend, neighbors(), &[query.clone()], &cfg, &session);
+        assert_eq!(
+            out.failed,
+            vec![ShardFailure {
+                shard: 0,
+                cause: ShardFailCause::Storage
+            }]
+        );
+        let mut alone = config();
+        alone.effective_db = Some(backend.global_db());
+        alone.params.max_reported = 1;
+        let (weak_db, weak_ids, weak_source) = backend.shard(1);
+        let mut want = search_batch(
+            weak_db,
+            Some(&weak_source.index),
+            neighbors(),
+            &[query],
+            &alone,
+        );
+        for a in &mut want[0].alignments {
+            a.subject = weak_ids[a.subject as usize];
+        }
+        assert!(
+            !want[0].alignments.is_empty(),
+            "the weak shard must have a row to lose"
+        );
+        assert_eq!(out.results[0].alignments, want[0].alignments);
     }
 
     /// A deadline already in the past cancels every shard before it
@@ -733,29 +772,52 @@ mod tests {
         }
     }
 
-    /// Traced sharded search: results unperturbed, one Shard span per
-    /// shard (empty shards included), timings indexed by shard id.
+    /// Traced sharded search, exhaustive and top-k: results unperturbed,
+    /// one Shard span per shard (empty shards included), timings indexed
+    /// by shard id, and the per-shard engine spans ride along with batch
+    /// query indices and shard-local block ids.
     #[test]
     fn traced_shard_spans_and_timings() {
         let db = toy_db();
         let queries = queries(&db);
-        let cfg = config().with_threads(2);
         let sharded = ShardedIndex::build(&db, &index_config(), 4);
-        let plain = search_batch_sharded(&sharded, neighbors(), &queries, &cfg);
-        let session = TraceSession::new(obsv::ObsvConfig::on());
-        let out = search_batch_sharded_traced(&sharded, neighbors(), &queries, &cfg, &session);
-        assert_eq!(plain, out.results);
-        let shard_spans: Vec<u32> = out
-            .trace
-            .spans
+        let max_blocks = sharded
+            .shards()
             .iter()
-            .filter(|s| s.stage == Stage::Shard)
-            .map(|s| s.block)
-            .collect();
-        assert_eq!(shard_spans, vec![0, 1, 2, 3]);
-        assert_eq!(out.timings.len(), 4);
-        for (s, t) in out.timings.iter().enumerate() {
-            assert_eq!(t.shard, s);
+            .map(|s| s.index.blocks().len())
+            .max();
+        for top_k in [None, Some(2)] {
+            let mut cfg = config().with_threads(2);
+            cfg.top_k = top_k;
+            let plain = search_batch_sharded(&sharded, neighbors(), &queries, &cfg);
+            let session = TraceSession::new(obsv::ObsvConfig::on());
+            let out = search_batch_sharded_traced(&sharded, neighbors(), &queries, &cfg, &session);
+            assert_eq!(plain, out.results, "top_k={top_k:?}");
+            let shard_spans: Vec<u32> = out
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.stage == Stage::Shard)
+                .map(|s| s.block)
+                .collect();
+            assert_eq!(shard_spans, vec![0, 1, 2, 3]);
+            for stage in [Stage::Seed, Stage::Ungapped, Stage::Finish] {
+                assert!(
+                    out.trace.spans.iter().any(|s| s.stage == stage),
+                    "top_k={top_k:?}: no {stage:?} span"
+                );
+            }
+            for span in out.trace.spans.iter().filter(|s| s.stage != Stage::Shard) {
+                assert!((span.query as usize) < queries.len(), "{span:?}");
+                assert!(
+                    span.block == obsv::NO_BLOCK || Some(span.block as usize) < max_blocks,
+                    "{span:?}"
+                );
+            }
+            assert_eq!(out.timings.len(), 4);
+            for (s, t) in out.timings.iter().enumerate() {
+                assert_eq!(t.shard, s);
+            }
         }
     }
 }

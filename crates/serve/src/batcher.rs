@@ -663,29 +663,17 @@ fn dispatch(shared: &Shared, mut live: Vec<Job>) {
     let searched_at = Instant::now();
     let (results, mut trace, shard_loss, topk) = match &shared.ctx.index {
         ResidentIndex::Single(index) => {
-            if config.top_k.is_some() && config.kind != EngineKind::QueryIndexed {
-                // Pruned top-k over the resident block index; spans are
-                // not recorded on this path (the pruner disables them).
-                let out = engine::search_batch_topk_resident(
-                    &shared.ctx.db,
-                    index,
-                    &shared.ctx.neighbors,
-                    &all_queries,
-                    &config,
-                    None,
-                );
-                (out.results, Trace::new(), None, out.stats)
-            } else {
-                let (results, trace) = engine::search_batch_traced(
-                    &shared.ctx.db,
-                    Some(index),
-                    &shared.ctx.neighbors,
-                    &all_queries,
-                    &config,
-                    &session,
-                );
-                (results, trace, None, engine::TopKStats::default())
-            }
+            // A resident index cannot fail to fetch (`Error = Infallible`).
+            let Ok(out) = engine::search_batch_blocks(
+                &shared.ctx.db,
+                index,
+                &shared.ctx.neighbors,
+                &all_queries,
+                &config,
+                None,
+                &session,
+            );
+            (out.results, out.trace, None, out.topk)
         }
         ResidentIndex::Sharded(sharded) => {
             let shard_count = sharded.shards().len();
@@ -1557,8 +1545,8 @@ mod tests {
     }
 
     /// A top-k dispatch reports the same alignments as an exhaustive
-    /// dispatch truncated to k, and the pruning counters cover every
-    /// index block exactly once.
+    /// dispatch truncated to k, the pruning counters cover every index
+    /// block exactly once, and the request is traced like any other.
     #[test]
     fn topk_dispatch_matches_truncated_exhaustive_and_reports_counters() {
         let ctx = context();
@@ -1570,6 +1558,7 @@ mod tests {
                 queue_cap: 8,
                 max_batch: 4,
                 max_delay: Duration::from_millis(1),
+                obsv: obsv::ObsvConfig::on(),
                 ..BatchOptions::default()
             },
             Arc::clone(&stats),
@@ -1590,8 +1579,9 @@ mod tests {
             ..Default::default()
         };
         let out = batcher
-            .submit(query(&ctx, 0), EngineKind::MuBlastp, &topk, None)
+            .submit_traced(query(&ctx, 0), EngineKind::MuBlastp, &topk, None, 0, true)
             .unwrap()
+            .0
             .recv()
             .unwrap()
             .unwrap();
@@ -1599,6 +1589,15 @@ mod tests {
             out.results[0].alignments, oracle.results[0].alignments,
             "pruned top-k must report the oracle's rows"
         );
+        for stage in [Stage::Seed, Stage::Finish] {
+            assert!(
+                out.trace
+                    .spans
+                    .iter()
+                    .any(|s| s.stage == stage && s.trace_id == out.trace_id),
+                "top-k request carries no {stage:?} span"
+            );
+        }
         assert_eq!(
             out.blocks_scanned + out.blocks_skipped,
             n_blocks,

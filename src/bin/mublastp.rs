@@ -222,21 +222,29 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     config.params.seg_filter = seg;
     config.params.kernel = kernel;
     config.top_k = top_k;
-    // The pruned path reports how much of the index it proved skippable;
-    // go through the counting entry point so the savings are visible.
-    let results = match (top_k, index.as_ref()) {
-        (Some(_), Some(index)) => {
-            let outcome =
-                engine::search_batch_topk_resident(&db, index, &neighbors, &queries, &config, None);
-            let scanned = outcome.stats.blocks_scanned;
-            let skipped = outcome.stats.blocks_skipped;
-            eprintln!(
-                "top-k pruning: scanned {scanned}/{} blocks ({skipped} skipped)",
-                scanned + skipped
+    let results = match index.as_ref() {
+        Some(index) => {
+            let Ok(outcome) = search_batch_blocks(
+                &db,
+                index,
+                &neighbors,
+                &queries,
+                &config,
+                None,
+                &obsv::TraceSession::disabled(),
             );
+            if top_k.is_some() {
+                // Report how much of the index the pruner proved skippable.
+                let scanned = outcome.topk.blocks_scanned;
+                let skipped = outcome.topk.blocks_skipped;
+                eprintln!(
+                    "top-k pruning: scanned {scanned}/{} blocks ({skipped} skipped)",
+                    scanned + skipped
+                );
+            }
             outcome.results
         }
-        _ => search_batch(&db, index.as_ref(), &neighbors, &queries, &config),
+        None => search_batch(&db, None, &neighbors, &queries, &config),
     };
 
     let stdout = std::io::stdout();

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use bioseq::{read_fasta, write_fasta, Sequence, SequenceDb};
     pub use dbindex::{optimal_block_bytes, DbIndex, IndexConfig};
     pub use engine::{
-        results_identical, search_batch, search_batch_streamed, Alignment, EngineKind,
+        results_identical, search_batch, search_batch_blocks, Alignment, EngineKind,
         QueryResult, SearchConfig, SortAlgo,
     };
     pub use scoring::{KernelKind, NeighborTable, SearchParams, BLOSUM62};

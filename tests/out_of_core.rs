@@ -1,5 +1,5 @@
 //! Out-of-core differential battery (ISSUE 7 acceptance): searching a
-//! seeded database through the v3 block store with a cache budget of at
+//! seeded database through the block store with a cache budget of at
 //! most ¼ of the serialized index size must produce output byte-identical
 //! to the resident unsharded engine, with peak decoded-block residency
 //! bounded by the budget — both asserted via the cache counters. The
@@ -9,10 +9,11 @@
 use std::sync::Arc;
 
 use bioseq::{Sequence, SequenceDb};
-use blockstore::{search_store, BlockCache, SequenceStore, StreamingShards};
+use blockstore::{BlockCache, SequenceStore, StreamingShards};
 use dbindex::{DbIndex, IndexConfig};
 use engine::{
-    results_identical, search_batch, search_batch_backend_traced, EngineKind, SearchConfig,
+    results_identical, search_batch, search_batch_backend_traced, search_batch_blocks, EngineKind,
+    SearchConfig,
 };
 use scoring::{NeighborTable, SearchParams, BLOSUM62};
 use std::sync::OnceLock;
@@ -87,8 +88,10 @@ fn quarter_budget_out_of_core_search_matches_resident_engine() {
     .unwrap();
     // Two passes: the second exercises reuse under eviction pressure.
     for pass in 0..2 {
-        let out = search_store(&db, &store, neighbors(), &queries, &cfg).unwrap();
-        results_identical(&reference, &out).unwrap_or_else(|e| panic!("pass {pass}: {e}"));
+        let session = obsv::TraceSession::disabled();
+        let out =
+            search_batch_blocks(&db, &store, neighbors(), &queries, &cfg, None, &session).unwrap();
+        results_identical(&reference, &out.results).unwrap_or_else(|e| panic!("pass {pass}: {e}"));
     }
     let snap = cache.counters().snapshot();
     assert!(

@@ -1,4 +1,4 @@
-//! Integration tests for the streaming index reader and SEG filtering.
+//! Integration tests for out-of-core (block store) search and SEG filtering.
 
 use datagen::{sample_queries, synthesize_db, DbSpec};
 use mublastp::prelude::*;
@@ -19,23 +19,33 @@ fn streamed_search_equals_in_memory_search() {
 
     let mut search_cfg = SearchConfig::new(EngineKind::MuBlastp);
     search_cfg.params.evalue_cutoff = 1e6;
-    let reference = search_batch(&db, Some(&index), neighbors(), &queries, &search_cfg);
 
-    // Round-trip through the binary format and stream block by block —
-    // through an actual file, like a bigger-than-memory index would be.
-    let path = std::env::temp_dir().join(format!("mublastp-stream-{}.mbi", std::process::id()));
-    std::fs::write(&path, dbindex::write_index(&index)).unwrap();
-    let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let stream = dbindex::BlockStream::open(file).unwrap();
-    let streamed = search_batch_streamed(
-        &db,
-        stream.map(|b| b.expect("clean stream")),
-        neighbors(),
-        &queries,
-        &search_cfg,
-    );
-    std::fs::remove_file(&path).ok();
-    results_identical(&reference, &streamed).unwrap();
+    // Round-trip through the store format and search block by block behind
+    // a cache that holds a quarter of it — the out-of-memory-index path
+    // that ships. SEG on, so query masking is pinned out of core too.
+    let bytes = dbindex::write_store(&index);
+    let cache = std::sync::Arc::new(blockstore::BlockCache::new(bytes.len() as u64 / 4));
+    let store = blockstore::SequenceStore::open(
+        std::io::Cursor::new(bytes),
+        cache,
+        faultfn::Faults::none(),
+    )
+    .unwrap();
+    for seg_filter in [false, true] {
+        search_cfg.params.seg_filter = seg_filter;
+        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &search_cfg);
+        let streamed = search_batch_blocks(
+            &db,
+            &store,
+            neighbors(),
+            &queries,
+            &search_cfg,
+            None,
+            &obsv::TraceSession::disabled(),
+        )
+        .unwrap();
+        results_identical(&reference, &streamed.results).unwrap();
+    }
 }
 
 #[test]

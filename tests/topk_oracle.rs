@@ -7,10 +7,15 @@
 //! bound cannot reach the running k-th-best threshold. The matrix:
 //!
 //! * K ∈ {1, 10, 50, num_seqs, > num_seqs} over seeded databases
-//!   (override the seed with `TOPK_SEED=<u64>`; CI runs a fixed matrix);
-//! * four backends: serial resident, multi-threaded resident, sharded
+//!   (override the seed with `TOPK_SEED=<u64>`; CI runs a fixed matrix),
+//!   plus K = none: pruning off is the same executor, so the sweep also
+//!   pins sharded == streaming == single for the *exhaustive* search;
+//! * four backends — all `engine::search_batch_blocks` over a different
+//!   block source: serial resident, multi-threaded resident, sharded
 //!   resident (shared cross-shard watermark), and streaming out-of-core
 //!   (block store + LRU cache) at several cache budgets;
+//! * every cell runs with tracing off and on: results bit-identical, the
+//!   trace empty when off and carrying the engine's stage spans when on;
 //! * pruning must be *observable* (blocks skipped > 0 somewhere in every
 //!   sweep) and *accounted* (scanned + skipped = total blocks);
 //! * both extension kernels answer identically: the pruned path under
@@ -24,13 +29,15 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 use bioseq::{Sequence, SequenceDb};
-use blockstore::{search_store_topk, BlockCache, SequenceStore, StreamingShards};
+use blockstore::{BlockCache, SequenceStore, StreamingShards};
 use dbindex::{DbIndex, IndexConfig, ShardedIndex};
 use engine::{
-    merge_shard_alignments, search_batch, search_batch_backend_traced, search_batch_sharded_traced,
-    search_batch_topk_resident, EngineKind, QueryResult, SearchConfig, FAULT_SHARD,
+    merge_shard_alignments, search_batch, search_batch_backend_traced, search_batch_blocks,
+    search_batch_sharded_traced, BlockSource, EngineKind, QueryResult, SearchConfig, SearchOutcome,
+    ShardedOutput, FAULT_SHARD,
 };
 use faultfn::{mix64, FaultPlan, Faults, Schedule};
+use obsv::{ObsvConfig, Stage, Trace, TraceSession};
 use scoring::{KernelKind, NeighborTable, SearchParams, BLOSUM62};
 
 const NUM_SEQS: usize = 60;
@@ -108,17 +115,114 @@ fn base_config() -> SearchConfig {
     SearchConfig::new(EngineKind::MuBlastp).with_params(params)
 }
 
-/// The K sweep the acceptance matrix pins.
-fn k_values() -> [u32; 5] {
-    [1, 10, 50, NUM_SEQS as u32, NUM_SEQS as u32 + 7]
+/// The K sweep the acceptance matrix pins; `None` is pruning off.
+fn k_values() -> [Option<u32>; 6] {
+    [
+        Some(1),
+        Some(10),
+        Some(50),
+        Some(NUM_SEQS as u32),
+        Some(NUM_SEQS as u32 + 7),
+        None,
+    ]
+}
+
+/// `base_config` asking for the best `k` (`None` = exhaustive).
+fn config_for(k: Option<u32>) -> SearchConfig {
+    let mut cfg = base_config();
+    cfg.top_k = k;
+    cfg
+}
+
+/// The reporting cap a `top_k = k` search must behave as.
+fn cap_for(k: Option<u32>) -> usize {
+    let cap = base_config().params.max_reported;
+    k.map_or(cap, |k| cap.min(k as usize))
 }
 
 /// The exhaustive oracle: same engine, `top_k` off, the reporting cap
 /// clamped exactly the way the pruned path normalises it.
-fn oracle(db: &SequenceDb, index: &DbIndex, queries: &[Sequence], k: u32) -> Vec<QueryResult> {
+fn oracle(
+    db: &SequenceDb,
+    index: &DbIndex,
+    queries: &[Sequence],
+    k: Option<u32>,
+) -> Vec<QueryResult> {
     let mut cfg = base_config();
-    cfg.params.max_reported = cfg.params.max_reported.min(k as usize);
+    cfg.params.max_reported = cap_for(k);
     search_batch(db, Some(index), neighbors(), queries, &cfg)
+}
+
+/// The one executor over `source`, no cross-shard watermark.
+fn search_blocks<S: BlockSource>(
+    db: &SequenceDb,
+    source: &S,
+    queries: &[Sequence],
+    cfg: &SearchConfig,
+    session: &TraceSession,
+) -> Result<SearchOutcome, S::Error> {
+    search_batch_blocks(db, source, neighbors(), queries, cfg, None, session)
+}
+
+fn of_outcome(o: &SearchOutcome) -> (&[QueryResult], &Trace) {
+    (&o.results, &o.trace)
+}
+
+fn of_sharded(o: &ShardedOutput) -> (&[QueryResult], &Trace) {
+    (&o.results, &o.trace)
+}
+
+/// The session axis: run `search` untraced and traced. Results must be
+/// bit-identical; the untraced trace is empty; the traced one carries the
+/// engine's stage spans with batch query indices and block ids local to
+/// their source (`max_blocks` = the largest source's block count).
+/// Returns the traced run.
+fn with_and_without_tracing<T>(
+    label: &str,
+    n_queries: usize,
+    max_blocks: usize,
+    view: fn(&T) -> (&[QueryResult], &Trace),
+    search: impl Fn(&TraceSession) -> T,
+) -> T {
+    let off = search(&TraceSession::disabled());
+    let on = search(&TraceSession::new(ObsvConfig::on()));
+    let ((plain, no_trace), (traced, trace)) = (view(&off), view(&on));
+    assert_bits_equal(&format!("{label}: traced vs untraced"), plain, traced);
+    assert!(
+        no_trace.is_empty(),
+        "{label}: a disabled session recorded spans"
+    );
+    for stage in [Stage::Seed, Stage::Ungapped, Stage::Finish] {
+        assert!(
+            trace.spans.iter().any(|s| s.stage == stage),
+            "{label}: traced run has no {stage:?} span"
+        );
+    }
+    for span in trace.spans.iter().filter(|s| s.stage != Stage::Shard) {
+        assert!((span.query as usize) < n_queries, "{label}: {span:?}");
+        assert!(
+            span.block == obsv::NO_BLOCK || (span.block as usize) < max_blocks,
+            "{label}: {span:?}"
+        );
+    }
+    on
+}
+
+/// Every block is accounted for exactly once under pruning; with pruning
+/// off the counters stay zero.
+fn assert_block_accounting(label: &str, k: Option<u32>, topk: &engine::TopKStats, blocks: u64) {
+    let want = if k.is_some() { blocks } else { 0 };
+    assert_eq!(
+        topk.blocks_scanned + topk.blocks_skipped,
+        want,
+        "{label}: block accounting"
+    );
+    if k.is_none() {
+        assert_eq!(
+            topk.blocks_skipped, 0,
+            "{label}: exhaustive search skipped a block"
+        );
+    }
 }
 
 /// Bit-level equality: alignment structs, then E-value and bit-score
@@ -172,17 +276,21 @@ fn resident_topk_matches_oracle_serial_and_parallel() {
                 "oracle found nothing — fixture is broken"
             );
             for threads in [1usize, 4] {
-                let cfg = base_config().with_threads(threads).with_top_k(k);
-                let out =
-                    search_batch_topk_resident(&db, &index, neighbors(), &queries, &cfg, None);
-                let label = format!("round={round} k={k} threads={threads}");
-                assert_bits_equal(&label, &want, &out.results);
-                assert_eq!(
-                    out.stats.blocks_scanned + out.stats.blocks_skipped,
-                    index.blocks().len() as u64,
-                    "{label}: every block accounted for"
+                let cfg = config_for(k).with_threads(threads);
+                let label = format!("round={round} k={k:?} threads={threads}");
+                let out = with_and_without_tracing(
+                    &label,
+                    queries.len(),
+                    index.blocks().len(),
+                    of_outcome,
+                    |session| {
+                        let Ok(out) = search_blocks(&db, &index, &queries, &cfg, session);
+                        out
+                    },
                 );
-                total_skipped += out.stats.blocks_skipped;
+                assert_bits_equal(&label, &want, &out.results);
+                assert_block_accounting(&label, k, &out.topk, index.blocks().len() as u64);
+                total_skipped += out.topk.blocks_skipped;
             }
         }
     }
@@ -204,13 +312,17 @@ fn topk_is_kernel_invariant_bit_for_bit() {
     for k in k_values() {
         let mut scal = base_config();
         scal.params.kernel = KernelKind::Scalar;
-        scal.params.max_reported = scal.params.max_reported.min(k as usize);
+        scal.params.max_reported = cap_for(k);
         let want = search_batch(&db, Some(&index), neighbors(), &queries, &scal);
         for kernel in [KernelKind::Scalar, KernelKind::Striped] {
-            let mut cfg = base_config().with_top_k(k);
+            let mut cfg = config_for(k);
             cfg.params.kernel = kernel;
-            let out = search_batch_topk_resident(&db, &index, neighbors(), &queries, &cfg, None);
-            assert_bits_equal(&format!("k={k} kernel={}", kernel.name()), &want, &out.results);
+            let Ok(out) = search_blocks(&db, &index, &queries, &cfg, &TraceSession::disabled());
+            assert_bits_equal(
+                &format!("k={k:?} kernel={}", kernel.name()),
+                &want,
+                &out.results,
+            );
         }
     }
 }
@@ -226,38 +338,51 @@ fn sharded_topk_matches_oracle_with_shared_watermark() {
     let index = DbIndex::build(&db, &index_config());
     for shards in [2usize, 3, 5] {
         let sharded = ShardedIndex::build(&db, &index_config(), shards);
-        let total_blocks: u64 = sharded
+        let shard_blocks: Vec<usize> = sharded
             .shards()
             .iter()
-            .map(|s| s.index.blocks().len() as u64)
-            .sum();
+            .map(|s| s.index.blocks().len())
+            .collect();
+        let max_blocks = shard_blocks.iter().copied().max().unwrap();
         for k in k_values() {
             let want = oracle(&db, &index, &queries, k);
-            let cfg = base_config().with_threads(2).with_top_k(k);
-            let out = search_batch_sharded_traced(
-                &sharded,
-                neighbors(),
-                &queries,
-                &cfg,
-                &obsv::TraceSession::disabled(),
+            let cfg = config_for(k).with_threads(2);
+            let label = format!("shards={shards} k={k:?}");
+            let out = with_and_without_tracing(
+                &label,
+                queries.len(),
+                max_blocks,
+                of_sharded,
+                |session| {
+                    search_batch_sharded_traced(&sharded, neighbors(), &queries, &cfg, session)
+                },
             );
-            let label = format!("shards={shards} k={k}");
             assert!(out.failed.is_empty(), "{label}: fault-free run degraded");
             assert_eq!(out.covered_residues, out.total_residues, "{label}");
             assert_bits_equal(&label, &want, &out.results);
-            assert_eq!(
-                out.topk.blocks_scanned + out.topk.blocks_skipped,
-                total_blocks,
-                "{label}: shard counters must sum to the shard block total"
+            // Shard counters sum to the shard block total.
+            assert_block_accounting(
+                &label,
+                k,
+                &out.topk,
+                shard_blocks.iter().sum::<usize>() as u64,
             );
+            let shard_spans = out
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.stage == Stage::Shard)
+                .count();
+            assert_eq!(shard_spans, shards, "{label}: one Shard span per shard");
         }
     }
 }
 
-/// Backend 4a: the out-of-core pruned path over a single block store, at
-/// full, half, and quarter cache budgets. Identical bytes at every
-/// budget, and a skipped block is never even fetched from the store —
-/// the cache's fetch counter equals the scanned count on a cold cache.
+/// Backend 4a: the out-of-core path over a single block store, at full,
+/// half, and quarter cache budgets. Identical bytes at every budget, and
+/// a skipped block is never even fetched from the store — the cache's
+/// fetch counter equals the scanned count on a cold cache (and the block
+/// count with pruning off: every block streams through exactly once).
 #[test]
 fn streaming_store_topk_matches_oracle_at_several_budgets() {
     let seed = topk_seed();
@@ -271,28 +396,45 @@ fn streaming_store_topk_matches_oracle_at_several_budgets() {
         let budget = (serialized.len() as u64 / divisor).max(max_block);
         for k in k_values() {
             let want = oracle(&db, &index, &queries, k);
-            let cache = Arc::new(BlockCache::new(budget));
-            let store = SequenceStore::open(
-                std::io::Cursor::new(serialized.clone()),
-                Arc::clone(&cache),
-                Faults::none(),
-            )
-            .unwrap();
-            let cfg = base_config().with_top_k(k);
-            let out = search_store_topk(&db, &store, neighbors(), &queries, &cfg, None).unwrap();
-            let label = format!("budget=1/{divisor} k={k}");
-            assert_bits_equal(&label, &want, &out.results);
-            assert_eq!(
-                out.stats.blocks_scanned + out.stats.blocks_skipped,
-                index.blocks().len() as u64,
-                "{label}"
+            let cfg = config_for(k);
+            let label = format!("budget=1/{divisor} k={k:?}");
+            // A cold cache per run, so the fetch counter is this run's.
+            let fetched = std::cell::Cell::new(0);
+            let out = with_and_without_tracing(
+                &label,
+                queries.len(),
+                index.blocks().len(),
+                of_outcome,
+                |session| {
+                    let cache = Arc::new(BlockCache::new(budget));
+                    let store = SequenceStore::open(
+                        std::io::Cursor::new(serialized.clone()),
+                        Arc::clone(&cache),
+                        Faults::none(),
+                    )
+                    .unwrap();
+                    let out = search_blocks(&db, &store, &queries, &cfg, session).unwrap();
+                    let snap = cache.counters().snapshot();
+                    assert!(
+                        snap.peak_resident_bytes <= budget,
+                        "{label}: budget breached"
+                    );
+                    fetched.set(snap.fetched_blocks);
+                    out
+                },
             );
-            let snap = cache.counters().snapshot();
+            assert_bits_equal(&label, &want, &out.results);
+            let n_blocks = index.blocks().len() as u64;
+            assert_block_accounting(&label, k, &out.topk, n_blocks);
             assert_eq!(
-                snap.fetched_blocks, out.stats.blocks_scanned,
+                fetched.get(),
+                if k.is_some() {
+                    out.topk.blocks_scanned
+                } else {
+                    n_blocks
+                },
                 "{label}: a skipped block must never be fetched"
             );
-            assert!(snap.peak_resident_bytes <= budget, "{label}: budget breached");
         }
     }
 }
@@ -319,22 +461,42 @@ fn streaming_shards_topk_matches_oracle() {
         &Faults::none(),
     )
     .unwrap();
+    let shard_blocks: Vec<usize> = shards
+        .shards()
+        .iter()
+        .map(|s| s.store.num_blocks())
+        .collect();
+    let max_blocks = shard_blocks.iter().copied().max().unwrap();
     for k in k_values() {
         let want = oracle(&db, &index, &queries, k);
-        let cfg = base_config().with_threads(2).with_top_k(k);
-        let out = search_batch_backend_traced(
-            &shards,
-            neighbors(),
-            &queries,
-            &cfg,
-            &obsv::TraceSession::disabled(),
+        let cfg = config_for(k).with_threads(2);
+        let label = format!("streaming-shards k={k:?}");
+        let out = with_and_without_tracing(
+            &label,
+            queries.len(),
+            max_blocks,
+            of_sharded,
+            |session| search_batch_backend_traced(&shards, neighbors(), &queries, &cfg, session),
         );
-        let label = format!("streaming-shards k={k}");
         assert!(out.failed.is_empty(), "{label}: fault-free run degraded");
         assert_bits_equal(&label, &want, &out.results);
-        assert!(
-            out.topk.blocks_scanned + out.topk.blocks_skipped > 0,
-            "{label}: counters must flow through the backend seam"
+        // Counters flow through the backend seam.
+        assert_block_accounting(
+            &label,
+            k,
+            &out.topk,
+            shard_blocks.iter().sum::<usize>() as u64,
+        );
+        let shard_spans = out
+            .trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::Shard)
+            .count();
+        assert_eq!(
+            shard_spans,
+            shard_blocks.len(),
+            "{label}: one Shard span per shard"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -347,11 +509,11 @@ fn streaming_shards_topk_matches_oracle() {
 fn survivor_topk_reference(
     sharded: &ShardedIndex,
     queries: &[Sequence],
-    k: u32,
+    k: Option<u32>,
     dead: &[usize],
 ) -> Vec<QueryResult> {
     let global = (sharded.global_residues(), sharded.global_seqs());
-    let cap = base_config().params.max_reported.min(k as usize);
+    let cap = cap_for(k);
     let mut merged: Vec<QueryResult> = (0..queries.len())
         .map(|query_index| QueryResult {
             query_index,
@@ -396,8 +558,8 @@ fn degraded_topk_is_exact_over_surviving_shards() {
     for (round, shards) in [3usize, 5].into_iter().enumerate() {
         let sharded = ShardedIndex::build(&db, &index_config(), shards);
         let victim = (mix64(seed, 0xD0 + round as u64) % shards as u64) as usize;
-        for k in [1u32, 10, NUM_SEQS as u32] {
-            let mut cfg = base_config().with_threads(2).with_top_k(k);
+        for k in [Some(1u32), Some(10), Some(NUM_SEQS as u32), None] {
+            let mut cfg = config_for(k).with_threads(2);
             cfg.faults = FaultPlan::new(mix64(seed, 0x200 + round as u64))
                 .with(FAULT_SHARD, Schedule::Nth(victim as u64))
                 .build();
@@ -406,9 +568,9 @@ fn degraded_topk_is_exact_over_surviving_shards() {
                 neighbors(),
                 &queries,
                 &cfg,
-                &obsv::TraceSession::disabled(),
+                &TraceSession::disabled(),
             );
-            let label = format!("shards={shards} victim={victim} k={k}");
+            let label = format!("shards={shards} victim={victim} k={k:?}");
             assert_eq!(out.failed.len(), 1, "{label}: exactly one shard fails");
             assert_eq!(out.failed[0].shard, victim, "{label}");
             assert_eq!(out.total_residues, sharded.global_residues(), "{label}");
