@@ -9,9 +9,9 @@
 //! The workload is grouped as the engines see it: a handful of queries,
 //! each extended against many subjects. The striped ungapped pass builds
 //! one [`ScoreProfile`] per query and reuses it across that query's
-//! subjects — the `engine::scratch::ProfileCache` contract (in a real
-//! search one profile serves *thousands* of extensions, so the per-query
-//! build cost charged here is an overestimate).
+//! subjects. The engines themselves run the scalar ungapped walk only
+//! (in-engine stage time decided that, DESIGN.md §3.8); the striped
+//! ungapped column is kept as the reference twin's number.
 //!
 //! "Cell" is a deterministic linear work proxy — the number of query
 //! residues the finished extension spans — not a count of DP cells: the
@@ -25,7 +25,7 @@
 //!
 //! * **scalar / striped ns-cell** — wall time over spanned residues for
 //!   each kernel. The striped column includes the per-query score
-//!   profile builds, exactly as the engines pay them.
+//!   profile builds.
 //! * **speedup** — scalar wall / striped wall on the identical workload.
 //! * **makespan** — whole-workload wall per kernel; the stage row sums
 //!   ungapped + gapped, which is the "extension stage" the paper's
@@ -156,8 +156,7 @@ fn main() {
     });
     let ungapped_striped = time(&mut || {
         for g in &work {
-            // One profile build per query, amortized over its subjects —
-            // the ProfileCache contract.
+            // One profile build per query, amortized over its subjects.
             let profile = ScoreProfile::for_query(&BLOSUM62, &g.q);
             for (s, anchor) in &g.subjects {
                 let out = extend_two_hit_striped(&profile, s, Some(*anchor), *anchor, *anchor, 16);

@@ -15,7 +15,7 @@ use crate::topk::{QueryPruner, TopKSet, TopKShared, TopKStats};
 use bioseq::{Sequence, SequenceDb};
 use dbindex::{BlockBound, DbIndex, IndexBlock};
 use memsim::NullTracer;
-use obsv::{Stage, StageObs, Trace, TraceSession, NO_BLOCK};
+use obsv::{Recorder, Stage, StageObs, Trace, TraceSession, NO_BLOCK};
 use parallel::parallel_map_dynamic_with_state;
 use qindex::QueryIndex;
 use scoring::{NeighborTable, SearchParams};
@@ -255,11 +255,12 @@ pub fn search_batch_traced(
 /// The query-indexed engine has no blocks: it makes one parallel pass over
 /// the whole of `db` and never touches `source`.
 ///
-/// Every pipeline stage of every `(query, block)` records one span into a
-/// per-worker [`obsv::Recorder`] (handed out with the worker's `Scratch`;
-/// no locks in the kernels), merged into [`SearchOutcome::trace`] after
-/// each parallel-for joins. With a disabled `session` that costs a few
-/// never-taken branches per stage.
+/// Each worker keeps one [`Scratch`] and one [`obsv::Recorder`] for the
+/// whole call. Every pipeline stage of every `(query, block)` records one
+/// span into its worker's recorder (no locks in the kernels; the ring
+/// capacity bounds a worker's spans per call), merged into
+/// [`SearchOutcome::trace`] after the block loop. With a disabled
+/// `session` that costs a few never-taken branches per stage.
 ///
 /// **Exhaustive** (`config.top_k = None`): blocks are fetched in ascending
 /// id order, each exactly once; no bound is read and no pruning state is
@@ -380,6 +381,13 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
         .map(|_| (Vec::new(), StageCounts::default()))
         .collect();
     let mut trace = Trace::new();
+    // One (scratch, span recorder) per worker, owned here for the whole
+    // batch and lent to every pass's parallel-for: last-hit arrays and hit
+    // buffers are allocated and page-faulted once, not once per block.
+    let mut workers: Vec<(Scratch, Recorder)> = worker_recorders(session, config.threads)
+        .take(queries.len())
+        .map(|rec| (Scratch::new(), rec))
+        .collect();
     for block_id in passes {
         // Per-query skip decision, for whole-subject blocks under pruning.
         // Strict `>`: a subject *tying* the k-th E-value can still
@@ -418,16 +426,10 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
         };
         let block: Option<&IndexBlock> = fetched.as_ref().map(Borrow::borrow);
         let span_block = block_id.map_or(NO_BLOCK, |i| i as u32);
-        let (per_query, states) = parallel_map_dynamic_with_state(
-            config.threads,
+        let per_query = parallel_map_dynamic_with_state(
+            &mut workers,
             queries.len(),
             config.chunk,
-            // Per-worker state: scratch plus a span recorder (same lifecycle).
-            |w| {
-                let mut rec = session.recorder();
-                rec.set_worker(w as u32);
-                (Scratch::new(), rec)
-            },
             |(scratch, rec), slot| {
                 let qi = dispatch[slot];
                 if prunable.as_ref().is_some_and(|p| p[qi]) {
@@ -504,9 +506,6 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                 (qi, seeds, counts, admitted)
             },
         );
-        for (_, rec) in states {
-            trace.absorb(rec);
-        }
         for (qi, seeds, counts, admitted) in per_query {
             all[qi].0.extend(seeds);
             all[qi].1.add(&counts);
@@ -516,6 +515,9 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                 }
             }
         }
+    }
+    for (_, rec) in workers {
+        trace.absorb(rec);
     }
     let results = finish_all(
         db,
@@ -554,6 +556,19 @@ impl Pruning {
     }
 }
 
+/// One span recorder per worker of a `threads`-wide parallel-for, stamped
+/// with its worker index.
+pub(crate) fn worker_recorders(
+    session: &TraceSession,
+    threads: usize,
+) -> impl Iterator<Item = Recorder> + '_ {
+    (0..threads).map(|w| {
+        let mut rec = session.recorder();
+        rec.set_worker(w as u32);
+        rec
+    })
+}
+
 /// Second parallel pass: gapped extension, ranking, traceback per query.
 /// Records one `Finish` span per query (with the `Gapped` sub-span inside
 /// it) and absorbs the worker recorders into `trace`.
@@ -571,15 +586,11 @@ fn finish_all(
     // Move seeds into per-index slots the workers can take from.
     let slots: Vec<std::sync::Mutex<(Vec<Seed>, StageCounts)>> =
         per_query.into_iter().map(std::sync::Mutex::new).collect();
-    let (results, recorders) = parallel_map_dynamic_with_state(
-        config.threads,
+    let mut recorders: Vec<Recorder> = worker_recorders(session, config.threads).collect();
+    let results = parallel_map_dynamic_with_state(
+        &mut recorders,
         queries.len(),
         config.chunk,
-        |w| {
-            let mut rec = session.recorder();
-            rec.set_worker(w as u32);
-            rec
-        },
         |rec, qi| {
             // Each slot is taken exactly once; recover from poisoning rather
             // than propagating a panic from an unrelated worker.
@@ -703,6 +714,32 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert_eq!(one, four);
+    }
+
+    #[test]
+    fn one_scratch_per_worker_serves_every_block() {
+        let (db, _, queries) = small_world();
+        let index = DbIndex::build(
+            &db,
+            &IndexConfig {
+                block_bytes: 128,
+                offset_bits: 15,
+                frag_overlap: 16,
+            },
+        );
+        assert!(index.blocks().len() >= 3, "need several passes");
+        let built = || crate::scratch::CONSTRUCTED.with(|n| n.get());
+        // 9: more threads than queries.
+        for threads in [2, 1, 9] {
+            let before = built();
+            let config = SearchConfig::new(EngineKind::MuBlastp).with_threads(threads);
+            search_batch(&db, Some(&index), neighbors(), &queries, &config);
+            assert_eq!(
+                built() - before,
+                threads.min(queries.len()),
+                "{threads} threads"
+            );
+        }
     }
 
     /// LPT dispatch and the scheduling chunk change the order work is

@@ -17,7 +17,7 @@
 //! `diag = s_off − q_off + query_len`.
 
 /// A filtered hit pair awaiting ungapped extension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HitPair {
     /// `(local_seq << diag_bits) | diag`, see [`KeySpec`].
     pub key: u32,

@@ -45,8 +45,8 @@ fn db_regions(space: &mut AddressSpace, index: &DbIndex, query_len: usize) -> Re
         query: space.alloc("query", query_len),
         subject: space.alloc("block residues", max_res),
         postings: space.alloc("postings", max_entries * 4),
-        lasthit: space.alloc("last-hit array", max_cells * 8),
-        coverage: space.alloc("coverage array", max_cells * 8),
+        lasthit: space.alloc("last-hit array", max_cells * 4),
+        coverage: space.alloc("coverage array", max_cells * 4),
         hitbuf: space.alloc("hit buffer", 1 << 26),
         neighbors: space.alloc("neighbor table", 1 << 20),
         qindex: 0,
@@ -85,8 +85,8 @@ pub fn trace_engine(
                 query: space.alloc("query", query.len()),
                 subject: space.alloc("database residues", acc as usize),
                 qindex: space.alloc("query index", qidx.memory_bytes()),
-                lasthit: space.alloc("last-hit array", max_cells * 8),
-                coverage: space.alloc("coverage array", max_cells * 8),
+                lasthit: space.alloc("last-hit array", max_cells * 4),
+                coverage: space.alloc("coverage array", max_cells * 4),
                 ..Default::default()
             };
             let mut ctx = TraceCtx::new(&mut hierarchy, regions);
@@ -185,7 +185,7 @@ pub fn trace_engine_multicore(
     };
     let max_cells = match kind {
         EngineKind::QueryIndexed => {
-            (db.iter().map(|(_, s)| s.len()).max().unwrap_or(0) + max_qlen + 1) * 8
+            (db.iter().map(|(_, s)| s.len()).max().unwrap_or(0) + max_qlen + 1) * 4
         }
         _ => (shared_regions.coverage - shared_regions.lasthit) as usize,
     };

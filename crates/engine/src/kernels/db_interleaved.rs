@@ -43,14 +43,8 @@ pub fn search_block<T: Tracer, O: StageObs>(
     let qlen = query.len() as u32;
     let total_cells =
         scratch.compute_diag_bases(block.seqs().iter().map(|s| s.len), qlen);
-    scratch.finder.reset(total_cells, params.two_hit_window);
-    scratch.coverage.reset(total_cells);
-    // Striped only when configured AND nothing is tracing (the striped
-    // kernel is untraced; see kernels::extend_dispatch).
-    let use_striped = T::PASSIVE && params.kernel.use_striped();
-    if use_striped {
-        scratch.profile.ensure(&params.matrix, query);
-    }
+    scratch.finder.reset(total_cells, qlen, params.two_hit_window);
+    scratch.coverage.reset(total_cells, qlen);
 
     for (q_off, qword) in WordIter::new(query) {
         ctx.tracer.touch(ctx.regions.query + q_off as u64, 1);
@@ -64,12 +58,12 @@ pub fn search_block<T: Tracer, O: StageObs>(
                 let cell = scratch.diag_bases[ls as usize] as usize
                     + (s_off + qlen - q_off) as usize;
                 // The irregular access: last-hit state of a random subject.
-                ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 8, 8);
+                ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 4, 4);
                 let Some(dist) = scratch.finder.observe(cell, q_off) else {
                     continue;
                 };
                 counts.pairs += 1;
-                ctx.tracer.touch(ctx.regions.coverage + cell as u64 * 8, 8);
+                ctx.tracer.touch(ctx.regions.coverage + cell as u64 * 4, 4);
                 if !scratch.coverage.admits(cell, q_off) {
                     continue;
                 }
@@ -80,15 +74,16 @@ pub fn search_block<T: Tracer, O: StageObs>(
                 let subject = block.seq_residues(ls);
                 let sbase = ctx.regions.subject + seq.start as u64;
                 let first_q_end = q_off - dist + WORD_LEN as u32;
-                let out = crate::kernels::extend_dispatch(
-                    if use_striped { scratch.profile.get() } else { None },
-                    params,
+                let out = align::extend_two_hit(
+                    &params.matrix,
                     query,
                     subject,
                     Some(first_q_end),
                     q_off,
                     s_off,
-                    ctx,
+                    params.ungapped_xdrop,
+                    ctx.tracer,
+                    ctx.regions.query,
                     sbase,
                 );
                 if let Some(aln) = out.alignment {

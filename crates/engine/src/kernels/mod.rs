@@ -20,9 +20,9 @@ pub struct Regions {
     /// Subject residues: block residue buffer (database-indexed engines)
     /// or the concatenated database (query-indexed engine).
     pub subject: u64,
-    /// Last-hit (pair finder) array, 8 bytes per cell.
+    /// Last-hit (pair finder) array, 4 bytes per cell.
     pub lasthit: u64,
-    /// Extension-coverage array, 8 bytes per cell (interleaved engines).
+    /// Extension-coverage array, 4 bytes per cell (interleaved engines).
     pub coverage: u64,
     /// Posting entries (database index) — 4 bytes per entry.
     pub postings: u64,
@@ -50,47 +50,4 @@ impl<'a, T: Tracer> TraceCtx<'a, T> {
 /// Convenience: a no-op context for production calls.
 pub fn null_ctx(tracer: &mut memsim::NullTracer) -> TraceCtx<'_, memsim::NullTracer> {
     TraceCtx { tracer, regions: Regions::default() }
-}
-
-/// Shared stage-2 dispatch: the striped profile-driven kernel when a
-/// profile is supplied, the instrumented scalar kernel otherwise. The
-/// two are bit-identical (tests/kernel_conformance.rs), so callers pick
-/// purely on configuration: a profile is only ever passed when
-/// `T::PASSIVE` (no trace events to lose) and the [`scoring::KernelKind`]
-/// asks for striped execution.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn extend_dispatch<T: Tracer>(
-    profile: Option<&scoring::ScoreProfile>,
-    params: &scoring::SearchParams,
-    query: &[u8],
-    subject: &[u8],
-    first_q_end: Option<u32>,
-    q2: u32,
-    s2: u32,
-    ctx: &mut TraceCtx<'_, T>,
-    sbase: u64,
-) -> align::TwoHitOutcome {
-    match profile {
-        Some(p) => align::extend_two_hit_striped(
-            p,
-            subject,
-            first_q_end,
-            q2,
-            s2,
-            params.ungapped_xdrop,
-        ),
-        None => align::extend_two_hit(
-            &params.matrix,
-            query,
-            subject,
-            first_q_end,
-            q2,
-            s2,
-            params.ungapped_xdrop,
-            ctx.tracer,
-            ctx.regions.query,
-            sbase,
-        ),
-    }
 }

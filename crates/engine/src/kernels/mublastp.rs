@@ -76,45 +76,62 @@ pub fn search_block<T: Tracer, O: StageObs>(
     let span = obs.start();
     scratch.pairs.clear();
     if prefilter {
-        scratch.finder.reset(total_cells, params.two_hit_window);
+        scratch
+            .finder
+            .reset(total_cells, qlen, params.two_hit_window);
     }
+    // Pre-filter mode keeps its pairs in `pairs[..kept]`: every hit is
+    // stored at `pairs[kept]` and `kept` advances only for a pair, so the
+    // scan has no branch on the (unpredictable) last-hit state. Pre-sizing
+    // per posting list keeps that store in bounds: the buffer grows to the
+    // pairs kept plus one list of slack, never to the hit count.
+    let mut kept = 0usize;
     for (q_off, qword) in WordIter::new(query) {
         ctx.tracer.touch(ctx.regions.query + q_off as u64, 1);
         ctx.tracer
             .touch(ctx.regions.neighbors + qword as u64 * 4, 4);
         for &nb in neighbors.neighbors(qword) {
             let post_start = block.posting_start(nb) as u64;
-            for (k, &entry) in block.postings(nb).iter().enumerate() {
+            let postings = block.postings(nb);
+            if prefilter && scratch.pairs.len() < kept + postings.len() {
+                scratch
+                    .pairs
+                    .resize(kept + postings.len(), HitPair::default());
+            }
+            for (k, &entry) in postings.iter().enumerate() {
                 ctx.tracer
                     .touch(ctx.regions.postings + (post_start + k as u64) * 4, 4);
                 counts.hits += 1;
                 let (ls, s_off) = block.unpack(entry);
                 let diag = s_off + qlen - q_off;
+                let key = spec.key(ls, diag);
                 if prefilter {
                     let cell = scratch.diag_bases[ls as usize] as usize + diag as usize;
-                    ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 8, 8);
-                    if let Some(dist) = scratch.finder.observe(cell, q_off) {
-                        counts.pairs += 1;
-                        ctx.tracer
-                            .touch(ctx.regions.hitbuf + scratch.pairs.len() as u64 * 12, 12);
-                        scratch.pairs.push(HitPair {
-                            key: spec.key(ls, diag),
-                            q_off,
-                            dist,
-                        });
-                    }
+                    ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 4, 4);
+                    let dist = scratch.finder.observe(cell, q_off);
+                    ctx.tracer.touch(ctx.regions.hitbuf + kept as u64 * 12, 12);
+                    scratch.pairs[kept] = HitPair {
+                        key,
+                        q_off,
+                        dist: dist.unwrap_or(0),
+                    };
+                    kept += dist.is_some() as usize;
                 } else {
                     // Post-filter mode: buffer every hit (dist filled later).
                     ctx.tracer
                         .touch(ctx.regions.hitbuf + scratch.pairs.len() as u64 * 12, 12);
                     scratch.pairs.push(HitPair {
-                        key: spec.key(ls, diag),
+                        key,
                         q_off,
                         dist: 0,
                     });
                 }
             }
         }
+    }
+    if prefilter {
+        scratch.pairs.truncate(kept);
+        counts.pairs += kept as u64;
     }
 
     obs.record(Stage::Seed, span);
@@ -134,12 +151,6 @@ pub fn search_block<T: Tracer, O: StageObs>(
     obs.record(Stage::Reorder, span);
 
     // ---- Phase 3: ungapped extension in sorted order -------------------
-    // Striped only when configured AND nothing is tracing (the striped
-    // kernel is untraced; see kernels::extend_dispatch).
-    let use_striped = T::PASSIVE && params.kernel.use_striped();
-    if use_striped {
-        scratch.profile.ensure(&params.matrix, query);
-    }
     let mut gate = ExtensionGate::new();
     let pairs = std::mem::take(&mut scratch.pairs);
     if prefilter {
@@ -154,7 +165,6 @@ pub fn search_block<T: Tracer, O: StageObs>(
             ctx,
             &spec,
             &mut gate,
-            if use_striped { scratch.profile.get() } else { None },
         );
         obs.record(Stage::Ungapped, span);
     } else {
@@ -194,7 +204,6 @@ pub fn search_block<T: Tracer, O: StageObs>(
             ctx,
             &spec,
             &mut gate,
-            if use_striped { scratch.profile.get() } else { None },
         );
         obs.record(Stage::Ungapped, span);
     }
@@ -213,7 +222,6 @@ fn extend_pairs<T: Tracer>(
     ctx: &mut TraceCtx<'_, T>,
     spec: &KeySpec,
     gate: &mut ExtensionGate,
-    profile: Option<&scoring::ScoreProfile>,
 ) {
     for pair in pairs {
         if !gate.admits(pair.key, pair.q_off) {
@@ -226,15 +234,16 @@ fn extend_pairs<T: Tracer>(
         let subject = block.seq_residues(ls);
         let sbase = ctx.regions.subject + seq.start as u64;
         let first_q_end = pair.q_off - pair.dist + WORD_LEN as u32;
-        let out = crate::kernels::extend_dispatch(
-            profile,
-            params,
+        let out = align::extend_two_hit(
+            &params.matrix,
             query,
             subject,
             Some(first_q_end),
             pair.q_off,
             s_off,
-            ctx,
+            params.ungapped_xdrop,
+            ctx.tracer,
+            ctx.regions.query,
             sbase,
         );
         if let Some(aln) = out.alignment {

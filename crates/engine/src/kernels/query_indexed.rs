@@ -68,12 +68,6 @@ pub fn search_db_range<T: Tracer, O: StageObs>(
 ) {
     let span = obs.start();
     let qlen = query.len();
-    // Striped only when configured AND nothing is tracing (the striped
-    // kernel is untraced; see kernels::extend_dispatch).
-    let use_striped = T::PASSIVE && params.kernel.use_striped();
-    if use_striped {
-        scratch.profile.ensure(&params.matrix, query);
-    }
     for sid in range {
         let subject_seq = db.get(sid);
         let subject = subject_seq.residues();
@@ -84,8 +78,8 @@ pub fn search_db_range<T: Tracer, O: StageObs>(
         // One diagonal space for this subject only — the query-indexed
         // engine's small working set.
         let cells = qlen + subject.len() + 1;
-        scratch.finder.reset(cells, params.two_hit_window);
-        scratch.coverage.reset(cells);
+        scratch.finder.reset(cells, qlen as u32, params.two_hit_window);
+        scratch.coverage.reset(cells, qlen as u32);
         for (s_off, word) in WordIter::new(subject) {
             ctx.tracer.touch(sbase + s_off as u64, 1);
             // Presence-vector probe: 1 bit, counted as its byte.
@@ -98,26 +92,27 @@ pub fn search_db_range<T: Tracer, O: StageObs>(
             for &q_off in qidx.lookup(word) {
                 counts.hits += 1;
                 let cell = (s_off as usize + qlen) - q_off as usize;
-                ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 8, 8);
+                ctx.tracer.touch(ctx.regions.lasthit + cell as u64 * 4, 4);
                 let Some(dist) = scratch.finder.observe(cell, q_off) else {
                     continue;
                 };
                 counts.pairs += 1;
-                ctx.tracer.touch(ctx.regions.coverage + cell as u64 * 8, 8);
+                ctx.tracer.touch(ctx.regions.coverage + cell as u64 * 4, 4);
                 if !scratch.coverage.admits(cell, q_off) {
                     continue;
                 }
                 counts.extensions += 1;
                 let first_q_end = q_off - dist + WORD_LEN as u32;
-                let out = crate::kernels::extend_dispatch(
-                    if use_striped { scratch.profile.get() } else { None },
-                    params,
+                let out = align::extend_two_hit(
+                    &params.matrix,
                     query,
                     subject,
                     Some(first_q_end),
                     q_off,
                     s_off,
-                    ctx,
+                    params.ungapped_xdrop,
+                    ctx.tracer,
+                    ctx.regions.query,
                     sbase,
                 );
                 if let Some(aln) = out.alignment {

@@ -2,24 +2,25 @@
 //!
 //! The paper's intra-node design (Sec. IV-D1) gives every thread its own
 //! last-hit arrays and hit buffers so the parallel query loop runs without
-//! contention or synchronisation; this module is that state. Everything is
-//! allocated once per worker and recycled across `(block, query)` pairs —
-//! epoch stamping makes the per-query reset O(1) instead of O(cells).
+//! contention or synchronisation; this module is that state.
+//! `driver::search_batch_blocks` owns one [`Scratch`] per worker for the
+//! whole batch and lends it to every block's parallel-for, so the arrays
+//! are allocated (and page-faulted) once per batch and recycled across all
+//! its `(block, query)` pairs. Epoch-offset cells
+//! ([`crate::twohit::EpochCells`]) make the per-pair reset O(1) instead of
+//! O(cells).
 
 use crate::hit::HitPair;
 use crate::results::Seed;
-use crate::twohit::PairFinder;
-use scoring::{Matrix, ScoreProfile};
+use crate::twohit::{EpochCells, PairFinder};
 
 /// Per-`(sequence, diagonal)` extension-coverage array for the interleaved
 /// engines (the second half of the paper's "last hit array is twice the
-/// number of positions"). muBLASTP does not need it: after sorting, a
-/// scalar [`crate::twohit::ExtensionGate`] suffices — one of the ways the
-/// decoupled pipeline shrinks its working set.
+/// number of positions"), 4 bytes per cell. muBLASTP does not need it:
+/// after sorting, a scalar [`crate::twohit::ExtensionGate`] suffices — one
+/// of the ways the decoupled pipeline shrinks its working set.
 pub struct CoverageArray {
-    epoch: u32,
-    stamps: Vec<u32>,
-    ext_reached: Vec<u32>,
+    ext_reached: EpochCells,
 }
 
 impl Default for CoverageArray {
@@ -29,78 +30,38 @@ impl Default for CoverageArray {
 }
 
 impl CoverageArray {
-    /// An empty coverage array; capacity grows on first `begin`.
+    /// An empty coverage array; capacity grows on first `reset`.
     pub fn new() -> CoverageArray {
-        CoverageArray { epoch: 0, stamps: Vec::new(), ext_reached: Vec::new() }
+        CoverageArray {
+            ext_reached: EpochCells::new(),
+        }
     }
 
-    /// Prepare for a new (block, query) search over `cells` slots; O(1)
-    /// unless the capacity grows.
-    pub fn reset(&mut self, cells: usize) {
-        if self.stamps.len() < cells {
-            self.stamps = vec![0; cells];
-            self.ext_reached = vec![0; cells];
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-            if self.epoch == 0 {
-                self.stamps.fill(0);
-                self.epoch = 1;
-            }
-        }
+    /// Prepare for a new (block, query) search over `cells` slots and
+    /// extension ends `<= query_len`; O(1) unless the capacity grows.
+    pub fn reset(&mut self, cells: usize, query_len: u32) {
+        self.ext_reached.reset(cells, query_len);
     }
 
     /// Is a pair at `(cell, q_off)` admissible (not covered by a previous
     /// extension on this diagonal)?
     #[inline]
     pub fn admits(&self, cell: usize, q_off: u32) -> bool {
-        self.stamps[cell] != self.epoch || self.ext_reached[cell] <= q_off
+        self.ext_reached
+            .get(cell)
+            .is_none_or(|reached| reached <= q_off)
     }
 
     /// Record an extension on `cell` ending at `q_end`.
     #[inline]
     pub fn record(&mut self, cell: usize, q_end: u32) {
-        if self.stamps[cell] == self.epoch {
-            self.ext_reached[cell] = self.ext_reached[cell].max(q_end);
-        } else {
-            self.stamps[cell] = self.epoch;
-            self.ext_reached[cell] = q_end;
-        }
+        let reached = self.ext_reached.get(cell).map_or(q_end, |r| r.max(q_end));
+        self.ext_reached.set(cell, reached);
     }
 
     /// Bytes of backing storage.
     pub fn memory_bytes(&self) -> usize {
-        self.stamps.len() * 8
-    }
-}
-
-/// Cached per-query [`ScoreProfile`] for the striped ungapped kernel
-/// (DESIGN.md §3.8). The engines search one query against many blocks;
-/// [`ProfileCache::ensure`] rebuilds only when the query bytes change,
-/// so the profile is built once per query even though it is requested
-/// once per `(block, query)` pair.
-#[derive(Default)]
-pub struct ProfileCache {
-    query: Vec<u8>,
-    profile: Option<ScoreProfile>,
-}
-
-impl ProfileCache {
-    /// Make the cache hold the profile of `query`; no-op if it already
-    /// does. Comparison is by content, so a reallocated-but-identical
-    /// query still hits.
-    pub fn ensure(&mut self, matrix: &Matrix, query: &[u8]) {
-        if self.profile.is_none() || self.query != query {
-            self.query.clear();
-            self.query.extend_from_slice(query);
-            self.profile = Some(ScoreProfile::for_query(matrix, query));
-        }
-    }
-
-    /// The cached profile, if `ensure` has run for some query.
-    #[inline]
-    pub fn get(&self) -> Option<&ScoreProfile> {
-        self.profile.as_ref()
+        self.ext_reached.memory_bytes()
     }
 }
 
@@ -117,8 +78,6 @@ pub struct Scratch {
     pub diag_bases: Vec<u32>,
     /// Seeds produced for the current (block, query).
     pub seeds: Vec<Seed>,
-    /// Per-query score profile for the striped extension kernel.
-    pub profile: ProfileCache,
 }
 
 impl Default for Scratch {
@@ -127,17 +86,25 @@ impl Default for Scratch {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `Scratch::new` calls made on this thread (the driver builds its
+    /// workers' scratch on the calling thread).
+    pub(crate) static CONSTRUCTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl Scratch {
     /// Fresh per-worker scratch state (pair finder, coverage, hit and
-    /// seed buffers); allocated once per worker and reused across items.
+    /// seed buffers); nothing is allocated until the first search.
     pub fn new() -> Scratch {
+        #[cfg(test)]
+        CONSTRUCTED.with(|n| n.set(n.get() + 1));
         Scratch {
             finder: PairFinder::new(40),
             coverage: CoverageArray::new(),
             pairs: Vec::new(),
             diag_bases: Vec::new(),
             seeds: Vec::new(),
-            profile: ProfileCache::default(),
         }
     }
 
@@ -162,7 +129,7 @@ mod tests {
     #[test]
     fn coverage_admits_then_blocks() {
         let mut c = CoverageArray::new();
-        c.reset(4);
+        c.reset(4, 100);
         assert!(c.admits(2, 10));
         c.record(2, 50);
         assert!(!c.admits(2, 49));
@@ -173,16 +140,16 @@ mod tests {
     #[test]
     fn coverage_reset_is_clean() {
         let mut c = CoverageArray::new();
-        c.reset(2);
+        c.reset(2, 100);
         c.record(0, 100);
-        c.reset(2);
+        c.reset(2, 100);
         assert!(c.admits(0, 0));
     }
 
     #[test]
     fn coverage_record_keeps_max() {
         let mut c = CoverageArray::new();
-        c.reset(1);
+        c.reset(1, 100);
         c.record(0, 50);
         c.record(0, 30);
         assert!(!c.admits(0, 49), "coverage must not shrink");
@@ -194,19 +161,6 @@ mod tests {
         let total = s.compute_diag_bases([10u32, 20, 5].into_iter(), 100);
         assert_eq!(s.diag_bases, vec![0, 111, 232]);
         assert_eq!(total, 111 + 121 + 106);
-    }
-
-    #[test]
-    fn profile_cache_rebuilds_only_on_query_change() {
-        let mut c = ProfileCache::default();
-        assert!(c.get().is_none());
-        c.ensure(&scoring::BLOSUM62, &[0, 1, 2]);
-        let built: *const i8 = c.get().map(|p| p.row(0).as_ptr()).unwrap_or(std::ptr::null());
-        c.ensure(&scoring::BLOSUM62, &[0, 1, 2]);
-        let again: *const i8 = c.get().map(|p| p.row(0).as_ptr()).unwrap_or(std::ptr::null());
-        assert_eq!(built, again, "same query must not rebuild");
-        c.ensure(&scoring::BLOSUM62, &[3, 4, 5]);
-        assert_eq!(c.get().map(|p| p.score(3, 0)), Some(scoring::BLOSUM62.score(3, 3)));
     }
 
     #[test]

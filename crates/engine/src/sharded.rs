@@ -228,15 +228,12 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     let mut order: Vec<usize> = (0..k).collect();
     order.sort_by_key(|&s| std::cmp::Reverse(backend.shard_residues(s)));
     let epoch = Instant::now();
-    let (per_shard, recorders) = parallel_map_dynamic_with_state(
-        config.threads.max(1),
+    let mut recorders: Vec<_> =
+        crate::driver::worker_recorders(session, config.threads.max(1)).collect();
+    let per_shard = parallel_map_dynamic_with_state(
+        &mut recorders,
         k,
         1,
-        |w| {
-            let mut rec = session.recorder();
-            rec.set_worker(w as u32);
-            rec
-        },
         |rec, slot| {
             let s = order[slot];
             let started = Instant::now();

@@ -38,16 +38,80 @@ pub fn overlaps_last(last_q: i64, q_off: u32) -> bool {
     dist > 0 && dist < bioseq::alphabet::WORD_LEN as i64
 }
 
-/// Per-diagonal pair finder with O(1) reset via epoch stamping.
+/// One-word epoch-offset cells: the storage behind [`PairFinder`] and
+/// [`crate::scratch::CoverageArray`].
 ///
-/// The backing array holds one slot per `(sequence, diagonal)` cell —
-/// this is the "last hit array" whose size the paper's block-size model
-/// (Sec. V-B) balances against the LLC. Epoch stamping avoids clearing
-/// the whole array for every query.
+/// A cell holds `base + v + 1` for a value `v` stored since the last
+/// [`EpochCells::reset`] and something `<= base` otherwise, so "was this
+/// cell written for the current (block, query)?" and the value itself
+/// come from one load of one word. A reset advances `base` past every
+/// value the ending epoch could have stored (NCBI's `diag_offset` trick)
+/// — O(1) unless the capacity grows or `base` would wrap, which costs one
+/// hard clear.
+pub(crate) struct EpochCells {
+    cells: Vec<u32>,
+    base: u32,
+    /// Values stored in the current epoch are `< span`.
+    span: u32,
+}
+
+impl EpochCells {
+    pub(crate) fn new() -> EpochCells {
+        EpochCells {
+            cells: Vec::new(),
+            base: 0,
+            span: 0,
+        }
+    }
+
+    /// Forget every stored value and prepare `cells` slots for values
+    /// `<= max_value`.
+    pub(crate) fn reset(&mut self, cells: usize, max_value: u32) {
+        let span = max_value.saturating_add(1);
+        let next = self
+            .base
+            .checked_add(self.span)
+            .filter(|b| b.checked_add(span).is_some());
+        if self.cells.len() < cells {
+            self.cells = vec![0; cells];
+            self.base = 0;
+        } else if let Some(base) = next {
+            self.base = base;
+        } else {
+            self.cells.fill(0);
+            self.base = 0;
+        }
+        self.span = span;
+    }
+
+    /// The value stored in `cell` since the last reset, if any.
+    #[inline]
+    pub(crate) fn get(&self, cell: usize) -> Option<u32> {
+        let raw = self.cells[cell];
+        (raw > self.base).then(|| raw - self.base - 1)
+    }
+
+    /// Store `value` (within the `max_value` of the last reset) in `cell`.
+    #[inline]
+    pub(crate) fn set(&mut self, cell: usize, value: u32) {
+        debug_assert!(value < self.span);
+        self.cells[cell] = self.base + value + 1;
+    }
+
+    /// Bytes of backing storage.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.cells.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Per-diagonal pair finder with O(1) reset.
+///
+/// The backing array holds one 4-byte slot per `(sequence, diagonal)`
+/// cell — this is the "last hit array" whose size the paper's block-size
+/// model (Sec. V-B) balances against the LLC, and the only random-access
+/// structure of hit detection: one cache line touched per hit.
 pub struct PairFinder {
-    epoch: u32,
-    stamps: Vec<u32>,
-    last_q: Vec<u32>,
+    last_q: EpochCells,
     window: u32,
 }
 
@@ -55,24 +119,17 @@ impl PairFinder {
     /// Create a finder with no capacity; call [`PairFinder::reset`] before
     /// use.
     pub fn new(window: u32) -> PairFinder {
-        PairFinder { epoch: 0, stamps: Vec::new(), last_q: Vec::new(), window }
+        PairFinder {
+            last_q: EpochCells::new(),
+            window,
+        }
     }
 
-    /// Prepare for a new (block, query) search over `cells` diagonal slots.
-    pub fn reset(&mut self, cells: usize, window: u32) {
+    /// Prepare for a new (block, query) search over `cells` diagonal slots
+    /// and query offsets `< query_len`.
+    pub fn reset(&mut self, cells: usize, query_len: u32, window: u32) {
         self.window = window;
-        if self.stamps.len() < cells {
-            self.stamps = vec![0; cells];
-            self.last_q = vec![0; cells];
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-            if self.epoch == 0 {
-                // Epoch wrapped: hard-clear once per 2³² resets.
-                self.stamps.fill(0);
-                self.epoch = 1;
-            }
-        }
+        self.last_q.reset(cells, query_len);
     }
 
     /// Observe a hit at `(cell, q_off)`. Returns `Some(distance)` when the
@@ -81,32 +138,30 @@ impl PairFinder {
     /// Hits that *overlap* the previous hit (distance below the word
     /// length) are ignored entirely — they neither pair nor replace the
     /// last hit; all other hits become the cell's new last hit.
+    ///
+    /// Written select-style — one load, one unconditional store, no
+    /// branch on the cell's contents — because whether a random diagonal
+    /// was seen before is exactly what a branch predictor cannot learn.
+    /// The decisions are those of [`overlaps_last`] and [`forms_pair`].
     #[inline]
     pub fn observe(&mut self, cell: usize, q_off: u32) -> Option<u32> {
-        let seen = self.stamps[cell] == self.epoch;
-        let last = self.last_q[cell];
-        if seen && overlaps_last(last as i64, q_off) {
-            return None;
-        }
-        self.stamps[cell] = self.epoch;
-        self.last_q[cell] = q_off;
-        if seen && forms_pair(last as i64, q_off, self.window) {
-            Some(q_off - last)
-        } else {
-            None
-        }
+        const W: u32 = bioseq::alphabet::WORD_LEN as u32;
+        let base = self.last_q.base;
+        debug_assert!(q_off < self.last_q.span);
+        let slot = &mut self.last_q.cells[cell];
+        let (old, new) = (*slot, base + q_off + 1);
+        let seen = old > base;
+        // `q_off - last` when seen; a backward step wraps to a huge value
+        // that neither overlaps nor pairs.
+        let dist = new.wrapping_sub(old);
+        let overlaps = seen & (dist.wrapping_sub(1) < W - 1);
+        *slot = if overlaps { old } else { new };
+        (seen & (dist >= W) & (dist <= self.window)).then_some(dist)
     }
 
     /// Bytes of backing storage (for the block-size experiments).
     pub fn memory_bytes(&self) -> usize {
-        self.stamps.len() * 4 + self.last_q.len() * 4
-    }
-
-    /// Raw parts for instrumented kernels that must trace array addresses:
-    /// (stamp slot size + value slot size) per cell, laid out as two
-    /// parallel arrays.
-    pub fn cells(&self) -> usize {
-        self.stamps.len()
+        self.last_q.memory_bytes()
     }
 }
 
@@ -172,7 +227,7 @@ mod tests {
     #[test]
     fn finder_tracks_per_cell_state() {
         let mut f = PairFinder::new(40);
-        f.reset(4, 40);
+        f.reset(4, 200, 40);
         assert_eq!(f.observe(0, 5), None); // first hit on diag 0
         assert_eq!(f.observe(1, 6), None); // first hit on diag 1
         assert_eq!(f.observe(0, 15), Some(10));
@@ -185,18 +240,18 @@ mod tests {
     #[test]
     fn reset_discards_state_in_constant_time() {
         let mut f = PairFinder::new(40);
-        f.reset(2, 40);
+        f.reset(2, 200, 40);
         f.observe(0, 5);
-        f.reset(2, 40);
+        f.reset(2, 200, 40);
         assert_eq!(f.observe(0, 6), None, "state must not leak across resets");
     }
 
     #[test]
     fn reset_can_grow() {
         let mut f = PairFinder::new(40);
-        f.reset(2, 40);
+        f.reset(2, 200, 40);
         f.observe(1, 3);
-        f.reset(10, 40);
+        f.reset(10, 200, 40);
         assert_eq!(f.observe(9, 1), None);
         assert_eq!(f.observe(1, 4), None, "old cell state must be gone");
     }

@@ -29,12 +29,6 @@ pub use space::AddressSpace;
 /// `touch` reports an access of `bytes` bytes at `addr`; implementations
 /// split it across cache lines as needed.
 pub trait Tracer {
-    /// True only for tracers that discard every access ([`NullTracer`]).
-    /// Kernels with untraced fast paths (the striped extension kernels)
-    /// consult this so they never silently drop trace events: a real
-    /// tracer forces the fully-instrumented scalar path.
-    const PASSIVE: bool = false;
-
     fn touch(&mut self, addr: u64, bytes: u32);
 }
 
@@ -44,8 +38,6 @@ pub trait Tracer {
 pub struct NullTracer;
 
 impl Tracer for NullTracer {
-    const PASSIVE: bool = true;
-
     #[inline(always)]
     fn touch(&mut self, _addr: u64, _bytes: u32) {}
 }

@@ -136,9 +136,11 @@ pub mod names {
     pub const TOPK_BLOCKS_SCANNED: &str = crate::series!(engine.topk.blocks_scanned);
     /// Index blocks the score bound excused from scanning.
     pub const TOPK_BLOCKS_SKIPPED: &str = crate::series!(engine.topk.blocks_skipped);
-    /// Requests the daemon searched with the striped extension kernels.
+    /// Requests the daemon searched with the striped gapped-extension
+    /// kernels (ungapped extension is scalar either way).
     pub const KERNEL_STRIPED_REQUESTS: &str = crate::series!(engine.kernel.striped_requests);
-    /// Requests the daemon searched with the scalar extension kernels.
+    /// Requests the daemon searched with the scalar gapped-extension
+    /// kernels.
     pub const KERNEL_SCALAR_REQUESTS: &str = crate::series!(engine.kernel.scalar_requests);
     /// Process-wide total of gapped halves the striped kernel re-ran
     /// scalar after an i16 saturation guard fired (DESIGN.md §3.8);

@@ -189,53 +189,50 @@ where
     all.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Like [`parallel_map_dynamic`], but the per-worker scratch state
-/// *survives the pool*: `init(worker_index)` builds each worker's state,
-/// and the call returns `(results, states)` with the states in worker
-/// order. This is the merge-after-join pattern worker-local accumulators
-/// need (e.g. `obsv::Recorder` span rings: each worker records into its
-/// own ring without synchronisation, the caller merges the rings after
-/// the loop) — with plain `parallel_map_dynamic` the scratch is dropped
-/// at thread exit.
+/// Like [`parallel_map_dynamic`], but the per-worker states are the
+/// caller's: the pool runs `min(states.len(), n)` workers and worker `w`
+/// mutates `states[w]`, so a state outlives the pool and can be lent to
+/// the next one. This is what worker-local accumulators need (e.g.
+/// `obsv::Recorder` span rings: each worker records into its own ring
+/// without synchronisation, the caller merges the rings after the loop)
+/// and what lets the engine keep one last-hit array per worker across the
+/// serial block loop of Alg. 3 instead of building one per block.
 ///
-/// `states.len()` is the number of workers actually spawned
-/// (`min(threads, n)`, at least 1 for `n == 0` so the caller always gets
-/// a state back). Completeness invariants and panic propagation match
+/// With one state, or `n <= 1`, the loop runs inline on `states[0]`.
+/// Completeness invariants and panic propagation match
 /// [`parallel_map_dynamic`].
-pub fn parallel_map_dynamic_with_state<T, S, INIT, F>(
-    threads: usize,
+///
+/// # Panics
+/// Panics if `states` is empty or `chunk == 0`.
+pub fn parallel_map_dynamic_with_state<T, S, F>(
+    states: &mut [S],
     n: usize,
     chunk: usize,
-    init: INIT,
     body: F,
-) -> (Vec<T>, Vec<S>)
+) -> Vec<T>
 where
     T: Send,
     S: Send,
-    INIT: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    assert!(threads > 0, "need at least one thread");
+    assert!(!states.is_empty(), "need at least one thread");
     assert!(chunk > 0, "chunk size must be positive");
-    if threads == 1 || n <= 1 {
-        let mut state = init(0);
-        let results = (0..n).map(|i| body(&mut state, i)).collect();
-        return (results, vec![state]);
+    if states.len() == 1 || n <= 1 {
+        let state = &mut states[0];
+        return (0..n).map(|i| body(state, i)).collect();
     }
-    let workers = threads.min(n);
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let states: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(workers));
-    let (cursor, init, body) = (&cursor, &init, &body);
-    let (results_ref, states_ref) = (&results, &states);
+    let (cursor, body, results_ref) = (&cursor, &body, &results);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = states
+            .iter_mut()
+            .take(n)
+            .map(|state| {
                 scope.spawn(move || {
-                    let mut state = init(w);
                     while let Some((start, end)) = claim_next(cursor, n, chunk) {
                         for i in start..end {
-                            let v = body(&mut state, i);
+                            let v = body(state, i);
                             // One short lock per item (see the identical
                             // trade-off note in parallel_map_dynamic);
                             // recover from poisoning so a worker panic
@@ -247,13 +244,6 @@ where
                             slot.push((i, v));
                         }
                     }
-                    // Park the worker state for the caller, even if some
-                    // other worker panicked mid-loop.
-                    let mut slot = match states_ref.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    slot.push((w, state));
                 })
             })
             .collect();
@@ -265,16 +255,7 @@ where
     };
     all.sort_by_key(|&(i, _)| i);
     assert_eq!(all.len(), n, "dynamic scheduler lost or duplicated results");
-    let mut st = match states.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    st.sort_by_key(|&(w, _)| w);
-    assert_eq!(st.len(), workers, "every worker must return its state");
-    (
-        all.into_iter().map(|(_, v)| v).collect(),
-        st.into_iter().map(|(_, s)| s).collect(),
-    )
+    all.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]
@@ -428,62 +409,60 @@ mod tests {
     }
 
     #[test]
-    fn with_state_returns_results_and_worker_states() {
-        let (out, states) = parallel_map_dynamic_with_state(
-            4,
-            100,
-            3,
-            |w| (w, 0usize),
-            |(_, count), i| {
-                *count += 1;
-                i * 2
-            },
-        );
+    fn with_state_mutates_the_callers_states() {
+        let mut states = vec![0usize; 4];
+        let out = parallel_map_dynamic_with_state(&mut states, 100, 3, |count, i| {
+            *count += 1;
+            i * 2
+        });
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(states.len(), 4);
-        // States come back in worker order and their work sums to n.
-        for (w, (id, _)) in states.iter().enumerate() {
-            assert_eq!(*id, w);
-        }
-        assert_eq!(states.iter().map(|(_, c)| c).sum::<usize>(), 100);
+        assert_eq!(states.iter().sum::<usize>(), 100);
+        // The same states serve a second pool: counts keep accumulating.
+        parallel_map_dynamic_with_state(&mut states, 50, 1, |count, _| *count += 1);
+        assert_eq!(states.iter().sum::<usize>(), 150);
     }
 
     #[test]
     fn with_state_single_thread_and_empty() {
-        let (out, states) =
-            parallel_map_dynamic_with_state(1, 5, 2, |w| w, |_, i| i);
+        let mut one = [0usize];
+        let out = parallel_map_dynamic_with_state(&mut one, 5, 2, |count, i| {
+            *count += 1;
+            i
+        });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(states, vec![0]);
-        let (out, states) =
-            parallel_map_dynamic_with_state(8, 0, 1, |w| w, |_, i| i);
+        assert_eq!(one, [5]);
+        let out: Vec<usize> = parallel_map_dynamic_with_state(&mut [(); 8], 0, 1, |_, i| i);
         assert!(out.is_empty());
-        assert_eq!(states, vec![0], "n == 0 still returns one state");
     }
 
     #[test]
-    fn with_state_more_threads_than_items() {
-        let (out, states) =
-            parallel_map_dynamic_with_state(16, 3, 1, |w| w, |_, i| i);
+    fn with_state_more_states_than_items() {
+        let mut states = vec![0usize; 16];
+        let out = parallel_map_dynamic_with_state(&mut states, 3, 1, |count, i| {
+            *count += 1;
+            i
+        });
         assert_eq!(out, vec![0, 1, 2]);
-        // min(threads, n) workers, but n <= 1 shortcut does not apply here.
-        assert_eq!(states.len(), 3);
+        // min(states, n) workers: the states past the third are never used.
+        assert_eq!(states.iter().sum::<usize>(), 3);
+        assert!(states[3..].iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn with_state_no_states_panics() {
+        parallel_map_dynamic_with_state(&mut [(); 0], 10, 1, |_, i| i);
     }
 
     #[test]
     fn with_state_panic_payload_preserved() {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map_dynamic_with_state(
-                4,
-                50,
-                1,
-                |_| (),
-                |_, i| {
-                    if i == 13 {
-                        panic!("item 13 exploded");
-                    }
-                    i
-                },
-            );
+            parallel_map_dynamic_with_state(&mut [(); 4], 50, 1, |_, i| {
+                if i == 13 {
+                    panic!("item 13 exploded");
+                }
+                i
+            });
         }))
         .expect_err("pool must propagate the worker panic");
         let msg = caught.downcast_ref::<&str>().copied().unwrap_or_default();

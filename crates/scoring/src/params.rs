@@ -8,25 +8,33 @@
 use crate::karlin::KarlinParams;
 use crate::matrix::{Matrix, BLOSUM62};
 
-/// Which extension-kernel implementation the pipeline should run.
+/// Which *gapped*-extension kernel implementation the finish stage runs.
 ///
 /// Both kernels are bit-for-bit identical by construction (the striped
 /// kernels fall back to the scalar oracle whenever their i16 lanes could
 /// saturate), so the choice is purely a performance knob. `Auto` resolves
 /// to striped, which carries its own scalar rescue path internally.
+///
+/// Ungapped extension is not selectable: the engines always run the
+/// scalar x-drop walk. Measured in the engine (DESIGN.md §3.8), 99.8 % of
+/// two-hit extensions die within a few residues, so the striped 8-wide
+/// chunked walk never amortises its set-up and costs 2.4× the scalar
+/// stage time; the gapped kernels, with long rows to fill, are 1.7×
+/// faster striped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Pick the fastest safe kernel (currently: striped with rescue).
+    /// Pick the fastest safe kernel per stage (currently: striped gapped
+    /// extension with rescue, scalar ungapped extension).
     #[default]
     Auto,
     /// The reference scalar kernels — the oracle every suite compares to.
     Scalar,
-    /// Profile-driven SWAR/chunked kernels (DESIGN.md §3.8).
+    /// Profile-driven SWAR gapped kernels (DESIGN.md §3.8).
     Striped,
 }
 
 impl KernelKind {
-    /// Whether this choice resolves to the striped kernels.
+    /// Whether this choice resolves to the striped gapped kernels.
     #[inline]
     pub fn use_striped(self) -> bool {
         !matches!(self, KernelKind::Scalar)

@@ -200,8 +200,9 @@ impl ServeStats {
         self.topk_skipped.add(skipped);
     }
 
-    /// A batch of `requests` requests finished under the given kernel
-    /// configuration. `rescues_total` is the process-wide cumulative
+    /// A batch of `requests` requests finished with the striped or the
+    /// scalar *gapped* kernels (ungapped extension is always scalar, see
+    /// `scoring::KernelKind`). `rescues_total` is the process-wide cumulative
     /// value of `align::gapped_rescues()`; the gauge mirrors it
     /// absolutely, so concurrent batches can race without drift.
     pub fn on_kernel(&self, striped: bool, requests: u64, rescues_total: u64) {
