@@ -1,7 +1,7 @@
 //! **Out-of-core block store** — streaming shard search under shrinking
 //! LRU cache budgets vs the resident-index baseline.
 //!
-//! Each row searches the same query batch through the same per-shard v3
+//! Each row searches the same query batch through the same per-shard
 //! block stores on disk, with the shared block cache budgeted at a
 //! fraction of the total decoded index size. Outputs are verified
 //! byte-identical to the resident engine before any number is reported.

@@ -1,6 +1,6 @@
 //! LRU cache over decoded index blocks.
 //!
-//! The fetch unit of the v3 store is a whole [`IndexBlock`] record; the
+//! The fetch unit of the block store is a whole [`IndexBlock`] record; the
 //! cache holds *decoded* blocks (ready to search) under a byte budget, so
 //! out-of-core search touches the disk once per block per working-set
 //! turnover instead of once per block per query batch. Accounting uses

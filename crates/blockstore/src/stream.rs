@@ -163,12 +163,11 @@ impl<R: Read + Seek> SequenceStore<R> {
     }
 }
 
-/// A store is a block source: bounds come straight from the v4 footer
+/// A store is a block source: bounds come straight from the footer
 /// directory, so a block the top-k pruner skips is never read from disk at
-/// all — the I/O the pruning mode exists to save. v3 stores carry no
-/// bounds, so every block scans (still exact, just unpruned). A fetch
-/// failure of a block that actually needed scanning aborts the search with
-/// its typed error.
+/// all — the I/O the pruning mode exists to save. A fetch failure of a
+/// block that actually needed scanning aborts the search with its typed
+/// error.
 impl<R: Read + Seek> BlockSource for SequenceStore<R> {
     type Error = StoreError;
 
@@ -177,7 +176,7 @@ impl<R: Read + Seek> BlockSource for SequenceStore<R> {
     }
 
     fn bound(&self, i: usize) -> Option<BlockBound> {
-        self.dir.blocks.get(i).and_then(|m| m.bound)
+        self.dir.blocks.get(i).map(|m| m.bound)
     }
 
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, StoreError> {

@@ -22,9 +22,11 @@
 //!   offset field are split into overlapped fragments (Sec. IV-A,
 //!   following Orion); `align::assembly` re-joins their extensions.
 //!
-//! [`serial`] provides a compact binary format (build once, reuse for many
-//! query batches — the paper excludes index build time from end-to-end
-//! timings for the same reason).
+//! [`store`] is the one on-disk format (build once, reuse for many query
+//! batches — the paper excludes index build time from end-to-end timings
+//! for the same reason): a block/chunk store read resident or streamed
+//! block by block; [`serial`] holds its error type and the daemon's
+//! resilient loader.
 
 pub mod block;
 pub mod config;
@@ -35,13 +37,9 @@ pub mod store;
 
 pub use block::{BlockSeq, DbIndex, IndexBlock};
 pub use config::{optimal_block_bytes, IndexConfig};
-pub use serial::{
-    load_index_resilient, read_index, write_index, BlockStream, LoadOutcome, SerialError,
-    FAULT_LOAD,
-};
+pub use serial::{load_index_resilient, LoadOutcome, SerialError, FAULT_LOAD};
 pub use shard::{DbShard, ShardPlan, ShardedIndex};
 pub use store::{
     decode_block, encode_block, read_directory, read_store, write_store, BlockBound,
-    PostingsCursor, StoreBlockMeta, StoreDirectory, StoreWriter, CHUNK_FANOUT,
-    MIN_STORE_VERSION, STORE_VERSION,
+    PostingsCursor, StoreBlockMeta, StoreDirectory, StoreWriter, CHUNK_FANOUT, STORE_VERSION,
 };

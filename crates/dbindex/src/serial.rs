@@ -1,42 +1,20 @@
-//! Binary serialization of the database index.
+//! Errors of the on-disk index, and the daemon's resilient loader.
 //!
 //! The whole point of a database index is to build it once and reuse it
 //! across query batches (the paper excludes build time from its end-to-end
 //! measurements on this basis), so the index must round-trip through disk.
-//! The format is a simple little-endian layout over the CSR arrays:
-//!
-//! ```text
-//! magic "MUBP" | version u32 | block_bytes u64 | offset_bits u32 |
-//! frag_overlap u64 | n_blocks u32 | blocks… | crc32 u32   (v2+)
-//! block := n_seqs u32 | {global_id, frag_offset, start, len}×n |
-//!          residues (len u64 + bytes) | offsets (len u64 + u32s) |
-//!          entries (len u64 + u32s)
-//! ```
-//!
-//! Version 2 appends a CRC-32 (IEEE) of every preceding byte. A resident
-//! daemon loads the index exactly once and then trusts it for days, so a
-//! bit flip on disk must be rejected at startup ([`SerialError::Corrupt`])
-//! rather than silently producing garbage hits. Version 1 files (no
-//! trailer) are still read.
-//!
-//! Version 3 is the out-of-core block/chunk store defined in
-//! [`crate::store`] (per-block records, varint chunk codec, footer
-//! directory). It shares this module's magic and version field, and
-//! [`read_index`] dispatches to it transparently, so every v1/v2 caller —
-//! including [`load_index_resilient`] — accepts v3 images unchanged.
+//! The one on-disk format is the block/chunk store of [`crate::store`];
+//! this module holds what every reader of it shares: the typed
+//! [`SerialError`], and [`load_index_resilient`] — retry the read, then
+//! rebuild from the database — for a daemon that must come up even when
+//! the file is damaged.
 
-use crate::block::{BlockSeq, DbIndex, IndexBlock};
+use crate::block::DbIndex;
 use crate::config::IndexConfig;
-use crate::crc::{crc32, Crc32};
+use crate::store::read_store;
 use std::fmt;
-use std::io::Read;
 
-const MAGIC: &[u8; 4] = b"MUBP";
-const VERSION: u32 = 2;
-/// Oldest version still readable (pre-checksum files).
-const MIN_VERSION: u32 = 1;
-
-/// Errors from [`read_index`].
+/// Errors from reading a serialized index.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SerialError {
     /// Not a muBLASTP index file.
@@ -62,169 +40,6 @@ impl fmt::Display for SerialError {
 }
 
 impl std::error::Error for SerialError {}
-
-// ---------------------------------------------------------------------
-// Little-endian put/get helpers (std-only; no external buffer crate).
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Split `n` bytes off the front of `data`, or fail with `Truncated`.
-fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], SerialError> {
-    if data.len() < n {
-        return Err(SerialError::Truncated);
-    }
-    let (head, tail) = data.split_at(n);
-    *data = tail;
-    Ok(head)
-}
-
-fn get_u32(data: &mut &[u8]) -> Result<u32, SerialError> {
-    let b = take(data, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(data: &mut &[u8]) -> Result<u64, SerialError> {
-    let b = take(data, 8)?;
-    Ok(u64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ]))
-}
-
-/// Serialize an index to bytes (current version, checksummed).
-pub fn write_index(index: &DbIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + index.total_positions() * 4);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    let c = index.config();
-    put_u64(&mut out, c.block_bytes as u64);
-    put_u32(&mut out, c.offset_bits);
-    put_u64(&mut out, c.frag_overlap as u64);
-    // lint: allow(lossy-cast): the format's block-count field is u32; a
-    // database needing 2^32 blocks of ≥128 KiB each cannot be addressed.
-    put_u32(&mut out, index.blocks().len() as u32);
-    for b in index.blocks() {
-        let (seqs, residues, offsets, entries) = b.parts();
-        // lint: allow(lossy-cast): a block holds at most
-        // `max_seqs_per_block() = 2^(32-offset_bits)` fragments (asserted
-        // at build time in `DbIndex::finish_block`).
-        put_u32(&mut out, seqs.len() as u32);
-        for s in seqs {
-            put_u32(&mut out, s.global_id);
-            put_u32(&mut out, s.frag_offset);
-            put_u32(&mut out, s.start);
-            put_u32(&mut out, s.len);
-        }
-        put_u64(&mut out, residues.len() as u64);
-        out.extend_from_slice(residues);
-        put_u64(&mut out, offsets.len() as u64);
-        for &o in offsets {
-            put_u32(&mut out, o);
-        }
-        put_u64(&mut out, entries.len() as u64);
-        for &e in entries {
-            put_u32(&mut out, e);
-        }
-    }
-    let sum = crc32(&out);
-    put_u32(&mut out, sum);
-    out
-}
-
-/// Deserialize an index from bytes. Accepts the current checksummed
-/// format and version-1 files written before the trailer existed.
-pub fn read_index(data: &[u8]) -> Result<DbIndex, SerialError> {
-    let mut cur = data;
-    let magic = take(&mut cur, 4)?;
-    if magic != MAGIC {
-        return Err(SerialError::BadMagic);
-    }
-    let version = get_u32(&mut cur)?;
-    if (crate::store::MIN_STORE_VERSION..=crate::store::STORE_VERSION).contains(&version) {
-        return crate::store::read_store(data);
-    }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(SerialError::BadVersion(version));
-    }
-    // v2+ carries a 4-byte CRC-32 trailer over everything before it.
-    // Parse the body first so plain truncation still reports `Truncated`;
-    // a file that parses but hashes wrong is `Corrupt`.
-    let mut body = cur;
-    let expected_sum = if version >= 2 {
-        if cur.len() < 4 {
-            return Err(SerialError::Truncated);
-        }
-        let (b, trailer) = cur.split_at(cur.len() - 4);
-        body = b;
-        Some(u32::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3],
-        ]))
-    } else {
-        None
-    };
-    let index = read_body(&mut body)?;
-    if let Some(expected) = expected_sum {
-        if crc32(&data[..data.len() - 4]) != expected {
-            return Err(SerialError::Corrupt);
-        }
-    }
-    Ok(index)
-}
-
-fn read_body(data: &mut &[u8]) -> Result<DbIndex, SerialError> {
-    let config = IndexConfig {
-        block_bytes: get_u64(data)? as usize,
-        offset_bits: get_u32(data)?,
-        frag_overlap: get_u64(data)? as usize,
-    };
-    if config.offset_bits == 0 || config.offset_bits >= 32 {
-        return Err(SerialError::Truncated);
-    }
-    let n_blocks = get_u32(data)? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20));
-    for _ in 0..n_blocks {
-        let n_seqs = get_u32(data)? as usize;
-        let raw = take(data, n_seqs.checked_mul(16).ok_or(SerialError::Truncated)?)?;
-        let seqs: Vec<BlockSeq> = raw
-            .chunks_exact(16)
-            .map(|c| BlockSeq {
-                global_id: u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                frag_offset: u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                start: u32::from_le_bytes([c[8], c[9], c[10], c[11]]),
-                len: u32::from_le_bytes([c[12], c[13], c[14], c[15]]),
-            })
-            .collect();
-        let n_res = get_u64(data)? as usize;
-        let residues = take(data, n_res)?.to_vec();
-        let n_off = get_u64(data)? as usize;
-        let offsets = get_u32s(data, n_off)?;
-        let n_ent = get_u64(data)? as usize;
-        let entries = get_u32s(data, n_ent)?;
-        blocks.push(IndexBlock::from_parts(
-            seqs,
-            residues,
-            offsets,
-            entries,
-            config.offset_bits,
-        ));
-    }
-    Ok(DbIndex::from_parts(blocks, config))
-}
-
-fn get_u32s(data: &mut &[u8], n: usize) -> Result<Vec<u32>, SerialError> {
-    let raw = take(data, n.checked_mul(4).ok_or(SerialError::Truncated)?)?;
-    // chunks_exact(4) guarantees each chunk is exactly 4 bytes.
-    Ok(raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
 
 /// Fault-injection site consulted once per [`load_index_resilient`] read
 /// attempt: a firing flips one byte of the freshly read image (offset
@@ -253,7 +68,7 @@ pub enum LoadOutcome {
 /// start over a file that can be regenerated from the database.
 ///
 /// `read` produces the serialized image and is invoked up to
-/// `1 + retries` times; any image that fails [`read_index`] (or any
+/// `1 + retries` times; any image that fails [`read_store`] (or any
 /// `read` that returns an I/O error) is discarded and retried. If no
 /// attempt yields a clean index, the index is rebuilt from `db` with
 /// `config` — the same bytes-in-memory either way, so callers cannot
@@ -275,11 +90,13 @@ where
             let pos = faults.rand(FAULT_LOAD, u64::from(attempt)) as usize % bytes.len();
             bytes[pos] ^= 0x40;
         }
-        if let Ok(index) = read_index(&bytes) {
+        if let Ok(index) = read_store(&bytes) {
             let outcome = if attempt == 0 {
                 LoadOutcome::Loaded
             } else {
-                LoadOutcome::Recovered { attempts: attempt + 1 }
+                LoadOutcome::Recovered {
+                    attempts: attempt + 1,
+                }
             };
             return (index, outcome);
         }
@@ -287,168 +104,10 @@ where
     (DbIndex::build(db, config), LoadOutcome::Rebuilt)
 }
 
-/// Streaming reader: yields one [`IndexBlock`] at a time from any
-/// `Read`, so an index larger than memory can be searched block by block
-/// — the access pattern the paper's block loop (Alg. 1/3) is built for.
-///
-/// For v2 files the stream keeps a running CRC-32 and, after the final
-/// block, reads the trailer and yields one [`SerialError::Corrupt`] item
-/// if the content was altered.
-pub struct BlockStream<R: Read> {
-    reader: R,
-    config: IndexConfig,
-    version: u32,
-    remaining: usize,
-    crc: Crc32,
-    trailer_checked: bool,
-}
-
-impl<R: Read> BlockStream<R> {
-    /// Parse the header and position the stream at the first block.
-    pub fn open(mut reader: R) -> Result<BlockStream<R>, SerialError> {
-        let mut header = [0u8; 4 + 4 + 8 + 4 + 8 + 4];
-        read_exact(&mut reader, &mut header)?;
-        let mut h: &[u8] = &header;
-        let magic = take(&mut h, 4)?;
-        if magic != MAGIC {
-            return Err(SerialError::BadMagic);
-        }
-        let version = get_u32(&mut h)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(SerialError::BadVersion(version));
-        }
-        let config = IndexConfig {
-            block_bytes: get_u64(&mut h)? as usize,
-            offset_bits: get_u32(&mut h)?,
-            frag_overlap: get_u64(&mut h)? as usize,
-        };
-        if config.offset_bits == 0 || config.offset_bits >= 32 {
-            return Err(SerialError::Truncated);
-        }
-        let remaining = get_u32(&mut h)? as usize;
-        let mut crc = Crc32::new();
-        crc.update(&header);
-        Ok(BlockStream {
-            reader,
-            config,
-            version,
-            remaining,
-            crc,
-            trailer_checked: false,
-        })
-    }
-
-    /// Build configuration from the header.
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Blocks not yet read.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Read exactly `buf.len()` bytes and fold them into the running CRC.
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SerialError> {
-        read_exact(&mut self.reader, buf)?;
-        self.crc.update(buf);
-        Ok(())
-    }
-
-    fn read_u32(&mut self) -> Result<u32, SerialError> {
-        let mut b = [0u8; 4];
-        self.fill(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn read_u64(&mut self) -> Result<u64, SerialError> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn read_u32s(&mut self, n: usize) -> Result<Vec<u32>, SerialError> {
-        let mut raw = vec![0u8; n.checked_mul(4).ok_or(SerialError::Truncated)?];
-        self.fill(&mut raw)?;
-        // chunks_exact(4) guarantees each chunk is exactly 4 bytes.
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    fn read_block(&mut self) -> Result<IndexBlock, SerialError> {
-        let n_seqs = self.read_u32()? as usize;
-        let raw = self.read_u32s(n_seqs * 4)?;
-        let seqs: Vec<BlockSeq> = raw
-            .chunks_exact(4)
-            .map(|c| BlockSeq {
-                global_id: c[0],
-                frag_offset: c[1],
-                start: c[2],
-                len: c[3],
-            })
-            .collect();
-        let n_res = self.read_u64()? as usize;
-        let mut residues = vec![0u8; n_res];
-        self.fill(&mut residues)?;
-        let n_off = self.read_u64()? as usize;
-        let offsets = self.read_u32s(n_off)?;
-        let n_ent = self.read_u64()? as usize;
-        let entries = self.read_u32s(n_ent)?;
-        Ok(IndexBlock::from_parts(
-            seqs,
-            residues,
-            offsets,
-            entries,
-            self.config.offset_bits,
-        ))
-    }
-
-    /// After the last block of a v2 file: read the trailer and compare it
-    /// to the running CRC. `Ok(())` for v1 files (nothing to check).
-    fn check_trailer(&mut self) -> Result<(), SerialError> {
-        if self.version < 2 || self.trailer_checked {
-            return Ok(());
-        }
-        self.trailer_checked = true;
-        let mut b = [0u8; 4];
-        read_exact(&mut self.reader, &mut b)?;
-        if u32::from_le_bytes(b) != self.crc.finalize() {
-            return Err(SerialError::Corrupt);
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> Iterator for BlockStream<R> {
-    type Item = Result<IndexBlock, SerialError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return match self.check_trailer() {
-                Ok(()) => None,
-                Err(e) => Some(Err(e)),
-            };
-        }
-        self.remaining -= 1;
-        let block = self.read_block();
-        if block.is_err() {
-            self.remaining = 0; // poison after the first error
-            self.trailer_checked = true; // and don't report it twice
-        }
-        Some(block)
-    }
-}
-
-fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), SerialError> {
-    reader.read_exact(buf).map_err(|_| SerialError::Truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::DbIndex;
+    use crate::store::write_store;
     use bioseq::{Sequence, SequenceDb};
 
     fn sample_db() -> SequenceDb {
@@ -459,245 +118,82 @@ mod tests {
             .collect()
     }
 
-    fn sample_config() -> IndexConfig {
-        IndexConfig {
-            block_bytes: 80,
-            offset_bits: 15,
-            frag_overlap: 8,
-        }
-    }
-
-    fn sample_index() -> DbIndex {
-        DbIndex::build(&sample_db(), &sample_config())
-    }
-
-    /// Strip the v2 trailer and patch the version field down to 1,
-    /// producing the bytes a pre-checksum writer would have emitted.
-    fn as_v1(bytes: &[u8]) -> Vec<u8> {
-        let mut v1 = bytes[..bytes.len() - 4].to_vec();
-        v1[4] = 1;
-        v1
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let idx = sample_index();
-        assert!(idx.blocks().len() > 1, "want a multi-block sample");
-        let bytes = write_index(&idx);
-        let back = read_index(&bytes).unwrap();
-        assert_eq!(idx, back);
-    }
-
-    #[test]
-    fn v1_files_still_read() {
-        let idx = sample_index();
-        let v1 = as_v1(&write_index(&idx));
-        assert_eq!(read_index(&v1).unwrap(), idx);
-        let blocks: Vec<IndexBlock> = BlockStream::open(&v1[..])
-            .unwrap()
-            .map(|b| b.unwrap())
-            .collect();
-        assert_eq!(blocks.as_slice(), idx.blocks());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert_eq!(read_index(b"NOPE....rest"), Err(SerialError::BadMagic));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut bytes = write_index(&sample_index());
-        bytes[4] = 99;
-        assert_eq!(read_index(&bytes), Err(SerialError::BadVersion(99)));
-        assert_eq!(
-            read_index(&{
-                bytes[4] = 0;
-                bytes
-            }),
-            Err(SerialError::BadVersion(0))
+    /// Load the sample index through `read` (given the clean image and the
+    /// 1-based attempt number) with `retries` retries; returns the outcome
+    /// and the number of reads made, after checking the index is intact.
+    fn load(
+        retries: u32,
+        faults: &faultfn::Faults,
+        read: impl Fn(&[u8], u32) -> std::io::Result<Vec<u8>>,
+    ) -> (LoadOutcome, u32) {
+        let config = IndexConfig::default();
+        let idx = DbIndex::build(&sample_db(), &config);
+        let bytes = write_store(&idx);
+        let mut reads = 0u32;
+        let (loaded, outcome) = load_index_resilient(
+            || {
+                reads += 1;
+                read(&bytes, reads)
+            },
+            &sample_db(),
+            &config,
+            retries,
+            faults,
         );
-    }
-
-    #[test]
-    fn truncation_detected_at_every_length() {
-        let bytes = write_index(&sample_index());
-        // Chop at a sample of points — never panic, always a clean error.
-        for cut in (0..bytes.len() - 1).step_by(7) {
-            let r = read_index(&bytes[..cut]);
-            assert!(r.is_err(), "cut at {cut} unexpectedly parsed");
-        }
-    }
-
-    #[test]
-    fn bit_flip_detected_as_corrupt() {
-        let bytes = write_index(&sample_index());
-        // Flip one bit at a prime stride of positions past the version
-        // field (the file is postings-backbone sized, so per-byte
-        // exhaustion costs minutes): every flip must be rejected, and
-        // payload flips that still parse must be caught by the checksum
-        // rather than slipping through.
-        let mut corrupt_seen = false;
-        for i in (8..bytes.len()).step_by(131) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            match read_index(&bad) {
-                Err(SerialError::Corrupt) => corrupt_seen = true,
-                Err(_) => {} // length-field flips may die in parsing first
-                Ok(_) => panic!("flip at byte {i} accepted"),
-            }
-        }
-        assert!(corrupt_seen, "no flip exercised the checksum path");
+        assert_eq!(loaded, idx, "loaded, recovered or rebuilt: the same index");
+        (outcome, reads)
     }
 
     #[test]
     fn resilient_load_reads_once_when_clean() {
-        let idx = sample_index();
-        let bytes = write_index(&idx);
-        let mut reads = 0u32;
-        let (loaded, outcome) = load_index_resilient(
-            || {
-                reads += 1;
-                Ok(bytes.clone())
-            },
-            &sample_db(),
-            &sample_config(),
-            3,
-            &faultfn::Faults::none(),
-        );
-        assert_eq!(outcome, LoadOutcome::Loaded);
-        assert_eq!(reads, 1, "a clean first read needs no retry");
-        assert_eq!(loaded, idx);
+        let outcome = load(3, &faultfn::Faults::none(), |b, _| Ok(b.to_vec()));
+        assert_eq!(outcome, (LoadOutcome::Loaded, 1), "no retry needed");
     }
 
     #[test]
     fn resilient_load_recovers_from_transient_read_failures() {
-        let idx = sample_index();
-        let bytes = write_index(&idx);
-        let mut reads = 0u32;
-        let (loaded, outcome) = load_index_resilient(
-            || {
-                reads += 1;
-                if reads < 3 {
-                    Err(std::io::ErrorKind::Interrupted.into())
-                } else {
-                    Ok(bytes.clone())
-                }
-            },
-            &sample_db(),
-            &sample_config(),
-            3,
-            &faultfn::Faults::none(),
-        );
-        assert_eq!(outcome, LoadOutcome::Recovered { attempts: 3 });
-        assert_eq!(loaded, idx);
+        let outcome = load(3, &faultfn::Faults::none(), |b, attempt| {
+            if attempt < 3 {
+                Err(std::io::ErrorKind::Interrupted.into())
+            } else {
+                Ok(b.to_vec())
+            }
+        });
+        assert_eq!(outcome, (LoadOutcome::Recovered { attempts: 3 }, 3));
     }
 
     /// The injected corruption flips one byte per attempt; with the site
-    /// always armed every read is rejected by the CRC and the loader
-    /// falls back to rebuilding — and the rebuilt index is
-    /// indistinguishable from the serialized one.
+    /// always armed every read is rejected and the loader falls back to
+    /// rebuilding — as it does for a file in a retired format.
     #[test]
-    fn resilient_load_rebuilds_when_every_read_is_corrupt() {
-        let idx = sample_index();
-        let bytes = write_index(&idx);
+    fn resilient_load_rebuilds_when_every_read_is_rejected() {
         let faults = faultfn::FaultPlan::new(17)
             .with(FAULT_LOAD, faultfn::Schedule::Always)
             .build();
-        let mut reads = 0u32;
-        let (loaded, outcome) = load_index_resilient(
-            || {
-                reads += 1;
-                Ok(bytes.clone())
-            },
-            &sample_db(),
-            &sample_config(),
-            2,
-            &faults,
-        );
-        assert_eq!(outcome, LoadOutcome::Rebuilt);
-        assert_eq!(reads, 3, "1 + retries attempts before the rebuild");
+        let outcome = load(2, &faults, |b, _| Ok(b.to_vec()));
+        assert_eq!(outcome, (LoadOutcome::Rebuilt, 3), "1 + retries reads");
         assert_eq!(faults.fired(FAULT_LOAD), 3);
-        assert_eq!(loaded, idx, "rebuild reproduces the serialized index");
+        for old in 1..=3u8 {
+            let outcome = load(1, &faultfn::Faults::none(), |b, _| {
+                let mut stamped = b.to_vec();
+                stamped[4] = old;
+                Ok(stamped)
+            });
+            assert_eq!(outcome, (LoadOutcome::Rebuilt, 2), "v{old} file");
+        }
     }
 
     /// Corrupting only the first attempt exercises retry-then-recover,
     /// and the whole sequence is pinned by the plan seed.
     #[test]
     fn resilient_load_recovery_is_deterministic() {
-        let idx = sample_index();
-        let bytes = write_index(&idx);
         let run = || {
             let faults = faultfn::FaultPlan::new(17)
                 .with(FAULT_LOAD, faultfn::Schedule::FirstN(1))
                 .build();
-            load_index_resilient(
-                || Ok(bytes.clone()),
-                &sample_db(),
-                &sample_config(),
-                2,
-                &faults,
-            )
+            load(2, &faults, |b, _| Ok(b.to_vec()))
         };
-        let (a, outcome_a) = run();
-        let (b, outcome_b) = run();
-        assert_eq!(outcome_a, LoadOutcome::Recovered { attempts: 2 });
-        assert_eq!(outcome_b, outcome_a);
-        assert_eq!(a, b);
-        assert_eq!(a, idx);
-    }
-
-    #[test]
-    fn stream_detects_bit_flip() {
-        let idx = sample_index();
-        let mut bytes = write_index(&idx);
-        // Flip a residue byte inside the first block: parses fine, but the
-        // trailer check after the last block must yield one Corrupt item.
-        let header = 4 + 4 + 8 + 4 + 8 + 4;
-        let n_seqs = u32::from_le_bytes([
-            bytes[header],
-            bytes[header + 1],
-            bytes[header + 2],
-            bytes[header + 3],
-        ]) as usize;
-        let first_residue = header + 4 + n_seqs * 16 + 8;
-        bytes[first_residue] ^= 0x10;
-        let results: Vec<_> = BlockStream::open(&bytes[..]).unwrap().collect();
-        assert_eq!(results.len(), idx.blocks().len() + 1);
-        assert_eq!(
-            results.last().unwrap().as_ref().err(),
-            Some(&SerialError::Corrupt)
-        );
-    }
-
-    #[test]
-    fn stream_yields_the_same_blocks() {
-        let idx = sample_index();
-        let bytes = write_index(&idx);
-        let stream = BlockStream::open(&bytes[..]).unwrap();
-        assert_eq!(stream.config(), idx.config());
-        assert_eq!(stream.remaining(), idx.blocks().len());
-        let blocks: Vec<IndexBlock> = stream.map(|b| b.unwrap()).collect();
-        assert_eq!(blocks.as_slice(), idx.blocks());
-    }
-
-    #[test]
-    fn stream_reports_truncation_once() {
-        let bytes = write_index(&sample_index());
-        let cut = bytes.len() - 10;
-        let mut stream = BlockStream::open(&bytes[..cut]).unwrap();
-        let results: Vec<_> = stream.by_ref().collect();
-        assert!(results.iter().any(|r| r.is_err()));
-        assert!(
-            stream.next().is_none(),
-            "stream must be fused after an error"
-        );
-    }
-
-    #[test]
-    fn empty_index_roundtrip() {
-        let idx = DbIndex::build(&SequenceDb::new(), &IndexConfig::default());
-        let back = read_index(&write_index(&idx)).unwrap();
-        assert_eq!(idx, back);
+        assert_eq!(run(), (LoadOutcome::Recovered { attempts: 2 }, 2));
+        assert_eq!(run(), run());
     }
 }

@@ -1,10 +1,8 @@
-//! The v3 on-disk block/chunk store: an IR-style layout for out-of-core
-//! search.
+//! The on-disk index: a block/chunk store, an IR-style layout that serves
+//! resident and out-of-core search from the same file.
 //!
-//! Versions 1/2 ([`crate::serial`]) serialize the whole index as one flat
-//! image — fine when the index is loaded resident, useless when it is
-//! not. Version 3 restructures the same CSR data into the two-level
-//! layout information-retrieval engines use for posting lists on disk:
+//! The CSR data of a [`DbIndex`] is laid out in the two levels
+//! information-retrieval engines use for posting lists on disk:
 //!
 //! * the **block** is the fetch/cache unit: one self-contained record per
 //!   [`IndexBlock`], individually CRC-32'd so a damaged block is detected
@@ -15,15 +13,16 @@
 //!   local-offset packing keeps the values small, so deltas compress
 //!   well); [`PostingsCursor`] decodes one chunk at a time;
 //! * a **footer directory** maps block id → byte extent, CRC, seq-id
-//!   range, residue count and decoded size, so a reader can fetch any
-//!   block with one seek and budget a cache without decoding anything.
+//!   range, residue count, decoded size and a per-block **score-bound
+//!   summary** ([`BlockBound`]: longest subject extent, a whole-sequences
+//!   flag, a per-residue count histogram), so a reader can fetch any
+//!   block with one seek, budget a cache, and prove a block unproductive
+//!   for a top-k search without decoding anything.
 //!
-//! Version 4 appends a per-block **score-bound summary** ([`BlockBound`])
-//! to every directory row — longest subject extent, a whole-sequences
-//! flag, and a per-residue count histogram — so a top-k search can prove
-//! a block unproductive and skip the fetch without decoding anything.
-//! The block record format is unchanged; v3 files still read (their
-//! directory simply carries no bounds).
+//! There is one format, stamped [`STORE_VERSION`]; a file stamped with
+//! anything else is [`SerialError::BadVersion`] (`mublastpd --index` then
+//! rebuilds from the database). DESIGN.md §"Re-base" records the retired
+//! formats and how the next version is added.
 //!
 //! ```text
 //! header  := magic "MUBP" | version u32 = 4 | block_bytes u64 |
@@ -37,14 +36,13 @@
 //! footer  := {offset u64, len u32, crc u32, n_seqs u32, first_seq u32,
 //!             last_seq u32, residues u64, decoded_bytes u64,
 //!             n_entries u64,
-//!             max_len u32, flags u32, hist u32×24 (v4)}×n_blocks |
+//!             max_len u32, flags u32, hist u32×24}×n_blocks |
 //!            n_blocks u32 | dir_len u32 | dir_crc u32 | magic "MUBF"
 //! ```
 //!
 //! [`StoreWriter`] streams the file block by block — the whole index is
-//! never materialized as one buffer. [`crate::read_index`] accepts v3
-//! images transparently (append-only format family), so
-//! [`crate::load_index_resilient`] keeps working unchanged.
+//! never materialized as one buffer; [`read_store`] decodes every block
+//! into a resident [`DbIndex`].
 
 use crate::block::{BlockSeq, DbIndex, IndexBlock};
 use crate::config::IndexConfig;
@@ -53,17 +51,9 @@ use crate::serial::SerialError;
 use bioseq::alphabet::{ALPHABET_SIZE, WORD_SPACE};
 use std::io::{Read, Seek, SeekFrom, Write};
 
-/// Format version of the block/chunk store (the family shares the v1/v2
-/// magic, so one loader dispatches on the version field). Version 4
-/// appends a [`BlockBound`] to every footer-directory row — the
-/// per-block score-bound summary top-k pruning reads without fetching
-/// the block; the record format itself is unchanged from v3.
+/// Format version of the block/chunk store: the only one written and the
+/// only one read.
 pub const STORE_VERSION: u32 = 4;
-
-/// Oldest block/chunk store version still readable. v3 files carry no
-/// block bounds ([`StoreBlockMeta::bound`] is `None`), so a top-k search
-/// over them scans every block; everything else works unchanged.
-pub const MIN_STORE_VERSION: u32 = 3;
 
 /// Postings per chunk: the decompression grain. 128 packed postings keep
 /// a decoded chunk inside one or two cache lines' worth of work while the
@@ -79,15 +69,13 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 8 + 4;
 const N_BLOCKS_OFFSET: u64 = (HEADER_LEN - 4) as u64;
 /// Serialized [`BlockBound`]: max_len u32 | flags u32 | hist 24×u32.
 const BOUND_BYTES: usize = 4 + 4 + 4 * ALPHABET_SIZE;
-/// One v4 directory row (see module docs): the v3 row plus the bound.
+/// One directory row (see module docs).
 const DIR_ROW: usize = 8 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + BOUND_BYTES;
-/// One v3 directory row (bound-less), still read for old files.
-const DIR_ROW_V3: usize = 8 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
 /// footer tail = n_blocks + dir_len + dir_crc + footer magic.
 const TAIL_LEN: usize = 4 + 4 + 4 + 4;
 
 // ---------------------------------------------------------------------
-// Little-endian + varint primitives (std-only, mirroring `serial`).
+// Little-endian + varint primitives (std-only).
 // ---------------------------------------------------------------------
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -174,8 +162,8 @@ fn get_varint(data: &mut &[u8]) -> Result<u64, SerialError> {
 /// The empty array encodes as zero chunks.
 pub fn encode_postings(entries: &[u32], out: &mut Vec<u8>) {
     let chunks: Vec<&[u32]> = entries.chunks(CHUNK_FANOUT).collect();
-    // lint: allow(lossy-cast): chunk count ≤ entry count, which the v1/v2
-    // format already bounds to u32-addressable positions per block.
+    // lint: allow(lossy-cast): chunk count ≤ entry count, and a block's
+    // CSR offsets already bound its entries to u32-addressable positions.
     put_u32(out, chunks.len() as u32);
     let mut payloads = Vec::new();
     for chunk in &chunks {
@@ -208,7 +196,9 @@ impl<'a> PostingsCursor<'a> {
     /// [`encode_postings`].
     pub fn new(mut data: &'a [u8]) -> Result<PostingsCursor<'a>, SerialError> {
         let n_chunks = get_u32(&mut data)? as usize;
-        let mut dir = Vec::with_capacity(n_chunks.min(1 << 20));
+        // Six directory bytes per chunk: a hostile count cannot reserve
+        // more than the input could describe.
+        let mut dir = Vec::with_capacity(n_chunks.min(data.len() / 6));
         for _ in 0..n_chunks {
             let count = get_u16(&mut data)?;
             let byte_len = get_u32(&mut data)?;
@@ -262,10 +252,11 @@ impl<'a> PostingsCursor<'a> {
 /// Decode a whole encoded posting region, checking the total count.
 pub fn decode_postings(data: &[u8], n_entries: usize) -> Result<Vec<u32>, SerialError> {
     let mut cursor = PostingsCursor::new(data)?;
-    // Clamp the pre-allocation: `n_entries` may be a corrupted length
-    // field, and a hostile value must fail the count check below, not
-    // abort on an absurd reservation.
-    let mut out = Vec::with_capacity(n_entries.min(1 << 20));
+    // Clamp the pre-allocation to what the input could hold (a posting
+    // is at least one byte): `n_entries` may be a corrupted length field,
+    // and a hostile value must fail the count check below, not abort on
+    // an absurd reservation.
+    let mut out = Vec::with_capacity(n_entries.min(data.len()));
     while cursor.next_chunk(&mut out)? {}
     if out.len() != n_entries {
         return Err(SerialError::Truncated);
@@ -312,7 +303,7 @@ pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
     encode_postings(entries, &mut chunked);
     // lint: allow(lossy-cast): the chunked form of a u32-addressable
     // posting array is ≤ 10 bytes per posting, within u32 for any block
-    // the v1/v2 format can express.
+    // the byte budget can produce.
     put_u32(&mut out, chunked.len() as u32);
     out.extend_from_slice(&chunked);
     let sum = crc32(&out);
@@ -390,7 +381,7 @@ pub fn decode_block(record: &[u8], offset_bits: u32) -> Result<IndexBlock, Seria
 // Directory and whole-file read/write.
 // ---------------------------------------------------------------------
 
-/// Per-block score-bound summary, stored in every v4 footer-directory
+/// Per-block score-bound summary, stored in every footer-directory
 /// row so a top-k search can prove a block unproductive — and skip the
 /// fetch entirely — from the directory alone.
 ///
@@ -478,15 +469,13 @@ pub struct StoreBlockMeta {
     pub decoded_bytes: u64,
     /// Postings in the block.
     pub n_entries: u64,
-    /// Score-bound summary (v4 rows; `None` when read from a v3 file).
-    pub bound: Option<BlockBound>,
+    /// Score-bound summary.
+    pub bound: BlockBound,
 }
 
 /// Parsed header + footer of a block/chunk store: the block map.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreDirectory {
-    /// Format version the file was written with (3 or 4).
-    pub version: u32,
     /// Build configuration recorded in the header.
     pub config: IndexConfig,
     /// Per-block metadata, in block order.
@@ -500,7 +489,7 @@ impl StoreDirectory {
     }
 }
 
-/// Streaming v3 writer: blocks go straight to `w` one record at a time —
+/// Streaming writer: blocks go straight to `w` one record at a time —
 /// the whole index is never materialized — and [`StoreWriter::finish`]
 /// appends the footer directory and patches the header block count.
 pub struct StoreWriter<W: Write + Seek> {
@@ -518,8 +507,8 @@ fn header_bytes(config: &IndexConfig, n_blocks: usize) -> Vec<u8> {
     put_u64(&mut header, config.block_bytes as u64);
     put_u32(&mut header, config.offset_bits);
     put_u64(&mut header, config.frag_overlap as u64);
-    // lint: allow(lossy-cast): the v1/v2 family already caps block counts
-    // at u32; a store needing more is unaddressable.
+    // lint: allow(lossy-cast): the header's block-count field is u32; a
+    // store needing more is unaddressable.
     put_u32(&mut header, n_blocks as u32);
     header
 }
@@ -574,7 +563,7 @@ impl<W: Write + Seek> StoreWriter<W> {
             residues: block.total_residues() as u64,
             decoded_bytes: block.memory_bytes() as u64,
             n_entries: block.total_positions() as u64,
-            bound: Some(BlockBound::from_block(block)),
+            bound: BlockBound::from_block(block),
         });
         self.pos += record.len() as u64;
         Ok(())
@@ -594,12 +583,9 @@ impl<W: Write + Seek> StoreWriter<W> {
             put_u64(&mut dir_bytes, m.residues);
             put_u64(&mut dir_bytes, m.decoded_bytes);
             put_u64(&mut dir_bytes, m.n_entries);
-            // v4 extension: the score-bound summary, appended after the
-            // v3 fields so the row stays prefix-compatible.
-            let bound = m.bound.unwrap_or_default();
-            put_u32(&mut dir_bytes, bound.max_len);
-            put_u32(&mut dir_bytes, u32::from(bound.whole_only));
-            for h in bound.hist {
+            put_u32(&mut dir_bytes, m.bound.max_len);
+            put_u32(&mut dir_bytes, u32::from(m.bound.whole_only));
+            for h in m.bound.hist {
                 put_u32(&mut dir_bytes, h);
             }
         }
@@ -611,8 +597,8 @@ impl<W: Write + Seek> StoreWriter<W> {
         crc.update(&header);
         crc.update(&dir_bytes);
         let mut tail = Vec::with_capacity(TAIL_LEN);
-        // lint: allow(lossy-cast): the v1/v2 family already caps block
-        // counts at u32; a directory needing more is unaddressable.
+        // lint: allow(lossy-cast): same u32 block-count bound as the
+        // header; a directory needing more is unaddressable.
         put_u32(&mut tail, self.dir.len() as u32);
         // lint: allow(lossy-cast): see above — DIR_ROW × u32 rows fits.
         put_u32(&mut tail, dir_bytes.len() as u32);
@@ -624,13 +610,11 @@ impl<W: Write + Seek> StoreWriter<W> {
         // lint: allow(lossy-cast): same u32 block-count bound as above.
         self.w.write_all(&(self.dir.len() as u32).to_le_bytes())?;
         self.w.seek(SeekFrom::End(0))?;
-        let dir =
-            StoreDirectory { version: STORE_VERSION, config: self.config, blocks: self.dir };
-        Ok((self.w, dir))
+        Ok((self.w, StoreDirectory { config: self.config, blocks: self.dir }))
     }
 }
 
-/// Serialize a whole index in the v3 layout (convenience over
+/// Serialize a whole index (convenience over
 /// [`StoreWriter`] for resident indexes; the streamed and one-shot paths
 /// produce identical bytes).
 pub fn write_store(index: &DbIndex) -> Vec<u8> {
@@ -645,13 +629,13 @@ pub fn write_store(index: &DbIndex) -> Vec<u8> {
     cursor.into_inner()
 }
 
-fn parse_header(data: &mut &[u8]) -> Result<(IndexConfig, usize, u32), SerialError> {
+fn parse_header(data: &mut &[u8]) -> Result<(IndexConfig, usize), SerialError> {
     let magic = take(data, 4)?;
     if magic != MAGIC {
         return Err(SerialError::BadMagic);
     }
     let version = get_u32(data)?;
-    if !(MIN_STORE_VERSION..=STORE_VERSION).contains(&version) {
+    if version != STORE_VERSION {
         return Err(SerialError::BadVersion(version));
     }
     let config = IndexConfig {
@@ -663,7 +647,7 @@ fn parse_header(data: &mut &[u8]) -> Result<(IndexConfig, usize, u32), SerialErr
         return Err(SerialError::Truncated);
     }
     let n_blocks = get_u32(data)? as usize;
-    Ok((config, n_blocks, version))
+    Ok((config, n_blocks))
 }
 
 /// Read the header and footer directory from a seekable store — the
@@ -676,7 +660,7 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header).map_err(io)?;
     let mut h: &[u8] = &header;
-    let (config, n_blocks, version) = parse_header(&mut h)?;
+    let (config, n_blocks) = parse_header(&mut h)?;
     let file_len = r.seek(SeekFrom::End(0)).map_err(io)?;
     if file_len < (HEADER_LEN + TAIL_LEN) as u64 {
         return Err(SerialError::Truncated);
@@ -691,10 +675,7 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
     if take(&mut t, 4)? != FOOTER_MAGIC || tail_blocks != n_blocks {
         return Err(SerialError::Truncated);
     }
-    let dir_row = if version >= 4 { DIR_ROW } else { DIR_ROW_V3 };
-    if dir_len != n_blocks * dir_row
-        || (dir_len + TAIL_LEN + HEADER_LEN) as u64 > file_len
-    {
+    if dir_len != n_blocks * DIR_ROW || (dir_len + TAIL_LEN + HEADER_LEN) as u64 > file_len {
         return Err(SerialError::Truncated);
     }
     r.seek(SeekFrom::End(-((TAIL_LEN + dir_len) as i64))).map_err(io)?;
@@ -711,7 +692,7 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
     let mut d: &[u8] = &dir_bytes;
     let mut blocks = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
-        let mut m = StoreBlockMeta {
+        let m = StoreBlockMeta {
             offset: get_u64(&mut d)?,
             len: get_u32(&mut d)?,
             crc: get_u32(&mut d)?,
@@ -721,17 +702,16 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
             residues: get_u64(&mut d)?,
             decoded_bytes: get_u64(&mut d)?,
             n_entries: get_u64(&mut d)?,
-            bound: None,
+            bound: {
+                let max_len = get_u32(&mut d)?;
+                let flags = get_u32(&mut d)?;
+                let mut hist = [0u32; ALPHABET_SIZE];
+                for h in hist.iter_mut() {
+                    *h = get_u32(&mut d)?;
+                }
+                BlockBound { max_len, whole_only: flags & 1 != 0, hist }
+            },
         };
-        if version >= 4 {
-            let max_len = get_u32(&mut d)?;
-            let flags = get_u32(&mut d)?;
-            let mut hist = [0u32; ALPHABET_SIZE];
-            for h in hist.iter_mut() {
-                *h = get_u32(&mut d)?;
-            }
-            m.bound = Some(BlockBound { max_len, whole_only: flags & 1 != 0, hist });
-        }
         // Extents must stay inside the record region of the file.
         let end = m.offset.checked_add(u64::from(m.len)).ok_or(SerialError::Truncated)?;
         if m.offset < HEADER_LEN as u64 || end > file_len - (TAIL_LEN + dir_len) as u64 {
@@ -739,12 +719,12 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
         }
         blocks.push(m);
     }
-    Ok(StoreDirectory { version, config, blocks })
+    Ok(StoreDirectory { config, blocks })
 }
 
-/// Deserialize a whole v3 image into a resident [`DbIndex`] — the path
-/// [`crate::read_index`] dispatches to, so resilient loading and the
-/// daemon's `--index` flag accept v3 files with no caller changes.
+/// Deserialize a whole store image into a resident [`DbIndex`] (every
+/// block decoded) — what `mublastp search --index`, `mublastpd --index`
+/// and [`crate::load_index_resilient`] load.
 pub fn read_store(data: &[u8]) -> Result<DbIndex, SerialError> {
     let mut r = std::io::Cursor::new(data);
     let dir = read_directory(&mut r)?;
@@ -865,7 +845,7 @@ mod tests {
         assert_eq!(&dir.config, idx.config());
         assert_eq!(dir.blocks.len(), idx.blocks().len());
         for (m, b) in dir.blocks.iter().zip(idx.blocks()) {
-            assert_eq!(m.bound, Some(BlockBound::from_block(b)));
+            assert_eq!(m.bound, BlockBound::from_block(b));
             assert_eq!(m.n_seqs as usize, b.n_seqs());
             assert_eq!(m.residues as usize, b.total_residues());
             assert_eq!(m.n_entries as usize, b.total_positions());
@@ -925,48 +905,6 @@ mod tests {
         assert_eq!(dir.total_decoded_bytes(), 0);
     }
 
-    /// Rewrite a v4 image as the v3 layout it extends: strip the bound
-    /// fields from each directory row, patch the version field, and
-    /// recompute the directory CRC. This is exactly what a file written
-    /// before the v4 bump looks like.
-    fn downgrade_to_v3(bytes: &[u8]) -> Vec<u8> {
-        let tail = &bytes[bytes.len() - TAIL_LEN..];
-        let n_blocks = u32::from_le_bytes(tail[0..4].try_into().unwrap());
-        let dir_len = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
-        let dir_start = bytes.len() - TAIL_LEN - dir_len;
-        let mut out = bytes[..dir_start].to_vec();
-        out[4..8].copy_from_slice(&3u32.to_le_bytes());
-        let mut dir_bytes = Vec::new();
-        for row in bytes[dir_start..dir_start + dir_len].chunks(DIR_ROW) {
-            dir_bytes.extend_from_slice(&row[..DIR_ROW_V3]);
-        }
-        let mut crc = crate::crc::Crc32::new();
-        crc.update(&out[..HEADER_LEN]);
-        crc.update(&dir_bytes);
-        let sum = crc.finalize();
-        out.extend_from_slice(&dir_bytes);
-        out.extend_from_slice(&n_blocks.to_le_bytes());
-        out.extend_from_slice(&(dir_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&sum.to_le_bytes());
-        out.extend_from_slice(FOOTER_MAGIC);
-        out
-    }
-
-    #[test]
-    fn v3_files_still_read_and_carry_no_bounds() {
-        let idx = sample_index();
-        let v4 = write_store(&idx);
-        let v3 = downgrade_to_v3(&v4);
-        assert_eq!(read_store(&v3).unwrap(), idx);
-        let dir = read_directory(&mut std::io::Cursor::new(&v3[..])).unwrap();
-        assert_eq!(dir.version, 3);
-        assert!(dir.blocks.iter().all(|m| m.bound.is_none()));
-        let v4dir = read_directory(&mut std::io::Cursor::new(&v4[..])).unwrap();
-        assert_eq!(v4dir.version, STORE_VERSION);
-        assert!(v4dir.blocks.iter().all(|m| m.bound.is_some()));
-        assert_eq!(dir.blocks.len(), v4dir.blocks.len());
-    }
-
     #[test]
     fn bound_histograms_dominate_every_fragment_and_flag_split_subjects() {
         let db: SequenceDb = ["MARNDWWWCQEGHILKMFPSTWYV", "MKVLWAALLVT", "ARNDARND"]
@@ -1004,17 +942,17 @@ mod tests {
     }
 
     #[test]
-    fn wrong_versions_rejected() {
-        let mut bytes = write_store(&sample_index());
-        bytes[4] = 9;
-        assert_eq!(
-            read_directory(&mut std::io::Cursor::new(&bytes[..])).err(),
-            Some(SerialError::BadVersion(9))
-        );
+    fn every_other_version_and_magic_rejected() {
+        let good = write_store(&sample_index());
+        // The retired flat (1, 2) and bound-less (3) formats, the next
+        // version, and nonsense alike.
+        for v in [0, 1, 2, 3, 5, 9, u32::MAX] {
+            let mut bytes = good.clone();
+            bytes[4..8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(read_store(&bytes), Err(SerialError::BadVersion(v)));
+        }
+        let mut bytes = good;
         bytes[0] = b'X';
-        assert_eq!(
-            read_directory(&mut std::io::Cursor::new(&bytes[..])).err(),
-            Some(SerialError::BadMagic)
-        );
+        assert_eq!(read_store(&bytes), Err(SerialError::BadMagic));
     }
 }

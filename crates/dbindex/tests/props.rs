@@ -4,7 +4,7 @@
 
 use bioseq::alphabet::{Word, WordIter, WORD_SPACE};
 use bioseq::{Sequence, SequenceDb};
-use dbindex::{read_index, write_index, DbIndex, IndexConfig};
+use dbindex::{read_store, write_store, DbIndex, IndexConfig};
 use proptest::prelude::*;
 
 fn arb_db() -> impl Strategy<Value = SequenceDb> {
@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn serialization_roundtrip((db, cfg) in (arb_db(), arb_config())) {
         let index = DbIndex::build(&db, &cfg);
-        let back = read_index(&write_index(&index)).unwrap();
+        let back = read_store(&write_store(&index)).unwrap();
         prop_assert_eq!(index, back);
     }
 

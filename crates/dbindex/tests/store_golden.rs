@@ -1,25 +1,15 @@
 //! Golden byte fixtures for the block/chunk store.
 //!
-//! Two generations are pinned at once:
-//!
-//! * `tests/fixtures/store_v4*.bin` — what the current serializer writes
-//!   (v4: per-block [`BlockBound`] score summaries in the directory).
-//!   Any serializer change that alters bytes — field order, widths,
-//!   chunk fanout, CRC coverage, bound layout — fails here even if it
-//!   round-trips symmetrically, because stores already written by
-//!   shipped builds would no longer parse the same way. Regenerate
-//!   deliberately with `STORE_BLESS=1` after an intentional
-//!   `STORE_VERSION` bump (the `xtask analyze` store ratchet enforces
-//!   the bump side).
-//! * `tests/fixtures/store_v3*.bin` — **frozen** artifacts written by
-//!   the pre-bound serializer. Never regenerated: they are the proof
-//!   that files from older builds keep reading (blocks identical,
-//!   `bound: None` in every directory row).
+//! `tests/fixtures/store_v4*.bin` are what the serializer writes. Any
+//! serializer change that alters bytes — field order, widths, chunk
+//! fanout, CRC coverage, bound layout — fails here even if it round-trips
+//! symmetrically, because stores already written by shipped builds would
+//! no longer parse the same way. Regenerate deliberately with
+//! `STORE_BLESS=1` after an intentional `STORE_VERSION` bump (the `xtask
+//! analyze` store ratchet enforces the bump side).
 
 use bioseq::{Sequence, SequenceDb};
-use dbindex::{
-    read_directory, read_store, write_store, BlockBound, DbIndex, IndexConfig, STORE_VERSION,
-};
+use dbindex::{read_directory, read_store, write_store, BlockBound, DbIndex, IndexConfig};
 
 fn fixtures_dir() -> std::path::PathBuf {
     if let Some(dir) = option_env!("CARGO_MANIFEST_DIR") {
@@ -36,7 +26,7 @@ fn fixtures_dir() -> std::path::PathBuf {
 /// Fixed, hand-written database — no RNG, so the bytes cannot drift with
 /// generator tweaks. Small block budget forces multiple blocks and at
 /// least one fragmented sequence (whose block must be `whole_only:
-/// false` in the v4 bounds).
+/// false` in its bound).
 fn golden_index() -> DbIndex {
     let db: SequenceDb = [
         "MARNDWWWCQEGHILKMFPSTWYVA",
@@ -81,7 +71,7 @@ fn golden_stores() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 #[test]
-fn golden_fixtures_pin_the_v4_store_bytes() {
+fn golden_fixtures_pin_the_store_bytes() {
     let dir = fixtures_dir();
     let bless = std::env::var_os("STORE_BLESS").is_some();
     if bless {
@@ -99,7 +89,7 @@ fn golden_fixtures_pin_the_v4_store_bytes() {
         assert_eq!(
             committed,
             bytes,
-            "{name}: serializer output diverged from the committed fixture — the v4 \
+            "{name}: serializer output diverged from the committed fixture — the \
              layout changed; bump STORE_VERSION, re-bless the xtask store ratchet, \
              and regenerate with STORE_BLESS=1"
         );
@@ -108,7 +98,7 @@ fn golden_fixtures_pin_the_v4_store_bytes() {
 }
 
 #[test]
-fn committed_v4_fixture_parses_and_its_bounds_are_sound() {
+fn committed_fixture_parses_and_its_bounds_are_sound() {
     // Guards the read side independently: the committed bytes must decode
     // to exactly the index they were written from, so a paired
     // writer+reader change cannot slip past the byte comparison — and
@@ -129,19 +119,15 @@ fn committed_v4_fixture_parses_and_its_bounds_are_sound() {
         assert_eq!(index, want, "{name}");
 
         let dir = read_directory(&mut std::io::Cursor::new(&bytes)).unwrap();
-        assert_eq!(dir.version, STORE_VERSION, "{name}");
         assert_eq!(dir.blocks.len(), index.blocks().len(), "{name}");
         for (i, (meta, block)) in dir.blocks.iter().zip(index.blocks()).enumerate() {
-            let bound = meta
-                .bound
-                .unwrap_or_else(|| panic!("{name} block {i}: v4 row without a bound"));
             assert_eq!(
-                bound,
+                meta.bound,
                 BlockBound::from_block(block),
                 "{name} block {i}: recomputed bound"
             );
-            saw_fragmented |= !bound.whole_only;
-            saw_whole |= bound.whole_only;
+            saw_fragmented |= !meta.bound.whole_only;
+            saw_whole |= meta.bound.whole_only;
         }
     }
     assert!(
@@ -149,27 +135,4 @@ fn committed_v4_fixture_parses_and_its_bounds_are_sound() {
         "fixtures must cover both whole_only (skippable) and fragmented \
          (never-skippable) blocks or half the bound format goes untested"
     );
-}
-
-/// The frozen v3 artifacts keep reading: same blocks, no bounds. These
-/// fixtures are never re-blessed — they stand in for files written by
-/// builds that predate the bound rows.
-#[test]
-fn frozen_v3_fixture_still_parses_without_bounds() {
-    let path = fixtures_dir().join("store_v3.bin");
-    let bytes = std::fs::read(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (a frozen artifact — restore it from git)", path.display()));
-    assert_eq!(read_store(&bytes).unwrap(), golden_index());
-    let dir = read_directory(&mut std::io::Cursor::new(&bytes)).unwrap();
-    assert_eq!(dir.version, 3);
-    assert!(
-        dir.blocks.iter().all(|m| m.bound.is_none()),
-        "a v3 directory row must decode with bound: None"
-    );
-
-    let empty = fixtures_dir().join("store_v3_empty.bin");
-    let bytes = std::fs::read(&empty)
-        .unwrap_or_else(|e| panic!("{}: {e} (a frozen artifact — restore it from git)", empty.display()));
-    let index = read_store(&bytes).unwrap();
-    assert_eq!(index, DbIndex::build(&SequenceDb::new(), &IndexConfig::default()));
 }

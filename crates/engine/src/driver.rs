@@ -140,8 +140,8 @@ pub trait BlockSource {
     fn num_blocks(&self) -> usize;
 
     /// Block `i`'s score bound, available *without* fetching the block
-    /// (the pruner's skip-before-fetch). `None` = no bound recorded (e.g.
-    /// a v3 store): the block is always scanned. Only consulted when
+    /// (the pruner's skip-before-fetch). `None` = no bound recorded: the
+    /// block is always scanned. Only consulted when
     /// `config.top_k` is set.
     fn bound(&self, i: usize) -> Option<BlockBound>;
 

@@ -789,7 +789,15 @@ mod tests {
             let plain = search_batch_sharded(&sharded, neighbors(), &queries, &cfg);
             let session = TraceSession::new(obsv::ObsvConfig::on());
             let out = search_batch_sharded_traced(&sharded, neighbors(), &queries, &cfg, &session);
-            assert_eq!(plain, out.results, "top_k={top_k:?}");
+            // Two pruned runs over concurrent shards skip different blocks
+            // (the shared watermark rises in thread-timing order), so their
+            // `StageCounts` differ while the reported rows cannot; only the
+            // exhaustive round is comparable field for field.
+            match top_k {
+                None => assert_eq!(plain, out.results),
+                Some(_) => crate::results_identical(&plain, &out.results)
+                    .unwrap_or_else(|e| panic!("top_k={top_k:?}: {e}")),
+            }
             let shard_spans: Vec<u32> = out
                 .trace
                 .spans

@@ -8,7 +8,7 @@
 //! level. This module supplies the three pieces the pruned drivers share:
 //!
 //! * [`QueryPruner`] — turns a [`dbindex::BlockBound`] (per-block residue
-//!   histogram + length cap, stored in the v4 store directory) into an
+//!   histogram + length cap, stored in the store directory) into an
 //!   upper bound on the *preliminary gapped score* any subject in the
 //!   block can reach against one query. The bound ignores gap penalties
 //!   and pairs each subject residue with the best-scoring residue that

@@ -13,10 +13,10 @@
 //! `--stats` prints a human-readable digest of the daemon's wire stats
 //! frame; `--metrics` prints the daemon's full Prometheus text
 //! exposition (the same bytes `--metrics-addr` serves over HTTP, shipped
-//! in the protocol v6 stats frame) — both are snapshots of the one
+//! in the wire stats frame) — both are snapshots of the one
 //! metrics registry inside the daemon.
 //!
-//! `--top-k K` asks the daemon (protocol v7+) for only the K best
+//! `--top-k K` asks the daemon for only the K best
 //! alignments per query; the daemon may then prune whole index blocks
 //! whose score bound cannot reach the running k-th-best E-value, and the
 //! reply carries how many blocks were scanned vs skipped (printed on
@@ -139,10 +139,7 @@ fn run() -> Result<(), (u8, String)> {
             .stats()
             .map_err(|e| (client_exit(&e), e.to_string()))?;
         if s.metrics_text.is_empty() {
-            return Err((
-                EXIT_PROTO,
-                "server sent no metrics text (daemon older than protocol v6?)".to_string(),
-            ));
+            return Err((EXIT_PROTO, "server sent no metrics text".to_string()));
         }
         print!("{}", s.metrics_text);
         return Ok(());

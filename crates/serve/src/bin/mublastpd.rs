@@ -16,20 +16,20 @@
 //! results are byte-identical to the unsharded daemon, and the stats
 //! frame grows one queue-wait/search-latency row per shard.
 //!
-//! `--block-cache-bytes N` serves **out-of-core**: per-shard v3 block
+//! `--block-cache-bytes N` serves **out-of-core**: per-shard block
 //! stores are written to a temporary directory at startup and searched by
 //! streaming blocks through an N-byte LRU cache instead of holding the
 //! decoded index resident. Results stay byte-identical; the stats frame
-//! reports the cache's budget, residency, and hit/miss/eviction counters
-//! (protocol v5). Incompatible with `--index` (the store is built
-//! in-process from the database).
+//! reports the cache's budget, residency, and hit/miss/eviction
+//! counters. Incompatible with `--index` (the store is built in-process
+//! from the database).
 //!
 //! `--metrics-addr HOST:PORT` binds a Prometheus text-exposition
 //! endpoint (`GET /metrics`, HTTP/1.0) rendering the daemon's metrics
-//! registry — the same counters the wire stats frame (protocol v6)
-//! reports. `--event-log PATH` appends structured JSON events (slow
-//! queries, shard degradation, retry exhaustion, cache pressure), one
-//! object per line, each carrying the request's wire trace ID.
+//! registry — the same counters the wire stats frame reports.
+//! `--event-log PATH` appends structured JSON events (slow queries, shard
+//! degradation, retry exhaustion, cache pressure), one object per line,
+//! each carrying the request's wire trace ID.
 //!
 //! `--trace` enables per-stage span recording; clients that ask for a
 //! trace (`mublastp-query --trace out.json`) then get their spans back,
@@ -162,7 +162,7 @@ fn run() -> Result<(), (u8, String)> {
         .collect();
     let mut store_dir = None;
     let index = if block_cache_bytes > 0 {
-        // Out-of-core: write per-shard v3 stores next to the temp dir and
+        // Out-of-core: write per-shard block stores into the temp dir and
         // stream blocks through a shared LRU cache.
         let dir =
             std::env::temp_dir().join(format!("mublastpd-store-{}", std::process::id()));
@@ -220,8 +220,8 @@ fn run() -> Result<(), (u8, String)> {
                         "mublastpd: warning: {path}: loaded on attempt {attempts}"
                     ),
                     LoadOutcome::Rebuilt => eprintln!(
-                        "mublastpd: warning: {path}: unreadable or corrupt — \
-                         rebuilt the index from the database"
+                        "mublastpd: warning: {path}: unreadable, corrupt or in a \
+                         retired format — rebuilt the index from the database"
                     ),
                 }
                 index

@@ -19,7 +19,7 @@
 //!
 //! Module map:
 //!
-//! * [`proto`] — the framed, versioned wire protocol (pure functions over
+//! * [`proto`] — the framed, version-stamped wire protocol (pure functions over
 //!   `Read`/`Write`; no I/O policy).
 //! * [`batcher`] — admission control, batch forming, dispatch, demux.
 //! * [`stats`] — queue/batch/latency counters behind one lock.

@@ -18,29 +18,12 @@
 //!
 //! ## Versioning
 //!
-//! Version 2 added observability fields (per-request trace ids, optional
-//! span traces in results, per-stage latency digests in stats). Version 3
-//! added per-shard rows to the stats frame (sharded daemons,
-//! `mublastpd --shards K`). Version 4 added graceful-degradation
-//! metadata: an optional [`Degraded`] block on results (which shards
-//! dropped out of a sharded search and how much of the database the
-//! answer covers), a `degraded` counter and per-shard failure counts in
-//! stats. Version 5 added index-attributable memory accounting to the
-//! stats frame: resident-index bytes plus the out-of-core block cache's
-//! budget, usage, and hit/miss/eviction counters (zero on a daemon
-//! without a block cache). Version 6 made the stats frame a full
-//! snapshot of the unified metrics registry: shard failures by cause,
-//! slow-query / retry / event-log counters, the cache fetch-and-decode
-//! counters, and the rendered Prometheus exposition text (so
-//! `mublastp-query --metrics` needs no second endpoint). Version 7
-//! added top-k search: an optional requested `k` on the search request,
-//! blocks-scanned / blocks-skipped pruning counters on results, and the
-//! `engine.topk.*` counters on stats. The protocol
-//! stays backward compatible: a peer may speak any
-//! version in `MIN_PROTO_VERSION..=PROTO_VERSION`, new fields are
-//! *appended* to older payloads and simply omitted when encoding for an
-//! older peer, and the server always answers with the version the
-//! request arrived in (see [`read_frame_versioned`] / [`write_frame_v`]).
+//! There is one wire layout, stamped [`PROTO_VERSION`] in every frame
+//! header. A frame stamped with any other version is refused with
+//! [`ProtoError::BadVersion`] before its payload is read — the server
+//! answers that with one `BadRequest` error frame and closes. DESIGN.md
+//! §"Re-base" records what the earlier layouts were and how the next
+//! version is added.
 
 use engine::{Alignment, QueryResult, StageCounts};
 use std::fmt;
@@ -48,20 +31,9 @@ use std::io::{self, Read, Write};
 
 /// Frame magic ("muBLASTP query protocol").
 pub const MAGIC: &[u8; 4] = b"MUBQ";
-/// Newest protocol version this build speaks (and the default for
-/// encoding). v2 added trace ids, optional span traces, and per-stage
-/// latency digests; v3 added per-shard stats rows; v4 added
-/// degraded-result metadata and per-shard failure counts; v5 added
-/// index-attributable memory and block-cache counters to stats; v6 added
-/// the unified-registry stats fields (failures by cause, slow-query /
-/// retry / event counters, cache fetch-and-decode counters, Prometheus
-/// exposition text); v7 added top-k search (requested `k` on Search,
-/// block-pruning counters on Results and Stats).
+/// The protocol version this build speaks: the only one it encodes and
+/// the only one it accepts.
 pub const PROTO_VERSION: u32 = 7;
-/// Oldest protocol version still accepted. Older frames decode with the
-/// newer fields at their defaults (no trace requested, no stage digests,
-/// no shard rows).
-pub const MIN_PROTO_VERSION: u32 = 1;
 /// Upper bound on a single frame's payload (defensive: a corrupt or
 /// hostile length field must not trigger a giant allocation).
 pub const MAX_PAYLOAD: u32 = 256 << 20;
@@ -162,8 +134,7 @@ pub struct ParamOverrides {
     pub max_reported: Option<u32>,
     pub seg_filter: Option<bool>,
     /// Top-k reporting mode: report the best `k` alignments per query,
-    /// letting the engine prune blocks that provably cannot contribute
-    /// (v7+; dropped — exhaustive search — on older wires).
+    /// letting the engine prune blocks that provably cannot contribute.
     pub top_k: Option<u32>,
 }
 
@@ -177,10 +148,9 @@ pub struct SearchRequest {
     pub overrides: ParamOverrides,
     /// Per-request deadline in milliseconds; 0 means none.
     pub deadline_ms: u32,
-    /// Client-proposed trace id; 0 asks the server to assign one
-    /// (v2+; v1 peers always get a server-assigned id).
+    /// Client-proposed trace id; 0 asks the server to assign one.
     pub trace_id: u64,
-    /// Ask the server to return per-stage spans with the results (v2+).
+    /// Ask the server to return per-stage spans with the results.
     /// Honored only when the daemon runs with tracing enabled.
     pub want_trace: bool,
 }
@@ -194,7 +164,7 @@ pub struct QueryReply {
     pub subject_ids: Vec<String>,
 }
 
-/// Degradation metadata on a [`SearchResponse`] (v4+): the request
+/// Degradation metadata on a [`SearchResponse`]: the request
 /// succeeded, but some database shards contributed nothing, so the
 /// answer covers only part of the search space. Surviving-shard
 /// alignments are bit-equal to a fault-free run — E-values were computed
@@ -216,21 +186,18 @@ pub struct Degraded {
 pub struct SearchResponse {
     pub replies: Vec<QueryReply>,
     /// The trace id this request ran under (server-assigned when the
-    /// request carried 0). Always 0 on the v1 wire.
+    /// request carried 0).
     pub trace_id: u64,
     /// Per-stage spans for this request, present when the request set
-    /// `want_trace` and the daemon traces (v2+ only; dropped on v1).
+    /// `want_trace` and the daemon traces.
     pub trace: Option<obsv::Trace>,
-    /// Present when shards dropped out of this search (v4+ only; dropped
-    /// on older wires — old clients see a plain, silently partial
-    /// response, exactly what they'd see from a v3 server).
+    /// Present when shards dropped out of this search.
     pub degraded: Option<Degraded>,
-    /// Index blocks actually fetched and searched for this request
-    /// (v7+ only; decodes as 0 on older wires). 0 for exhaustive
-    /// (non-top-k) searches, which do not count blocks.
+    /// Index blocks actually fetched and searched for this request. 0 for
+    /// exhaustive (non-top-k) searches, which do not count blocks.
     pub blocks_scanned: u64,
     /// Index blocks proven irrelevant by their stored score bound and
-    /// skipped without a fetch (v7+ only; decodes as 0 on older wires).
+    /// skipped without a fetch.
     pub blocks_skipped: u64,
 }
 
@@ -286,20 +253,17 @@ pub struct StatsReport {
     /// Admission to reply.
     pub total: LatencySummary,
     /// Per-pipeline-stage span latency digests, populated when the daemon
-    /// runs with tracing enabled (v2+ only; dropped on the v1 wire).
+    /// runs with tracing enabled.
     pub stages: Vec<StageLatency>,
     /// Per-shard rows, one per database shard in shard order; empty
-    /// unless the daemon serves a sharded index (v3+ only; dropped on
-    /// older wires).
+    /// unless the daemon serves a sharded index.
     pub shards: Vec<ShardStat>,
     /// Requests answered with partial (degraded) results — some shards
-    /// failed but the survivors still produced an answer (v4+ only;
-    /// dropped on older wires).
+    /// failed but the survivors still produced an answer.
     pub degraded: u64,
     /// Bytes of decoded index resident in memory and attributable to the
     /// database: the whole index for a resident daemon, the block cache's
-    /// current residency for an out-of-core one (v5+ only; decodes as 0
-    /// on older wires, like every field below).
+    /// current residency for an out-of-core one.
     pub index_resident_bytes: u64,
     /// Out-of-core block cache byte budget; 0 on a resident daemon.
     pub cache_budget_bytes: u64,
@@ -311,8 +275,7 @@ pub struct StatsReport {
     pub cache_misses: u64,
     /// Blocks evicted to stay under the cache budget.
     pub cache_evictions: u64,
-    /// Shard failures whose cause was injected (v6+ only; this field and
-    /// every field below decodes as 0/empty on older wires).
+    /// Shard failures whose cause was injected.
     pub shard_fail_injected: u64,
     /// Shard failures cancelled by an expired deadline.
     pub shard_fail_deadline: u64,
@@ -339,8 +302,7 @@ pub struct StatsReport {
     /// The daemon's full Prometheus text exposition, rendered from the
     /// same registry the scalar fields above are read from.
     pub metrics_text: String,
-    /// Requests that ran in top-k mode (v7+ only; this field and the two
-    /// below decode as 0 on older wires).
+    /// Requests that ran in top-k mode.
     pub topk_requests: u64,
     /// Index blocks fetched and searched by top-k requests.
     pub topk_blocks_scanned: u64,
@@ -355,7 +317,7 @@ pub struct StageLatency {
     pub latency: LatencySummary,
 }
 
-/// One database shard's health row in a sharded daemon (v3+).
+/// One database shard's health row in a sharded daemon.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStat {
     /// Shard id (position in the shard plan).
@@ -369,8 +331,7 @@ pub struct ShardStat {
     pub queued: LatencySummary,
     /// Per-dispatch search time on this shard.
     pub search: LatencySummary,
-    /// Dispatches in which this shard's task failed or was cancelled
-    /// (v4+ only; decodes as 0 on older wires).
+    /// Dispatches in which this shard's task failed or was cancelled.
     pub failures: u64,
 }
 
@@ -488,7 +449,7 @@ fn put_latency(out: &mut Vec<u8>, l: &LatencySummary) {
     put_u64(out, l.max_us);
 }
 
-/// Span trace, appended to v2 Results payloads. The per-span `trace_id`
+/// Span trace inside a Results payload. The per-span `trace_id`
 /// is *not* serialized — a response carries exactly one trace, so the
 /// decoder restamps every span with the response-level id.
 fn put_trace(out: &mut Vec<u8>, t: &obsv::Trace) {
@@ -517,13 +478,7 @@ fn frame_type(frame: &Frame) -> u8 {
     }
 }
 
-fn encode_payload(frame: &Frame, version: u32) -> Vec<u8> {
-    let v2 = version >= 2;
-    let v3 = version >= 3;
-    let v4 = version >= 4;
-    let v5 = version >= 5;
-    let v6 = version >= 6;
-    let v7 = version >= 7;
+fn encode_payload(frame: &Frame) -> Vec<u8> {
     let mut p = Vec::new();
     match frame {
         Frame::Search(req) => {
@@ -551,18 +506,14 @@ fn encode_payload(frame: &Frame, version: u32) -> Vec<u8> {
                 None => put_u8(&mut p, 0),
             }
             put_u32(&mut p, req.deadline_ms);
-            if v2 {
-                put_u64(&mut p, req.trace_id);
-                put_u8(&mut p, u8::from(req.want_trace));
-            }
-            if v7 {
-                match req.overrides.top_k {
-                    Some(k) => {
-                        put_u8(&mut p, 1);
-                        put_u32(&mut p, k);
-                    }
-                    None => put_u8(&mut p, 0),
+            put_u64(&mut p, req.trace_id);
+            put_u8(&mut p, u8::from(req.want_trace));
+            match req.overrides.top_k {
+                Some(k) => {
+                    put_u8(&mut p, 1);
+                    put_u32(&mut p, k);
                 }
+                None => put_u8(&mut p, 0),
             }
         }
         Frame::Results(resp) => {
@@ -570,34 +521,28 @@ fn encode_payload(frame: &Frame, version: u32) -> Vec<u8> {
             for r in &resp.replies {
                 put_reply(&mut p, r);
             }
-            if v2 {
-                put_u64(&mut p, resp.trace_id);
-                match &resp.trace {
-                    Some(t) => {
-                        put_u8(&mut p, 1);
-                        put_trace(&mut p, t);
-                    }
-                    None => put_u8(&mut p, 0),
+            put_u64(&mut p, resp.trace_id);
+            match &resp.trace {
+                Some(t) => {
+                    put_u8(&mut p, 1);
+                    put_trace(&mut p, t);
                 }
+                None => put_u8(&mut p, 0),
             }
-            if v4 {
-                match &resp.degraded {
-                    Some(d) => {
-                        put_u8(&mut p, 1);
-                        put_u32(&mut p, d.failed_shards.len() as u32);
-                        for &s in &d.failed_shards {
-                            put_u32(&mut p, s);
-                        }
-                        put_u64(&mut p, d.coverage_residues);
-                        put_u64(&mut p, d.total_residues);
+            match &resp.degraded {
+                Some(d) => {
+                    put_u8(&mut p, 1);
+                    put_u32(&mut p, d.failed_shards.len() as u32);
+                    for &s in &d.failed_shards {
+                        put_u32(&mut p, s);
                     }
-                    None => put_u8(&mut p, 0),
+                    put_u64(&mut p, d.coverage_residues);
+                    put_u64(&mut p, d.total_residues);
                 }
+                None => put_u8(&mut p, 0),
             }
-            if v7 {
-                put_u64(&mut p, resp.blocks_scanned);
-                put_u64(&mut p, resp.blocks_skipped);
-            }
+            put_u64(&mut p, resp.blocks_scanned);
+            put_u64(&mut p, resp.blocks_skipped);
         }
         Frame::Error(e) => {
             put_u16(&mut p, e.code.to_wire());
@@ -621,91 +566,65 @@ fn encode_payload(frame: &Frame, version: u32) -> Vec<u8> {
             put_latency(&mut p, &s.queue_wait);
             put_latency(&mut p, &s.search);
             put_latency(&mut p, &s.total);
-            if v2 {
-                put_u32(&mut p, s.stages.len() as u32);
-                for sl in &s.stages {
-                    put_u8(&mut p, sl.stage.code());
-                    put_latency(&mut p, &sl.latency);
-                }
+            put_u32(&mut p, s.stages.len() as u32);
+            for sl in &s.stages {
+                put_u8(&mut p, sl.stage.code());
+                put_latency(&mut p, &sl.latency);
             }
-            if v3 {
-                put_u32(&mut p, s.shards.len() as u32);
-                for sh in &s.shards {
-                    put_u32(&mut p, sh.shard);
-                    put_u64(&mut p, sh.seqs);
-                    put_u64(&mut p, sh.residues);
-                    put_latency(&mut p, &sh.queued);
-                    put_latency(&mut p, &sh.search);
-                    if v4 {
-                        put_u64(&mut p, sh.failures);
-                    }
-                }
+            put_u32(&mut p, s.shards.len() as u32);
+            for sh in &s.shards {
+                put_u32(&mut p, sh.shard);
+                put_u64(&mut p, sh.seqs);
+                put_u64(&mut p, sh.residues);
+                put_latency(&mut p, &sh.queued);
+                put_latency(&mut p, &sh.search);
+                put_u64(&mut p, sh.failures);
             }
-            if v4 {
-                put_u64(&mut p, s.degraded);
-            }
-            if v5 {
-                put_u64(&mut p, s.index_resident_bytes);
-                put_u64(&mut p, s.cache_budget_bytes);
-                put_u64(&mut p, s.cache_used_bytes);
-                put_u64(&mut p, s.cache_hits);
-                put_u64(&mut p, s.cache_misses);
-                put_u64(&mut p, s.cache_evictions);
-            }
-            if v6 {
-                put_u64(&mut p, s.shard_fail_injected);
-                put_u64(&mut p, s.shard_fail_deadline);
-                put_u64(&mut p, s.shard_fail_storage);
-                put_u64(&mut p, s.slow_queries);
-                put_u64(&mut p, s.retry_attempts);
-                put_u64(&mut p, s.retry_exhausted);
-                put_u64(&mut p, s.events_logged);
-                put_u64(&mut p, s.events_dropped);
-                put_u64(&mut p, s.cache_fetched_blocks);
-                put_u64(&mut p, s.cache_fetched_bytes);
-                put_u64(&mut p, s.cache_decode_ns);
-                put_u64(&mut p, s.cache_decoded_postings);
-                put_str(&mut p, &s.metrics_text);
-            }
-            if v7 {
-                put_u64(&mut p, s.topk_requests);
-                put_u64(&mut p, s.topk_blocks_scanned);
-                put_u64(&mut p, s.topk_blocks_skipped);
-            }
+            put_u64(&mut p, s.degraded);
+            put_u64(&mut p, s.index_resident_bytes);
+            put_u64(&mut p, s.cache_budget_bytes);
+            put_u64(&mut p, s.cache_used_bytes);
+            put_u64(&mut p, s.cache_hits);
+            put_u64(&mut p, s.cache_misses);
+            put_u64(&mut p, s.cache_evictions);
+            put_u64(&mut p, s.shard_fail_injected);
+            put_u64(&mut p, s.shard_fail_deadline);
+            put_u64(&mut p, s.shard_fail_storage);
+            put_u64(&mut p, s.slow_queries);
+            put_u64(&mut p, s.retry_attempts);
+            put_u64(&mut p, s.retry_exhausted);
+            put_u64(&mut p, s.events_logged);
+            put_u64(&mut p, s.events_dropped);
+            put_u64(&mut p, s.cache_fetched_blocks);
+            put_u64(&mut p, s.cache_fetched_bytes);
+            put_u64(&mut p, s.cache_decode_ns);
+            put_u64(&mut p, s.cache_decoded_postings);
+            put_str(&mut p, &s.metrics_text);
+            put_u64(&mut p, s.topk_requests);
+            put_u64(&mut p, s.topk_blocks_scanned);
+            put_u64(&mut p, s.topk_blocks_skipped);
         }
     }
     p
 }
 
-/// Encode a frame to bytes (header + payload) at a specific protocol
-/// version. Fields a v1 peer does not understand are omitted.
-pub fn encode_frame_v(frame: &Frame, version: u32) -> Vec<u8> {
-    let payload = encode_payload(frame, version);
+/// Encode a frame to bytes (header + payload).
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let payload = encode_payload(frame);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, version);
+    put_u32(&mut out, PROTO_VERSION);
     put_u8(&mut out, frame_type(frame));
     put_u32(&mut out, payload.len() as u32);
     out.extend_from_slice(&payload);
     out
 }
 
-/// Encode a frame at the current [`PROTO_VERSION`].
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_frame_v(frame, PROTO_VERSION)
-}
-
-/// Write one frame to a stream at a specific version and flush it. The
-/// server uses this to answer every request in the version it arrived in.
-pub fn write_frame_v<W: Write>(w: &mut W, frame: &Frame, version: u32) -> Result<(), ProtoError> {
-    w.write_all(&encode_frame_v(frame, version))?;
+/// Write one frame to a stream and flush it.
+pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
+    w.write_all(&encode_frame(frame))?;
     w.flush()?;
     Ok(())
-}
-
-/// Write one frame to a stream at the current [`PROTO_VERSION`].
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
-    write_frame_v(w, frame, PROTO_VERSION)
 }
 
 // ---------------------------------------------------------------------
@@ -808,11 +727,27 @@ fn get_alignment(data: &mut &[u8]) -> Result<(Alignment, String), ProtoError> {
     ))
 }
 
+/// Decode a `u32`-counted list. Pre-allocation is capped by what the
+/// remaining payload could possibly hold (`wire_size` = the smallest
+/// encoding of one item), never by the decoded count alone.
+fn read_list<T>(
+    data: &mut &[u8],
+    wire_size: usize,
+    mut item: impl FnMut(&mut &[u8]) -> Result<T, ProtoError>,
+) -> Result<Vec<T>, ProtoError> {
+    let n = get_u32(data)? as usize;
+    let mut out = Vec::with_capacity(n.min(data.len() / wire_size + 1));
+    for _ in 0..n {
+        out.push(item(data)?);
+    }
+    Ok(out)
+}
+
 fn get_reply(data: &mut &[u8]) -> Result<QueryReply, ProtoError> {
     let query_index = get_u32(data)? as usize;
     let counts = get_counts(data)?;
     let n = get_u32(data)? as usize;
-    // Cap pre-allocation by what the remaining payload could possibly hold.
+    // Same cap as `read_list`; two parallel vectors, so not a `read_list`.
     let mut alignments = Vec::with_capacity(n.min(data.len() / 41 + 1));
     let mut subject_ids = Vec::with_capacity(alignments.capacity());
     for _ in 0..n {
@@ -839,37 +774,29 @@ fn get_latency(data: &mut &[u8]) -> Result<LatencySummary, ProtoError> {
     })
 }
 
-/// Span trace as appended to v2 Results payloads; spans are restamped
-/// with `trace_id` (the response-level id) since it is not on the wire.
+/// Span trace inside a Results payload; spans are restamped with
+/// `trace_id` (the response-level id) since it is not on the wire.
 fn get_trace(data: &mut &[u8], trace_id: u64) -> Result<obsv::Trace, ProtoError> {
     let dropped = get_u64(data)?;
-    let n = get_u32(data)? as usize;
-    // Each span is 37 bytes on the wire; cap pre-allocation accordingly.
-    let mut spans = Vec::with_capacity(n.min(data.len() / 37 + 1));
-    for _ in 0..n {
-        let stage = obsv::Stage::from_code(get_u8(data)?)
-            .ok_or(ProtoError::Malformed("unknown stage code"))?;
-        spans.push(obsv::SpanRecord {
+    let spans = read_list(data, 37, |data| {
+        Ok(obsv::SpanRecord {
             trace_id,
-            stage,
+            stage: obsv::Stage::from_code(get_u8(data)?)
+                .ok_or(ProtoError::Malformed("unknown stage code"))?,
             query: get_u32(data)?,
             block: get_u32(data)?,
             worker: get_u32(data)?,
             seq: get_u64(data)?,
             start_ns: get_u64(data)?,
             dur_ns: get_u64(data)?,
-        });
-    }
+        })
+    })?;
     Ok(obsv::Trace { spans, dropped })
 }
 
-fn decode_payload(frame_type: u8, mut p: &[u8], version: u32) -> Result<Frame, ProtoError> {
-    let v2 = version >= 2;
-    let v3 = version >= 3;
-    let v4 = version >= 4;
-    let v5 = version >= 5;
-    let v6 = version >= 6;
-    let v7 = version >= 7;
+// Struct-literal fields are evaluated in source order, so each literal
+// below reads its fields in exactly the order `encode_payload` wrote them.
+fn decode_payload(frame_type: u8, mut p: &[u8]) -> Result<Frame, ProtoError> {
     let data = &mut p;
     let frame = match frame_type {
         1 => {
@@ -891,12 +818,9 @@ fn decode_payload(frame_type: u8, mut p: &[u8], version: u32) -> Result<Frame, P
                 None
             };
             let deadline_ms = get_u32(data)?;
-            let (trace_id, want_trace) = if v2 {
-                (get_u64(data)?, get_u8(data)? != 0)
-            } else {
-                (0, false)
-            };
-            let top_k = if v7 && get_u8(data)? != 0 {
+            let trace_id = get_u64(data)?;
+            let want_trace = get_u8(data)? != 0;
+            let top_k = if get_u8(data)? != 0 {
                 Some(get_u32(data)?)
             } else {
                 None
@@ -916,48 +840,29 @@ fn decode_payload(frame_type: u8, mut p: &[u8], version: u32) -> Result<Frame, P
             })
         }
         2 => {
-            let n = get_u32(data)? as usize;
-            let mut replies = Vec::with_capacity(n.min(data.len() / 53 + 1));
-            for _ in 0..n {
-                replies.push(get_reply(data)?);
-            }
-            let (trace_id, trace) = if v2 {
-                let trace_id = get_u64(data)?;
-                let trace = if get_u8(data)? != 0 {
-                    Some(get_trace(data, trace_id)?)
-                } else {
-                    None
-                };
-                (trace_id, trace)
+            let replies = read_list(data, 53, get_reply)?;
+            let trace_id = get_u64(data)?;
+            let trace = if get_u8(data)? != 0 {
+                Some(get_trace(data, trace_id)?)
             } else {
-                (0, None)
+                None
             };
-            let degraded = if v4 && get_u8(data)? != 0 {
-                let n = get_u32(data)? as usize;
-                let mut failed_shards = Vec::with_capacity(n.min(data.len() / 4 + 1));
-                for _ in 0..n {
-                    failed_shards.push(get_u32(data)?);
-                }
+            let degraded = if get_u8(data)? != 0 {
                 Some(Degraded {
-                    failed_shards,
+                    failed_shards: read_list(data, 4, get_u32)?,
                     coverage_residues: get_u64(data)?,
                     total_residues: get_u64(data)?,
                 })
             } else {
                 None
             };
-            let (blocks_scanned, blocks_skipped) = if v7 {
-                (get_u64(data)?, get_u64(data)?)
-            } else {
-                (0, 0)
-            };
             Frame::Results(SearchResponse {
                 replies,
                 trace_id,
                 trace,
                 degraded,
-                blocks_scanned,
-                blocks_skipped,
+                blocks_scanned: get_u64(data)?,
+                blocks_skipped: get_u64(data)?,
             })
         }
         3 => {
@@ -971,131 +876,60 @@ fn decode_payload(frame_type: u8, mut p: &[u8], version: u32) -> Result<Frame, P
             })
         }
         4 => Frame::StatsRequest,
-        5 => {
-            let queue_depth = get_u32(data)?;
-            let queue_cap = get_u32(data)?;
-            let max_depth_seen = get_u32(data)?;
-            let accepted = get_u64(data)?;
-            let rejected = get_u64(data)?;
-            let expired = get_u64(data)?;
-            let completed = get_u64(data)?;
-            let batches = get_u64(data)?;
-            let n = get_u32(data)? as usize;
-            let mut batch_hist = Vec::with_capacity(n.min(data.len() / 8 + 1));
-            for _ in 0..n {
-                batch_hist.push(get_u64(data)?);
-            }
-            let queue_wait = get_latency(data)?;
-            let search = get_latency(data)?;
-            let total = get_latency(data)?;
-            let stages = if v2 {
-                let n = get_u32(data)? as usize;
-                let mut stages = Vec::with_capacity(n.min(data.len() / 33 + 1));
-                for _ in 0..n {
-                    let stage = obsv::Stage::from_code(get_u8(data)?)
-                        .ok_or(ProtoError::Malformed("unknown stage code"))?;
-                    stages.push(StageLatency {
-                        stage,
-                        latency: get_latency(data)?,
-                    });
-                }
-                stages
-            } else {
-                Vec::new()
-            };
-            let shards = if v3 {
-                let n = get_u32(data)? as usize;
-                // Each shard row is 84 bytes (92 on v4); cap pre-allocation.
-                let mut shards = Vec::with_capacity(n.min(data.len() / 84 + 1));
-                for _ in 0..n {
-                    shards.push(ShardStat {
-                        shard: get_u32(data)?,
-                        seqs: get_u64(data)?,
-                        residues: get_u64(data)?,
-                        queued: get_latency(data)?,
-                        search: get_latency(data)?,
-                        failures: if v4 { get_u64(data)? } else { 0 },
-                    });
-                }
-                shards
-            } else {
-                Vec::new()
-            };
-            let degraded = if v4 { get_u64(data)? } else { 0 };
-            let (
-                index_resident_bytes,
-                cache_budget_bytes,
-                cache_used_bytes,
-                cache_hits,
-                cache_misses,
-                cache_evictions,
-            ) = if v5 {
-                (
-                    get_u64(data)?,
-                    get_u64(data)?,
-                    get_u64(data)?,
-                    get_u64(data)?,
-                    get_u64(data)?,
-                    get_u64(data)?,
-                )
-            } else {
-                (0, 0, 0, 0, 0, 0)
-            };
-            let mut v6_counters = [0u64; 12];
-            let mut metrics_text = String::new();
-            if v6 {
-                for c in &mut v6_counters {
-                    *c = get_u64(data)?;
-                }
-                metrics_text = get_str(data)?;
-            }
-            let (topk_requests, topk_blocks_scanned, topk_blocks_skipped) = if v7 {
-                (get_u64(data)?, get_u64(data)?, get_u64(data)?)
-            } else {
-                (0, 0, 0)
-            };
-            let [shard_fail_injected, shard_fail_deadline, shard_fail_storage, slow_queries, retry_attempts, retry_exhausted, events_logged, events_dropped, cache_fetched_blocks, cache_fetched_bytes, cache_decode_ns, cache_decoded_postings] =
-                v6_counters;
-            Frame::Stats(Box::new(StatsReport {
-                queue_depth,
-                queue_cap,
-                max_depth_seen,
-                accepted,
-                rejected,
-                expired,
-                completed,
-                batches,
-                batch_hist,
-                queue_wait,
-                search,
-                total,
-                stages,
-                shards,
-                degraded,
-                index_resident_bytes,
-                cache_budget_bytes,
-                cache_used_bytes,
-                cache_hits,
-                cache_misses,
-                cache_evictions,
-                shard_fail_injected,
-                shard_fail_deadline,
-                shard_fail_storage,
-                slow_queries,
-                retry_attempts,
-                retry_exhausted,
-                events_logged,
-                events_dropped,
-                cache_fetched_blocks,
-                cache_fetched_bytes,
-                cache_decode_ns,
-                cache_decoded_postings,
-                metrics_text,
-                topk_requests,
-                topk_blocks_scanned,
-                topk_blocks_skipped,
-            }))
-        }
+        5 => Frame::Stats(Box::new(StatsReport {
+            queue_depth: get_u32(data)?,
+            queue_cap: get_u32(data)?,
+            max_depth_seen: get_u32(data)?,
+            accepted: get_u64(data)?,
+            rejected: get_u64(data)?,
+            expired: get_u64(data)?,
+            completed: get_u64(data)?,
+            batches: get_u64(data)?,
+            batch_hist: read_list(data, 8, get_u64)?,
+            queue_wait: get_latency(data)?,
+            search: get_latency(data)?,
+            total: get_latency(data)?,
+            stages: read_list(data, 33, |data| {
+                Ok(StageLatency {
+                    stage: obsv::Stage::from_code(get_u8(data)?)
+                        .ok_or(ProtoError::Malformed("unknown stage code"))?,
+                    latency: get_latency(data)?,
+                })
+            })?,
+            shards: read_list(data, 92, |data| {
+                Ok(ShardStat {
+                    shard: get_u32(data)?,
+                    seqs: get_u64(data)?,
+                    residues: get_u64(data)?,
+                    queued: get_latency(data)?,
+                    search: get_latency(data)?,
+                    failures: get_u64(data)?,
+                })
+            })?,
+            degraded: get_u64(data)?,
+            index_resident_bytes: get_u64(data)?,
+            cache_budget_bytes: get_u64(data)?,
+            cache_used_bytes: get_u64(data)?,
+            cache_hits: get_u64(data)?,
+            cache_misses: get_u64(data)?,
+            cache_evictions: get_u64(data)?,
+            shard_fail_injected: get_u64(data)?,
+            shard_fail_deadline: get_u64(data)?,
+            shard_fail_storage: get_u64(data)?,
+            slow_queries: get_u64(data)?,
+            retry_attempts: get_u64(data)?,
+            retry_exhausted: get_u64(data)?,
+            events_logged: get_u64(data)?,
+            events_dropped: get_u64(data)?,
+            cache_fetched_blocks: get_u64(data)?,
+            cache_fetched_bytes: get_u64(data)?,
+            cache_decode_ns: get_u64(data)?,
+            cache_decoded_postings: get_u64(data)?,
+            metrics_text: get_str(data)?,
+            topk_requests: get_u64(data)?,
+            topk_blocks_scanned: get_u64(data)?,
+            topk_blocks_skipped: get_u64(data)?,
+        })),
         6 => Frame::Shutdown,
         7 => Frame::ShutdownAck,
         other => return Err(ProtoError::UnknownFrame(other)),
@@ -1106,20 +940,19 @@ fn decode_payload(frame_type: u8, mut p: &[u8], version: u32) -> Result<Frame, P
     Ok(frame)
 }
 
-/// Read one frame from a stream, returning the protocol version it was
-/// encoded at (any of `MIN_PROTO_VERSION..=PROTO_VERSION`). The server
-/// echoes this version when replying so old clients keep working.
+/// Read one frame from a stream. A header stamped with any version other
+/// than [`PROTO_VERSION`] is refused before its payload is read.
 ///
 /// A clean close at a frame boundary surfaces as
 /// `ProtoError::Io(ErrorKind::UnexpectedEof)`.
-pub fn read_frame_versioned<R: Read>(r: &mut R) -> Result<(Frame, u32), ProtoError> {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     if &header[..4] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
     let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(ProtoError::BadVersion(version));
     }
     let frame_type = header[8];
@@ -1129,12 +962,7 @@ pub fn read_frame_versioned<R: Read>(r: &mut R) -> Result<(Frame, u32), ProtoErr
     }
     let mut payload = vec![0u8; payload_len as usize];
     r.read_exact(&mut payload)?;
-    decode_payload(frame_type, &payload, version).map(|f| (f, version))
-}
-
-/// Read one frame from a stream (version discarded).
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
-    read_frame_versioned(r).map(|(f, _)| f)
+    decode_payload(frame_type, &payload)
 }
 
 /// Decode one frame from a byte slice (must contain exactly one frame).
@@ -1205,99 +1033,49 @@ mod tests {
     }
 
     #[test]
-    fn v2_results_roundtrip_the_trace() {
+    fn results_roundtrip_trace_degradation_and_pruning_counters() {
         let f = Frame::Results(SearchResponse {
             trace_id: 77,
             trace: Some(sample_trace(77)),
+            degraded: Some(Degraded {
+                failed_shards: vec![1, 3],
+                coverage_residues: 700,
+                total_residues: 1000,
+            }),
+            blocks_scanned: 12,
+            blocks_skipped: 30,
             ..SearchResponse::untraced(Vec::new())
         });
         assert_eq!(decode_frame(&encode_frame(&f)), Ok(f));
     }
 
     #[test]
-    fn v1_encoding_drops_v2_fields_and_decodes_with_defaults() {
-        // A v2-rich request encoded for a v1 peer loses only the v2 fields.
-        let req = SearchRequest {
-            fasta: ">q\nMKV\n".to_string(),
-            engine: engine::EngineKind::QueryIndexed,
-            overrides: ParamOverrides::default(),
-            deadline_ms: 9,
-            trace_id: 1234,
-            want_trace: true,
+    fn stats_roundtrip_with_every_section_populated() {
+        let lat = |count| LatencySummary {
+            count,
+            p50_us: 7,
+            p99_us: 20,
+            max_us: 21,
         };
-        let bytes = encode_frame_v(&Frame::Search(req.clone()), 1);
-        match decode_frame(&bytes) {
-            Ok(Frame::Search(got)) => {
-                assert_eq!(got.trace_id, 0, "v1 wire carries no trace id");
-                assert!(!got.want_trace);
-                assert_eq!(got.fasta, req.fasta);
-                assert_eq!(got.deadline_ms, req.deadline_ms);
-            }
-            other => panic!("expected Search, got {other:?}"),
-        }
-        // Same for a traced response.
-        let resp = Frame::Results(SearchResponse {
-            trace_id: 42,
-            trace: Some(sample_trace(42)),
-            ..SearchResponse::untraced(Vec::new())
-        });
-        match decode_frame(&encode_frame_v(&resp, 1)) {
-            Ok(Frame::Results(got)) => {
-                assert_eq!(got.trace_id, 0);
-                assert!(got.trace.is_none());
-            }
-            other => panic!("expected Results, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stats_stage_digests_survive_v2_and_vanish_on_v1() {
         let report = StatsReport {
+            batch_hist: vec![3, 0, 1],
             stages: vec![
                 StageLatency {
                     stage: obsv::Stage::Seed,
-                    latency: LatencySummary {
-                        count: 4,
-                        p50_us: 7,
-                        p99_us: 20,
-                        max_us: 21,
-                    },
+                    latency: lat(4),
                 },
                 StageLatency {
                     stage: obsv::Stage::Gapped,
                     latency: LatencySummary::default(),
                 },
             ],
-            ..StatsReport::default()
-        };
-        let f = Frame::Stats(Box::new(report.clone()));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 1)) {
-            Ok(Frame::Stats(got)) => assert!(got.stages.is_empty()),
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stats_shard_rows_survive_v3_and_vanish_on_older_wires() {
-        let report = StatsReport {
             shards: vec![
                 ShardStat {
                     shard: 0,
                     seqs: 10,
                     residues: 1234,
-                    queued: LatencySummary {
-                        count: 3,
-                        p50_us: 1,
-                        p99_us: 9,
-                        max_us: 11,
-                    },
-                    search: LatencySummary {
-                        count: 3,
-                        p50_us: 400,
-                        p99_us: 900,
-                        max_us: 950,
-                    },
+                    queued: lat(3),
+                    search: lat(3),
                     failures: 2,
                 },
                 ShardStat {
@@ -1307,97 +1085,13 @@ mod tests {
                     ..ShardStat::default()
                 },
             ],
-            ..StatsReport::default()
-        };
-        let f = Frame::Stats(Box::new(report));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        // A v2 or v1 peer never sees the rows — append-only versioning.
-        for v in [1, 2] {
-            match decode_frame(&encode_frame_v(&f, v)) {
-                Ok(Frame::Stats(got)) => assert!(got.shards.is_empty(), "version {v}"),
-                other => panic!("expected Stats, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn v4_degraded_metadata_roundtrips_and_vanishes_on_v3() {
-        let f = Frame::Results(SearchResponse {
-            trace_id: 9,
-            degraded: Some(Degraded {
-                failed_shards: vec![1, 3],
-                coverage_residues: 700,
-                total_residues: 1000,
-            }),
-            ..SearchResponse::untraced(Vec::new())
-        });
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        // Older peers never see the block — append-only versioning: a v3
-        // client of a degraded v4 server gets a plain partial response.
-        for v in [1, 2, 3] {
-            match decode_frame(&encode_frame_v(&f, v)) {
-                Ok(Frame::Results(got)) => {
-                    assert!(got.degraded.is_none(), "version {v}")
-                }
-                other => panic!("expected Results, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn v4_stats_failures_roundtrip_and_vanish_on_v3() {
-        let report = StatsReport {
             degraded: 5,
-            shards: vec![
-                ShardStat { shard: 0, seqs: 4, residues: 400, failures: 2, ..ShardStat::default() },
-                ShardStat { shard: 1, seqs: 4, residues: 390, ..ShardStat::default() },
-            ],
-            ..StatsReport::default()
-        };
-        let f = Frame::Stats(Box::new(report));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 3)) {
-            Ok(Frame::Stats(got)) => {
-                assert_eq!(got.degraded, 0, "v3 wire carries no degraded counter");
-                assert_eq!(got.shards.len(), 2, "v3 still carries the rows");
-                assert!(got.shards.iter().all(|s| s.failures == 0));
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v5_stats_memory_roundtrips_and_vanishes_on_v4() {
-        let report = StatsReport {
-            degraded: 1,
             index_resident_bytes: 4096,
             cache_budget_bytes: 1 << 20,
             cache_used_bytes: 900,
             cache_hits: 17,
             cache_misses: 5,
             cache_evictions: 3,
-            ..StatsReport::default()
-        };
-        let f = Frame::Stats(Box::new(report));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 4)) {
-            Ok(Frame::Stats(got)) => {
-                assert_eq!(got.degraded, 1, "v4 field survives a v4 wire");
-                assert_eq!(got.index_resident_bytes, 0, "v4 wire carries no memory stats");
-                assert_eq!(got.cache_budget_bytes, 0);
-                assert_eq!(got.cache_used_bytes, 0);
-                assert_eq!(got.cache_hits, 0);
-                assert_eq!(got.cache_misses, 0);
-                assert_eq!(got.cache_evictions, 0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v6_stats_registry_fields_roundtrip_and_vanish_on_v5() {
-        let report = StatsReport {
-            cache_hits: 17,
             shard_fail_injected: 2,
             shard_fail_deadline: 1,
             shard_fail_storage: 4,
@@ -1412,95 +1106,13 @@ mod tests {
             cache_decoded_postings: 640,
             metrics_text: "# TYPE serve_batcher_accepted counter\nserve_batcher_accepted 2\n"
                 .to_string(),
-            ..StatsReport::default()
-        };
-        let f = Frame::Stats(Box::new(report));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 5)) {
-            Ok(Frame::Stats(got)) => {
-                assert_eq!(got.cache_hits, 17, "v5 field survives a v5 wire");
-                assert_eq!(got.shard_fail_injected, 0, "v5 wire carries no registry stats");
-                assert_eq!(got.shard_fail_deadline, 0);
-                assert_eq!(got.shard_fail_storage, 0);
-                assert_eq!(got.slow_queries, 0);
-                assert_eq!(got.retry_attempts, 0);
-                assert_eq!(got.retry_exhausted, 0);
-                assert_eq!(got.events_logged, 0);
-                assert_eq!(got.events_dropped, 0);
-                assert_eq!(got.cache_fetched_blocks, 0);
-                assert_eq!(got.cache_fetched_bytes, 0);
-                assert_eq!(got.cache_decode_ns, 0);
-                assert_eq!(got.cache_decoded_postings, 0);
-                assert!(got.metrics_text.is_empty());
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v7_top_k_roundtrips_and_vanishes_on_v6() {
-        let req = SearchRequest {
-            fasta: ">q\nMKVLAW\n".to_string(),
-            engine: engine::EngineKind::MuBlastp,
-            overrides: ParamOverrides {
-                top_k: Some(25),
-                ..ParamOverrides::default()
-            },
-            deadline_ms: 0,
-            trace_id: 0,
-            want_trace: false,
-        };
-        let f = Frame::Search(req);
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        // A v6 peer never sees the k — the request decodes as exhaustive.
-        match decode_frame(&encode_frame_v(&f, 6)) {
-            Ok(Frame::Search(got)) => {
-                assert_eq!(got.overrides.top_k, None, "v6 wire carries no top-k");
-                assert_eq!(got.fasta, ">q\nMKVLAW\n");
-            }
-            other => panic!("expected Search, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v7_pruning_counters_roundtrip_and_vanish_on_v6() {
-        let f = Frame::Results(SearchResponse {
-            trace_id: 3,
-            blocks_scanned: 12,
-            blocks_skipped: 30,
-            ..SearchResponse::untraced(Vec::new())
-        });
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 6)) {
-            Ok(Frame::Results(got)) => {
-                assert_eq!(got.blocks_scanned, 0, "v6 wire carries no pruning counters");
-                assert_eq!(got.blocks_skipped, 0);
-                assert_eq!(got.trace_id, 3, "v2 field still survives");
-            }
-            other => panic!("expected Results, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v7_stats_topk_counters_roundtrip_and_vanish_on_v6() {
-        let report = StatsReport {
-            cache_hits: 17,
             topk_requests: 4,
             topk_blocks_scanned: 40,
             topk_blocks_skipped: 160,
             ..StatsReport::default()
         };
         let f = Frame::Stats(Box::new(report));
-        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f.clone()));
-        match decode_frame(&encode_frame_v(&f, 6)) {
-            Ok(Frame::Stats(got)) => {
-                assert_eq!(got.cache_hits, 17, "v6 field survives a v6 wire");
-                assert_eq!(got.topk_requests, 0, "v6 wire carries no top-k stats");
-                assert_eq!(got.topk_blocks_scanned, 0);
-                assert_eq!(got.topk_blocks_skipped, 0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
+        assert_eq!(decode_frame(&encode_frame(&f)), Ok(f));
     }
 
     #[test]
@@ -1532,28 +1144,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_and_version() {
+    fn bad_magic_and_every_other_version_are_refused() {
         let mut bytes = encode_frame(&Frame::StatsRequest);
         bytes[0] = b'X';
         assert_eq!(decode_frame(&bytes), Err(ProtoError::BadMagic));
-        let mut bytes = encode_frame(&Frame::StatsRequest);
-        bytes[4] = 9;
-        assert_eq!(decode_frame(&bytes), Err(ProtoError::BadVersion(9)));
-        // Version 0 predates MIN_PROTO_VERSION and is rejected too.
-        let mut bytes = encode_frame(&Frame::StatsRequest);
-        bytes[4] = 0;
-        assert_eq!(decode_frame(&bytes), Err(ProtoError::BadVersion(0)));
-    }
-
-    #[test]
-    fn both_supported_versions_are_accepted() {
-        for v in MIN_PROTO_VERSION..=PROTO_VERSION {
-            let bytes = encode_frame_v(&Frame::StatsRequest, v);
-            let mut cursor = &bytes[..];
-            assert_eq!(
-                read_frame_versioned(&mut cursor),
-                Ok((Frame::StatsRequest, v))
-            );
+        // The retired layouts (1–6), the next one, and nonsense alike.
+        for v in [0, 1, 2, 3, 4, 5, 6, 8, 9, u32::MAX] {
+            let mut bytes = encode_frame(&Frame::StatsRequest);
+            bytes[4..8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(decode_frame(&bytes), Err(ProtoError::BadVersion(v)));
         }
     }
 

@@ -8,8 +8,8 @@
 
 use crate::batcher::{BatchOptions, Batcher, SearchContext, SubmitError};
 use crate::proto::{
-    read_frame_versioned, write_frame_v, ErrorCode, Frame, ProtoError, QueryReply, SearchRequest,
-    SearchResponse, StatsReport, WireError, PROTO_VERSION,
+    read_frame, write_frame, ErrorCode, Frame, ProtoError, QueryReply, SearchRequest,
+    SearchResponse, StatsReport, WireError,
 };
 use crate::stats::ServeStats;
 use crate::transport::Transport;
@@ -146,6 +146,14 @@ pub fn serve_with_stats<T: Transport>(
     }
 }
 
+fn bad_request(message: String) -> Frame {
+    Frame::Error(WireError {
+        code: ErrorCode::BadRequest,
+        message,
+        retry_after_ms: 0,
+    })
+}
+
 /// Serve one client: a loop of request frames, each answered with
 /// exactly one response frame. Transport errors end the connection;
 /// protocol errors are answered with a `BadRequest` and end it too (a
@@ -158,21 +166,12 @@ fn handle_connection<C: Read + Write>(
     stop: &AtomicBool,
 ) {
     loop {
-        // Every reply is encoded at the version the request arrived in,
-        // so a v1 client never sees v2 fields it cannot parse.
-        let (frame, version) = match read_frame_versioned(&mut conn) {
-            Ok(pair) => pair,
+        let frame = match read_frame(&mut conn) {
+            Ok(frame) => frame,
             Err(ProtoError::Io(_)) => return, // peer closed or transport died
             Err(e) => {
-                let _ = write_frame_v(
-                    &mut conn,
-                    &Frame::Error(WireError {
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                        retry_after_ms: 0,
-                    }),
-                    PROTO_VERSION,
-                );
+                // Includes a frame stamped with any version but ours.
+                let _ = write_frame(&mut conn, &bad_request(e.to_string()));
                 return;
             }
         };
@@ -186,23 +185,16 @@ fn handle_connection<C: Read + Write>(
                 // client the queue has been fully answered.
                 stop.store(true, Ordering::SeqCst);
                 batcher.shutdown();
-                let _ = write_frame_v(&mut conn, &Frame::ShutdownAck, version);
+                let _ = write_frame(&mut conn, &Frame::ShutdownAck);
                 return;
             }
             _ => {
-                let _ = write_frame_v(
-                    &mut conn,
-                    &Frame::Error(WireError {
-                        code: ErrorCode::BadRequest,
-                        message: "unexpected frame type from client".to_string(),
-                        retry_after_ms: 0,
-                    }),
-                    version,
-                );
+                let reply = bad_request("unexpected frame type from client".to_string());
+                let _ = write_frame(&mut conn, &reply);
                 return;
             }
         };
-        if write_frame_v(&mut conn, &reply, version).is_err() {
+        if write_frame(&mut conn, &reply).is_err() {
             return;
         }
     }
@@ -211,20 +203,10 @@ fn handle_connection<C: Read + Write>(
 fn handle_search(req: SearchRequest, ctx: &SearchContext, batcher: &Batcher) -> Frame {
     let queries = match bioseq::read_fasta(req.fasta.as_bytes()) {
         Ok(queries) => queries,
-        Err(e) => {
-            return Frame::Error(WireError {
-                code: ErrorCode::BadRequest,
-                message: format!("FASTA parse error: {e}"),
-                retry_after_ms: 0,
-            })
-        }
+        Err(e) => return bad_request(format!("FASTA parse error: {e}")),
     };
     if queries.is_empty() {
-        return Frame::Error(WireError {
-            code: ErrorCode::BadRequest,
-            message: "request contains no FASTA records".to_string(),
-            retry_after_ms: 0,
-        });
+        return bad_request("request contains no FASTA records".to_string());
     }
     let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
     let (rx, _trace_id) = match batcher.submit_traced(

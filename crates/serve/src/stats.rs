@@ -216,7 +216,7 @@ impl ServeStats {
 
     /// Declare how many bytes of decoded index stay resident for the
     /// daemon's lifetime. Called once at startup by resident daemons;
-    /// reported as `index_resident_bytes` on v5+ stats frames.
+    /// reported as `index_resident_bytes` on the stats frame.
     pub fn set_index_memory(&self, bytes: u64) {
         self.index_pinned.set(bytes);
     }
@@ -224,7 +224,7 @@ impl ServeStats {
     /// Attach the out-of-core block cache. Its live counters are bound
     /// into the registry (`blockstore.cache.*`) and every snapshot
     /// thereafter reads the cache's budget, residency, and
-    /// hit/miss/eviction counters into the v5+ stats fields.
+    /// hit/miss/eviction counters into the stats frame's cache fields.
     pub fn set_block_cache(&self, cache: Arc<blockstore::BlockCache>) {
         cache.bind_metrics(&self.registry);
         lock(&self.meta).block_cache = Some(cache);
@@ -612,7 +612,7 @@ mod tests {
         assert!(text.contains("serve_batcher_rejected 1"));
         assert!(text.contains("serve_batcher_slow_queries 1"));
         assert!(text.contains("serve_latency_total_count 1"));
-        // The v6 frame carries the very same exposition text.
+        // The stats frame carries the very same exposition text.
         assert_eq!(report.metrics_text, text);
     }
 }

@@ -361,7 +361,7 @@ fn different_overrides_are_honored_per_request() {
     handle.shutdown();
 }
 
-/// The v7 top-k path end-to-end: a `--top-k K` request answers with rows
+/// The top-k path end-to-end: a `--top-k K` request answers with rows
 /// bit-identical to an exhaustive search truncated to K (the pruning is
 /// invisible in the output), the reply accounts for every index block as
 /// either scanned or skipped, and the daemon's stats frame counts the
@@ -450,7 +450,7 @@ fn bad_fasta_is_a_typed_bad_request() {
     handle.shutdown();
 }
 
-/// The v2 observability path end-to-end: a traced request gets back its
+/// The observability path end-to-end: a traced request gets back its
 /// own spans, stamped with its trace id, properly nested (engine stages
 /// inside the Search window, everything inside the Request window), with
 /// one Seed span per (query, block), and the stats frame grows per-stage
@@ -575,15 +575,16 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
     traced_handle.shutdown();
 }
 
-/// A v1 client must keep working against this server: its frames decode
-/// (trace fields defaulted) and the reply comes back encoded at v1.
+/// One wire version: a well-formed frame stamped with the retired v6 or
+/// a future v8 is refused with exactly one `BadRequest` error frame —
+/// itself encoded at the current version, or `read_frame` would refuse it
+/// here — and then the connection is closed.
 #[test]
-fn v1_client_roundtrips_against_a_v2_server() {
-    use serve::proto::{read_frame_versioned, write_frame_v, Frame, SearchRequest};
+fn frames_stamped_with_another_version_are_refused_then_closed() {
+    use serve::proto::{encode_frame, read_frame, Frame, ProtoError, SearchRequest};
     let ctx = context(1);
     let (mut handle, connector) = start(&ctx, BatchOptions::default());
-    let mut conn = connector.connect().expect("connect");
-    let req = Frame::Search(SearchRequest {
+    let search = Frame::Search(SearchRequest {
         fasta: fasta_for(1),
         engine: EngineKind::MuBlastp,
         overrides: ParamOverrides::default(),
@@ -591,18 +592,39 @@ fn v1_client_roundtrips_against_a_v2_server() {
         trace_id: 0,
         want_trace: false,
     });
-    write_frame_v(&mut conn, &req, 1).expect("write v1 frame");
-    let (reply, version) = read_frame_versioned(&mut conn).expect("read reply");
-    assert_eq!(version, 1, "server must answer in the request's version");
-    match reply {
-        Frame::Results(resp) => {
-            assert_eq!(resp.replies.len(), 1);
-            assert!(!resp.replies[0].result.alignments.is_empty());
-            assert_eq!(resp.trace_id, 0, "v1 wire carries no trace id");
-            assert!(resp.trace.is_none());
+    for (frame, version) in [(&search, 6u32), (&Frame::StatsRequest, 6), (&search, 8)] {
+        let mut conn = connector.connect().expect("connect");
+        let mut bytes = encode_frame(frame);
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        conn.write_all(&bytes).expect("write restamped frame");
+        match read_frame(&mut conn) {
+            Ok(Frame::Error(e)) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "v{version}");
+                assert!(
+                    e.message.contains(&version.to_string()),
+                    "v{version}: {}",
+                    e.message
+                );
+            }
+            other => panic!("v{version}: expected a BadRequest error frame, got {other:?}"),
         }
-        other => panic!("expected Results, got {other:?}"),
+        assert_eq!(
+            read_frame(&mut conn),
+            Err(ProtoError::Io(std::io::ErrorKind::UnexpectedEof)),
+            "v{version}: one error frame, then EOF"
+        );
     }
+    // The refusals cost the daemon nothing: a current client still works.
+    let mut client = Client::new(connector.connect().expect("connect"));
+    let resp = client
+        .search(
+            &fasta_for(1),
+            EngineKind::MuBlastp,
+            ParamOverrides::default(),
+            0,
+        )
+        .expect("search");
+    assert!(!resp.replies[0].result.alignments.is_empty());
     handle.shutdown();
 }
 

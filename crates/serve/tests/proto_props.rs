@@ -10,9 +10,9 @@
 
 use engine::{Alignment, QueryResult, StageCounts};
 use serve::proto::{
-    decode_frame, encode_frame, encode_frame_v, Degraded, ErrorCode, Frame, LatencySummary,
-    ParamOverrides, QueryReply, SearchRequest, SearchResponse, ShardStat, StageLatency,
-    StatsReport, WireError,
+    decode_frame, encode_frame, Degraded, ErrorCode, Frame, LatencySummary, ParamOverrides,
+    ProtoError, QueryReply, SearchRequest, SearchResponse, ShardStat, StageLatency, StatsReport,
+    WireError, PROTO_VERSION,
 };
 
 /// xorshift64* — deterministic pseudo-randomness without `rand`.
@@ -260,177 +260,28 @@ fn random_frames_roundtrip_exactly() {
     }
 }
 
-/// Backward compatibility: every frame also encodes at protocol v1
-/// (dropping the v2 observability fields) and still decodes cleanly.
+/// One version: the same bytes restamped with any other version — the
+/// retired 1–6, the next one, nonsense — are refused by the header check,
+/// whatever the payload.
 #[test]
-fn v1_encodings_always_decode() {
+fn every_other_version_stamp_is_refused() {
     let mut rng = Rng(0x5EED_0006);
     for case in 0..300 {
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame_v(&frame, 1);
-        match decode_frame(&bytes) {
-            Ok(Frame::Search(req)) => {
-                assert_eq!(req.trace_id, 0, "case {case}");
-                assert!(!req.want_trace, "case {case}");
-            }
-            Ok(Frame::Results(resp)) => {
-                assert_eq!(resp.trace_id, 0, "case {case}");
-                assert!(resp.trace.is_none(), "case {case}");
-                assert!(resp.degraded.is_none(), "case {case}");
-            }
-            Ok(Frame::Stats(s)) => {
-                assert!(s.stages.is_empty(), "case {case}");
-                assert!(s.shards.is_empty(), "case {case}");
-                assert_eq!(s.degraded, 0, "case {case}");
-            }
-            Ok(_) => {}
-            Err(e) => panic!("case {case}: v1 encoding failed to decode: {e}"),
+        let mut bytes = encode_frame(&random_frame(&mut rng));
+        let version = match rng.below(3) {
+            0 => rng.below(7) as u32,
+            1 => 8,
+            _ => rng.next() as u32,
+        };
+        if version == PROTO_VERSION {
+            continue;
         }
-    }
-}
-
-/// Zero every stats field a pre-v5 wire cannot carry.
-fn strip_v5(s: &mut StatsReport) {
-    s.index_resident_bytes = 0;
-    s.cache_budget_bytes = 0;
-    s.cache_used_bytes = 0;
-    s.cache_hits = 0;
-    s.cache_misses = 0;
-    s.cache_evictions = 0;
-}
-
-/// Zero every stats field a pre-v7 wire cannot carry.
-fn strip_v7(s: &mut StatsReport) {
-    s.topk_requests = 0;
-    s.topk_blocks_scanned = 0;
-    s.topk_blocks_skipped = 0;
-}
-
-/// Drop every field a pre-v7 wire cannot carry, across frame kinds: the
-/// requested k on Search, the pruning counters on Results and Stats.
-fn strip_v7_frame(f: &Frame) -> Frame {
-    let mut f = f.clone();
-    match &mut f {
-        Frame::Search(req) => req.overrides.top_k = None,
-        Frame::Results(resp) => {
-            resp.blocks_scanned = 0;
-            resp.blocks_skipped = 0;
-        }
-        Frame::Stats(s) => strip_v7(s),
-        _ => {}
-    }
-    f
-}
-
-/// Zero every stats field a pre-v6 wire cannot carry.
-fn strip_v6(s: &mut StatsReport) {
-    s.shard_fail_injected = 0;
-    s.shard_fail_deadline = 0;
-    s.shard_fail_storage = 0;
-    s.slow_queries = 0;
-    s.retry_attempts = 0;
-    s.retry_exhausted = 0;
-    s.events_logged = 0;
-    s.events_dropped = 0;
-    s.cache_fetched_blocks = 0;
-    s.cache_fetched_bytes = 0;
-    s.cache_decode_ns = 0;
-    s.cache_decoded_postings = 0;
-    s.metrics_text = String::new();
-}
-
-/// v3 encodings strip exactly the v4 additions — the degraded block, the
-/// per-shard failure counters, and the degraded-batches counter — while
-/// everything v3 carries survives untouched.
-#[test]
-fn v3_encodings_strip_only_the_v4_fields() {
-    let mut rng = Rng(0x5EED_0007);
-    for case in 0..300 {
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame_v(&frame, 3);
-        match (decode_frame(&bytes), &frame) {
-            (Ok(Frame::Results(got)), Frame::Results(sent)) => {
-                assert!(got.degraded.is_none(), "case {case}");
-                assert_eq!(got.replies, sent.replies, "case {case}");
-                assert_eq!(got.trace_id, sent.trace_id, "case {case}");
-            }
-            (Ok(Frame::Stats(got)), Frame::Stats(sent)) => {
-                assert_eq!(got.degraded, 0, "case {case}");
-                assert!(got.shards.iter().all(|s| s.failures == 0), "case {case}");
-                let mut expect = (**sent).clone();
-                expect.degraded = 0;
-                for s in &mut expect.shards {
-                    s.failures = 0;
-                }
-                // The v5, v6, and v7 fields vanish on a v3 wire too.
-                strip_v5(&mut expect);
-                strip_v6(&mut expect);
-                strip_v7(&mut expect);
-                assert_eq!(*got, expect, "case {case}");
-            }
-            (Ok(got), sent) => assert_eq!(got, strip_v7_frame(sent), "case {case}"),
-            (Err(e), _) => panic!("case {case}: v3 encoding failed to decode: {e}"),
-        }
-    }
-}
-
-/// v4 encodings strip exactly the v5 additions — the index-memory and
-/// block-cache counters on stats — while every v4 field survives.
-#[test]
-fn v4_encodings_strip_only_the_v5_fields() {
-    let mut rng = Rng(0x5EED_0008);
-    for case in 0..300 {
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame_v(&frame, 4);
-        match (decode_frame(&bytes), &frame) {
-            (Ok(Frame::Stats(got)), Frame::Stats(sent)) => {
-                let mut expect = (**sent).clone();
-                strip_v5(&mut expect);
-                strip_v6(&mut expect);
-                strip_v7(&mut expect);
-                assert_eq!(*got, expect, "case {case}");
-            }
-            (Ok(got), sent) => assert_eq!(got, strip_v7_frame(sent), "case {case}"),
-            (Err(e), _) => panic!("case {case}: v4 encoding failed to decode: {e}"),
-        }
-    }
-}
-
-/// v5 encodings strip exactly the v6 additions — the registry counter
-/// mirrors and the embedded metrics exposition — while every v5 field
-/// survives.
-#[test]
-fn v5_encodings_strip_only_the_v6_fields() {
-    let mut rng = Rng(0x5EED_0009);
-    for case in 0..300 {
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame_v(&frame, 5);
-        match (decode_frame(&bytes), &frame) {
-            (Ok(Frame::Stats(got)), Frame::Stats(sent)) => {
-                let mut expect = (**sent).clone();
-                strip_v6(&mut expect);
-                strip_v7(&mut expect);
-                assert_eq!(*got, expect, "case {case}");
-            }
-            (Ok(got), sent) => assert_eq!(got, strip_v7_frame(sent), "case {case}"),
-            (Err(e), _) => panic!("case {case}: v5 encoding failed to decode: {e}"),
-        }
-    }
-}
-
-/// v6 encodings strip exactly the v7 additions — the requested k on
-/// search requests and the block-pruning counters on results and stats —
-/// while every v6 field survives.
-#[test]
-fn v6_encodings_strip_only_the_v7_fields() {
-    let mut rng = Rng(0x5EED_000A);
-    for case in 0..300 {
-        let frame = random_frame(&mut rng);
-        let bytes = encode_frame_v(&frame, 6);
-        match decode_frame(&bytes) {
-            Ok(got) => assert_eq!(got, strip_v7_frame(&frame), "case {case}"),
-            Err(e) => panic!("case {case}: v6 encoding failed to decode: {e}"),
-        }
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            decode_frame(&bytes),
+            Err(ProtoError::BadVersion(version)),
+            "case {case}"
+        );
     }
 }
 
@@ -474,11 +325,11 @@ fn random_byte_soup_never_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden byte fixtures: the committed v3, v4, and v5 encodings of fixed
-// frames. These pin the wire format itself — any codec change that alters
-// bytes (field order, widths, the append-only versioning discipline) fails
-// here even if it round-trips symmetrically. Regenerate deliberately with
-// `PROTO_BLESS=1` after an intentional, version-gated format change.
+// Golden byte fixtures: the committed encodings of fixed frames. These pin
+// the wire format itself — any codec change that alters bytes (field
+// order, widths) fails here even if it round-trips symmetrically.
+// Regenerate deliberately with `PROTO_BLESS=1` after an intentional format
+// change that bumped `PROTO_VERSION` (the file names carry the version).
 // ---------------------------------------------------------------------------
 
 fn fixtures_dir() -> std::path::PathBuf {
@@ -629,62 +480,32 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
     ]
 }
 
-/// The committed fixture bytes match today's encoder at every pinned wire
-/// version, and decode back to the expected frames (with each version's
-/// later-version fields stripped).
+/// The committed fixture bytes match today's encoder and decode back to
+/// the frames they were written from.
 #[test]
-fn golden_fixtures_pin_the_v3_through_v7_wire_bytes() {
+fn golden_fixtures_pin_the_wire_bytes() {
     let dir = fixtures_dir();
     let bless = std::env::var_os("PROTO_BLESS").is_some();
     for (name, frame) in golden_frames() {
-        for version in [3u32, 4, 5, 6, 7] {
-            let bytes = encode_frame_v(&frame, version);
-            let path = dir.join(format!("{name}.v{version}.bin"));
-            if bless {
-                std::fs::create_dir_all(&dir).expect("create fixtures dir");
-                std::fs::write(&path, &bytes).expect("write fixture");
-                continue;
-            }
-            let golden = std::fs::read(&path)
-                .unwrap_or_else(|e| panic!("{}: {e} (regenerate with PROTO_BLESS=1)", path.display()));
-            assert_eq!(
-                golden, bytes,
-                "{name} v{version}: encoder bytes drifted from the committed fixture \
-                 (an intentional format change must bump the version and re-bless)"
-            );
-            let decoded = decode_frame(&golden)
-                .unwrap_or_else(|e| panic!("{name} v{version}: fixture failed to decode: {e}"));
-            match (version, &frame, &decoded) {
-                (7, sent, got) => assert_eq!(got, sent, "{name} v7"),
-                (6, sent, got) => assert_eq!(*got, strip_v7_frame(sent), "{name} v6"),
-                (5, Frame::Stats(sent), Frame::Stats(got)) => {
-                    let mut expect = (**sent).clone();
-                    strip_v6(&mut expect);
-                    strip_v7(&mut expect);
-                    assert_eq!(**got, expect, "{name} v5");
-                }
-                (5, sent, got) => assert_eq!(*got, strip_v7_frame(sent), "{name} v5"),
-                (4, Frame::Stats(sent), Frame::Stats(got)) => {
-                    let mut expect = (**sent).clone();
-                    strip_v5(&mut expect);
-                    strip_v6(&mut expect);
-                    strip_v7(&mut expect);
-                    assert_eq!(**got, expect, "{name} v4");
-                }
-                (4, sent, got) => assert_eq!(*got, strip_v7_frame(sent), "{name} v4"),
-                (3, Frame::Results(sent), Frame::Results(got)) => {
-                    assert!(got.degraded.is_none(), "{name} v3");
-                    assert_eq!(got.replies, sent.replies, "{name} v3");
-                }
-                (3, Frame::Stats(sent), Frame::Stats(got)) => {
-                    assert_eq!(got.degraded, 0, "{name} v3");
-                    assert!(got.shards.iter().all(|s| s.failures == 0), "{name} v3");
-                    assert_eq!(got.shards.len(), sent.shards.len(), "{name} v3");
-                }
-                (3, sent, got) => assert_eq!(*got, strip_v7_frame(sent), "{name} v3"),
-                _ => unreachable!(),
-            }
+        let bytes = encode_frame(&frame);
+        let path = dir.join(format!("{name}.v{PROTO_VERSION}.bin"));
+        if bless {
+            std::fs::create_dir_all(&dir).expect("create fixtures dir");
+            std::fs::write(&path, &bytes).expect("write fixture");
+            continue;
         }
+        let golden = std::fs::read(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (regenerate with PROTO_BLESS=1)", path.display()));
+        assert_eq!(
+            golden, bytes,
+            "{name}: encoder bytes drifted from the committed fixture (an intentional \
+             format change must bump the version and re-bless)"
+        );
+        assert_eq!(
+            decode_frame(&golden).as_ref(),
+            Ok(&frame),
+            "{name}: fixture decodes"
+        );
     }
     assert!(!bless, "PROTO_BLESS run regenerated fixtures; unset it and re-run to verify");
 }

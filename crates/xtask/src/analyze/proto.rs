@@ -2,29 +2,32 @@
 //!
 //! `serve/src/proto.rs` hand-rolls the frame codec: `encode_payload` /
 //! `decode_payload` match on the frame variant and emit / consume
-//! `put_*` / `get_*` calls, with newer-version fields guarded by gate
-//! bindings (`let v2 = version >= 2;`). Nothing in the type system stops
-//! a refactor from reordering fields, dropping a version gate, or
-//! splicing a new field into the middle of an already-shipped layout —
-//! any of which silently breaks every deployed peer.
+//! `put_*` / `get_*` calls. The shipped codec speaks one version and has
+//! no gates; when the next version lands, its fields go behind a gate
+//! binding (`let v8 = version >= 8;`) so the pinned layout stays
+//! recomputable. Nothing in the type system stops a refactor from
+//! reordering fields, dropping a version gate, or splicing a new field
+//! into the middle of an already-shipped layout — any of which silently
+//! breaks every deployed peer.
 //!
 //! This pass parses the codec *syntactically* and enforces three rules:
 //!
 //! * `proto-append-only` — within each encode arm the flat sequence of
 //!   version gates must be nondecreasing: vN+1 fields go strictly after
-//!   vN fields, so an old decoder's prefix read stays valid. (Nested
-//!   gates like the v4 `failures` column inside the v3 shard loop
-//!   flatten to a monotone sequence and pass; a v5 field spliced before
-//!   a v4 one does not.)
+//!   vN fields, so an old decoder's prefix read stays valid. (A gated
+//!   column inside an older version's loop flattens to a monotone
+//!   sequence and passes; a newer field spliced before an older one
+//!   does not.)
 //! * `proto-pair` — encode and decode must agree per variant: same
 //!   version-gate set, and the same count of composite fields (`reply`,
 //!   `latency`, `trace`, `str`, ...) at each gate. Primitive counts are
 //!   deliberately *not* matched one-to-one — optional fields legally
 //!   encode their flag byte in both match arms but read it once.
-//! * `proto-schema-drift` — the layout of every variant at every version
-//!   `1..=PROTO_VERSION` is fingerprinted (FNV-1a 64 over the gate-tagged
-//!   op sequence) and compared against the committed
-//!   `crates/serve/proto.schema`. Shipped rows may never change;
+//! * `proto-schema-drift` — the layout of every variant at
+//!   `PROTO_VERSION` is fingerprinted (FNV-1a 64 over the gate-tagged op
+//!   sequence) and compared against the committed
+//!   `crates/serve/proto.schema`, as is every older row still pinned
+//!   there (recomputed from the gates). Shipped rows may never change;
 //!   `analyze --bless-proto` appends rows for a new version and refuses
 //!   to rewrite existing ones.
 
@@ -70,21 +73,26 @@ pub fn find_unit(units: &[FileUnit]) -> Option<usize> {
     })
 }
 
-/// Run the pass: parse, structural checks, and (when the committed
-/// schema is supplied) the drift check.
-pub fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
+/// Locate and parse the codec; the error is the pass's only finding.
+fn load(units: &[FileUnit]) -> Result<(&FileUnit, Model), Vec<Finding>> {
     let Some(ui) = find_unit(units) else {
-        return vec![Finding::new(
+        return Err(vec![Finding::new(
             RULE_PARSE,
             "crates/serve/src/proto.rs",
             0,
             "protocol source not found".to_string(),
-        )];
+        )]);
     };
-    let u = &units[ui];
-    let model = match parse(u) {
-        Ok(m) => m,
-        Err(f) => return vec![f],
+    let model = parse(&units[ui]).map_err(|f| vec![f])?;
+    Ok((&units[ui], model))
+}
+
+/// Run the pass: parse, structural checks, and (when the committed
+/// schema is supplied) the drift check.
+pub fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
+    let (u, model) = match load(units) {
+        Ok(loaded) => loaded,
+        Err(findings) => return findings,
     };
     let mut findings = structure_checks(u, &model);
     if let Some(schema) = schema {
@@ -96,79 +104,52 @@ pub fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
 /// Regenerate the schema, enforcing the append-only ratchet against the
 /// previously committed text.
 pub fn bless(units: &[FileUnit], old: Option<&str>) -> Result<String, Vec<Finding>> {
-    let Some(ui) = find_unit(units) else {
-        return Err(vec![Finding::new(
-            RULE_PARSE,
-            "crates/serve/src/proto.rs",
-            0,
-            "protocol source not found".to_string(),
-        )]);
-    };
-    let u = &units[ui];
-    let model = parse(u).map_err(|f| vec![f])?;
+    let (u, model) = load(units)?;
     let structural = structure_checks(u, &model);
     if !structural.is_empty() {
         return Err(structural);
     }
-    let new_rows = fingerprints(&model);
+    let mut new_rows = fingerprints(&model);
     if let Some(old) = old {
-        let old_rows = match parse_schema(old) {
-            Ok(r) => r,
-            Err(msg) => {
-                return Err(vec![Finding::new(RULE_DRIFT, &u.rel, 0, msg)]);
-            }
-        };
-        let mut violations = Vec::new();
-        for (key, old_hash) in &old_rows {
-            match new_rows.get(key) {
-                Some(h) if h == old_hash => {}
-                Some(_) => violations.push(Finding::new(
-                    RULE_DRIFT,
-                    &u.rel,
-                    model.arm_lines.get(&key.0).copied().unwrap_or(0),
-                    format!(
-                        "refusing to bless: `{} v{}` is already pinned and its layout \
-                         changed — shipped wire layouts are immutable; add fields behind \
-                         a new version gate instead",
-                        key.0, key.1
-                    ),
-                )),
-                None => violations.push(Finding::new(
-                    RULE_DRIFT,
-                    &u.rel,
-                    0,
-                    format!(
-                        "refusing to bless: pinned `{} v{}` no longer exists in the codec",
-                        key.0, key.1
-                    ),
-                )),
-            }
-        }
+        let old_rows =
+            parse_schema(old).map_err(|msg| vec![Finding::new(RULE_DRIFT, &u.rel, 0, msg)])?;
+        let mut violations = pinned_row_drift(u, &model, &old_rows);
         if !violations.is_empty() {
+            for f in &mut violations {
+                f.msg.insert_str(0, "refusing to bless: ");
+            }
             return Err(violations);
         }
+        new_rows.extend(old_rows);
     }
     Ok(schema_text(&new_rows))
 }
 
-/// `(variant, version) → fingerprint` for every variant at every
-/// version up to `max_version`. Encode-side only: decode is tied to
-/// encode by the pairing check.
-fn fingerprints(model: &Model) -> BTreeMap<(String, u32), u64> {
-    let mut rows = BTreeMap::new();
-    for (variant, ops) in &model.encode {
-        for v in 1..=model.max_version {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for op in ops.iter().filter(|o| o.gate <= v) {
-                for b in format!("{}@{};", op.kind, op.gate).bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-            rows.insert((variant.clone(), v), h);
+/// Fingerprint of one variant's layout as a version-`key.1` peer sees it
+/// (ops gated at or below that version), or `None` when the codec has no
+/// such variant or does not reach that version. Encode-side only: decode
+/// is tied to encode by the pairing check.
+fn fingerprint_at(model: &Model, key: &(String, u32)) -> Option<u64> {
+    let ops = model.encode.get(&key.0).filter(|_| key.1 <= model.max_version)?;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for op in ops.iter().filter(|o| o.gate <= key.1) {
+        for b in format!("{}@{};", op.kind, op.gate).bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
         }
     }
-    rows
+    Some(h)
+}
+
+/// `(variant, PROTO_VERSION) → fingerprint`: the rows the shipped codec
+/// must have pinned.
+fn fingerprints(model: &Model) -> BTreeMap<(String, u32), u64> {
+    model
+        .encode
+        .keys()
+        .map(|variant| (variant.clone(), model.max_version))
+        .filter_map(|key| fingerprint_at(model, &key).map(|h| (key, h)))
+        .collect()
 }
 
 fn schema_text(rows: &BTreeMap<(String, u32), u64>) -> String {
@@ -309,12 +290,35 @@ fn drift_checks(u: &FileUnit, model: &Model, schema: &str) -> Vec<Finding> {
             "proto.schema is empty — run `xtask analyze --bless-proto`".to_string(),
         )];
     }
-    let current = fingerprints(model);
+    let mut findings = pinned_row_drift(u, model, &pinned);
+    for key in fingerprints(model).keys() {
+        if !pinned.contains_key(key) {
+            findings.push(Finding::new(
+                RULE_DRIFT,
+                &u.rel,
+                model.arm_lines.get(&key.0).copied().unwrap_or(0),
+                format!(
+                    "`{} v{}` is not pinned in proto.schema — run \
+                     `xtask analyze --bless-proto` to append it",
+                    key.0, key.1
+                ),
+            ));
+        }
+    }
+    findings
+}
+
+/// One finding per pinned row the codec no longer reproduces.
+fn pinned_row_drift(
+    u: &FileUnit,
+    model: &Model,
+    pinned: &BTreeMap<(String, u32), u64>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (key, hash) in &pinned {
+    for (key, hash) in pinned {
         let line = model.arm_lines.get(&key.0).copied().unwrap_or(0);
-        match current.get(key) {
-            Some(h) if h == hash => {}
+        match fingerprint_at(model, key) {
+            Some(h) if h == *hash => {}
             Some(_) => findings.push(Finding::new(
                 RULE_DRIFT,
                 &u.rel,
@@ -332,20 +336,6 @@ fn drift_checks(u: &FileUnit, model: &Model, schema: &str) -> Vec<Finding> {
                 0,
                 format!("pinned `{} v{}` vanished from the codec", key.0, key.1),
             )),
-        }
-    }
-    for key in current.keys() {
-        if !pinned.contains_key(key) {
-            findings.push(Finding::new(
-                RULE_DRIFT,
-                &u.rel,
-                model.arm_lines.get(&key.0).copied().unwrap_or(0),
-                format!(
-                    "`{} v{}` is not pinned in proto.schema — run \
-                     `xtask analyze --bless-proto` to append it",
-                    key.0, key.1
-                ),
-            ));
         }
     }
     findings
@@ -562,8 +552,9 @@ fn frame_numbers(
     Ok(map)
 }
 
-/// Extract `put_*` / `get_*` calls in an arm body, tagging each with the
-/// strongest version gate in force. A gate ident arms a *pending* gate
+/// Extract `put_*` / `get_*` calls in an arm body (or references passing
+/// one as a list's item decoder), tagging each with the strongest version
+/// gate in force. A gate ident arms a *pending* gate
 /// that covers ops up to and inside the `{` it guards (this also covers
 /// short-circuit reads like `if v4 && get_u8(data)? != 0`).
 fn arm_ops(
@@ -599,8 +590,9 @@ fn arm_ops(
             }
             continue;
         }
-        let is_call = t.get(i + 1).is_some_and(|x| x.text == "(");
-        if !is_call {
+        let is_call_or_fn_arg =
+            t.get(i + 1).is_some_and(|x| matches!(x.text.as_str(), "(" | ")" | ","));
+        if !is_call_or_fn_arg {
             continue;
         }
         let kind = t[i]
@@ -723,9 +715,9 @@ mod tests {
     fn bless_then_check_roundtrips() {
         let units = units_of(MINI);
         let schema = bless(&units, None).unwrap();
-        assert!(schema.contains("Search v1"));
         assert!(schema.contains("Search v2"));
         assert!(schema.contains("Ping v2"));
+        assert!(!schema.contains(" v1 "), "only the shipped version is pinned:\n{schema}");
         assert!(check(&units, Some(&schema)).is_empty());
     }
 
@@ -762,7 +754,13 @@ mod tests {
         let v3_units = units_of(&v3);
         let schema3 = bless(&v3_units, Some(&schema)).unwrap();
         assert!(schema3.contains("Search v3"));
+        assert!(schema3.contains("Search v2"), "pinned history kept:\n{schema3}");
         assert!(check(&v3_units, Some(&schema3)).is_empty());
+        // The v2 row stays enforced from the gates: un-gating the v3 field
+        // rewrites what a v2 peer would read.
+        let ungated = v3.replace("if v3 { put_u32(&mut p, req.extra); }", "put_u32(&mut p, req.extra);");
+        let f = check(&units_of(&ungated), Some(&schema3));
+        assert!(f.iter().any(|f| f.rule == RULE_DRIFT && f.msg.contains("Search v2")), "{f:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! On-disk store-layout ratchet.
 //!
-//! `dbindex/src/store.rs` hand-rolls the v3 block/chunk layout: a handful
+//! `dbindex/src/store.rs` hand-rolls the block/chunk layout: a handful
 //! of `const`s fix the header/footer geometry, and a small set of
 //! serializer functions emit / consume `put_*` / `get_*` calls in field
 //! order. Nothing in the type system stops a refactor from reordering a

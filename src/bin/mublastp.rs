@@ -13,9 +13,10 @@
 //! ```
 //!
 //! `search` builds the index on the fly when `--index` is not given (and
-//! the engine needs one). The index file is the binary format of
-//! `dbindex::serial` — build once, reuse across query batches, exactly
-//! the workflow the paper's database-index design targets.
+//! the engine needs one). The index file is the block/chunk store of
+//! `dbindex::store` (the same format `mublastpd` streams out-of-core) —
+//! build once, reuse across query batches, exactly the workflow the
+//! paper's database-index design targets.
 
 use mublastp::prelude::*;
 use std::fs::File;
@@ -133,7 +134,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let db: SequenceDb = load_fasta(db_path)?.into_iter().collect();
     let config = IndexConfig { block_bytes: block_kb << 10, ..IndexConfig::default() };
     let index = DbIndex::build_parallel(&db, &config, threads);
-    let bytes = dbindex::write_index(&index);
+    let bytes = dbindex::write_store(&index);
     std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "indexed {} sequences / {} residues into {} blocks ({} positions, {} bytes)",
@@ -150,7 +151,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let path = flags.require("--index")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let index = dbindex::read_index(&bytes).map_err(|e| e.to_string())?;
+    let index = dbindex::read_store(&bytes).map_err(|e| e.to_string())?;
     println!("index: {path}");
     println!("  blocks:        {}", index.blocks().len());
     println!("  positions:     {}", index.total_positions());
@@ -210,7 +211,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         None
     } else if let Some(path) = flags.get("--index") {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Some(dbindex::read_index(&bytes).map_err(|e| e.to_string())?)
+        Some(dbindex::read_store(&bytes).map_err(|e| e.to_string())?)
     } else {
         Some(DbIndex::build(&db, &IndexConfig::default()))
     };

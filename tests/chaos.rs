@@ -291,7 +291,7 @@ fn corrupted_index_loads_recover_or_rebuild_identically() {
     let icfg = IndexConfig::default();
     let built = DbIndex::build(&db, &icfg);
     let baseline = search_batch(&db, Some(&built), &nbrs, &queries, &cfg);
-    let bytes = dbindex::write_index(&built);
+    let bytes = dbindex::write_store(&built);
     let scenarios: [(&str, Schedule, u32, fn(&LoadOutcome) -> bool); 3] = [
         ("clean", Schedule::Never, 2, |o| matches!(o, LoadOutcome::Loaded)),
         ("transient", Schedule::FirstN(1), 3, |o| {
@@ -901,7 +901,7 @@ fn total_block_store_loss_degrades_every_shard_without_panic() {
 /// corruption: every degraded reply's coverage arithmetic must agree
 /// *exactly* with the registry's `engine.shard.failures{cause=storage}`
 /// books — N requests × the block-depth-predicted dead set, no more, no
-/// less — and the v6 stats frame is a snapshot of the same cells.
+/// less — and the wire stats frame is a snapshot of the same cells.
 #[test]
 fn served_streaming_storage_faults_keep_registry_and_wire_books_equal() {
     let seed = chaos_seed();

@@ -1,12 +1,10 @@
 //! Three-surface metrics differential battery (ISSUE 8 acceptance).
 //!
-//! The daemon exports its counters three ways: the v6 wire stats frame
+//! The daemon exports its counters three ways: the wire stats frame
 //! (`metrics_text` riding on `Frame::Stats`), the Prometheus HTTP
 //! endpoint (`mublastpd --metrics-addr`), and the in-process render used
 //! by `ServerHandle`. All three must be snapshots of *one* registry —
-//! byte-identical when nothing moves between captures — and a v5 peer
-//! asking for stats must get the v5 frame it always got, with no v6
-//! fields smuggled in.
+//! byte-identical when nothing moves between captures.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -15,7 +13,6 @@ use bioseq::{Sequence, SequenceDb};
 use dbindex::{DbIndex, IndexConfig};
 use engine::{EngineKind, SearchConfig};
 use scoring::{NeighborTable, BLOSUM62};
-use serve::proto::{read_frame_versioned, write_frame_v, Frame};
 use serve::{
     loopback, serve_metrics, serve_with_stats, BatchOptions, Client, ParamOverrides,
     ResidentIndex, SearchContext, ServeStats,
@@ -78,7 +75,7 @@ fn sample(body: &str, series: &str) -> Option<f64> {
 /// The acceptance differential: after a burst of searches, the wire
 /// frame's `metrics_text`, the handle's direct render, and the HTTP
 /// scrape are byte-identical snapshots of the same registry, and the
-/// values agree with the v5 counters they migrated from.
+/// values agree with the frame's scalar counters.
 #[test]
 fn three_surfaces_render_the_same_registry() {
     let db = toy_db(24);
@@ -105,11 +102,11 @@ fn three_surfaces_render_the_same_registry() {
     let wire = frame.metrics_text.clone();
     let direct = handle.render_metrics();
     let scraped = scrape(&endpoint.addr().to_string());
-    assert!(!wire.is_empty(), "v6 stats frame carries no metrics text");
+    assert!(!wire.is_empty(), "stats frame carries no metrics text");
     assert_eq!(wire, direct, "wire frame vs in-process render diverged");
     assert_eq!(direct, scraped, "in-process render vs HTTP scrape diverged");
 
-    // The exposition agrees with the migrated v5 counters: one registry,
+    // The exposition agrees with the frame's scalar counters: one registry,
     // not parallel bookkeeping.
     assert_eq!(sample(&wire, "serve_batcher_accepted"), Some(frame.accepted as f64));
     assert_eq!(sample(&wire, "serve_batcher_completed"), Some(frame.completed as f64));
@@ -153,52 +150,5 @@ fn three_surfaces_render_the_same_registry() {
     }
 
     drop(endpoint);
-    handle.shutdown();
-}
-
-/// A v5 peer requesting stats gets exactly the v5 frame: same counters,
-/// no v6 fields. The server encodes the reply at the request's version,
-/// so old dashboards keep parsing byte-identical frames.
-#[test]
-fn v5_peers_get_the_v5_frame_with_no_v6_fields() {
-    let db = toy_db(16);
-    let ctx = context(&db);
-    let (transport, connector) = loopback();
-    let mut handle = serve_with_stats(
-        transport,
-        Arc::clone(&ctx),
-        BatchOptions::default(),
-        Arc::new(ServeStats::new()),
-    );
-
-    let mut client = Client::new(connector.connect().unwrap_or_else(|e| panic!("{e}")));
-    client
-        .search(&fasta_for(&db, 0), EngineKind::MuBlastp, ParamOverrides::default(), 0)
-        .unwrap_or_else(|e| panic!("search: {e}"));
-    let v6 = client.stats().unwrap_or_else(|e| panic!("v6 stats: {e}"));
-    assert!(!v6.metrics_text.is_empty());
-
-    let mut conn = connector.connect().unwrap_or_else(|e| panic!("{e}"));
-    write_frame_v(&mut conn, &Frame::StatsRequest, 5).unwrap_or_else(|e| panic!("{e}"));
-    let (reply, version) =
-        read_frame_versioned(&mut conn).unwrap_or_else(|e| panic!("v5 reply: {e}"));
-    assert_eq!(version, 5, "reply must be encoded at the request's version");
-    let Frame::Stats(v5) = reply else { panic!("expected a stats frame, got {reply:?}") };
-    // v5 counters intact...
-    assert_eq!(v5.accepted, v6.accepted);
-    assert_eq!(v5.completed, v6.completed);
-    assert_eq!(v5.queue_cap, v6.queue_cap);
-    // ...and every v6 field at its decode default.
-    assert!(v5.metrics_text.is_empty(), "v6 text leaked into a v5 frame");
-    assert_eq!(v5.slow_queries, 0);
-    assert_eq!(v5.retry_attempts, 0);
-    assert_eq!(v5.retry_exhausted, 0);
-    assert_eq!(v5.events_logged, 0);
-    assert_eq!(v5.events_dropped, 0);
-    assert_eq!(v5.shard_fail_injected, 0);
-    assert_eq!(v5.shard_fail_deadline, 0);
-    assert_eq!(v5.shard_fail_storage, 0);
-    assert_eq!(v5.cache_fetched_blocks, 0);
-
     handle.shutdown();
 }

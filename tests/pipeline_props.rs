@@ -131,7 +131,7 @@ proptest! {
         let db = make_db(&subjects);
         let cfg = IndexConfig { block_bytes: 256, offset_bits: 15, frag_overlap: 8 };
         let index = DbIndex::build(&db, &cfg);
-        let back = dbindex::read_index(&dbindex::write_index(&index)).unwrap();
+        let back = dbindex::read_store(&dbindex::write_store(&index)).unwrap();
         prop_assert_eq!(index, back);
     }
 }

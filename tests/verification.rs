@@ -141,8 +141,8 @@ fn longest_first_dispatch_does_not_change_results() {
 fn serialized_index_gives_identical_results() {
     let (db, queries) = world();
     let index = DbIndex::build(db, &IndexConfig::default());
-    let bytes = dbindex::write_index(&index);
-    let reloaded = dbindex::read_index(&bytes).unwrap();
+    let bytes = dbindex::write_store(&index);
+    let reloaded = dbindex::read_store(&bytes).unwrap();
     let a = search_batch(db, Some(&index), neighbors(), queries, &base_config(EngineKind::MuBlastp));
     let b = search_batch(
         db,
