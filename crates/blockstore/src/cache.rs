@@ -8,6 +8,13 @@
 //! directory records as `decoded_bytes` — so a budget can be chosen from
 //! the directory alone, before anything is decoded.
 //!
+//! Eviction is strict LRU and nothing else. LRU alone serves a repeated
+//! ascending scan of more blocks than fit *nothing* — each block is the
+//! least recently used just before its turn comes round — so the engine's
+//! exhaustive scan asks [`BlockCache::contains`] (a pure observation: no
+//! counter, no recency refresh) and visits resident blocks first; the
+//! policy stays simple and the visit order does the work.
+//!
 //! One cache is shared by all open stores (each store registers for an id
 //! namespace), which is exactly the serving-box scenario: many shards,
 //! one memory budget. All counters live in [`CacheCounters`] and are
@@ -260,6 +267,15 @@ impl BlockCache {
         }
     }
 
+    /// Whether a block is resident right now, as a pure observation: no
+    /// counter moves and the block's recency is not refreshed, so asking
+    /// never changes what [`BlockCache::insert`] evicts next. The answer
+    /// can be stale as soon as it is returned; callers use it to *order*
+    /// fetches ([`engine::BlockSource::resident`]), never to skip one.
+    pub fn contains(&self, store: u32, block: u32) -> bool {
+        self.lock().map.contains_key(&Self::key(store, block))
+    }
+
     /// Insert a freshly decoded block, evicting least-recently-used
     /// entries first so the charge fits the budget. Re-inserting a
     /// resident key refreshes the block and recency without double
@@ -358,6 +374,34 @@ mod tests {
         assert!(snap.peak_resident_bytes <= cache.budget_bytes());
         assert!(cache.get(store, 0).is_some(), "hot block survives");
         assert!(cache.get(store, 1).is_none(), "LRU block evicted");
+    }
+
+    /// `contains` observes and nothing else: no counter moves, and the
+    /// LRU victim is the one it would have been without the calls.
+    #[test]
+    fn contains_moves_no_counter_and_refreshes_no_recency() {
+        let blocks = blocks();
+        let per = blocks[0].memory_bytes() as u64;
+        let victim_after = |probe: bool| {
+            let cache = BlockCache::new(2 * per + per / 2);
+            let store = cache.register_store();
+            cache.insert(store, 0, Arc::new(blocks[0].clone()));
+            cache.insert(store, 1, Arc::new(blocks[1].clone()));
+            let before = cache.counters().snapshot();
+            if probe {
+                // A refresh of block 0 here would make block 1 the victim.
+                for _ in 0..3 {
+                    assert!(cache.contains(store, 0));
+                    assert!(!cache.contains(store, 2), "absent block");
+                    assert!(!cache.contains(store + 1, 0), "other store's id space");
+                }
+                assert_eq!(cache.counters().snapshot(), before);
+            }
+            cache.insert(store, 2, Arc::new(blocks[2].clone()));
+            (cache.contains(store, 0), cache.contains(store, 1), cache.contains(store, 2))
+        };
+        assert_eq!(victim_after(false), (false, true, true), "block 0 is the LRU victim");
+        assert_eq!(victim_after(true), victim_after(false));
     }
 
     #[test]

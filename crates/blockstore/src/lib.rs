@@ -14,7 +14,12 @@
 //! * [`SequenceStore`] — one open store file: footer directory + cached
 //!   block fetches, every failure a typed [`StoreError`]; an
 //!   [`engine::BlockSource`], so [`engine::search_batch_blocks`] searches
-//!   it bit-identically to a resident index;
+//!   it bit-identically to a resident index. It answers
+//!   [`engine::BlockSource::resident`] from [`BlockCache::contains`], so
+//!   an exhaustive scan starts with the blocks the previous one left in
+//!   the cache: eviction stays strict LRU, and it is the *scan order*
+//!   that lets a cache of `c` blocks serve `c` fetches of every scan
+//!   where an ascending cyclic scan would be served none;
 //! * [`StreamingShards`] — [`engine::ShardBackend`] over disk-resident
 //!   shards, so the sharded driver's dispatch, deadline, degradation and
 //!   statistics-correct merge machinery runs unchanged out-of-core, with
@@ -139,6 +144,81 @@ mod tests {
         let second = cache.counters().snapshot();
         assert_eq!(second.misses, first.misses, "warm pass fetches nothing");
         assert_eq!(second.hits, first.hits + n_blocks);
+    }
+
+    /// `CODEC_SEED` (default 1) varies the database of the cyclic-scan
+    /// test: families of one random 60-residue parent each, members
+    /// mutated at one position in six and padded with random flanks.
+    fn seeded_db() -> SequenceDb {
+        let seed: u64 = std::env::var("CODEC_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1);
+        const ALPHABET: &[u8] = b"ARNDCQEGHILKMFPSTWYV";
+        let mut drawn = 0u64;
+        let mut residue = move || {
+            drawn += 1;
+            ALPHABET[(faultfn::mix64(seed, drawn) % 20) as usize] as char
+        };
+        let parents: Vec<String> =
+            (0..6).map(|_| (0..60).map(|_| residue()).collect()).collect();
+        (0..48)
+            .map(|i| {
+                let mut body: String = (0..10 + i % 7).map(|_| residue()).collect();
+                for (at, c) in parents[i % parents.len()].chars().enumerate() {
+                    body.push(if (at + i) % 6 == 0 { residue() } else { c });
+                }
+                body.extend((0..5 + i % 11).map(|_| residue()));
+                Sequence::from_str_checked(format!("s{i}"), &body).unwrap()
+            })
+            .collect()
+    }
+
+    /// A cyclic exhaustive scan through a cache of exactly `c` blocks:
+    /// the executor visits what the previous batch left resident first, so
+    /// after the cold pass every pass hits exactly `c` times. (In plain
+    /// ascending order a strict LRU evicts each block just before its next
+    /// use and never hits.)
+    #[test]
+    fn cyclic_scan_hits_exactly_what_the_cache_holds() {
+        let db = seeded_db();
+        let queries = queries(&db);
+        let cfg = search_config();
+        let index = DbIndex::build(&db, &index_config());
+        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &cfg);
+        assert!(reference.iter().all(|r| !r.alignments.is_empty()));
+        let n = index.blocks().len() as u64;
+        assert!(n >= 8, "want at least 8 blocks, got {n}");
+        let sizes: Vec<u64> = index.blocks().iter().map(|b| b.memory_bytes() as u64).collect();
+        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
+        let bytes = dbindex::write_store(&index);
+        for c in [2, n / 4] {
+            // Any c blocks fit, no c + 1 do.
+            let budget = c * max;
+            assert!((c + 1) * min > budget, "block sizes too uneven: {min}..{max}");
+            let cache = Arc::new(BlockCache::new(budget));
+            let store = SequenceStore::open(
+                std::io::Cursor::new(bytes.clone()),
+                Arc::clone(&cache),
+                faultfn::Faults::none(),
+            )
+            .unwrap();
+            let mut before = cache.counters().snapshot();
+            for pass in 0..5 {
+                let out = search(&db, &store, &queries, &cfg).unwrap();
+                engine::results_identical(&reference, &out)
+                    .unwrap_or_else(|e| panic!("c={c} pass {pass}: {e}"));
+                let after = cache.counters().snapshot();
+                let hits = if pass == 0 { 0 } else { c };
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (hits, n - hits),
+                    "c={c} pass {pass}"
+                );
+                assert!(after.resident_bytes <= budget && after.peak_resident_bytes <= budget);
+                before = after;
+            }
+        }
     }
 
     #[test]

@@ -165,9 +165,10 @@ impl<R: Read + Seek> SequenceStore<R> {
 
 /// A store is a block source: bounds come straight from the footer
 /// directory, so a block the top-k pruner skips is never read from disk at
-/// all — the I/O the pruning mode exists to save. A fetch failure of a
-/// block that actually needed scanning aborts the search with its typed
-/// error.
+/// all — the I/O the pruning mode exists to save. `resident` is the
+/// cache's [`BlockCache::contains`], so an exhaustive scan starts with the
+/// blocks still cached from the previous one. A fetch failure of a block
+/// that actually needed scanning aborts the search with its typed error.
 impl<R: Read + Seek> BlockSource for SequenceStore<R> {
     type Error = StoreError;
 
@@ -175,8 +176,14 @@ impl<R: Read + Seek> BlockSource for SequenceStore<R> {
         SequenceStore::num_blocks(self)
     }
 
-    fn bound(&self, i: usize) -> Option<BlockBound> {
-        self.dir.blocks.get(i).map(|m| m.bound)
+    fn bound(&self, i: usize) -> BlockBound {
+        self.dir.blocks[i].bound
+    }
+
+    fn resident(&self, i: usize) -> bool {
+        // lint: allow(lossy-cast): directory rows are u32-indexed by
+        // construction (the tail stores n_blocks as u32).
+        self.cache.contains(self.store_id, i as u32)
     }
 
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, StoreError> {

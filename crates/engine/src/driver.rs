@@ -132,6 +132,10 @@ impl SearchConfig {
 /// and produce one on demand. The one interface [`search_batch_blocks`]
 /// searches through, so "out-of-core" and "sharded" are choices of source,
 /// not copies of the executor.
+///
+/// The executor decides the visit order from what a source can say
+/// *without* fetching: [`bound`](BlockSource::bound) under top-k,
+/// [`resident`](BlockSource::resident) for an exhaustive scan.
 pub trait BlockSource {
     /// Why a fetch can fail ([`Infallible`] for resident blocks).
     type Error;
@@ -140,10 +144,20 @@ pub trait BlockSource {
     fn num_blocks(&self) -> usize;
 
     /// Block `i`'s score bound, available *without* fetching the block
-    /// (the pruner's skip-before-fetch). `None` = no bound recorded: the
-    /// block is always scanned. Only consulted when
+    /// (the pruner's skip-before-fetch). Only consulted when
     /// `config.top_k` is set.
-    fn bound(&self, i: usize) -> Option<BlockBound>;
+    fn bound(&self, i: usize) -> BlockBound;
+
+    /// Whether fetching block `i` right now would be cheaper than fetching
+    /// it later — it sits in a cache it may be evicted from. An exhaustive
+    /// scan visits such blocks first. Advisory: the answer may be stale by
+    /// the time the block is fetched, and asking must not itself keep the
+    /// block cached. A source whose blocks all cost the same — every fully
+    /// resident one — keeps the default `false` and is scanned in
+    /// ascending order.
+    fn resident(&self, _i: usize) -> bool {
+        false
+    }
 
     /// Materialise block `i`.
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Self::Error>;
@@ -156,8 +170,8 @@ impl BlockSource for [IndexBlock] {
         self.len()
     }
 
-    fn bound(&self, i: usize) -> Option<BlockBound> {
-        Some(BlockBound::from_block(&self[i]))
+    fn bound(&self, i: usize) -> BlockBound {
+        BlockBound::from_block(&self[i])
     }
 
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
@@ -172,7 +186,7 @@ impl BlockSource for DbIndex {
         self.blocks().len()
     }
 
-    fn bound(&self, i: usize) -> Option<BlockBound> {
+    fn bound(&self, i: usize) -> BlockBound {
         self.blocks().bound(i)
     }
 
@@ -262,9 +276,17 @@ pub fn search_batch_traced(
 /// [`SearchOutcome::trace`] after the block loop. With a disabled
 /// `session` that costs a few never-taken branches per stage.
 ///
-/// **Exhaustive** (`config.top_k = None`): blocks are fetched in ascending
-/// id order, each exactly once; no bound is read and no pruning state is
-/// built.
+/// **Exhaustive** (`config.top_k = None`): every block is fetched exactly
+/// once — first the blocks the source reports
+/// [`resident`](BlockSource::resident), then the rest, ascending within
+/// each group; no bound is read and no pruning state is built. A cyclic
+/// ascending scan through an LRU cache smaller than the index evicts each
+/// block just before its next use and never hits; starting with what the
+/// previous batch left behind makes the cache serve its share of the
+/// fetches. The order cannot show in the output: seeds from different
+/// blocks only meet in the finish pass, which sorts them (the top-k visit
+/// order below relies on the same fact), and a source that never reports
+/// `resident` — every fully resident index — is scanned in ascending order.
 ///
 /// **Top-k** (`config.top_k = Some(K)`, database-indexed engines): the
 /// reporting cap becomes `min(max_reported, K)` and blocks are pruned.
@@ -358,9 +380,12 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
         // subjects are admitted early and the threshold drops fast. Purely
         // a heuristic: the output is order-independent because a skip
         // decision is only ever taken when provably harmless.
-        let best_bound = |i: usize| match &p.bounds[i] {
-            Some(b) => p.pruners.iter().map(|q| q.bound_raw(b)).max().unwrap_or(0),
-            None => i32::MAX,
+        let best_bound = |i: usize| {
+            p.pruners
+                .iter()
+                .map(|q| q.bound_raw(&p.bounds[i]))
+                .max()
+                .unwrap_or(0)
         };
         order.sort_by_cached_key(|&i| {
             (
@@ -369,6 +394,10 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                 i,
             )
         });
+    } else {
+        // Stable partition: resident blocks first, ascending within both
+        // groups (see the function docs). Each block is asked once.
+        order.sort_by_cached_key(|&i| !source.resident(i));
     }
     // One pass = one parallel-for over the queries, against one block or
     // (query-indexed, no blocks) against the whole database.
@@ -542,7 +571,7 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
 /// Top-k state of one [`search_batch_blocks`] call; exists only while
 /// pruning.
 struct Pruning {
-    bounds: Vec<Option<BlockBound>>,
+    bounds: Vec<BlockBound>,
     pruners: Vec<QueryPruner>,
     sets: Vec<TopKSet>,
 }
@@ -552,7 +581,8 @@ impl Pruning {
     /// whole-subject blocks qualify (a fragment's subject also has seeds
     /// in other blocks, so no single block bounds its score).
     fn prunable_bound(&self, i: usize) -> Option<&BlockBound> {
-        self.bounds[i].as_ref().filter(|b| b.whole_only)
+        let bound = &self.bounds[i];
+        bound.whole_only.then_some(bound)
     }
 }
 
@@ -760,6 +790,82 @@ mod tests {
             config.chunk = 2;
             let lpt = search_batch(&db, Some(&index), neighbors(), &queries, &config);
             assert_eq!(plain, lpt, "top_k={top_k:?}");
+        }
+    }
+
+    /// A resident index that claims an arbitrary set of blocks is cached
+    /// and logs the order blocks are fetched in.
+    struct ClaimsResident<'a> {
+        index: &'a DbIndex,
+        resident: &'a dyn Fn(usize) -> bool,
+        fetched: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl BlockSource for ClaimsResident<'_> {
+        type Error = Infallible;
+
+        fn num_blocks(&self) -> usize {
+            self.index.num_blocks()
+        }
+
+        fn bound(&self, i: usize) -> BlockBound {
+            self.index.bound(i)
+        }
+
+        fn resident(&self, i: usize) -> bool {
+            (self.resident)(i)
+        }
+
+        fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
+            self.fetched.lock().unwrap().push(i);
+            self.index.fetch(i)
+        }
+    }
+
+    /// The exhaustive scan is a stable partition on `resident`: a source
+    /// that answers the same for every block — all resident indexes, via
+    /// the default — is scanned in ascending order, a mixed one resident
+    /// blocks first; the results never notice.
+    #[test]
+    fn exhaustive_scan_visits_resident_blocks_first_else_ascending() {
+        let (db, _, queries) = small_world();
+        let index = DbIndex::build(
+            &db,
+            &IndexConfig {
+                block_bytes: 128,
+                offset_bits: 15,
+                frag_overlap: 16,
+            },
+        );
+        let n = index.num_blocks();
+        assert!(n >= 6, "need several blocks, got {n}");
+        let mut params = SearchParams::blastp_defaults();
+        params.evalue_cutoff = 1e9;
+        let config = SearchConfig::new(EngineKind::MuBlastp)
+            .with_params(params)
+            .with_threads(2);
+        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &config);
+        let ascending: Vec<usize> = (0..n).collect();
+        let mixed: Vec<usize> = (0..n)
+            .filter(|i| i % 3 == 2)
+            .chain((0..n).filter(|i| i % 3 != 2))
+            .collect();
+        let cases: [(&dyn Fn(usize) -> bool, &Vec<usize>); 3] = [
+            (&|_| false, &ascending),
+            (&|_| true, &ascending),
+            (&|i| i % 3 == 2, &mixed),
+        ];
+        for (resident, want) in cases {
+            let source = ClaimsResident {
+                index: &index,
+                resident,
+                fetched: Default::default(),
+            };
+            let session = TraceSession::disabled();
+            let Ok(out) =
+                search_batch_blocks(&db, &source, neighbors(), &queries, &config, None, &session);
+            assert_eq!(&*source.fetched.lock().unwrap(), want);
+            assert_eq!(out.results, reference);
         }
     }
 

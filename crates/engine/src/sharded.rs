@@ -488,7 +488,7 @@ mod tests {
             self.index.num_blocks()
         }
 
-        fn bound(&self, i: usize) -> Option<dbindex::BlockBound> {
+        fn bound(&self, i: usize) -> dbindex::BlockBound {
             self.index.bound(i)
         }
 

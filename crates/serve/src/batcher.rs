@@ -653,13 +653,14 @@ fn dispatch(shared: &Shared, mut live: Vec<Job>) {
     // Cache-pressure detection (streaming contexts under an event log):
     // evictions during this dispatch mean the batch's working set no
     // longer fits the block-cache budget.
-    let cache = match &shared.ctx.index {
+    let cache_before = match &shared.ctx.index {
         ResidentIndex::Streaming(streaming) if shared.opts.event_log.is_some() => {
-            Some(Arc::clone(streaming.cache()))
+            let cache = Arc::clone(streaming.cache());
+            let before = cache.counters().snapshot();
+            Some((cache, before))
         }
         _ => None,
     };
-    let evictions_before = cache.as_ref().map_or(0, |c| c.counters().snapshot().evictions);
     let searched_at = Instant::now();
     let (results, mut trace, shard_loss, topk) = match &shared.ctx.index {
         ResidentIndex::Single(index) => {
@@ -719,11 +720,17 @@ fn dispatch(shared: &Shared, mut live: Vec<Job>) {
     // One cache-pressure event per dispatch that evicted, attributed to
     // the batch head's trace (members share the dispatch, and therefore
     // the pressure).
-    if let (Some(log), Some(cache)) = (&shared.opts.event_log, &cache) {
+    if let (Some(log), Some((cache, before))) = (&shared.opts.event_log, &cache_before) {
         let cs = cache.counters().snapshot();
-        let evicted = cs.evictions.saturating_sub(evictions_before);
+        let evicted = cs.evictions.saturating_sub(before.evictions);
         if evicted > 0 {
-            log.cache_pressure(live[0].trace_id, evicted, cs.resident_bytes);
+            log.cache_pressure(
+                live[0].trace_id,
+                evicted,
+                cs.resident_bytes,
+                cs.hits.saturating_sub(before.hits),
+                cs.misses.saturating_sub(before.misses),
+            );
         }
     }
     // Total shard loss means there is nothing to demultiplex: answer every

@@ -94,10 +94,23 @@ impl EventLog {
     }
 
     /// The block cache evicted during one dispatched batch — the working
-    /// set no longer fits the budget.
-    pub fn cache_pressure(&self, trace_id: u64, evictions: u64, resident_bytes: u64) {
+    /// set no longer fits the budget. `hits` and `misses` are the same
+    /// dispatch's cache lookups, so the line itself tells thrashing (many
+    /// misses, few hits) from one cold block (one miss among hits).
+    pub fn cache_pressure(
+        &self,
+        trace_id: u64,
+        evictions: u64,
+        resident_bytes: u64,
+        hits: u64,
+        misses: u64,
+    ) {
         let mut line = self.line_head("cache_pressure", trace_id);
-        let _ = write!(line, ",\"evictions\":{evictions},\"resident_bytes\":{resident_bytes}}}");
+        let _ = write!(
+            line,
+            ",\"evictions\":{evictions},\"resident_bytes\":{resident_bytes}\
+             ,\"hits\":{hits},\"misses\":{misses}}}"
+        );
         self.emit(line);
     }
 
@@ -174,7 +187,7 @@ mod tests {
             1_000,
         );
         log.retry_exhaustion(0, 3, "overloaded: \"queue full\"");
-        log.cache_pressure(44, 5, 4_096);
+        log.cache_pressure(44, 5, 4_096, 3, 13);
         let text = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -185,7 +198,8 @@ mod tests {
         assert!(lines[1].contains("\"covered_residues\":700"));
         assert!(lines[2].contains("\"attempts\":3"));
         assert!(lines[2].contains("\\\"queue full\\\""), "quotes escaped");
-        assert!(lines[3].contains("\"evictions\":5"));
+        assert!(lines[3].contains("\"evictions\":5,\"resident_bytes\":4096"));
+        assert!(lines[3].ends_with(",\"hits\":3,\"misses\":13}"), "{}", lines[3]);
         for line in &lines {
             assert!(line.starts_with("{\"ts_ms\":"));
             assert!(line.ends_with('}'));
