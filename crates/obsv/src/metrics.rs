@@ -67,6 +67,8 @@ pub mod names {
     pub const BATCHER_COMPLETED: &str = crate::series!(serve.batcher.completed);
     /// Batches dispatched to the engine.
     pub const BATCHER_BATCHES: &str = crate::series!(serve.batcher.batches);
+    /// Batches dispatched, labeled by what closed their forming window.
+    pub const DISPATCHES_BY_TRIGGER: &str = crate::series!(serve.batcher.dispatches_by_trigger);
     /// Requests answered with partial (degraded) coverage.
     pub const BATCHER_DEGRADED: &str = crate::series!(serve.batcher.degraded);
     /// Requests slower than the configured slow-query threshold.
@@ -152,6 +154,13 @@ pub mod names {
 /// `engine::ShardFailCause::name()` (pinned by a test in `serve`).
 pub const CAUSES: [&str; 3] = ["injected", "deadline", "storage"];
 
+/// The label values of the `trigger` label — why the batcher closed a
+/// forming window — in `serve::stats::Trigger` order (pinned by a test
+/// there): the dispatcher had been idle a whole window when the request
+/// arrived, the window ran out, `max_batch` requests were queued, or a
+/// shutdown flushed the queue.
+pub const TRIGGERS: [&str; 4] = ["idle", "aged", "full", "drain"];
+
 /// Declare every exported series against a fresh registry. This function
 /// *is* the metrics schema: `xtask analyze metrics` fingerprints each
 /// `def_*` call (method = kind and bucket geometry, argument = the
@@ -162,6 +171,7 @@ fn declare_all(r: &Registry) {
     r.def_counter(names::BATCHER_EXPIRED);
     r.def_counter(names::BATCHER_COMPLETED);
     r.def_counter(names::BATCHER_BATCHES);
+    r.def_counter_per_trigger(names::DISPATCHES_BY_TRIGGER);
     r.def_counter(names::BATCHER_DEGRADED);
     r.def_counter(names::SLOW_QUERIES);
     r.def_counter(names::RETRY_ATTEMPTS);
@@ -613,6 +623,9 @@ impl Registry {
             Some("cause") => {
                 CAUSES.iter().map(|c| (c.to_string(), Cell::for_kind(kind))).collect()
             }
+            Some("trigger") => {
+                TRIGGERS.iter().map(|t| (t.to_string(), Cell::for_kind(kind))).collect()
+            }
             Some("stage") => Stage::ALL
                 .iter()
                 .map(|s| (s.name().to_string(), Cell::for_kind(kind)))
@@ -651,6 +664,12 @@ impl Registry {
     /// [`CAUSES`] entry).
     pub fn def_counter_per_cause(&self, name: &'static str) {
         self.def(name, Kind::Counter, Some("cause"));
+    }
+
+    /// Declare a counter labeled by dispatch trigger (one cell per
+    /// [`TRIGGERS`] entry).
+    pub fn def_counter_per_trigger(&self, name: &'static str) {
+        self.def(name, Kind::Counter, Some("trigger"));
     }
 
     /// Declare an unlabeled gauge.
@@ -736,6 +755,14 @@ impl Registry {
     /// Resolve a cause-labeled counter handle.
     pub fn counter_for_cause(&self, name: &str, cause: &str) -> Counter {
         match self.find_cell(name, cause) {
+            Some(CellRef::Num(c)) => Counter { cell: Some(CounterCell::Plain(c)) },
+            _ => Counter::disabled(),
+        }
+    }
+
+    /// Resolve a trigger-labeled counter handle.
+    pub fn counter_for_trigger(&self, name: &str, trigger: &str) -> Counter {
+        match self.find_cell(name, trigger) {
             Some(CellRef::Num(c)) => Counter { cell: Some(CounterCell::Plain(c)) },
             _ => Counter::disabled(),
         }

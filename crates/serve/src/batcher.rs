@@ -12,7 +12,9 @@
 //!   the queue (and tail latency) grow without bound;
 //! * a **batch former** that coalesces queued requests until either
 //!   `max_batch` requests are waiting or `max_delay` has passed since the
-//!   oldest arrived — the classic latency/throughput dial;
+//!   dispatcher last went idle (or, for a request admitted while it was
+//!   busy, since that admission) — an idle server dispatches at once,
+//!   a loaded one keeps batching;
 //! * a single dispatcher that concatenates the coalesced queries, runs
 //!   one `engine::search_batch` (preserving the block-serial,
 //!   query-parallel schedule), and **demultiplexes** per-query results
@@ -38,7 +40,7 @@
 //! and residue coverage — while losing every shard is a typed error.
 
 use crate::proto::{Degraded, ErrorCode, ParamOverrides, WireError};
-use crate::stats::ServeStats;
+use crate::stats::{ServeStats, Trigger};
 use bioseq::{Sequence, SequenceDb};
 use dbindex::{DbIndex, ShardedIndex};
 use engine::{split_batch, EngineKind, QueryResult, SearchConfig, ShardFailCause};
@@ -47,7 +49,7 @@ use scoring::NeighborTable;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,22 +91,15 @@ impl ResidentIndex {
     /// `(sequences, residues)` per shard, when this variant dispatches
     /// shard-wise (resident or streaming); `None` for a monolithic index.
     fn shard_info(&self) -> Option<Vec<(u64, u64)>> {
+        let shape = |db: &SequenceDb| (db.len() as u64, db.total_residues() as u64);
         match self {
             ResidentIndex::Single(_) => None,
-            ResidentIndex::Sharded(sharded) => Some(
-                sharded
-                    .shards()
-                    .iter()
-                    .map(|s| (s.db.len() as u64, s.db.total_residues() as u64))
-                    .collect(),
-            ),
-            ResidentIndex::Streaming(streaming) => Some(
-                streaming
-                    .shards()
-                    .iter()
-                    .map(|s| (s.db.len() as u64, s.db.total_residues() as u64))
-                    .collect(),
-            ),
+            ResidentIndex::Sharded(sharded) => {
+                Some(sharded.shards().iter().map(|s| shape(&s.db)).collect())
+            }
+            ResidentIndex::Streaming(streaming) => {
+                Some(streaming.shards().iter().map(|s| shape(&s.db)).collect())
+            }
         }
     }
 }
@@ -181,7 +176,14 @@ pub struct BatchOptions {
     pub queue_cap: usize,
     /// Most requests coalesced into one engine dispatch.
     pub max_batch: usize,
-    /// Longest a queued request waits for companions before dispatch.
+    /// Longest a queued request waits for companions that recent traffic
+    /// says may be coming: the forming window closes this long after the
+    /// dispatcher last went idle (finished a dispatch, or was created), or
+    /// after the head request's admission when that is earlier. So a
+    /// request that finds the dispatcher idle for `max_delay` or longer is
+    /// dispatched at once, while closed-loop clients, whose next requests
+    /// arrive just after the replies that released them, still meet inside
+    /// the window the end of that dispatch opens.
     pub max_delay: Duration,
     /// Stage-span tracing, off by default. When enabled, batches that
     /// contain a tracing request record per-stage spans and the stats
@@ -281,17 +283,11 @@ struct Shared {
 }
 
 fn lock(queue: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
-    match queue.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
-    match cv.wait(guard) {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 fn wait_timeout<'a>(
@@ -299,10 +295,9 @@ fn wait_timeout<'a>(
     guard: MutexGuard<'a, QueueState>,
     dur: Duration,
 ) -> MutexGuard<'a, QueueState> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
+    cv.wait_timeout(guard, dur)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 /// The admission queue plus its batch-forming worker thread.
@@ -348,7 +343,9 @@ impl Batcher {
             next_trace: AtomicU64::new(0),
         });
         let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::spawn(move || worker_loop(&worker_shared));
+        // Idle since now, not since whenever the thread first runs.
+        let created = Instant::now();
+        let worker = std::thread::spawn(move || worker_loop(&worker_shared, created));
         Batcher {
             shared,
             worker: Mutex::new(Some(worker)),
@@ -448,13 +445,11 @@ impl Batcher {
             state.draining = true;
         }
         self.shared.cv.notify_all();
-        let handle = {
-            let mut worker = match self.worker.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            worker.take()
-        };
+        let handle = self
+            .worker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
@@ -469,30 +464,23 @@ impl Drop for Batcher {
 
 /// Remove queued jobs whose deadline has passed — or that the
 /// [`FAULT_EXPIRE`] site condemns — preserving the order of the rest.
+/// With nothing to remove, which is what nearly every wake of the forming
+/// loop finds, the queue is only read: nothing moves, nothing is allocated.
 ///
-/// This runs *before* batch extraction, which is the fix for a latent
-/// bug: expiry used to happen inside `dispatch`, after extraction, so an
-/// already-dead job consumed a batch slot (shrinking the real batch) and
-/// a dead head with a different [`ConfigSig`] split live companions into
-/// separate batches. Rejecting at extraction time also keeps a
-/// drain-on-shutdown honest — expired jobs count as `expired`, never as
-/// served.
-fn split_expired(
-    jobs: &mut VecDeque<Job>,
-    now: Instant,
-    faults: &faultfn::Faults,
-) -> Vec<Job> {
+/// This runs *before* batch extraction, so a dead job never takes a batch
+/// slot, a dead head with a different [`ConfigSig`] never splits its live
+/// companions into separate batches, and a drain counts the dead as
+/// `expired`, never as served.
+fn split_expired(jobs: &mut VecDeque<Job>, now: Instant, faults: &faultfn::Faults) -> Vec<Job> {
     let mut expired = Vec::new();
-    let mut kept = VecDeque::with_capacity(jobs.len());
-    while let Some(job) = jobs.pop_front() {
-        let dead = job.deadline.is_some_and(|d| now >= d) || faults.fire(FAULT_EXPIRE);
-        if dead {
-            expired.push(job);
+    let mut i = 0;
+    while i < jobs.len() {
+        if jobs[i].deadline.is_some_and(|d| now >= d) || faults.fire(FAULT_EXPIRE) {
+            expired.extend(jobs.remove(i));
         } else {
-            kept.push_back(job);
+            i += 1;
         }
     }
-    *jobs = kept;
     expired
 }
 
@@ -513,43 +501,47 @@ fn reject_expired(shared: &Shared, expired: Vec<Job>, now: Instant) {
 /// request's configuration (prefix order keeps FIFO fairness — a
 /// differently-configured head is never starved by later arrivals).
 fn take_batch(jobs: &mut VecDeque<Job>, max_batch: usize) -> Vec<Job> {
-    let mut batch: Vec<Job> = Vec::new();
-    while batch.len() < max_batch {
-        let take = match (jobs.front(), batch.first()) {
-            (Some(next), Some(head)) => next.sig == head.sig,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if !take {
-            break;
-        }
-        if let Some(job) = jobs.pop_front() {
-            batch.push(job);
-        }
-    }
-    batch
+    let sig = jobs.front().map(|j| j.sig);
+    let same = |j: &&Job| Some(j.sig) == sig;
+    let n = jobs.iter().take(max_batch).take_while(same).count();
+    jobs.drain(..n).collect()
 }
 
-fn worker_loop(shared: &Shared) {
+/// When the forming window over a head request admitted at `head` closes
+/// ([`BatchOptions::max_delay`]). `idle_since` is when the dispatcher last
+/// ran out of work. `bet_lost`: the dispatch that ended there was an
+/// [`Trigger::Idle`] one, a bet that its request was alone. A head that
+/// arrived while it ran shows a burst or a closed loop released together,
+/// so the window re-opens in full and the traffic re-forms its batch; held
+/// only to its admission plus `max_delay` the head would leave at once,
+/// one request out of phase with such clients for good.
+fn window(idle_since: Instant, bet_lost: bool, head: Instant, max_delay: Duration) -> Instant {
+    idle_since.min(if bet_lost { idle_since } else { head }) + max_delay
+}
+
+fn worker_loop(shared: &Shared, mut idle_since: Instant) {
+    let mut bet = false; // the previous dispatch was an `Idle` one
     loop {
         let mut state = lock(&shared.queue);
         // Wait for work; an empty queue under drain means we are done.
-        loop {
-            if !state.jobs.is_empty() {
-                break;
-            }
+        while state.jobs.is_empty() {
             if state.draining {
                 return;
             }
             state = wait(&shared.cv, state);
         }
-        // Forming window: coalesce until max_batch companions are queued
-        // or max_delay has passed since the oldest arrival. The wake time
+        // Forming window: coalesce until max_batch companions are queued,
+        // a drain flushes the queue, or the window closes. The wake time
         // is the *earlier* of the window end and the earliest queued
         // deadline, so expiry is answered promptly instead of aging out
-        // the whole window first. A drain cuts the window short — queued
-        // work is flushed, not aged.
-        while state.jobs.len() < shared.opts.max_batch && !state.draining {
+        // the whole window first.
+        let trigger = loop {
+            if state.draining {
+                break Trigger::Drain;
+            }
+            if state.jobs.len() >= shared.opts.max_batch {
+                break Trigger::Full;
+            }
             let now = Instant::now();
             // lint: allow(lock-across-fire): `Faults::none()` never fires,
             // and Faults::fire is atomics-only in any case.
@@ -563,26 +555,22 @@ fn worker_loop(shared: &Shared) {
                 state = lock(&shared.queue);
                 continue;
             }
-            let Some(formed_by) = state
-                .jobs
-                .front()
-                .map(|j| j.admitted + shared.opts.max_delay)
-            else {
-                break; // everything queued had expired
+            let Some(head) = state.jobs.front().map(|j| j.admitted) else {
+                break Trigger::Aged; // everything queued had expired
             };
+            let formed_by = window(idle_since, bet, head, shared.opts.max_delay);
             if now >= formed_by {
-                break;
+                // Closed before the head even arrived ⇔ nothing was held.
+                let idle = formed_by <= head;
+                break if idle { Trigger::Idle } else { Trigger::Aged };
             }
             let wake = state
                 .jobs
                 .iter()
                 .filter_map(|j| j.deadline)
-                .min()
-                .map_or(formed_by, |d| d.min(formed_by));
-            if wake > now {
-                state = wait_timeout(&shared.cv, state, wake - now);
-            }
-        }
+                .fold(formed_by, Instant::min);
+            state = wait_timeout(&shared.cv, state, wake.saturating_duration_since(now));
+        };
         // Extraction: reject the dead first (with fault injection, so the
         // chaos suite can condemn arbitrary queued jobs), then batch the
         // live prefix.
@@ -593,7 +581,11 @@ fn worker_loop(shared: &Shared) {
         let batch = take_batch(&mut state.jobs, shared.opts.max_batch);
         drop(state);
         reject_expired(shared, expired, now);
-        dispatch(shared, batch);
+        if !batch.is_empty() {
+            shared.stats.on_dispatch(trigger);
+            dispatch(shared, batch);
+            (idle_since, bet) = (Instant::now(), trigger == Trigger::Idle);
+        }
     }
 }
 
@@ -620,9 +612,6 @@ fn absorb_sharded(
 
 fn dispatch(shared: &Shared, mut live: Vec<Job>) {
     let now = Instant::now();
-    if live.is_empty() {
-        return;
-    }
     // One coalesced engine run over the concatenated queries. Tracing is
     // per batch: the engine records only when some member asked for spans
     // (a disabled session costs a branch per stage).
@@ -1203,6 +1192,174 @@ mod tests {
             Err(SubmitError::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {:?}", other.map(|_| ())),
         }
+    }
+
+    /// A 300 ms forming window: far longer than any step of the tests
+    /// below takes, so which side of it a request lands on is decided by
+    /// the sleeps they make, not by scheduling.
+    const WINDOW: Duration = Duration::from_millis(300);
+
+    fn windowed_batcher(ctx: &Arc<SearchContext>, stats: &Arc<ServeStats>) -> Batcher {
+        Batcher::new(
+            Arc::clone(ctx),
+            BatchOptions {
+                queue_cap: 8,
+                max_batch: 8,
+                max_delay: WINDOW,
+                obsv: ObsvConfig::on(),
+                ..BatchOptions::default()
+            },
+            Arc::clone(stats),
+        )
+    }
+
+    /// `[idle, aged, full, drain]` dispatch counts.
+    fn triggers(stats: &ServeStats) -> [u64; 4] {
+        obsv::metrics::TRIGGERS.map(|t| {
+            stats
+                .registry()
+                .value_for(obsv::metrics::names::DISPATCHES_BY_TRIGGER, t)
+        })
+    }
+
+    fn submit_traced(batcher: &Batcher, ctx: &SearchContext, i: u32) -> mpsc::Receiver<BatchReply> {
+        batcher
+            .submit_traced(
+                query(ctx, i),
+                EngineKind::MuBlastp,
+                &Default::default(),
+                None,
+                0,
+                true,
+            )
+            .unwrap()
+            .0
+    }
+
+    fn queue_wait(out: &BatchOutput) -> Duration {
+        let span = out
+            .trace
+            .spans
+            .iter()
+            .find(|s| s.stage == Stage::QueueWait)
+            .unwrap();
+        Duration::from_nanos(span.dur_ns)
+    }
+
+    /// The window is anchored where the dispatcher last went idle. A lone
+    /// request that finds it idle for a whole window — since creation, or
+    /// since the previous dispatch — is dispatched at once; requests sent
+    /// right after a dispatch (what closed-loop clients do) land inside the
+    /// window that dispatch opened and share one batch.
+    #[test]
+    fn idle_dispatcher_serves_at_once_and_recent_traffic_reopens_the_window() {
+        let ctx = context();
+        let stats = Arc::new(ServeStats::new());
+        let batcher = windowed_batcher(&ctx, &stats);
+        std::thread::sleep(WINDOW);
+        let lone = submit_traced(&batcher, &ctx, 0).recv().unwrap().unwrap();
+        assert_eq!(triggers(&stats), [1, 0, 0, 0]);
+        assert!(
+            queue_wait(&lone) < WINDOW / 3,
+            "held {:?}",
+            queue_wait(&lone)
+        );
+
+        let (rx_a, rx_b) = (
+            submit_traced(&batcher, &ctx, 1),
+            submit_traced(&batcher, &ctx, 2),
+        );
+        assert!(rx_a.recv().unwrap().is_ok() && rx_b.recv().unwrap().is_ok());
+        assert_eq!(triggers(&stats), [1, 1, 0, 0]);
+        assert_eq!(
+            stats.snapshot(0, 8).batch_hist,
+            vec![1, 1],
+            "one batch of 1, one of 2"
+        );
+
+        // A generous margin past the window: `idle_since` is read after the
+        // replies above were sent.
+        std::thread::sleep(WINDOW + WINDOW / 2);
+        let again = submit_traced(&batcher, &ctx, 3).recv().unwrap().unwrap();
+        assert_eq!(triggers(&stats), [2, 1, 0, 0]);
+        assert!(queue_wait(&again) < WINDOW / 3);
+    }
+
+    /// The window rule, exactly: a head admitted after the dispatcher went
+    /// idle waits until `idle_since + max_delay` — not at all if that has
+    /// passed; one admitted before keeps `admitted + max_delay` — unless it
+    /// arrived during an at-once dispatch, which re-opens a full window.
+    #[test]
+    fn window_is_anchored_where_the_dispatcher_went_idle() {
+        let (t, w) = (Instant::now(), WINDOW);
+        for bet in [false, true] {
+            for head in [t + w / 10, t + w, t + 3 * w] {
+                assert_eq!(window(t, bet, head, w), t + w);
+            }
+        }
+        assert_eq!(window(t + 5 * w, false, t + w, w), t + 2 * w);
+        assert_eq!(window(t + 5 * w, true, t + w, w), t + 6 * w);
+    }
+
+    /// A request admitted before the dispatcher went idle — here, queued
+    /// behind a head whose configuration it cannot share, so it sits out
+    /// that head's whole window and dispatch — is held until its *own*
+    /// admission plus `max_delay`, not for a second window counted from the
+    /// end of that dispatch.
+    #[test]
+    fn request_admitted_before_the_dispatcher_went_idle_keeps_its_own_window() {
+        let ctx = context();
+        let stats = Arc::new(ServeStats::new());
+        let batcher = windowed_batcher(&ctx, &stats);
+        let strict = ParamOverrides {
+            evalue_cutoff: Some(1e-30),
+            ..Default::default()
+        };
+        let head = submit_traced(&batcher, &ctx, 0);
+        let behind = batcher
+            .submit_traced(query(&ctx, 1), EngineKind::MuBlastp, &strict, None, 0, true)
+            .unwrap()
+            .0;
+        head.recv().unwrap().unwrap();
+        let behind = behind.recv().unwrap().unwrap();
+        assert_eq!(triggers(&stats), [0, 2, 0, 0]);
+        let held = queue_wait(&behind);
+        assert!(
+            held < WINDOW + WINDOW / 2,
+            "held {held:?}: a second window was opened"
+        );
+    }
+
+    #[test]
+    fn full_and_drain_triggers_are_counted() {
+        let ctx = context();
+        let stats = Arc::new(ServeStats::new());
+        let batcher = Batcher::new(
+            Arc::clone(&ctx),
+            BatchOptions {
+                queue_cap: 8,
+                max_batch: 2,
+                max_delay: Duration::from_secs(30),
+                ..BatchOptions::default()
+            },
+            Arc::clone(&stats),
+        );
+        let rx: Vec<_> = (0..3)
+            .map(|i| {
+                batcher
+                    .submit(
+                        query(&ctx, i),
+                        EngineKind::MuBlastp,
+                        &Default::default(),
+                        None,
+                    )
+                    .unwrap()
+            })
+            .collect();
+        assert!(rx[0].recv().unwrap().is_ok() && rx[1].recv().unwrap().is_ok());
+        batcher.shutdown();
+        assert!(rx[2].recv().unwrap().is_ok());
+        assert_eq!(triggers(&stats), [0, 0, 1, 1]);
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! counters. Incompatible with `--index` (the store is built in-process
 //! from the database).
 //!
+//! `--max-delay-us N` (default 2000) bounds how long a request waits for
+//! companions to share its batch: the forming window closes N µs after the
+//! dispatcher last went idle — or after the request's admission, if a
+//! dispatch was in flight then — so a request that finds the daemon idle
+//! is searched at once and only recent traffic is waited for.
+//!
 //! `--metrics-addr HOST:PORT` binds a Prometheus text-exposition
 //! endpoint (`GET /metrics`, HTTP/1.0) rendering the daemon's metrics
 //! registry — the same counters the wire stats frame reports.
@@ -64,7 +70,11 @@ USAGE:
             [--metrics-addr 127.0.0.1:9100] [--event-log events.jsonl]
             [--threads N] [--queue-cap N] [--max-batch N] [--max-delay-us N]
             [--kernel auto|scalar|striped]
-            [--evalue X] [--max-hits N] [--trace] [--slow-query-us N]";
+            [--evalue X] [--max-hits N] [--trace] [--slow-query-us N]
+
+  --max-delay-us N  longest wait for batch companions, counted from when the
+                    dispatcher last went idle (default 2000; an idle daemon
+                    searches a request at once)";
 
 // Exit codes (documented, stable):
 //   0 clean shutdown   2 usage error   3 cannot bind listener

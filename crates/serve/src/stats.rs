@@ -38,6 +38,22 @@ fn cause_idx(c: ShardFailCause) -> usize {
     }
 }
 
+/// Why the batcher closed a forming window. The discriminant indexes
+/// [`obsv::metrics::TRIGGERS`]; the `triggers_match_the_registry_labels`
+/// test pins the order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Trigger {
+    /// The dispatcher had been idle for `max_delay` or longer when the
+    /// head request arrived: it was dispatched at once.
+    Idle,
+    /// The window ran out with fewer than `max_batch` requests queued.
+    Aged,
+    /// `max_batch` requests were queued.
+    Full,
+    /// A shutdown flushed the queue.
+    Drain,
+}
+
 /// One shard's registry handles: the static shard shape plus the
 /// scheduler-wait and search-time digests fed on every dispatch.
 #[derive(Debug)]
@@ -86,6 +102,7 @@ pub struct ServeStats {
     kernel_rescues: Gauge,
     stage_lat: [Histogram; obsv::Stage::ALL.len()],
     by_cause: [Counter; obsv::metrics::CAUSES.len()],
+    by_trigger: [Counter; obsv::metrics::TRIGGERS.len()],
     meta: Mutex<Meta>,
 }
 
@@ -137,6 +154,10 @@ impl ServeStats {
                     obsv::metrics::CAUSES[i],
                 )
             }),
+            by_trigger: std::array::from_fn(|i| {
+                registry
+                    .counter_for_trigger(names::DISPATCHES_BY_TRIGGER, obsv::metrics::TRIGGERS[i])
+            }),
             meta: Mutex::new(Meta::default()),
             registry,
         }
@@ -173,6 +194,11 @@ impl ServeStats {
             self.queue_wait.record(w);
         }
         self.search.record(search);
+    }
+
+    /// The batcher closed a forming window over a non-empty batch.
+    pub(crate) fn on_dispatch(&self, trigger: Trigger) {
+        self.by_trigger[trigger as usize].inc();
     }
 
     /// A request was answered `total` after admission.
@@ -398,6 +424,27 @@ mod tests {
         ] {
             assert_eq!(obsv::metrics::CAUSES[cause_idx(c)], c.name());
         }
+    }
+
+    #[test]
+    fn triggers_match_the_registry_labels() {
+        let stats = ServeStats::new();
+        let all = [Trigger::Idle, Trigger::Aged, Trigger::Full, Trigger::Drain];
+        assert_eq!(all.len(), obsv::metrics::TRIGGERS.len());
+        for (i, t) in all.into_iter().enumerate() {
+            assert_eq!(format!("{t:?}").to_lowercase(), obsv::metrics::TRIGGERS[i]);
+            for _ in 0..=i {
+                stats.on_dispatch(t);
+            }
+        }
+        for (i, label) in obsv::metrics::TRIGGERS.iter().enumerate() {
+            let got = stats
+                .registry()
+                .value_for(names::DISPATCHES_BY_TRIGGER, label);
+            assert_eq!(got, i as u64 + 1, "{label}");
+        }
+        let text = stats.registry().render_prometheus();
+        assert!(text.contains("serve_batcher_dispatches_by_trigger{trigger=\"aged\"} 2"));
     }
 
     #[test]

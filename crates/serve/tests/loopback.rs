@@ -361,6 +361,40 @@ fn different_overrides_are_honored_per_request() {
     handle.shutdown();
 }
 
+/// Under the daemon's default options (2 ms window) a request that finds
+/// the dispatcher idle is not held for companions: every lone request of a
+/// slow client is dispatched with trigger `idle`, none with `aged`. The
+/// 50 ms pauses are 25 windows long — only their lower bound matters.
+#[test]
+fn default_options_dispatch_a_lone_request_without_a_forming_delay() {
+    let ctx = context(1);
+    let (mut handle, connector) = start(&ctx, BatchOptions::default());
+    let mut client = Client::new(connector.connect().expect("connect"));
+    for sent in 1..=3 {
+        std::thread::sleep(Duration::from_millis(50));
+        client
+            .search(
+                &fasta_for(sent),
+                EngineKind::MuBlastp,
+                ParamOverrides::default(),
+                0,
+            )
+            .expect("search");
+        let metrics = handle.render_metrics();
+        for (trigger, want) in [("idle", sent), ("aged", 0), ("full", 0), ("drain", 0)] {
+            let row =
+                format!("serve_batcher_dispatches_by_trigger{{trigger=\"{trigger}\"}} {want}\n");
+            assert!(
+                metrics.contains(&row),
+                "want `{}` in:\n{metrics}",
+                row.trim_end()
+            );
+        }
+    }
+    assert_eq!(handle.stats().batches, 3);
+    handle.shutdown();
+}
+
 /// The top-k path end-to-end: a `--top-k K` request answers with rows
 /// bit-identical to an exhaustive search truncated to K (the pruning is
 /// invisible in the output), the reply accounts for every index block as
