@@ -166,20 +166,10 @@ pub fn gapped_extend_score(
     extend: i32,
     xdrop: i32,
 ) -> GappedAlignment {
-    let (sq, ss) = (seed_q as usize, seed_s as usize);
-    debug_assert!(sq < query.len() && ss < subject.len());
-    let rev_q: Vec<u8> = query[..=sq].iter().rev().copied().collect();
-    let rev_s: Vec<u8> = subject[..=ss].iter().rev().copied().collect();
-    let left = xdrop_half(matrix, &rev_q, &rev_s, open, extend, xdrop);
-    let right = xdrop_half(matrix, &query[sq + 1..], &subject[ss + 1..], open, extend, xdrop);
-    GappedAlignment {
-        q_start: (sq + 1 - left.q_consumed as usize) as u32,
-        q_end: (sq + 1 + right.q_consumed as usize) as u32,
-        s_start: (ss + 1 - left.s_consumed as usize) as u32,
-        s_end: (ss + 1 + right.s_consumed as usize) as u32,
-        score: left.score + right.score,
-        ops: Vec::new(),
-    }
+    let rev_q = reversed_through(query, seed_q);
+    extend_seeded(
+        xdrop_half, matrix, query, &rev_q, subject, seed_q, seed_s, open, extend, xdrop, false,
+    )
 }
 
 /// Gapped extension with traceback (the stage-4 realignment).
@@ -199,47 +189,164 @@ pub fn gapped_extend_traceback(
     extend: i32,
     xdrop: i32,
 ) -> GappedAlignment {
-    let (sq, ss) = (seed_q as usize, seed_s as usize);
-    debug_assert!(sq < query.len() && ss < subject.len());
-    let rev_q: Vec<u8> = query[..=sq].iter().rev().copied().collect();
-    let rev_s: Vec<u8> = subject[..=ss].iter().rev().copied().collect();
-    let left = xdrop_half(matrix, &rev_q, &rev_s, open, extend, xdrop);
-    let right = xdrop_half(matrix, &query[sq + 1..], &subject[ss + 1..], open, extend, xdrop);
+    let rev_q = reversed_through(query, seed_q);
+    extend_seeded(
+        xdrop_half, matrix, query, &rev_q, subject, seed_q, seed_s, open, extend, xdrop, true,
+    )
+}
 
-    let (mut left_ops, left_score) = anchored_traceback(
+/// A half-extension kernel: [`xdrop_half`] or its striped twin.
+pub(crate) type HalfFn = fn(&Matrix, &[u8], &[u8], i32, i32, i32) -> GappedExtension;
+
+/// `seq[..=last]` reversed: what a left half-extension reads.
+pub(crate) fn reversed_through(seq: &[u8], last: u32) -> Vec<u8> {
+    seq[..=last as usize].iter().rev().copied().collect()
+}
+
+/// The seeded extension behind all four `gapped_extend_*` entry points and
+/// [`GappedExtender`]: two anchored half-extensions by `half`, plus — with
+/// `with_ops` — the rectangle realignment of each half. `rev_q` is
+/// `query[..=seed_q]` reversed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_seeded(
+    half: HalfFn,
+    matrix: &Matrix,
+    query: &[u8],
+    rev_q: &[u8],
+    subject: &[u8],
+    seed_q: u32,
+    seed_s: u32,
+    open: i32,
+    extend: i32,
+    xdrop: i32,
+    with_ops: bool,
+) -> GappedAlignment {
+    let (sq, ss) = (seed_q as usize, seed_s as usize);
+    debug_assert!(sq < query.len() && ss < subject.len() && rev_q.len() == sq + 1);
+    let rev_s = reversed_through(subject, seed_s);
+    let left = half(matrix, rev_q, &rev_s, open, extend, xdrop);
+    let right = half(
         matrix,
-        &rev_q[..left.q_consumed as usize],
-        &rev_s[..left.s_consumed as usize],
+        &query[sq + 1..],
+        &subject[ss + 1..],
         open,
         extend,
+        xdrop,
     );
-    left_ops.reverse();
-    let (right_ops, right_score) = anchored_traceback(
-        matrix,
-        &query[sq + 1..sq + 1 + right.q_consumed as usize],
-        &subject[ss + 1..ss + 1 + right.s_consumed as usize],
-        open,
-        extend,
-    );
-    // The unpruned rectangle DP can only match or beat the x-drop pass
-    // (a path may dip below the drop-off and recover); it is authoritative
-    // for the reported alignment, mirroring NCBI's traceback stage.
-    debug_assert!(
-        left_score >= left.score && right_score >= right.score,
-        "traceback rectangle below x-drop: left {left_score} vs {}, right {right_score} vs {}, \
-         seed ({seed_q}, {seed_s}), q = {query:?}, s = {subject:?}",
-        left.score,
-        right.score
-    );
-    let mut ops = left_ops;
-    ops.extend_from_slice(&right_ops);
+    let (lq, ls) = (left.q_consumed as usize, left.s_consumed as usize);
+    let (rq, rs) = (right.q_consumed as usize, right.s_consumed as usize);
+    let (mut score, mut ops) = (left.score + right.score, Vec::new());
+    if with_ops {
+        let (left_ops, left_score) =
+            anchored_traceback(matrix, &rev_q[..lq], &rev_s[..ls], open, extend);
+        let (right_ops, right_score) = anchored_traceback(
+            matrix,
+            &query[sq + 1..sq + 1 + rq],
+            &subject[ss + 1..ss + 1 + rs],
+            open,
+            extend,
+        );
+        // The unpruned rectangle DP can only match or beat the x-drop pass
+        // (a path may dip below the drop-off and recover); it is authoritative
+        // for the reported alignment, mirroring NCBI's traceback stage.
+        debug_assert!(
+            left_score >= left.score && right_score >= right.score,
+            "traceback rectangle below x-drop: left {left_score} vs {}, right {right_score} vs {}, \
+             seed ({seed_q}, {seed_s}), q = {query:?}, s = {subject:?}",
+            left.score,
+            right.score
+        );
+        score = left_score + right_score;
+        ops = left_ops;
+        ops.reverse();
+        ops.extend_from_slice(&right_ops);
+    }
     GappedAlignment {
-        q_start: (sq + 1 - left.q_consumed as usize) as u32,
-        q_end: (sq + 1 + right.q_consumed as usize) as u32,
-        s_start: (ss + 1 - left.s_consumed as usize) as u32,
-        s_end: (ss + 1 + right.s_consumed as usize) as u32,
-        score: left_score + right_score,
+        q_start: (sq + 1 - lq) as u32,
+        q_end: (sq + 1 + rq) as u32,
+        s_start: (ss + 1 - ls) as u32,
+        s_end: (ss + 1 + rs) as u32,
+        score,
         ops,
+    }
+}
+
+/// One query set up for many seeded gapped extensions: the query is
+/// reversed once here, and each seed's left half slices that instead of
+/// rebuilding its reversed prefix. Results are those of the
+/// `gapped_extend_*` functions of the chosen kernel, which are the same
+/// for both kernels (`tests/kernel_conformance.rs`).
+pub struct GappedExtender<'a> {
+    matrix: &'a Matrix,
+    query: &'a [u8],
+    rev_query: Vec<u8>,
+    open: i32,
+    extend: i32,
+    half: HalfFn,
+}
+
+impl<'a> GappedExtender<'a> {
+    /// Prepare `query` for extension under `matrix` and the affine gap
+    /// costs, with the striped half-extension kernel if `striped`.
+    pub fn new(
+        matrix: &'a Matrix,
+        query: &'a [u8],
+        open: i32,
+        extend: i32,
+        striped: bool,
+    ) -> GappedExtender<'a> {
+        GappedExtender {
+            matrix,
+            query,
+            rev_query: query.iter().rev().copied().collect(),
+            open,
+            extend,
+            half: if striped {
+                crate::striped::xdrop_half_striped
+            } else {
+                xdrop_half
+            },
+        }
+    }
+
+    /// [`gapped_extend_score`] of the prepared query against `subject`.
+    pub fn score(&self, subject: &[u8], seed_q: u32, seed_s: u32, xdrop: i32) -> GappedAlignment {
+        self.run(subject, seed_q, seed_s, xdrop, false)
+    }
+
+    /// [`gapped_extend_traceback`] of the prepared query against `subject`.
+    pub fn traceback(
+        &self,
+        subject: &[u8],
+        seed_q: u32,
+        seed_s: u32,
+        xdrop: i32,
+    ) -> GappedAlignment {
+        self.run(subject, seed_q, seed_s, xdrop, true)
+    }
+
+    fn run(
+        &self,
+        subject: &[u8],
+        seed_q: u32,
+        seed_s: u32,
+        xdrop: i32,
+        with_ops: bool,
+    ) -> GappedAlignment {
+        let rev_q = &self.rev_query[self.query.len() - 1 - seed_q as usize..];
+        extend_seeded(
+            self.half,
+            self.matrix,
+            self.query,
+            rev_q,
+            subject,
+            seed_q,
+            seed_s,
+            self.open,
+            self.extend,
+            xdrop,
+            with_ops,
+        )
     }
 }
 
@@ -257,6 +364,22 @@ pub fn global_align(
     anchored_traceback(matrix, q, s, open, extend)
 }
 
+// One direction byte per DP cell. Bits 0–1: which state won H — diagonal
+// (Sub), E (Del, consumes s) or F (Ins, consumes q); bit 2 / bit 3:
+// whether the cell's E / F gap was extended (set) or opened (clear).
+const DIR_DIAG: u8 = 0;
+const DIR_E: u8 = 1;
+const DIR_F: u8 = 2;
+const DIR_MASK: u8 = 3;
+const E_EXT: u8 = 1 << 2;
+const F_EXT: u8 = 1 << 3;
+
+/// The rectangle realignment: a full (unpruned) affine DP over `q` × `s`
+/// anchored at both corners. Scores live in two rolling rows (H, F) and a
+/// scalar E along the row; all the walk-back needs is one direction byte
+/// per cell. Ties go diagonal, then E, then F for H, and to *opening* a
+/// gap over extending one — pinned against the six-matrix formulation by
+/// the battery in this module's tests.
 pub(crate) fn anchored_traceback(
     matrix: &Matrix,
     q: &[u8],
@@ -269,91 +392,81 @@ pub(crate) fn anchored_traceback(
         return (Vec::new(), 0);
     }
     let width = n + 1;
-    let idx = |i: usize, j: usize| i * width + j;
-    let mut h = vec![NEG; (m + 1) * width];
-    let mut e = vec![NEG; (m + 1) * width];
-    let mut f = vec![NEG; (m + 1) * width];
-    // Direction of the H winner: 0 = diag (Sub), 1 = E (Del, consume s),
-    // 2 = F (Ins, consume q). For E/F: whether the gap was opened (0) or
-    // extended (1).
-    let mut h_dir = vec![0u8; (m + 1) * width];
-    let mut e_ext = vec![0u8; (m + 1) * width];
-    let mut f_ext = vec![0u8; (m + 1) * width];
-
-    h[idx(0, 0)] = 0;
+    let mut dirs = vec![0u8; (m + 1) * width];
+    // h[j] holds H(i-1, j) until row i overwrites it; f[j] likewise.
+    let mut h = vec![0i32; width];
+    let mut f = vec![NEG; width];
     for j in 1..=n {
-        e[idx(0, j)] = -(open + extend * j as i32);
-        h[idx(0, j)] = e[idx(0, j)];
-        h_dir[idx(0, j)] = 1;
-        e_ext[idx(0, j)] = if j > 1 { 1 } else { 0 };
+        h[j] = -(open + extend * j as i32);
+        dirs[j] = DIR_E | if j > 1 { E_EXT } else { 0 };
     }
     for i in 1..=m {
-        f[idx(i, 0)] = -(open + extend * i as i32);
-        h[idx(i, 0)] = f[idx(i, 0)];
-        h_dir[idx(i, 0)] = 2;
-        f_ext[idx(i, 0)] = if i > 1 { 1 } else { 0 };
         let row = matrix.row(q[i - 1]);
-        for j in 1..=n {
-            let eo = h[idx(i, j - 1)].saturating_sub(open + extend);
-            let ee = e[idx(i, j - 1)].saturating_sub(extend);
-            let (ev, eflag) = if ee > eo { (ee, 1u8) } else { (eo, 0u8) };
-            e[idx(i, j)] = ev;
-            e_ext[idx(i, j)] = eflag;
+        let dir_row = &mut dirs[i * width..(i + 1) * width];
+        let mut diag = h[0];
+        let mut left = -(open + extend * i as i32);
+        h[0] = left;
+        dir_row[0] = DIR_F | if i > 1 { F_EXT } else { 0 };
+        let mut e = NEG;
+        let cells = dir_row[1..]
+            .iter_mut()
+            .zip(h[1..].iter_mut().zip(f[1..].iter_mut()));
+        for ((dir, (h_j, f_j)), &s_j) in cells.zip(s) {
+            let eo = left.saturating_sub(open + extend);
+            let ee = e.saturating_sub(extend);
+            let e_flag = if ee > eo { E_EXT } else { 0 };
+            e = ee.max(eo);
 
-            let fo = h[idx(i - 1, j)].saturating_sub(open + extend);
-            let fe = f[idx(i - 1, j)].saturating_sub(extend);
-            let (fv, fflag) = if fe > fo { (fe, 1u8) } else { (fo, 0u8) };
-            f[idx(i, j)] = fv;
-            f_ext[idx(i, j)] = fflag;
+            let fo = h_j.saturating_sub(open + extend);
+            let fe = f_j.saturating_sub(extend);
+            let f_flag = if fe > fo { F_EXT } else { 0 };
+            let fv = fe.max(fo);
+            *f_j = fv;
 
-            let mval = h[idx(i - 1, j - 1)] + row[s[j - 1] as usize] as i32;
-            let (hv, hd) = if mval >= ev && mval >= fv {
-                (mval, 0u8)
-            } else if ev >= fv {
-                (ev, 1u8)
-            } else {
-                (fv, 2u8)
-            };
-            h[idx(i, j)] = hv;
-            h_dir[idx(i, j)] = hd;
+            let mval = diag + row[s_j as usize] as i32;
+            let gap = e.max(fv);
+            let gap_dir = if e >= fv { DIR_E } else { DIR_F };
+            let hv = mval.max(gap);
+            let h_dir = if mval >= gap { DIR_DIAG } else { gap_dir };
+            diag = *h_j;
+            *h_j = hv;
+            left = hv;
+            *dir = h_dir | e_flag | f_flag;
         }
     }
     // Walk back from (m, n) to (0, 0).
     let mut ops = Vec::with_capacity(m + n);
     let (mut i, mut j) = (m, n);
-    // State: 0 = in H, 1 = in E, 2 = in F.
-    let mut state = 0u8;
+    let mut state = DIR_DIAG; // which matrix the walk is in: H, E or F
     while i > 0 || j > 0 {
+        let dir = dirs[i * width + j];
         match state {
-            0 => match h_dir[idx(i, j)] {
-                0 => {
+            DIR_DIAG => match dir & DIR_MASK {
+                DIR_DIAG => {
                     ops.push(AlignOp::Sub);
                     i -= 1;
                     j -= 1;
                 }
-                1 => state = 1,
-                _ => state = 2,
+                gap => state = gap,
             },
-            1 => {
+            DIR_E => {
                 ops.push(AlignOp::Del);
-                let was_ext = e_ext[idx(i, j)] == 1;
                 j -= 1;
-                if !was_ext {
-                    state = 0;
+                if dir & E_EXT == 0 {
+                    state = DIR_DIAG;
                 }
             }
             _ => {
                 ops.push(AlignOp::Ins);
-                let was_ext = f_ext[idx(i, j)] == 1;
                 i -= 1;
-                if !was_ext {
-                    state = 0;
+                if dir & F_EXT == 0 {
+                    state = DIR_DIAG;
                 }
             }
         }
     }
     ops.reverse();
-    (ops, h[idx(m, n)])
+    (ops, h[n])
 }
 
 #[cfg(test)]
@@ -368,6 +481,307 @@ mod tests {
 
     fn self_score(q: &[u8]) -> i32 {
         q.iter().map(|&c| BLOSUM62.score(c, c)).sum()
+    }
+
+    /// The score `g.ops` spell out over `q` / `s`. A gap is a maximal run
+    /// of one gap op; `seam` — the lattice point where a seeded
+    /// alignment's two halves meet — also ends a run, because each half
+    /// was scored on its own.
+    fn score_from_ops(
+        q: &[u8],
+        s: &[u8],
+        g: &GappedAlignment,
+        open: i32,
+        extend: i32,
+        seam: Option<(usize, usize)>,
+    ) -> i32 {
+        let (mut qi, mut sj) = (g.q_start as usize, g.s_start as usize);
+        let mut score = 0i32;
+        let mut prev = AlignOp::Sub;
+        for &op in &g.ops {
+            if seam == Some((qi, sj)) {
+                prev = AlignOp::Sub;
+            }
+            match op {
+                AlignOp::Sub => {
+                    score += BLOSUM62.score(q[qi], s[sj]);
+                    qi += 1;
+                    sj += 1;
+                }
+                AlignOp::Del => sj += 1,
+                AlignOp::Ins => qi += 1,
+            }
+            if op != AlignOp::Sub {
+                score -= if prev == op { extend } else { open + extend };
+            }
+            prev = op;
+        }
+        assert_eq!(
+            (qi, sj),
+            (g.q_end as usize, g.s_end as usize),
+            "ops do not span the ranges"
+        );
+        score
+    }
+
+    /// The reference [`anchored_traceback`] is pinned against: the textbook
+    /// formulation with three full score matrices and three full direction
+    /// matrices.
+    fn anchored_traceback_oracle(
+        matrix: &Matrix,
+        q: &[u8],
+        s: &[u8],
+        open: i32,
+        extend: i32,
+    ) -> (Vec<AlignOp>, i32) {
+        let (m, n) = (q.len(), s.len());
+        if m == 0 && n == 0 {
+            return (Vec::new(), 0);
+        }
+        let width = n + 1;
+        let idx = |i: usize, j: usize| i * width + j;
+        let mut h = vec![NEG; (m + 1) * width];
+        let mut e = vec![NEG; (m + 1) * width];
+        let mut f = vec![NEG; (m + 1) * width];
+        // Direction of the H winner: 0 = diag (Sub), 1 = E (Del, consume s),
+        // 2 = F (Ins, consume q). For E/F: whether the gap was opened (0) or
+        // extended (1).
+        let mut h_dir = vec![0u8; (m + 1) * width];
+        let mut e_ext = vec![0u8; (m + 1) * width];
+        let mut f_ext = vec![0u8; (m + 1) * width];
+
+        h[idx(0, 0)] = 0;
+        for j in 1..=n {
+            e[idx(0, j)] = -(open + extend * j as i32);
+            h[idx(0, j)] = e[idx(0, j)];
+            h_dir[idx(0, j)] = 1;
+            e_ext[idx(0, j)] = if j > 1 { 1 } else { 0 };
+        }
+        for i in 1..=m {
+            f[idx(i, 0)] = -(open + extend * i as i32);
+            h[idx(i, 0)] = f[idx(i, 0)];
+            h_dir[idx(i, 0)] = 2;
+            f_ext[idx(i, 0)] = if i > 1 { 1 } else { 0 };
+            let row = matrix.row(q[i - 1]);
+            for j in 1..=n {
+                let eo = h[idx(i, j - 1)].saturating_sub(open + extend);
+                let ee = e[idx(i, j - 1)].saturating_sub(extend);
+                let (ev, eflag) = if ee > eo { (ee, 1u8) } else { (eo, 0u8) };
+                e[idx(i, j)] = ev;
+                e_ext[idx(i, j)] = eflag;
+
+                let fo = h[idx(i - 1, j)].saturating_sub(open + extend);
+                let fe = f[idx(i - 1, j)].saturating_sub(extend);
+                let (fv, fflag) = if fe > fo { (fe, 1u8) } else { (fo, 0u8) };
+                f[idx(i, j)] = fv;
+                f_ext[idx(i, j)] = fflag;
+
+                let mval = h[idx(i - 1, j - 1)] + row[s[j - 1] as usize] as i32;
+                let (hv, hd) = if mval >= ev && mval >= fv {
+                    (mval, 0u8)
+                } else if ev >= fv {
+                    (ev, 1u8)
+                } else {
+                    (fv, 2u8)
+                };
+                h[idx(i, j)] = hv;
+                h_dir[idx(i, j)] = hd;
+            }
+        }
+        // Walk back from (m, n) to (0, 0).
+        let mut ops = Vec::with_capacity(m + n);
+        let (mut i, mut j) = (m, n);
+        // State: 0 = in H, 1 = in E, 2 = in F.
+        let mut state = 0u8;
+        while i > 0 || j > 0 {
+            match state {
+                0 => match h_dir[idx(i, j)] {
+                    0 => {
+                        ops.push(AlignOp::Sub);
+                        i -= 1;
+                        j -= 1;
+                    }
+                    1 => state = 1,
+                    _ => state = 2,
+                },
+                1 => {
+                    ops.push(AlignOp::Del);
+                    let was_ext = e_ext[idx(i, j)] == 1;
+                    j -= 1;
+                    if !was_ext {
+                        state = 0;
+                    }
+                }
+                _ => {
+                    ops.push(AlignOp::Ins);
+                    let was_ext = f_ext[idx(i, j)] == 1;
+                    i -= 1;
+                    if !was_ext {
+                        state = 0;
+                    }
+                }
+            }
+        }
+        ops.reverse();
+        (ops, h[idx(m, n)])
+    }
+
+    /// SplitMix64 step: the battery's only randomness.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_seq(rng: &mut u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| (next(rng) % 20) as u8).collect()
+    }
+
+    /// A diverged copy of `parent`: about one substitution in five and an
+    /// indel of 1–4 residues roughly every thirty positions.
+    fn homolog_of(rng: &mut u64, parent: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(parent.len() + 8);
+        let mut i = 0;
+        while i < parent.len() {
+            match next(rng) % 60 {
+                0 => i += 1 + (next(rng) % 4) as usize,
+                1 => {
+                    let len = 1 + (next(rng) % 4) as usize;
+                    out.extend(random_seq(rng, len));
+                }
+                r if r < 14 => {
+                    out.push((next(rng) % 20) as u8);
+                    i += 1;
+                }
+                _ => {
+                    out.push(parent[i]);
+                    i += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The rolling-row, one-byte-per-cell traceback returns the op list
+    /// and score of the six-matrix oracle — tie-breaks included — and
+    /// both seeded entry points of the kernel under test (`KERNEL=scalar|
+    /// striped`, default striped; they share the traceback) stay valid,
+    /// score what their ops spell, and agree with [`GappedExtender`].
+    /// `KERNEL_SEED=<u64>` varies the sequences.
+    #[test]
+    fn traceback_battery_matches_six_matrix_oracle() {
+        let seed = match std::env::var("KERNEL_SEED") {
+            Ok(v) => v
+                .parse()
+                .unwrap_or_else(|_| panic!("KERNEL_SEED must be a u64, got '{v}'")),
+            Err(_) => 0xC0DE,
+        };
+        let striped = match std::env::var("KERNEL").as_deref() {
+            Ok("scalar") => false,
+            Ok("striped" | "auto") | Err(_) => true,
+            Ok(v) => panic!("KERNEL must be auto|scalar|striped, got '{v}'"),
+        };
+        let seeded = if striped {
+            crate::striped::gapped_extend_traceback_striped
+        } else {
+            gapped_extend_traceback
+        };
+        let mut rng = seed;
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        // Empty and unit inputs, one side empty.
+        for (m, n) in [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (0, 9),
+            (9, 0),
+            (1, 40),
+            (40, 1),
+        ] {
+            pairs.push((random_seq(&mut rng, m), random_seq(&mut rng, n)));
+        }
+        // Lengths straddling 128, unrelated and homolog-like.
+        for m in [127, 128, 129] {
+            for n in [126, 128, 131] {
+                pairs.push((random_seq(&mut rng, m), random_seq(&mut rng, n)));
+            }
+            let parent = random_seq(&mut rng, m);
+            pairs.push((parent.clone(), homolog_of(&mut rng, &parent)));
+            pairs.push((parent.clone(), parent));
+        }
+        for _ in 0..40 {
+            let (m, n) = (
+                (next(&mut rng) % 200) as usize,
+                (next(&mut rng) % 200) as usize,
+            );
+            pairs.push((random_seq(&mut rng, m), random_seq(&mut rng, n)));
+            let parent = random_seq(&mut rng, 20 + m);
+            pairs.push((homolog_of(&mut rng, &parent), homolog_of(&mut rng, &parent)));
+            // A two-letter alphabet makes equal-score paths common: the
+            // tie-breaks decide the op list.
+            let low = |rng: &mut u64, len| {
+                (0..len)
+                    .map(|_| [0u8, 7][(next(rng) % 2) as usize])
+                    .collect()
+            };
+            pairs.push((low(&mut rng, m % 60), low(&mut rng, n % 60)));
+        }
+        for (q, s) in &pairs {
+            let cx = format!("seed {seed}, q = {q:?}, s = {s:?}");
+            for (open, extend) in [(11, 1), (5, 2), (0, 1)] {
+                let got = anchored_traceback(&BLOSUM62, q, s, open, extend);
+                assert_eq!(
+                    got,
+                    anchored_traceback_oracle(&BLOSUM62, q, s, open, extend),
+                    "{cx}"
+                );
+                let g = GappedAlignment {
+                    q_start: 0,
+                    q_end: q.len() as u32,
+                    s_start: 0,
+                    s_end: s.len() as u32,
+                    score: got.1,
+                    ops: got.0,
+                };
+                assert!(g.validate(), "{cx}");
+                assert_eq!(
+                    score_from_ops(q, s, &g, open, extend, None),
+                    g.score,
+                    "{cx}"
+                );
+            }
+            if q.is_empty() || s.is_empty() {
+                continue;
+            }
+            let extender = GappedExtender::new(&BLOSUM62, q, 11, 1, striped);
+            for _ in 0..3 {
+                let sq = (next(&mut rng) % q.len() as u64) as u32;
+                let ss = (next(&mut rng) % s.len() as u64) as u32;
+                let g = seeded(&BLOSUM62, q, s, sq, ss, 11, 1, 40);
+                assert!(g.validate(), "seed ({sq}, {ss}), {cx}");
+                let seam = Some((sq as usize + 1, ss as usize + 1));
+                assert_eq!(
+                    score_from_ops(q, s, &g, 11, 1, seam),
+                    g.score,
+                    "seed ({sq}, {ss}), {cx}"
+                );
+                assert_eq!(
+                    extender.traceback(s, sq, ss, 40),
+                    g,
+                    "seed ({sq}, {ss}), {cx}"
+                );
+                let score_only = extender.score(s, sq, ss, 40);
+                let free = if striped {
+                    crate::striped::gapped_extend_score_striped(&BLOSUM62, q, s, sq, ss, 11, 1, 40)
+                } else {
+                    gapped_extend_score(&BLOSUM62, q, s, sq, ss, 11, 1, 40)
+                };
+                assert_eq!(score_only, free, "seed ({sq}, {ss}), {cx}");
+            }
+        }
     }
 
     #[test]
@@ -416,30 +830,7 @@ mod tests {
         let s = enc("WWWWWAAWWWWW");
         let g = gapped_extend_traceback(&BLOSUM62, &q, &s, 2, 2, 11, 1, 40);
         assert!(g.validate(), "ops inconsistent with ranges");
-        // Recompute the score from the ops.
-        let (mut qi, mut sj) = (g.q_start as usize, g.s_start as usize);
-        let mut score = 0i32;
-        let mut gap_open_pending = true;
-        for op in &g.ops {
-            match op {
-                AlignOp::Sub => {
-                    score += BLOSUM62.score(q[qi], s[sj]);
-                    qi += 1;
-                    sj += 1;
-                    gap_open_pending = true;
-                }
-                AlignOp::Del => {
-                    score -= if gap_open_pending { 11 + 1 } else { 1 };
-                    gap_open_pending = false;
-                    sj += 1;
-                }
-                AlignOp::Ins => {
-                    score -= if gap_open_pending { 11 + 1 } else { 1 };
-                    gap_open_pending = false;
-                    qi += 1;
-                }
-            }
-        }
+        let score = score_from_ops(&q, &s, &g, 11, 1, None);
         assert_eq!(score, g.score);
         assert_eq!(g.score, 97);
         // Exactly one 2-residue deletion (subject insertion).

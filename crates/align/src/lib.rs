@@ -36,7 +36,9 @@ pub mod swar;
 pub mod types;
 pub mod ungapped;
 
-pub use gapped::{gapped_extend_score, gapped_extend_traceback, xdrop_half, GappedExtension};
+pub use gapped::{
+    gapped_extend_score, gapped_extend_traceback, xdrop_half, GappedExtender, GappedExtension,
+};
 pub use striped::{
     extend_two_hit_striped, gapped_extend_score_striped, gapped_extend_traceback_striped,
     gapped_rescues, xdrop_half_striped,

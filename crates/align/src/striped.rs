@@ -53,7 +53,7 @@
 //! Inputs outside the guarded domain (huge penalties, zero gap-extend)
 //! are forwarded to the scalar kernel wholesale — slower, never wrong.
 
-use crate::gapped::{anchored_traceback, xdrop_half, GappedExtension};
+use crate::gapped::{extend_seeded, reversed_through, xdrop_half, GappedExtension};
 use crate::swar;
 use crate::types::{GappedAlignment, UngappedAlignment};
 use crate::ungapped::TwoHitOutcome;
@@ -572,27 +572,20 @@ pub fn gapped_extend_score_striped(
     extend: i32,
     xdrop: i32,
 ) -> GappedAlignment {
-    let (sq, ss) = (seed_q as usize, seed_s as usize);
-    debug_assert!(sq < query.len() && ss < subject.len());
-    let rev_q: Vec<u8> = query[..=sq].iter().rev().copied().collect();
-    let rev_s: Vec<u8> = subject[..=ss].iter().rev().copied().collect();
-    let left = xdrop_half_striped(matrix, &rev_q, &rev_s, open, extend, xdrop);
-    let right = xdrop_half_striped(
+    let rev_q = reversed_through(query, seed_q);
+    extend_seeded(
+        xdrop_half_striped,
         matrix,
-        &query[sq + 1..],
-        &subject[ss + 1..],
+        query,
+        &rev_q,
+        subject,
+        seed_q,
+        seed_s,
         open,
         extend,
         xdrop,
-    );
-    GappedAlignment {
-        q_start: (sq + 1 - left.q_consumed as usize) as u32,
-        q_end: (sq + 1 + right.q_consumed as usize) as u32,
-        s_start: (ss + 1 - left.s_consumed as usize) as u32,
-        s_end: (ss + 1 + right.s_consumed as usize) as u32,
-        score: left.score + right.score,
-        ops: Vec::new(),
-    }
+        false,
+    )
 }
 
 /// Striped twin of [`crate::gapped::gapped_extend_traceback`]: the
@@ -610,52 +603,20 @@ pub fn gapped_extend_traceback_striped(
     extend: i32,
     xdrop: i32,
 ) -> GappedAlignment {
-    let (sq, ss) = (seed_q as usize, seed_s as usize);
-    debug_assert!(sq < query.len() && ss < subject.len());
-    let rev_q: Vec<u8> = query[..=sq].iter().rev().copied().collect();
-    let rev_s: Vec<u8> = subject[..=ss].iter().rev().copied().collect();
-    let left = xdrop_half_striped(matrix, &rev_q, &rev_s, open, extend, xdrop);
-    let right = xdrop_half_striped(
+    let rev_q = reversed_through(query, seed_q);
+    extend_seeded(
+        xdrop_half_striped,
         matrix,
-        &query[sq + 1..],
-        &subject[ss + 1..],
+        query,
+        &rev_q,
+        subject,
+        seed_q,
+        seed_s,
         open,
         extend,
         xdrop,
-    );
-
-    let (mut left_ops, left_score) = anchored_traceback(
-        matrix,
-        &rev_q[..left.q_consumed as usize],
-        &rev_s[..left.s_consumed as usize],
-        open,
-        extend,
-    );
-    left_ops.reverse();
-    let (right_ops, right_score) = anchored_traceback(
-        matrix,
-        &query[sq + 1..sq + 1 + right.q_consumed as usize],
-        &subject[ss + 1..ss + 1 + right.s_consumed as usize],
-        open,
-        extend,
-    );
-    debug_assert!(
-        left_score >= left.score && right_score >= right.score,
-        "traceback rectangle below x-drop: left {left_score} vs {}, right {right_score} vs {}, \
-         seed ({seed_q}, {seed_s})",
-        left.score,
-        right.score
-    );
-    let mut ops = left_ops;
-    ops.extend_from_slice(&right_ops);
-    GappedAlignment {
-        q_start: (sq + 1 - left.q_consumed as usize) as u32,
-        q_end: (sq + 1 + right.q_consumed as usize) as u32,
-        s_start: (ss + 1 - left.s_consumed as usize) as u32,
-        s_end: (ss + 1 + right.s_consumed as usize) as u32,
-        score: left_score + right_score,
-        ops,
-    }
+        true,
+    )
 }
 
 #[cfg(test)]

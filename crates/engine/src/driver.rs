@@ -7,7 +7,7 @@
 //! straight over queries. The finishing stages run as a second dynamic
 //! parallel-for over queries (Alg. 3 lines 7–9).
 
-use crate::finish::finish_query;
+use crate::finish::{Finisher, SubjectCandidates};
 use crate::kernels::{db_interleaved, mublastp, null_ctx, query_indexed};
 use crate::results::{QueryResult, Seed, StageCounts};
 use crate::scratch::Scratch;
@@ -19,7 +19,7 @@ use obsv::{Recorder, Stage, StageObs, Trace, TraceSession, NO_BLOCK};
 use parallel::parallel_map_dynamic_with_state;
 use qindex::QueryIndex;
 use scoring::{NeighborTable, SearchParams};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::convert::Infallible;
 
 pub use crate::kernels::mublastp::ReorderAlgo as SortAlgo;
@@ -291,15 +291,19 @@ pub fn search_batch_traced(
 /// **Top-k** (`config.top_k = Some(K)`, database-indexed engines): the
 /// reporting cap becomes `min(max_reported, K)` and blocks are pruned.
 /// Blocks that can never be pruned go first, then bounded ones best-first
-/// so the threshold drops early. Each scanned whole-subject block feeds
-/// its subjects' preliminary E-values — computed by exactly the candidate
-/// pipeline the finish stage ranks by
-/// ([`crate::finish::subject_candidates`]) — into a per-query [`TopKSet`].
+/// so the threshold drops early. Each scanned whole-subject block's seeds
+/// are extended on the spot — it holds every seed of its subjects, so this
+/// *is* the finish stage's candidate pipeline
+/// ([`Finisher::candidates`]), run early — and the subjects' preliminary
+/// E-values feed a per-query [`TopKSet`]; the finish pass takes those
+/// candidates as they are and extends only the seeds of fragment blocks
+/// (a `Gapped` span per `(query, block)` times the early part).
 /// A block is skipped, *without being fetched*, only when for **every**
 /// query its best-case E-value is strictly worse than
-/// `min(evalue_cutoff, local k-th, shared k-th)`; the finish pass over the
-/// surviving seeds is unchanged, so bit-identity with the capped
-/// exhaustive search holds by construction (`DESIGN.md` §3.7). `shared`
+/// `min(evalue_cutoff, local k-th, shared k-th)`; what the finish pass
+/// ranks is what an exhaustive search would rank minus subjects that
+/// provably miss the cap, so bit-identity with the capped exhaustive
+/// search holds by construction (`DESIGN.md` §3.7). `shared`
 /// carries cross-shard thresholds that tighten pruning further; this
 /// function only reads it — its caller publishes
 /// [`SearchOutcome::kth_evalues`], on success.
@@ -315,41 +319,131 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
     shared: Option<&TopKShared>,
     session: &TraceSession,
 ) -> Result<SearchOutcome, S::Error> {
-    if queries.is_empty() {
-        return Ok(SearchOutcome::default());
+    let config = capped(config);
+    let queries = seg_masked(queries, &config.params);
+    // Finish = rank, then trace back what ranking kept, per query.
+    let out = search_blocks_with(
+        db,
+        source,
+        neighbors,
+        &queries,
+        &config,
+        shared,
+        session,
+        |finisher, ranked| finisher.trace_back_all(db, &ranked),
+    )?;
+    let results = out
+        .per_query
+        .into_iter()
+        .enumerate()
+        .map(|(query_index, (alignments, mut counts))| {
+            counts.reported = alignments.len() as u64;
+            QueryResult {
+                query_index,
+                alignments,
+                counts,
+            }
+        })
+        .collect();
+    Ok(SearchOutcome {
+        results,
+        trace: out.trace,
+        topk: out.topk,
+        kth_evalues: out.kth_evalues,
+    })
+}
+
+/// `config` with the top-k reporting cap folded into
+/// `params.max_reported`, the form [`search_blocks_with`] takes.
+pub(crate) fn capped(config: &SearchConfig) -> Cow<'_, SearchConfig> {
+    if config.top_k.is_none() {
+        return Cow::Borrowed(config);
     }
-    let capped: SearchConfig;
-    let config = if config.top_k.is_some() {
-        capped = {
-            let mut c = config.clone();
-            c.params.max_reported = config.reported_cap();
-            c
-        };
-        &capped
-    } else {
-        config
-    };
-    // SEG query masking (`blastp -seg yes`): hard-mask low-complexity
-    // query regions to X before any stage, for every engine alike.
-    let masked_storage: Vec<Sequence>;
-    let queries: &[Sequence] = if config.params.seg_filter {
-        masked_storage = queries
-            .iter()
-            .map(|q| {
-                Sequence::from_encoded(
-                    q.id.clone(),
-                    bioseq::seg_mask(q.residues(), &bioseq::SegParams::default()),
-                )
-            })
-            .collect();
-        &masked_storage
-    } else {
-        queries
-    };
+    let mut c = config.clone();
+    c.params.max_reported = config.reported_cap();
+    Cow::Owned(c)
+}
+
+/// SEG query masking (`blastp -seg yes`): low-complexity query regions
+/// hard-masked to X before any stage, for every engine alike. The
+/// queries themselves when the filter is off.
+pub(crate) fn seg_masked<'q>(
+    queries: &'q [Sequence],
+    params: &SearchParams,
+) -> Cow<'q, [Sequence]> {
+    if !params.seg_filter {
+        return Cow::Borrowed(queries);
+    }
+    queries
+        .iter()
+        .map(|q| {
+            Sequence::from_encoded(
+                q.id.clone(),
+                bioseq::seg_mask(q.residues(), &bioseq::SegParams::default()),
+            )
+        })
+        .collect()
+}
+
+/// What [`search_blocks_with`] produced.
+pub(crate) struct BlocksOutcome<T> {
+    /// Per query, in batch order: what `finish` made of the query's ranked
+    /// subjects, and its stage counters (`reported` still zero).
+    pub(crate) per_query: Vec<(T, StageCounts)>,
+    /// As [`SearchOutcome::trace`].
+    pub(crate) trace: Trace,
+    /// As [`SearchOutcome::topk`].
+    pub(crate) topk: TopKStats,
+    /// As [`SearchOutcome::kth_evalues`].
+    pub(crate) kth_evalues: Vec<f64>,
+}
+
+/// What the block loop leaves for one query's finish.
+#[derive(Default)]
+struct Pending {
+    /// Seeds still to be extended.
+    seeds: Vec<Seed>,
+    /// Subjects the top-k admission already extended; none of `seeds` is
+    /// theirs.
+    extended: Vec<SubjectCandidates>,
+    counts: StageCounts,
+}
+
+/// [`search_batch_blocks`] with the second half of the finish left to the
+/// caller: the block loop, then per query the rank half
+/// ([`Finisher::rank`]) and `finish` on the subjects it kept, inside one
+/// `Finish` span. The sharded driver passes the identity and traces back
+/// after merging its shards' lists. `config` must be [`capped`] and
+/// `queries` [`seg_masked`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_blocks_with<S, T, F>(
+    db: &SequenceDb,
+    source: &S,
+    neighbors: &NeighborTable,
+    queries: &[Sequence],
+    config: &SearchConfig,
+    shared: Option<&TopKShared>,
+    session: &TraceSession,
+    finish: F,
+) -> Result<BlocksOutcome<T>, S::Error>
+where
+    S: BlockSource + ?Sized,
+    T: Send,
+    F: Fn(&Finisher<'_>, Vec<SubjectCandidates>) -> T + Sync,
+{
+    let mut trace = Trace::new();
+    let mut topk = TopKStats::default();
+    if queries.is_empty() {
+        let (per_query, kth_evalues) = (Vec::new(), Vec::new());
+        return Ok(BlocksOutcome { per_query, trace, topk, kth_evalues });
+    }
     let (db_residues, db_seqs) = config
         .effective_db
         .unwrap_or((db.total_residues(), db.len()));
-    let evalue_model = &config.params.gapped_stats;
+    let finishers: Vec<Finisher<'_>> = queries
+        .iter()
+        .map(|q| Finisher::new(q.residues(), &config.params, db_residues, db_seqs))
+        .collect();
     let cutoff = config.params.evalue_cutoff;
     // LPT dispatch order (identity when disabled).
     let dispatch: Vec<usize> = {
@@ -371,7 +465,6 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
             .map(|_| TopKSet::new(config.params.max_reported))
             .collect(),
     });
-    let mut topk = TopKStats::default();
     let mut order: Vec<usize> = (0..n_blocks).collect();
     if let Some(p) = &pruning {
         // Visit order: blocks that can never be pruned first (they must
@@ -406,10 +499,7 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
     } else {
         vec![None]
     };
-    let mut all: Vec<(Vec<Seed>, StageCounts)> = (0..queries.len())
-        .map(|_| (Vec::new(), StageCounts::default()))
-        .collect();
-    let mut trace = Trace::new();
+    let mut all: Vec<Pending> = (0..queries.len()).map(|_| Pending::default()).collect();
     // One (scratch, span recorder) per worker, owned here for the whole
     // batch and lent to every pass's parallel-for: last-hit arrays and hit
     // buffers are allocated and page-faulted once, not once per block.
@@ -424,13 +514,9 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
         let prunable: Option<Vec<bool>> = pruning.as_ref().and_then(|p| {
             let bound = p.prunable_bound(block_id?)?;
             Some(
-                queries
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, q)| {
-                        let cap = p.pruners[qi].bound_raw(bound);
-                        let best_ev =
-                            evalue_model.evalue_effective(cap, q.len(), db_residues, db_seqs);
+                (0..queries.len())
+                    .map(|qi| {
+                        let best_ev = finishers[qi].evalue(p.pruners[qi].bound_raw(bound));
                         let threshold = cutoff
                             .min(p.sets[qi].kth())
                             .min(shared.map_or(f64::INFINITY, |s| s.load(qi)));
@@ -461,13 +547,13 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
             config.chunk,
             |(scratch, rec), slot| {
                 let qi = dispatch[slot];
+                let mut found = Pending::default();
                 if prunable.as_ref().is_some_and(|p| p[qi]) {
                     // This block cannot affect query qi's top-k; skip its
                     // seeding entirely.
-                    return (qi, Vec::new(), StageCounts::default(), Vec::new());
+                    return (qi, found);
                 }
                 let query = queries[qi].residues();
-                let mut counts = StageCounts::default();
                 scratch.seeds.clear();
                 let mut nt = NullTracer;
                 let mut ctx = null_ctx(&mut nt);
@@ -479,7 +565,7 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                         db,
                         &config.params,
                         scratch,
-                        &mut counts,
+                        &mut found.counts,
                         &mut ctx,
                         rec,
                         &[],
@@ -491,7 +577,7 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                             neighbors,
                             &config.params,
                             scratch,
-                            &mut counts,
+                            &mut found.counts,
                             &mut ctx,
                             rec,
                         )
@@ -502,7 +588,7 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                         neighbors,
                         &config.params,
                         scratch,
-                        &mut counts,
+                        &mut found.counts,
                         &mut ctx,
                         rec,
                         config.sort,
@@ -512,56 +598,44 @@ pub fn search_batch_blocks<S: BlockSource + ?Sized>(
                 let seeds = std::mem::take(&mut scratch.seeds);
                 // Admission runs only for whole-subject blocks: there, a
                 // subject's entire seed set comes from this one block, so
-                // the admission score equals the score the finish stage
-                // will rank the subject by — no slack in the watermark.
-                let mut admitted: Vec<f64> = Vec::new();
-                if prunable.is_some() && !seeds.is_empty() && !query.is_empty() {
-                    let (per_subject, _) =
-                        crate::finish::subject_candidates(query, db, seeds.clone(), &config.params);
-                    for (_, cands) in &per_subject {
-                        let ev = evalue_model.evalue_effective(
-                            cands[0].score,
-                            query.len(),
-                            db_residues,
-                            db_seqs,
-                        );
-                        // Only subjects the cutoff would report may
-                        // tighten the threshold.
-                        if ev <= cutoff {
-                            admitted.push(ev);
-                        }
-                    }
+                // its candidates are final — the admission score equals
+                // the score the finish stage ranks the subject by (no
+                // slack in the watermark), and the finish pass reuses
+                // them rather than extend the subject again.
+                if prunable.is_some() && !seeds.is_empty() {
+                    let span = rec.start();
+                    (found.extended, found.counts.gapped) = finishers[qi].candidates(db, seeds);
+                    rec.record(Stage::Gapped, span);
+                } else {
+                    found.seeds = seeds;
                 }
-                (qi, seeds, counts, admitted)
+                (qi, found)
             },
         );
-        for (qi, seeds, counts, admitted) in per_query {
-            all[qi].0.extend(seeds);
-            all[qi].1.add(&counts);
+        for (qi, found) in per_query {
             if let Some(p) = &mut pruning {
-                for ev in admitted {
-                    p.sets[qi].admit(ev);
+                for (_, cands) in &found.extended {
+                    let ev = finishers[qi].evalue(cands[0].score);
+                    // Only subjects the cutoff would report may tighten
+                    // the threshold.
+                    if ev <= cutoff {
+                        p.sets[qi].admit(ev);
+                    }
                 }
             }
+            all[qi].seeds.extend(found.seeds);
+            all[qi].extended.extend(found.extended);
+            all[qi].counts.add(&found.counts);
         }
     }
     for (_, rec) in workers {
         trace.absorb(rec);
     }
-    let results = finish_all(
-        db,
-        queries,
-        all,
-        config,
-        db_residues,
-        db_seqs,
-        session,
-        &mut trace,
-    );
+    let per_query = finish_all(db, &finishers, all, config, session, &mut trace, finish);
     trace.normalize();
     let kth_evalues = pruning.map_or_else(Vec::new, |p| p.sets.iter().map(TopKSet::kth).collect());
-    Ok(SearchOutcome {
-        results,
+    Ok(BlocksOutcome {
+        per_query,
         trace,
         topk,
         kth_evalues,
@@ -599,27 +673,25 @@ pub(crate) fn worker_recorders(
     })
 }
 
-/// Second parallel pass: gapped extension, ranking, traceback per query.
-/// Records one `Finish` span per query (with the `Gapped` sub-span inside
-/// it) and absorbs the worker recorders into `trace`.
-#[allow(clippy::too_many_arguments)]
-fn finish_all(
+/// Second parallel pass: per query, the rank half and then `finish` on
+/// what it kept. Records one `Finish` span per query (with the `Gapped`
+/// sub-span inside it) and absorbs the worker recorders into `trace`.
+fn finish_all<T: Send>(
     db: &SequenceDb,
-    queries: &[Sequence],
-    per_query: Vec<(Vec<Seed>, StageCounts)>,
+    finishers: &[Finisher<'_>],
+    per_query: Vec<Pending>,
     config: &SearchConfig,
-    db_residues: usize,
-    db_seqs: usize,
     session: &TraceSession,
     trace: &mut Trace,
-) -> Vec<QueryResult> {
-    // Move seeds into per-index slots the workers can take from.
-    let slots: Vec<std::sync::Mutex<(Vec<Seed>, StageCounts)>> =
+    finish: impl Fn(&Finisher<'_>, Vec<SubjectCandidates>) -> T + Sync,
+) -> Vec<(T, StageCounts)> {
+    // Move each query's pending work into a slot the workers can take from.
+    let slots: Vec<std::sync::Mutex<Pending>> =
         per_query.into_iter().map(std::sync::Mutex::new).collect();
     let mut recorders: Vec<Recorder> = worker_recorders(session, config.threads).collect();
     let results = parallel_map_dynamic_with_state(
         &mut recorders,
-        queries.len(),
+        finishers.len(),
         config.chunk,
         |rec, qi| {
             // Each slot is taken exactly once; recover from poisoning rather
@@ -628,27 +700,19 @@ fn finish_all(
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            let (seeds, mut counts) = std::mem::take(&mut *slot);
+            let Pending {
+                seeds,
+                extended,
+                mut counts,
+            } = std::mem::take(&mut *slot);
             drop(slot);
             rec.set_ctx(0, qi as u32, NO_BLOCK);
             let span = rec.start();
-            let (alignments, gapped) = finish_query(
-                queries[qi].residues(),
-                db,
-                seeds,
-                &config.params,
-                db_residues,
-                db_seqs,
-                rec,
-            );
+            let (ranked, gapped) = finishers[qi].rank(db, seeds, extended, rec);
+            let finished = finish(&finishers[qi], ranked);
             rec.record(Stage::Finish, span);
-            counts.gapped = gapped;
-            counts.reported = alignments.len() as u64;
-            QueryResult {
-                query_index: qi,
-                alignments,
-                counts,
-            }
+            counts.gapped += gapped;
+            (finished, counts)
         },
     );
     for rec in recorders {
@@ -1009,6 +1073,94 @@ mod tests {
         let oracle = search_batch(&db, Some(&index), neighbors(), &queries, &oracle_cfg);
         for (a, b) in oracle.iter().zip(&out.results) {
             assert_eq!(a.alignments, b.alignments);
+        }
+    }
+
+    /// Under top-k every candidate subject is gapped-extended exactly
+    /// once: the admission pass's candidates are what the finish pass
+    /// ranks, on one index and across shards, while subjects split over
+    /// fragment blocks — which no single block can admit — are still
+    /// extended by the finish pass.
+    #[test]
+    fn topk_extends_each_candidate_subject_once() {
+        // Short subjects (whole) plus three long ones that `offset_bits`
+        // splits into fragments.
+        let mut seqs: Vec<Sequence> = datagen_like_db().iter().map(|(_, s)| s.clone()).collect();
+        for (i, unit) in [
+            "WCHWMYFWCHWAGAGVL",
+            "MKVLAARNDHILKMFPSTW",
+            "CQEGHILKMFVLVLWCHW",
+        ]
+        .iter()
+        .enumerate()
+        {
+            seqs.push(Sequence::from_str_checked(format!("long{i}"), &unit.repeat(9)).unwrap());
+        }
+        let db: SequenceDb = seqs.into_iter().collect();
+        let index_config = IndexConfig {
+            block_bytes: 256,
+            offset_bits: 6,
+            frag_overlap: 16,
+        };
+        let index = DbIndex::build(&db, &index_config);
+        let whole: Vec<bool> = (0..index.num_blocks())
+            .map(|i| index.bound(i).whole_only)
+            .collect();
+        assert!(whole.contains(&true) && whole.contains(&false), "{whole:?}");
+        let queries: Vec<Sequence> = [0, 7, 24, 26]
+            .iter()
+            .map(|&i| Sequence::from_encoded(format!("q{i}"), db.get(i).residues().to_vec()))
+            .collect();
+        let mut params = SearchParams::blastp_defaults();
+        params.evalue_cutoff = 1e9;
+        let extended = || crate::finish::EXTENDED.with(|n| n.get());
+        let gapped = |results: &[QueryResult]| results.iter().map(|r| r.counts.gapped).sum::<u64>();
+        // One thread: every extension runs on this thread, where the
+        // counter is.
+        let base = SearchConfig::new(EngineKind::MuBlastp).with_params(params);
+        for k in [1u32, 3, 100] {
+            let mut oracle_cfg = base.clone();
+            oracle_cfg.params.max_reported = k as usize;
+            let before = extended();
+            let oracle = search_batch(&db, Some(&index), neighbors(), &queries, &oracle_cfg);
+            let exhaustive = extended() - before;
+            assert_eq!(exhaustive, gapped(&oracle));
+            assert!(exhaustive > 0);
+
+            let cfg = base.clone().with_top_k(k);
+            let session = TraceSession::new(obsv::ObsvConfig::on());
+            let before = extended();
+            let Ok(out) =
+                search_batch_blocks(&db, &index, neighbors(), &queries, &cfg, None, &session);
+            let pruned = extended() - before;
+            assert_eq!(pruned, gapped(&out.results), "k={k}");
+            crate::results_identical(&oracle, &out.results).unwrap();
+            // Admission extends inside the block loop, and only where a
+            // block holds whole subjects; the rest is the finish pass's.
+            let gapped_spans = |in_block: bool| {
+                out.trace
+                    .spans
+                    .iter()
+                    .filter(move |s| s.stage == Stage::Gapped && (s.block != NO_BLOCK) == in_block)
+            };
+            assert!(gapped_spans(true).all(|s| whole[s.block as usize]), "k={k}");
+            assert!(gapped_spans(true).count() > 0, "k={k}");
+            assert!(gapped_spans(false).count() > 0, "k={k}");
+
+            let sharded = dbindex::ShardedIndex::build(&db, &index_config, 3);
+            let before = extended();
+            let merged = crate::search_batch_sharded(&sharded, neighbors(), &queries, &cfg);
+            let across_shards = extended() - before;
+            assert_eq!(across_shards, gapped(&merged), "k={k}");
+            crate::results_identical(&oracle, &merged).unwrap();
+
+            if k == 100 {
+                // Nothing can be skipped, so the pruned searches extend
+                // exactly what the exhaustive one does.
+                assert_eq!(out.topk.blocks_skipped, 0);
+                assert_eq!(pruned, exhaustive);
+                assert_eq!(across_shards, exhaustive);
+            }
         }
     }
 

@@ -9,31 +9,42 @@
 //! * shards fan out over the same dynamic scheduler the block loop uses
 //!   (one task per shard, largest shard dispatched first so the straggler
 //!   tail shrinks — LPT, mirroring the query dispatch heuristic);
-//! * each shard task runs the full per-shard pipeline single-threaded with
-//!   its own scratch (parallelism comes from shards; pick `K ≥ threads`),
-//!   with [`SearchConfig::effective_db`] pinned to the **global**
-//!   database size so per-shard E-values and bit scores are already in
-//!   global units;
-//! * the merge re-ranks subjects exactly like the finish stage does
-//!   (best gapped score, then subject id), truncates at the *subject*
-//!   level, and orders alignments with the canonical total order — so the
-//!   output is byte-identical to an unsharded search of the same
-//!   database, which `tests/shard_equivalence.rs` locks in for K up to
+//! * each shard task runs the per-shard pipeline *up to the ranking of its
+//!   subjects* single-threaded with its own scratch (parallelism comes
+//!   from shards; pick `K ≥ threads`), with
+//!   [`SearchConfig::effective_db`] pinned to the **global** database size
+//!   so per-shard E-values are already in global units;
+//! * the merge ranks the shards' candidate subjects by the finish stage's
+//!   own key — best *preliminary* gapped score, then subject id, in global
+//!   ids — and truncates at the *subject* level;
+//! * only the subjects that survive the merge are traced back, each
+//!   against its owning shard's sequences, one task per subject on the
+//!   same dynamic scheduler (so a one-query batch still uses every
+//!   thread), and ordered with the canonical total order — so the output
+//!   is byte-identical to an unsharded search of the same database, which
+//!   `tests/shard_equivalence.rs` locks in for K up to
 //!   one-sequence-per-shard.
 //!
-//! Why identity holds: a subject's sequences never span shards, the
-//! per-shard subject ranking is order-compatible with the global ranking
-//! restricted to the shard (so each shard's top `max_reported` subjects
-//! are a superset of the global top subjects that live there), and every
-//! per-alignment E-value check already ran against the global search
-//! space inside the shard.
+//! Why identity holds: a subject's sequences never span shards, so its
+//! candidates — and the key it is ranked by — are the same whichever
+//! index found its seeds; shard-local ids ascend with global ids, so each
+//! shard's top `max_reported` subjects under that key are a superset of
+//! the global top subjects that live there; the merge applies the *same*
+//! key to the union, which therefore keeps exactly the subjects an
+//! unsharded finish keeps; and the traceback of a kept subject reads
+//! nothing but the query, the subject and its candidates. (Cutting the
+//! merged list on *traceback* scores, as [`merge_shard_alignments`] does
+//! for callers that only have finished alignments, is not the same rule:
+//! a subject whose final score overtakes a neighbour's would be kept where
+//! the unsharded search drops it.)
 
-use crate::driver::{search_batch_blocks, BlockSource, SearchConfig};
+use crate::driver::{capped, search_blocks_with, seg_masked, BlockSource, SearchConfig};
+use crate::finish::{rank_key, Finisher, GappedCandidate};
 use crate::results::{compare_alignments, Alignment, QueryResult, StageCounts};
 use crate::topk::{TopKShared, TopKStats};
 use bioseq::{Sequence, SequenceDb, SequenceId};
 use dbindex::{DbIndex, ShardedIndex};
-use obsv::{Stage, Trace, TraceSession, NO_QUERY};
+use obsv::{Stage, StageObs, Trace, TraceSession, NO_BLOCK, NO_QUERY};
 use parallel::parallel_map_dynamic_with_state;
 use scoring::NeighborTable;
 use std::time::{Duration, Instant};
@@ -203,9 +214,9 @@ pub fn search_batch_sharded_traced(
 /// Sharded search over any [`ShardBackend`] — the generic driver behind
 /// [`search_batch_sharded_traced`]. The driver owns everything that must
 /// not differ between backends: LPT dispatch, deadline cancellation,
-/// fault injection, `Shard` span recording, the per-shard
-/// [`search_batch_blocks`] call, degradation accounting, and the
-/// statistics-correct merge. Backends only say where a shard's blocks
+/// fault injection, `Shard` span recording, the per-shard block loop and
+/// ranking, degradation accounting, the statistics-correct merge and the
+/// traceback of what it keeps. Backends only say where a shard's blocks
 /// come from, which is why a disk-streaming shard produces bit-identical
 /// output to the resident one; a block source that fails degrades its
 /// shard with [`ShardFailCause::Storage`].
@@ -218,6 +229,11 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
 ) -> ShardedOutput {
     let k = backend.num_shards();
     let global = config.effective_db.unwrap_or_else(|| backend.global_db());
+    // What every shard task and the traceback pass search with.
+    let mut inner = capped(config).into_owned();
+    inner.threads = 1;
+    inner.effective_db = Some(global);
+    let queries = seg_masked(queries, &inner.params);
     // Cross-shard pruning thresholds, one watermark per query (idle in an
     // exhaustive search). A shard's k-th-best E-values are published only
     // after its task succeeds, so a failed shard never influences the
@@ -245,31 +261,24 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
             } else if config.faults.fire_at(FAULT_SHARD, s as u64) {
                 Err(ShardFailCause::Injected)
             } else {
-                let mut inner = config.clone();
-                inner.threads = 1;
-                inner.effective_db = Some(global);
-                let (db, ids, source) = backend.shard(s);
-                search_batch_blocks(
+                let (db, _, source) = backend.shard(s);
+                // The shard ranks its subjects; what is traced back is
+                // decided by the merge.
+                search_blocks_with(
                     db,
                     source,
                     neighbors,
-                    queries,
+                    &queries,
                     &inner,
                     Some(&shared),
                     session,
+                    |_, ranked| ranked,
                 )
                 .map_err(|_| ShardFailCause::Storage)
-                .map(|mut out| {
+                .inspect(|out| {
                     for (qi, &ev) in out.kth_evalues.iter().enumerate() {
                         shared.publish(qi, ev);
                     }
-                    // Report in global subject ids.
-                    for qr in &mut out.results {
-                        for a in &mut qr.alignments {
-                            a.subject = ids[a.subject as usize];
-                        }
-                    }
-                    out
                 })
             };
             let done = Instant::now();
@@ -281,16 +290,8 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     );
 
     let mut trace = Trace::new();
-    for rec in recorders {
-        trace.absorb(rec);
-    }
-    let mut merged: Vec<QueryResult> = (0..queries.len())
-        .map(|qi| QueryResult {
-            query_index: qi,
-            alignments: Vec::new(),
-            counts: StageCounts::default(),
-        })
-        .collect();
+    let mut counts = vec![StageCounts::default(); queries.len()];
+    let mut candidates: Vec<Vec<ShardCandidate>> = vec![Vec::new(); queries.len()];
     let mut timings: Vec<ShardTiming> =
         vec![ShardTiming { shard: 0, queued: Duration::ZERO, search: Duration::ZERO }; k];
     let total_residues = backend.global_db().0;
@@ -303,10 +304,17 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
             Ok(out) => {
                 trace.merge(out.trace);
                 topk.add(&out.topk);
-                for qr in out.results {
-                    let slot = &mut merged[qr.query_index];
-                    slot.alignments.extend(qr.alignments);
-                    slot.counts.add(&qr.counts);
+                let ids = backend.shard(s).1;
+                for (qi, (ranked, shard_counts)) in out.per_query.into_iter().enumerate() {
+                    counts[qi].add(&shard_counts);
+                    candidates[qi].extend(ranked.into_iter().map(|(local, cands)| {
+                        ShardCandidate {
+                            subject: ids[local as usize],
+                            shard: s,
+                            local,
+                            cands,
+                        }
+                    }));
                 }
             }
             Err(cause) => {
@@ -317,28 +325,100 @@ pub fn search_batch_backend_traced<B: ShardBackend + ?Sized>(
     }
     failed.sort_by_key(|f| f.shard);
     // The merge itself is unchanged under degradation: every surviving
-    // alignment's E-value was already computed against the *global*
-    // search space inside its shard, so dropping a shard removes rows
-    // but never re-scores the rest — which is why surviving-shard output
+    // candidate's E-value was already checked against the *global* search
+    // space inside its shard, so dropping a shard removes subjects but
+    // never re-scores the rest — which is why surviving-shard output
     // stays bit-equal to the fault-free run.
+    let kept: Vec<(usize, ShardCandidate)> = candidates
+        .into_iter()
+        .enumerate()
+        .flat_map(|(qi, list)| {
+            merge_shard_candidates(list, inner.params.max_reported)
+                .into_iter()
+                .map(move |c| (qi, c))
+        })
+        .collect();
+    // Trace back the survivors, one task per (query, subject).
+    let finishers: Vec<Finisher<'_>> = queries
+        .iter()
+        .map(|q| Finisher::new(q.residues(), &inner.params, global.0, global.1))
+        .collect();
+    let traced = parallel_map_dynamic_with_state(&mut recorders, kept.len(), 1, |rec, t| {
+        let (qi, c) = &kept[t];
+        rec.set_ctx(0, *qi as u32, NO_BLOCK);
+        let span = rec.start();
+        let mut alignments = finishers[*qi].trace_back(backend.shard(c.shard).0, c.local, &c.cands);
+        // Report in global subject ids.
+        for a in &mut alignments {
+            a.subject = c.subject;
+        }
+        rec.record(Stage::Finish, span);
+        alignments
+    });
+    for rec in recorders {
+        trace.absorb(rec);
+    }
+    let mut merged: Vec<QueryResult> = counts
+        .into_iter()
+        .enumerate()
+        .map(|(query_index, counts)| QueryResult {
+            query_index,
+            alignments: Vec::new(),
+            counts,
+        })
+        .collect();
+    for ((qi, _), alignments) in kept.iter().zip(traced) {
+        merged[*qi].alignments.extend(alignments);
+    }
     for qr in &mut merged {
-        merge_shard_alignments(&mut qr.alignments, config.reported_cap());
+        qr.alignments.sort_by(compare_alignments);
         qr.counts.reported = qr.alignments.len() as u64;
     }
     trace.normalize();
     ShardedOutput { results: merged, trace, timings, failed, covered_residues, total_residues, topk }
 }
 
-/// Merge the concatenated alignments of independent database partitions
-/// into the ranked list an unsharded search would report.
+/// A subject one shard's ranking kept for one query.
+#[derive(Clone, Debug)]
+struct ShardCandidate {
+    /// Global subject id.
+    subject: SequenceId,
+    /// Owning shard, and the subject's id there.
+    shard: usize,
+    local: SequenceId,
+    /// Its preliminary alignments, strongest first.
+    cands: Vec<GappedCandidate>,
+}
+
+/// Merge one query's per-shard ranked subjects into the subjects an
+/// unsharded search would keep: the finish stage's ranking
+/// ([`rank_key`], over global ids) applied to the union, truncated to
+/// `max_reported` subjects. Input order is irrelevant — the key is total
+/// over distinct subjects.
+fn merge_shard_candidates(
+    mut list: Vec<ShardCandidate>,
+    max_reported: usize,
+) -> Vec<ShardCandidate> {
+    list.sort_by_key(|c| rank_key(&c.cands, c.subject));
+    list.truncate(max_reported);
+    list
+}
+
+/// Merge the concatenated *finished* alignments of independent database
+/// partitions into one ranked list — for callers that no longer have the
+/// partitions' candidates (the distributed merge, a by-hand merge of
+/// per-shard searches).
 ///
-/// Reproduces the finish stage's ranking exactly: subjects are ranked by
-/// `(best gapped score, subject id)` and truncated to `max_reported`
-/// *subjects* (not alignments — a kept subject reports all its
-/// alignments, as `finish_query` does), then the survivors are ordered by
-/// [`compare_alignments`]. Input order is irrelevant: the canonical sort
-/// is a total order over distinct alignments, so any shard or rank
-/// interleaving merges to the same bytes.
+/// Subjects are ranked by `(best reported score, subject id)` and
+/// truncated to `max_reported` *subjects* (not alignments — a kept subject
+/// reports all its alignments, as `finish_query` does), then the survivors
+/// are ordered by [`compare_alignments`]. Input order is irrelevant: the
+/// canonical sort is a total order over distinct alignments, so any shard
+/// or rank interleaving merges to the same bytes. The finish stage ranks
+/// by the *preliminary* score, so where the cut falls between two subjects
+/// whose preliminary and reported scores order differently this keeps the
+/// other one; [`search_batch_backend_traced`] merges candidates instead
+/// and has no such case.
 pub fn merge_shard_alignments(alignments: &mut Vec<Alignment>, max_reported: usize) {
     alignments.sort_by(compare_alignments);
     // After the canonical sort, subjects first occur in exactly the
@@ -714,6 +794,68 @@ mod tests {
         let got: Vec<(SequenceId, i32)> =
             alignments.iter().map(|a| (a.subject, a.aln.score)).collect();
         assert_eq!(got, vec![(7, 100), (3, 90), (7, 20)]);
+    }
+
+    /// The candidate merge cuts where an unsharded finish cuts: on the
+    /// *preliminary* score, ties toward the lower global id. Subject 4
+    /// (preliminary 100, reported 100) and subject 9 (preliminary 99,
+    /// reported 103) live in different shards; with a cap of one the
+    /// unsharded search reports 4, and so must the merge — where cutting
+    /// the finished alignments on reported scores keeps 9.
+    #[test]
+    fn candidate_merge_ranks_by_preliminary_score_like_the_unsharded_finish() {
+        let cand = |score: i32| GappedCandidate {
+            q_start: 0,
+            q_end: 10,
+            s_start: 0,
+            s_end: 10,
+            score,
+            seed_q: 5,
+            seed_s: 5,
+        };
+        let of = |subject: SequenceId, shard: usize, scores: &[i32]| ShardCandidate {
+            subject,
+            shard,
+            local: subject / 2,
+            cands: scores.iter().map(|&s| cand(s)).collect(),
+        };
+        let kept = |list: Vec<ShardCandidate>, cap: usize| -> Vec<(SequenceId, usize)> {
+            merge_shard_candidates(list, cap)
+                .iter()
+                .map(|c| (c.subject, c.shard))
+                .collect()
+        };
+        let (a, b) = (of(4, 0, &[100, 30]), of(9, 1, &[99]));
+        assert_eq!(kept(vec![a.clone(), b.clone()], 1), vec![(4, 0)]);
+        assert_eq!(
+            kept(vec![b.clone(), a.clone()], 1),
+            vec![(4, 0)],
+            "arrival order is irrelevant"
+        );
+        // The same two subjects as finished alignments, cut on reported
+        // scores: the other one survives.
+        let reported = |subject: SequenceId, score: i32| Alignment {
+            subject,
+            aln: align::GappedAlignment {
+                score,
+                q_start: 0,
+                q_end: 10,
+                s_start: 0,
+                s_end: 10,
+                ops: Vec::new(),
+            },
+            bit_score: score as f64,
+            evalue: 1.0 / score as f64,
+        };
+        let mut finished = vec![reported(4, 100), reported(9, 103)];
+        merge_shard_alignments(&mut finished, 1);
+        assert_eq!(finished[0].subject, 9);
+        // Ties on the preliminary score break toward the lower *global*
+        // id, whichever shard holds it; the cut falls on subjects.
+        let tied = vec![of(7, 0, &[50]), of(3, 2, &[50, 50]), of(5, 1, &[80])];
+        assert_eq!(kept(tied.clone(), 2), vec![(5, 1), (3, 2)]);
+        assert_eq!(kept(tied, 10), vec![(5, 1), (3, 2), (7, 0)]);
+        assert!(kept(vec![a, b], 0).is_empty());
     }
 
     /// Pin: the canonical order is a total order over distinct
