@@ -8,11 +8,11 @@
 //! Columns:
 //!
 //! * **hit rate** — cache hits / (hits + misses); the locality the
-//!   two-level block/chunk layout actually delivers at that budget.
+//!   block layout actually delivers at that budget.
 //! * **fetched** — blocks read and CRC-checked from disk (misses plus
 //!   re-fetches after eviction).
-//! * **decode ns/post** — varint+zigzag chunk decode cost per posting,
-//!   measured inside the fetch path.
+//! * **decode ns/post** — record decode cost (CRC + bounds-checked copy)
+//!   per posting, measured inside the fetch path.
 //! * **wall** — end-to-end batch search time at that budget.
 //!
 //! ```sh

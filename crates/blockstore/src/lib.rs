@@ -1,4 +1,4 @@
-//! Out-of-core database search: the block/chunk store behind an LRU
+//! Out-of-core database search: the block store behind an LRU
 //! decoded-block cache, as a block source for the engine's one executor.
 //!
 //! The paper's execution structure — a serial loop over index blocks
@@ -19,7 +19,9 @@
 //!   an exhaustive scan starts with the blocks the previous one left in
 //!   the cache: eviction stays strict LRU, and it is the *scan order*
 //!   that lets a cache of `c` blocks serve `c` fetches of every scan
-//!   where an ascending cyclic scan would be served none;
+//!   where an ascending cyclic scan would be served none. A miss is a
+//!   read, one CRC pass over the record and a bounds-checked copy of its
+//!   fixed-width arrays;
 //! * [`StreamingShards`] — [`engine::ShardBackend`] over disk-resident
 //!   shards, so the sharded driver's dispatch, deadline, degradation and
 //!   statistics-correct merge machinery runs unchanged out-of-core, with

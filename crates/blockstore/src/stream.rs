@@ -1,6 +1,6 @@
 //! Disk-backed sequence stores and the streaming shard backend.
 //!
-//! [`SequenceStore`] opens a block/chunk store file by reading only its
+//! [`SequenceStore`] opens a block store file by reading only its
 //! footer directory, then serves decoded blocks one at a time through a
 //! shared [`BlockCache`]. It is an [`engine::BlockSource`], so
 //! [`engine::search_batch_blocks`] — the same block loop that searches a
@@ -118,9 +118,11 @@ impl<R: Read + Seek> SequenceStore<R> {
     }
 
     /// Fetch block `i`, from cache when resident, else by seek + read +
-    /// decode (verifying the record CRC) + insert. Injected faults
-    /// surface exactly like real ones: a short read or bit flip becomes
-    /// a typed decode error, latency only delays.
+    /// decode + insert. A record is fixed-width arrays, so a miss costs
+    /// the read, one CRC pass over the record and a bounds-checked copy
+    /// into the block's vectors. Injected faults surface exactly like
+    /// real ones: a short read or bit flip becomes a typed decode error,
+    /// latency only delays.
     pub fn block(&self, i: usize) -> Result<Arc<IndexBlock>, StoreError> {
         let meta = *self.dir.blocks.get(i).ok_or(StoreError::Format(SerialError::Truncated))?;
         // lint: allow(lossy-cast): directory rows are u32-indexed by
@@ -129,14 +131,19 @@ impl<R: Read + Seek> SequenceStore<R> {
         if let Some(b) = self.cache.get(self.store_id, block_id) {
             return Ok(b);
         }
-        let mut buf = vec![0u8; meta.len as usize];
+        // Read into spare capacity: the record is about to be overwritten
+        // whole, so zero-filling it first would be a wasted pass.
+        let mut buf = Vec::with_capacity(meta.len as usize);
         {
             let mut r = match self.reader.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
             r.seek(SeekFrom::Start(meta.offset))?;
-            r.read_exact(&mut buf)?;
+            r.by_ref().take(u64::from(meta.len)).read_to_end(&mut buf)?;
+        }
+        if buf.len() != meta.len as usize {
+            return Err(StoreError::Io(std::io::ErrorKind::UnexpectedEof.into()));
         }
         if self.faults.fire_at(FAULT_FETCH_LATENCY, u64::from(block_id)) {
             std::thread::sleep(std::time::Duration::from_micros(200));

@@ -27,9 +27,9 @@
 //! CRC is linear over GF(2), so the state after eight bytes is the xor of
 //! each byte's contribution shifted past the bytes that follow it —
 //! exactly what the tables hold. Polynomial, preset, reflection and final
-//! xor are untouched, so every stored checksum, the `store_v4*.bin`
-//! goldens and `store.schema` are byte for byte what the bytewise loop
-//! produced; the test module keeps that loop as its oracle.
+//! xor are untouched, so every stored checksum and the `store_v*.bin`
+//! goldens are byte for byte what the bytewise loop produces; the test
+//! module keeps that loop as its oracle.
 
 /// The reflected IEEE polynomial, as used by zlib, gzip, and PNG.
 const POLY: u32 = 0xEDB8_8320;

@@ -24,9 +24,9 @@
 //!
 //! [`store`] is the one on-disk format (build once, reuse for many query
 //! batches — the paper excludes index build time from end-to-end timings
-//! for the same reason): a block/chunk store read resident or streamed
-//! block by block; [`serial`] holds its error type and the daemon's
-//! resilient loader.
+//! for the same reason): a store of fixed-width block records read
+//! resident or streamed block by block; [`serial`] holds its error type
+//! and the daemon's resilient loader.
 
 pub mod block;
 pub mod config;
@@ -41,5 +41,5 @@ pub use serial::{load_index_resilient, LoadOutcome, SerialError, FAULT_LOAD};
 pub use shard::{DbShard, ShardPlan, ShardedIndex};
 pub use store::{
     decode_block, encode_block, read_directory, read_store, write_store, BlockBound,
-    PostingsCursor, StoreBlockMeta, StoreDirectory, StoreWriter, CHUNK_FANOUT, STORE_VERSION,
+    StoreBlockMeta, StoreDirectory, StoreWriter, STORE_VERSION,
 };

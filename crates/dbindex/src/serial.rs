@@ -3,7 +3,7 @@
 //! The whole point of a database index is to build it once and reuse it
 //! across query batches (the paper excludes build time from its end-to-end
 //! measurements on this basis), so the index must round-trip through disk.
-//! The one on-disk format is the block/chunk store of [`crate::store`];
+//! The one on-disk format is the block store of [`crate::store`];
 //! this module holds what every reader of it shares: the typed
 //! [`SerialError`], and [`load_index_resilient`] — retry the read, then
 //! rebuild from the database — for a daemon that must come up even when
@@ -173,13 +173,18 @@ mod tests {
         let outcome = load(2, &faults, |b, _| Ok(b.to_vec()));
         assert_eq!(outcome, (LoadOutcome::Rebuilt, 3), "1 + retries reads");
         assert_eq!(faults.fired(FAULT_LOAD), 3);
-        for old in 1..=3u8 {
+        // Every retired version, and the next one.
+        for other in [1u8, 2, 3, 4, 6] {
             let outcome = load(1, &faultfn::Faults::none(), |b, _| {
                 let mut stamped = b.to_vec();
-                stamped[4] = old;
+                stamped[4] = other;
+                assert_eq!(
+                    read_store(&stamped).err(),
+                    Some(SerialError::BadVersion(u32::from(other)))
+                );
                 Ok(stamped)
             });
-            assert_eq!(outcome, (LoadOutcome::Rebuilt, 2), "v{old} file");
+            assert_eq!(outcome, (LoadOutcome::Rebuilt, 2), "v{other} file");
         }
     }
 

@@ -1,17 +1,14 @@
-//! The on-disk index: a block/chunk store, an IR-style layout that serves
+//! The on-disk index: a block store, an IR-style layout that serves
 //! resident and out-of-core search from the same file.
 //!
-//! The CSR data of a [`DbIndex`] is laid out in the two levels
-//! information-retrieval engines use for posting lists on disk:
-//!
-//! * the **block** is the fetch/cache unit: one self-contained record per
-//!   [`IndexBlock`], individually CRC-32'd so a damaged block is detected
-//!   *when fetched*, not at load time;
-//! * the **chunk** is the decompression unit: postings are cut into
-//!   fixed-fanout groups of [`CHUNK_FANOUT`] entries, each stored as a
-//!   LEB128 varint head plus zigzag-varint deltas (the paper's
-//!   local-offset packing keeps the values small, so deltas compress
-//!   well); [`PostingsCursor`] decodes one chunk at a time;
+//! * the **block** is the fetch, cache and checksum unit: one
+//!   self-contained record per [`IndexBlock`], individually CRC-32'd so a
+//!   damaged block is detected *when fetched*, not at load time. A record
+//!   is the block's four arrays as fixed-width little-endian runs — the
+//!   paper's local-offset packing (Sec. III) already makes a posting one
+//!   `u32`, and nothing is layered on top of it — so decoding one is a
+//!   bounds-checked copy with no data-dependent loop: what a block miss
+//!   costs is the read, the checksum and that copy;
 //! * a **footer directory** maps block id → byte extent, CRC, seq-id
 //!   range, residue count, decoded size and a per-block **score-bound
 //!   summary** ([`BlockBound`]: longest subject extent, a whole-sequences
@@ -25,14 +22,13 @@
 //! formats and how the next version is added.
 //!
 //! ```text
-//! header  := magic "MUBP" | version u32 = 4 | block_bytes u64 |
+//! header  := magic "MUBP" | version u32 = 5 | block_bytes u64 |
 //!            offset_bits u32 | frag_overlap u64 | n_blocks u32
 //! record  := n_seqs u32 | {global_id, frag_offset, start, len}×n |
 //!            residues (len u64 + bytes) |
-//!            offsets (count u64 + byte_len u32 + varint head/deltas) |
-//!            entries (count u64 + byte_len u32 + chunks) |
+//!            offsets (count u64 + u32×count; count = WORD_SPACE + 1) |
+//!            entries (count u64 + u32×count) |
 //!            crc32 u32 (over the record)
-//! chunks  := n_chunks u32 | {count u16, byte_len u32}×n | payloads
 //! footer  := {offset u64, len u32, crc u32, n_seqs u32, first_seq u32,
 //!             last_seq u32, residues u64, decoded_bytes u64,
 //!             n_entries u64,
@@ -51,14 +47,9 @@ use crate::serial::SerialError;
 use bioseq::alphabet::{ALPHABET_SIZE, WORD_SPACE};
 use std::io::{Read, Seek, SeekFrom, Write};
 
-/// Format version of the block/chunk store: the only one written and the
-/// only one read.
-pub const STORE_VERSION: u32 = 4;
-
-/// Postings per chunk: the decompression grain. 128 packed postings keep
-/// a decoded chunk inside one or two cache lines' worth of work while the
-/// varint payload stays small enough to sit in L1 during decode.
-pub const CHUNK_FANOUT: usize = 128;
+/// Format version of the block store: the only one written and the only
+/// one read.
+pub const STORE_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 4] = b"MUBP";
 const FOOTER_MAGIC: &[u8; 4] = b"MUBF";
@@ -75,12 +66,8 @@ const DIR_ROW: usize = 8 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + BOUND_BYTES;
 const TAIL_LEN: usize = 4 + 4 + 4 + 4;
 
 // ---------------------------------------------------------------------
-// Little-endian + varint primitives (std-only).
+// Little-endian primitives (std-only).
 // ---------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -90,25 +77,14 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// LEB128: 7 value bits per byte, high bit = continuation.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        // lint: allow(lossy-cast): LEB128 keeps exactly the low 7 bits.
-        out.push((v as u8) | 0x80);
-        v >>= 7;
+/// A `u32` array as `count u64 | u32 × count`.
+fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
+    put_u64(out, vals.len() as u64);
+    let start = out.len();
+    out.resize(start + vals.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    // lint: allow(lossy-cast): the loop above leaves v < 0x80.
-    out.push(v as u8);
-}
-
-/// Zigzag-fold a signed delta so small magnitudes of either sign stay
-/// short varints.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], SerialError> {
@@ -118,11 +94,6 @@ fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], SerialError> {
     let (head, tail) = data.split_at(n);
     *data = tail;
     Ok(head)
-}
-
-fn get_u16(data: &mut &[u8]) -> Result<u16, SerialError> {
-    let b = take(data, 2)?;
-    Ok(u16::from_le_bytes([b[0], b[1]]))
 }
 
 fn get_u32(data: &mut &[u8]) -> Result<u32, SerialError> {
@@ -137,131 +108,16 @@ fn get_u64(data: &mut &[u8]) -> Result<u64, SerialError> {
     ]))
 }
 
-fn get_varint(data: &mut &[u8]) -> Result<u64, SerialError> {
-    let mut v = 0u64;
-    for shift in 0..10 {
-        let b = take(data, 1)?[0];
-        let payload = u64::from(b & 0x7f);
-        // The tenth byte may only carry the top bit of a u64.
-        if shift == 9 && payload > 1 {
-            return Err(SerialError::Truncated);
-        }
-        v |= payload << (7 * shift);
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(SerialError::Truncated)
-}
-
-// ---------------------------------------------------------------------
-// Chunk codec: fixed-fanout varint groups over a posting array.
-// ---------------------------------------------------------------------
-
-/// Encode a posting array as fixed-fanout chunks (see module docs).
-/// The empty array encodes as zero chunks.
-pub fn encode_postings(entries: &[u32], out: &mut Vec<u8>) {
-    let chunks: Vec<&[u32]> = entries.chunks(CHUNK_FANOUT).collect();
-    // lint: allow(lossy-cast): chunk count ≤ entry count, and a block's
-    // CSR offsets already bound its entries to u32-addressable positions.
-    put_u32(out, chunks.len() as u32);
-    let mut payloads = Vec::new();
-    for chunk in &chunks {
-        let start = payloads.len();
-        put_varint(&mut payloads, u64::from(chunk[0]));
-        for w in chunk.windows(2) {
-            put_varint(&mut payloads, zigzag(i64::from(w[1]) - i64::from(w[0])));
-        }
-        // lint: allow(lossy-cast): a chunk holds ≤ CHUNK_FANOUT postings
-        // (fits u16) of ≤ 10 varint bytes each (fits u32).
-        put_u16(out, chunk.len() as u16);
-        // lint: allow(lossy-cast): see above — chunk payload fits u32.
-        put_u32(out, (payloads.len() - start) as u32);
-    }
-    out.extend_from_slice(&payloads);
-}
-
-/// Chunk-at-a-time decoder over an encoded posting region — the read
-/// grain of the out-of-core pipeline: a caller that only needs the first
-/// chunks of a long posting list never pays to decode the rest.
-pub struct PostingsCursor<'a> {
-    /// `(count, byte_len)` per chunk.
-    dir: Vec<(u16, u32)>,
-    payloads: &'a [u8],
-    next: usize,
-}
-
-impl<'a> PostingsCursor<'a> {
-    /// Parse the chunk directory of an encoded region produced by
-    /// [`encode_postings`].
-    pub fn new(mut data: &'a [u8]) -> Result<PostingsCursor<'a>, SerialError> {
-        let n_chunks = get_u32(&mut data)? as usize;
-        // Six directory bytes per chunk: a hostile count cannot reserve
-        // more than the input could describe.
-        let mut dir = Vec::with_capacity(n_chunks.min(data.len() / 6));
-        for _ in 0..n_chunks {
-            let count = get_u16(&mut data)?;
-            let byte_len = get_u32(&mut data)?;
-            if count == 0 || count as usize > CHUNK_FANOUT {
-                return Err(SerialError::Truncated);
-            }
-            dir.push((count, byte_len));
-        }
-        Ok(PostingsCursor { dir, payloads: data, next: 0 })
-    }
-
-    /// Number of chunks in the region.
-    pub fn n_chunks(&self) -> usize {
-        self.dir.len()
-    }
-
-    /// Total postings across all chunks (directory sum; nothing decoded).
-    pub fn n_postings(&self) -> usize {
-        self.dir.iter().map(|&(c, _)| c as usize).sum()
-    }
-
-    /// Decode the next chunk into `out` (appended). Returns `false` when
-    /// the region is exhausted. A short or malformed payload yields a
-    /// typed error, never a panic.
-    pub fn next_chunk(&mut self, out: &mut Vec<u32>) -> Result<bool, SerialError> {
-        let Some(&(count, byte_len)) = self.dir.get(self.next) else {
-            return Ok(false);
-        };
-        self.next += 1;
-        let mut payload = take(&mut self.payloads, byte_len as usize)?;
-        let head = get_varint(&mut payload)?;
-        let mut prev = i64::try_from(head).map_err(|_| SerialError::Truncated)?;
-        if u32::try_from(prev).is_err() {
-            return Err(SerialError::Truncated);
-        }
-        // lint: allow(lossy-cast): range-checked by the guard above.
-        out.push(prev as u32);
-        for _ in 1..count {
-            let delta = unzigzag(get_varint(&mut payload)?);
-            prev = prev.checked_add(delta).ok_or(SerialError::Truncated)?;
-            let v = u32::try_from(prev).map_err(|_| SerialError::Truncated)?;
-            out.push(v);
-        }
-        if !payload.is_empty() {
-            return Err(SerialError::Truncated);
-        }
-        Ok(true)
-    }
-}
-
-/// Decode a whole encoded posting region, checking the total count.
-pub fn decode_postings(data: &[u8], n_entries: usize) -> Result<Vec<u32>, SerialError> {
-    let mut cursor = PostingsCursor::new(data)?;
-    // Clamp the pre-allocation to what the input could hold (a posting
-    // is at least one byte): `n_entries` may be a corrupted length field,
-    // and a hostile value must fail the count check below, not abort on
-    // an absurd reservation.
-    let mut out = Vec::with_capacity(n_entries.min(data.len()));
-    while cursor.next_chunk(&mut out)? {}
-    if out.len() != n_entries {
-        return Err(SerialError::Truncated);
-    }
-    Ok(out)
+/// Read an array written by [`put_u32s`]. The count is a length field from
+/// outside the program: the bytes it claims are proved present (`take`)
+/// before anything is allocated for them.
+fn get_u32s(data: &mut &[u8]) -> Result<Vec<u32>, SerialError> {
+    let count = usize::try_from(get_u64(data)?).map_err(|_| SerialError::Truncated)?;
+    let raw = take(data, count.checked_mul(4).ok_or(SerialError::Truncated)?)?;
+    Ok(raw
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -271,7 +127,9 @@ pub fn decode_postings(data: &[u8], n_entries: usize) -> Result<Vec<u32>, Serial
 /// Serialize one block as a self-contained, CRC-trailed record.
 pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
     let (seqs, residues, offsets, entries) = block.parts();
-    let mut out = Vec::with_capacity(residues.len() + entries.len() * 2 + 64);
+    let mut out = Vec::with_capacity(
+        4 + seqs.len() * 16 + 8 + residues.len() + 2 * 8 + (offsets.len() + entries.len()) * 4 + 4,
+    );
     // lint: allow(lossy-cast): a block holds at most
     // `max_seqs_per_block() = 2^(32-offset_bits)` fragments (asserted at
     // build time in `DbIndex::finish_block`).
@@ -284,28 +142,8 @@ pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
     }
     put_u64(&mut out, residues.len() as u64);
     out.extend_from_slice(residues);
-    // CSR offsets are monotone, so plain (unsigned) deltas suffice.
-    put_u64(&mut out, offsets.len() as u64);
-    let mut enc = Vec::with_capacity(offsets.len());
-    if let Some((&head, rest)) = offsets.split_first() {
-        put_varint(&mut enc, u64::from(head));
-        let mut prev = head;
-        for &o in rest {
-            put_varint(&mut enc, u64::from(o - prev));
-            prev = o;
-        }
-    }
-    // lint: allow(lossy-cast): `WORD_SPACE + 1` varints of ≤ 5 bytes each.
-    put_u32(&mut out, enc.len() as u32);
-    out.extend_from_slice(&enc);
-    put_u64(&mut out, entries.len() as u64);
-    let mut chunked = Vec::with_capacity(entries.len() * 2);
-    encode_postings(entries, &mut chunked);
-    // lint: allow(lossy-cast): the chunked form of a u32-addressable
-    // posting array is ≤ 10 bytes per posting, within u32 for any block
-    // the byte budget can produce.
-    put_u32(&mut out, chunked.len() as u32);
-    out.extend_from_slice(&chunked);
+    put_u32s(&mut out, offsets);
+    put_u32s(&mut out, entries);
     let sum = crc32(&out);
     put_u32(&mut out, sum);
     out
@@ -333,35 +171,19 @@ pub fn decode_block(record: &[u8], offset_bits: u32) -> Result<IndexBlock, Seria
             len: u32::from_le_bytes([c[12], c[13], c[14], c[15]]),
         })
         .collect();
-    let n_res = get_u64(&mut cur)? as usize;
+    let n_res = usize::try_from(get_u64(&mut cur)?).map_err(|_| SerialError::Truncated)?;
     let residues = take(&mut cur, n_res)?.to_vec();
-    let n_off = get_u64(&mut cur)? as usize;
-    if n_off != WORD_SPACE + 1 {
-        return Err(SerialError::Truncated);
-    }
-    let off_len = get_u32(&mut cur)? as usize;
-    let mut enc = take(&mut cur, off_len)?;
-    let mut offsets = Vec::with_capacity(n_off);
-    let mut acc = 0u64;
-    for i in 0..n_off {
-        let d = get_varint(&mut enc)?;
-        acc = if i == 0 { d } else { acc.checked_add(d).ok_or(SerialError::Truncated)? };
-        offsets.push(u32::try_from(acc).map_err(|_| SerialError::Truncated)?);
-    }
-    if !enc.is_empty() {
-        return Err(SerialError::Truncated);
-    }
-    let n_ent = get_u64(&mut cur)? as usize;
-    let ent_len = get_u32(&mut cur)? as usize;
-    let chunked = take(&mut cur, ent_len)?;
-    let entries = decode_postings(chunked, n_ent)?;
+    let offsets = get_u32s(&mut cur)?;
+    let entries = get_u32s(&mut cur)?;
     if !cur.is_empty() {
         return Err(SerialError::Truncated);
     }
-    // The CSR must actually address the entry array, or `postings()`
-    // would panic at search time.
-    // lint: allow(lossy-cast): entry counts were decoded from u32 fields.
-    if offsets.last().copied() != Some(entries.len() as u32) {
+    // The CSR must be monotone and address exactly the entry array, or
+    // `postings()` would panic at search time.
+    if offsets.len() != WORD_SPACE + 1
+        || offsets.windows(2).any(|w| w[0] > w[1])
+        || offsets.last().map(|&end| end as usize) != Some(entries.len())
+    {
         return Err(SerialError::Truncated);
     }
     // Fragment extents must lie inside the residue buffer.
@@ -473,7 +295,7 @@ pub struct StoreBlockMeta {
     pub bound: BlockBound,
 }
 
-/// Parsed header + footer of a block/chunk store: the block map.
+/// Parsed header + footer of a block store: the block map.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreDirectory {
     /// Build configuration recorded in the header.
@@ -760,53 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn postings_roundtrip_including_boundaries() {
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![u32::MAX],
-            vec![0, u32::MAX, 0, u32::MAX],
-            (0..CHUNK_FANOUT as u32).collect(),
-            (0..CHUNK_FANOUT as u32 + 1).collect(),
-            (0..1000).map(|i| i * 37 % 911).collect(),
-        ];
-        for entries in cases {
-            let mut enc = Vec::new();
-            encode_postings(&entries, &mut enc);
-            let back = decode_postings(&enc, entries.len()).unwrap();
-            assert_eq!(back, entries, "len {}", entries.len());
-        }
-    }
-
-    #[test]
-    fn cursor_decodes_one_chunk_at_a_time() {
-        let entries: Vec<u32> = (0..300).map(|i| i * 13).collect();
-        let mut enc = Vec::new();
-        encode_postings(&entries, &mut enc);
-        let mut cursor = PostingsCursor::new(&enc).unwrap();
-        assert_eq!(cursor.n_chunks(), 3);
-        assert_eq!(cursor.n_postings(), 300);
-        let mut out = Vec::new();
-        assert!(cursor.next_chunk(&mut out).unwrap());
-        assert_eq!(out.len(), CHUNK_FANOUT);
-        assert_eq!(out, entries[..CHUNK_FANOUT]);
-        while cursor.next_chunk(&mut out).unwrap() {}
-        assert_eq!(out, entries);
-        assert!(!cursor.next_chunk(&mut out).unwrap(), "cursor stays exhausted");
-    }
-
-    #[test]
-    fn truncated_postings_fail_typed() {
-        let entries: Vec<u32> = (0..200).map(|i| i * 7 + 1).collect();
-        let mut enc = Vec::new();
-        encode_postings(&entries, &mut enc);
-        for cut in 0..enc.len() - 1 {
-            let r = decode_postings(&enc[..cut], entries.len());
-            assert!(r.is_err(), "cut at {cut} unexpectedly decoded");
-        }
-    }
-
-    #[test]
     fn block_record_roundtrip() {
         let idx = sample_index();
         assert!(idx.blocks().len() > 1, "want a multi-block sample");
@@ -944,9 +719,9 @@ mod tests {
     #[test]
     fn every_other_version_and_magic_rejected() {
         let good = write_store(&sample_index());
-        // The retired flat (1, 2) and bound-less (3) formats, the next
-        // version, and nonsense alike.
-        for v in [0, 1, 2, 3, 5, 9, u32::MAX] {
+        // The retired flat (1, 2), bound-less (3) and varint-chunk (4)
+        // formats, the next version, and nonsense alike.
+        for v in [0, 1, 2, 3, 4, 6, 9, u32::MAX] {
             let mut bytes = good.clone();
             bytes[4..8].copy_from_slice(&v.to_le_bytes());
             assert_eq!(read_store(&bytes), Err(SerialError::BadVersion(v)));

@@ -4,6 +4,7 @@
 //! it, so every malformed input must be rejected with the *right*
 //! `SerialError` — and none may panic or allocate from a hostile count.
 
+use bioseq::alphabet::WORD_SPACE;
 use bioseq::{Sequence, SequenceDb};
 use dbindex::crc::{crc32, Crc32};
 use dbindex::{
@@ -79,30 +80,60 @@ fn reseal_directory(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-/// Byte offsets of the length fields inside the first record.
+/// Byte offsets of the fields inside the first record.
 struct RecordFields {
     n_seqs: usize,
     residue_len: usize,
     first_residue: usize,
     offsets_count: usize,
+    first_offset: usize,
     entries_count: usize,
-    n_chunks: usize,
+    first_entry: usize,
 }
 
-fn first_record_fields(bytes: &[u8], rows: &[StoreBlockMeta]) -> RecordFields {
-    let n_seqs = rows[0].offset as usize;
+/// Field offsets of the record that starts at byte `n_seqs` of `bytes`.
+fn record_fields(bytes: &[u8], n_seqs: usize) -> RecordFields {
     let residue_len = n_seqs + 4 + u32_at(bytes, n_seqs) as usize * 16;
     let first_residue = residue_len + 8;
     let offsets_count = first_residue + u32_at(bytes, residue_len) as usize;
-    let entries_count = offsets_count + 8 + 4 + u32_at(bytes, offsets_count + 8) as usize;
+    let first_offset = offsets_count + 8;
+    let entries_count = first_offset + 4 * (WORD_SPACE + 1);
     RecordFields {
         n_seqs,
         residue_len,
         first_residue,
         offsets_count,
+        first_offset,
         entries_count,
-        n_chunks: entries_count + 8 + 4,
+        first_entry: entries_count + 8,
     }
+}
+
+fn first_record_fields(bytes: &[u8], rows: &[StoreBlockMeta]) -> RecordFields {
+    record_fields(bytes, rows[0].offset as usize)
+}
+
+/// The first record's body (no trailer) with its field offsets, for tests
+/// that splice bytes in or out and hand the result to `decode_block`
+/// directly.
+fn first_record_body() -> (Vec<u8>, RecordFields) {
+    let rows = sample_rows();
+    let bytes = sample_bytes();
+    let start = rows[0].offset as usize;
+    let body = bytes[start..start + rows[0].len as usize - 4].to_vec();
+    let f = record_fields(&body, 0);
+    assert!(
+        u32_at(&body, f.entries_count) > 0,
+        "want postings in the first block"
+    );
+    (body, f)
+}
+
+/// Append a correct CRC trailer to a record body.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let sum = crc32(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
 }
 
 // ---------------------------------------------------------------------
@@ -169,10 +200,11 @@ fn bad_magic() {
 
 #[test]
 fn every_version_but_the_current_one_is_bad_version() {
-    // 1 and 2 were the flat images, 3 the bound-less store, 5 is the
-    // future: none is read, each names itself in the error. The check
-    // precedes every other field, so the rest of the file is irrelevant.
-    for v in [0u32, 1, 2, 3, 5] {
+    // 1 and 2 were the flat images, 3 the bound-less store, 4 the varint
+    // chunk store, 6 is the future: none is read, each names itself in
+    // the error. The check precedes every other field, so the rest of the
+    // file is irrelevant.
+    for v in [0u32, 1, 2, 3, 4, 6] {
         let mut bytes = sample_bytes();
         put_u32_at(&mut bytes, 4, v);
         assert_eq!(read_store(&bytes), Err(SerialError::BadVersion(v)));
@@ -238,10 +270,12 @@ fn oversized_counts_inside_a_record_fail_without_trusting_them() {
     let rows = sample_rows();
     let clean = sample_bytes();
     let f = first_record_fields(&clean, &rows);
-    // Each field is blown up to its type's maximum: n_seqs × 16 must hit
-    // the checked_mul guard, the lengths must fail `take`, the counts must
-    // fail their cross-checks — none may size an allocation.
-    let mutations: [(&str, &dyn Fn(&mut [u8])); 6] = [
+    let n_entries = u64::from(u32_at(&clean, f.entries_count));
+    // Each count is blown up — to its type's maximum, to a value whose
+    // byte length wraps, and to one past what the record holds: n × 16 and
+    // n × 4 must hit their checked_mul guards, the rest must fail `take`
+    // — none may size an allocation.
+    let mutations: [(&str, &dyn Fn(&mut [u8])); 7] = [
         ("fragment count", &|b| put_u32_at(b, f.n_seqs, u32::MAX)),
         ("residue length", &|b| {
             put_u64_at(b, f.residue_len, u64::MAX)
@@ -249,11 +283,16 @@ fn oversized_counts_inside_a_record_fail_without_trusting_them() {
         ("offsets count", &|b| {
             put_u64_at(b, f.offsets_count, u64::MAX)
         }),
-        ("offsets byte length", &|b| {
-            put_u32_at(b, f.offsets_count + 8, u32::MAX)
-        }),
         ("entry count", &|b| put_u64_at(b, f.entries_count, u64::MAX)),
-        ("chunk count", &|b| put_u32_at(b, f.n_chunks, u32::MAX)),
+        ("entry count × 4 wraps to 0", &|b| {
+            put_u64_at(b, f.entries_count, 1 << 62)
+        }),
+        ("entry count × 4 wraps to the truth", &|b| {
+            put_u64_at(b, f.entries_count, (1 << 62) + n_entries)
+        }),
+        ("entry count one past the bytes", &|b| {
+            put_u64_at(b, f.entries_count, n_entries + 1)
+        }),
     ];
     for (what, mutate) in mutations {
         let mut bytes = clean.clone();
@@ -262,6 +301,96 @@ fn oversized_counts_inside_a_record_fail_without_trusting_them() {
             read_store(&reseal_record(bytes, &rows[0])),
             Err(SerialError::Truncated),
             "{what}"
+        );
+    }
+}
+
+#[test]
+fn csr_offsets_that_go_backwards_are_rejected() {
+    // Fixed-width offsets are not monotone by construction, and
+    // `IndexBlock::postings()` slices `entries[offsets[w]..offsets[w + 1]]`:
+    // a CRC-valid record with a backwards step must not reach a search.
+    let (body, f) = first_record_body();
+    let n_entries = u32_at(&body, f.entries_count);
+    let at = |k: usize| f.first_offset + 4 * k;
+    let next = |k: usize| u32_at(&body, at(k + 1));
+    let cases = [
+        (0, next(0) + 1),                           // the leading zero
+        (WORD_SPACE / 2, u32::MAX),                 // far outside the entry array
+        (WORD_SPACE / 2, n_entries + 1),            // one past it
+        (WORD_SPACE - 1, next(WORD_SPACE - 1) + 1), // the last step
+    ];
+    for (k, v) in cases {
+        let mut bad = body.clone();
+        put_u32_at(&mut bad, at(k), v);
+        assert_eq!(
+            dbindex::decode_block(&seal(bad), 15).err(),
+            Some(SerialError::Truncated),
+            "offsets[{k}] = {v}"
+        );
+    }
+    // The unmutated body, sealed the same way, is what the writer wrote.
+    assert!(dbindex::decode_block(&seal(body), 15).is_ok());
+}
+
+#[test]
+fn offsets_run_of_the_wrong_length_is_rejected_even_when_well_formed() {
+    // One offset too many (the end repeated) and one too few (the leading
+    // zero dropped): both runs are monotone and end at the entry count,
+    // so only the `WORD_SPACE + 1` check can object.
+    let (body, f) = first_record_body();
+    let mut longer = body.clone();
+    let last = body[f.entries_count - 4..f.entries_count].to_vec();
+    longer.splice(f.entries_count..f.entries_count, last);
+    put_u64_at(&mut longer, f.offsets_count, WORD_SPACE as u64 + 2);
+    let mut shorter = body.clone();
+    shorter.drain(f.first_offset..f.first_offset + 4);
+    put_u64_at(&mut shorter, f.offsets_count, WORD_SPACE as u64);
+    for (what, bad) in [("one more", longer), ("one fewer", shorter)] {
+        assert_eq!(
+            dbindex::decode_block(&seal(bad), 15).err(),
+            Some(SerialError::Truncated),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn entries_run_that_disagrees_with_the_csr_end_is_rejected() {
+    // Well-formed runs, but the last offset does not address the end of
+    // the entry array: one entry dropped, one appended.
+    let (body, f) = first_record_body();
+    let n_entries = u64::from(u32_at(&body, f.entries_count));
+    let mut fewer = body.clone();
+    fewer.truncate(body.len() - 4);
+    put_u64_at(&mut fewer, f.entries_count, n_entries - 1);
+    let mut more = body.clone();
+    more.extend_from_slice(&0u32.to_le_bytes());
+    put_u64_at(&mut more, f.entries_count, n_entries + 1);
+    for (what, bad) in [("one fewer", fewer), ("one more", more)] {
+        assert_eq!(
+            dbindex::decode_block(&seal(bad), 15).err(),
+            Some(SerialError::Truncated),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn trailing_bytes_after_the_entries_are_rejected() {
+    let (body, f) = first_record_body();
+    assert_eq!(
+        body.len(),
+        f.first_entry + 4 * u32_at(&body, f.entries_count) as usize,
+        "entries are the last run of a record"
+    );
+    for extra in [1usize, 4, 17] {
+        let mut bad = body.clone();
+        bad.extend(std::iter::repeat(0u8).take(extra));
+        assert_eq!(
+            dbindex::decode_block(&seal(bad), 15).err(),
+            Some(SerialError::Truncated),
+            "{extra} trailing bytes"
         );
     }
 }
@@ -341,7 +470,7 @@ fn bit_flips_are_rejected_across_the_file() {
     // A flip anywhere must be rejected — Corrupt when the mutation still
     // parses, Truncated/BadMagic/BadVersion when it breaks framing first.
     // A prime stride plus both file ends visits every region of the
-    // layout (header, descriptors, residues, CSR offsets, posting chunks,
+    // layout (header, descriptors, residues, CSR offsets, posting entries,
     // record trailers, directory rows, tail).
     let ends = (0..64.min(bytes.len())).chain(bytes.len().saturating_sub(256)..bytes.len());
     for i in (0..bytes.len()).step_by(487).chain(ends) {

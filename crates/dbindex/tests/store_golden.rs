@@ -1,8 +1,8 @@
-//! Golden byte fixtures for the block/chunk store.
+//! Golden byte fixtures for the block store.
 //!
-//! `tests/fixtures/store_v4*.bin` are what the serializer writes. Any
-//! serializer change that alters bytes — field order, widths, chunk
-//! fanout, CRC coverage, bound layout — fails here even if it round-trips
+//! `tests/fixtures/store_v5*.bin` are what the serializer writes. Any
+//! serializer change that alters bytes — field order, widths, the order
+//! of a record's runs, CRC coverage, bound layout — fails here even if it round-trips
 //! symmetrically, because stores already written by shipped builds would
 //! no longer parse the same way. Regenerate deliberately with
 //! `STORE_BLESS=1` after an intentional `STORE_VERSION` bump (the `xtask
@@ -61,10 +61,10 @@ fn golden_fragmented_index() -> DbIndex {
 
 fn golden_stores() -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        ("store_v4.bin", write_store(&golden_index())),
-        ("store_v4_frag.bin", write_store(&golden_fragmented_index())),
+        ("store_v5.bin", write_store(&golden_index())),
+        ("store_v5_frag.bin", write_store(&golden_fragmented_index())),
         (
-            "store_v4_empty.bin",
+            "store_v5_empty.bin",
             write_store(&DbIndex::build(&SequenceDb::new(), &IndexConfig::default())),
         ),
     ]
@@ -108,8 +108,8 @@ fn committed_fixture_parses_and_its_bounds_are_sound() {
     let mut saw_fragmented = false;
     let mut saw_whole = false;
     for (name, want) in [
-        ("store_v4.bin", golden_index()),
-        ("store_v4_frag.bin", golden_fragmented_index()),
+        ("store_v5.bin", golden_index()),
+        ("store_v5_frag.bin", golden_fragmented_index()),
     ] {
         let path = fixtures_dir().join(name);
         let bytes = std::fs::read(&path).unwrap_or_else(|e| {

@@ -1,20 +1,25 @@
 //! On-disk store-layout ratchet.
 //!
-//! `dbindex/src/store.rs` hand-rolls the block/chunk layout: a handful
+//! `dbindex/src/store.rs` hand-rolls the block-store layout: a handful
 //! of `const`s fix the header/footer geometry, and a small set of
 //! serializer functions emit / consume `put_*` / `get_*` calls in field
 //! order. Nothing in the type system stops a refactor from reordering a
-//! footer row, widening a header field, or shrinking `CHUNK_FANOUT` —
-//! any of which silently invalidates every store file already on disk.
+//! footer row, widening a header field, or swapping two of a record's
+//! array runs — any of which silently invalidates every store file
+//! already on disk.
 //!
 //! This pass parses those functions *syntactically* and enforces two
 //! rules:
 //!
 //! * `store-pair` — the header writer and reader must agree field for
-//!   field (`header_bytes` puts vs `parse_header` gets, in order), and
-//!   the footer-directory writer and reader must agree on field widths
+//!   field (`header_bytes` puts vs `parse_header` gets, in order); the
+//!   footer-directory writer and reader must agree on field widths
 //!   (`finish` puts vs `read_directory` gets as multisets — the reader
-//!   legally consumes the tail before seeking back to the rows).
+//!   legally consumes the tail before seeking back to the rows); the
+//!   bulk-array helpers must frame a run the same way (`put_u32s` puts vs
+//!   `get_u32s` gets, in order); and a record's array runs must be read
+//!   in the order they are written (`encode_block`'s `put_u32s(.., name)`
+//!   vs `decode_block`'s `let name = get_u32s(..)`, by name).
 //! * `store-layout-drift` — each layout-bearing function (and the layout
 //!   constants) is fingerprinted (FNV-1a 64 over its direction-tagged op
 //!   sequence) at the current `STORE_VERSION` and compared against the
@@ -38,8 +43,9 @@ pub const RULE_DRIFT: &str = "store-layout-drift";
 pub const RULE_PARSE: &str = "store-parse";
 
 /// The functions whose `put_*`/`get_*` call sequences *are* the layout.
-const SECTIONS: [&str; 7] = [
-    "encode_postings",
+const SECTIONS: [&str; 8] = [
+    "put_u32s",
+    "get_u32s",
     "encode_block",
     "decode_block",
     "header_bytes",
@@ -50,9 +56,8 @@ const SECTIONS: [&str; 7] = [
 
 /// Constants that fix the file geometry; their initializer tokens are
 /// fingerprinted alongside the op sequences.
-const LAYOUT_CONSTS: [&str; 8] = [
+const LAYOUT_CONSTS: [&str; 7] = [
     "STORE_VERSION",
-    "CHUNK_FANOUT",
     "HEADER_LEN",
     "N_BLOCKS_OFFSET",
     "DIR_ROW",
@@ -61,10 +66,18 @@ const LAYOUT_CONSTS: [&str; 8] = [
     "FOOTER_MAGIC",
 ];
 
+/// The bulk-array ops: one call moves a whole run, so which array it
+/// moves is part of the layout (see [`Op::kind`]).
+const BULK: &str = "u32s";
+
 /// One `put_*` / `get_*` call inside a layout function.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Op {
-    /// The suffix after `put_` / `get_`: `u16`, `u32`, `u64`, `varint`.
+    /// The suffix after `put_` / `get_`: `u32`, `u64`. A bulk op also
+    /// names its array — `u32s:offsets` — from the call's last argument
+    /// (`put_u32s(out, offsets)`) or the binding it initialises
+    /// (`let offsets = get_u32s(..)`), so two same-width runs swapping
+    /// places is a layout change like any other.
     pub kind: String,
     /// `true` for `put_*` (writer side).
     pub put: bool,
@@ -234,17 +247,32 @@ fn pair_checks(u: &FileUnit, model: &Model) -> Vec<Finding> {
             ops.iter().filter(|o| o.put == put).map(|o| o.kind.clone()).collect()
         })
     };
-    if let (Some(w), Some(r)) = (seq("header_bytes", true), seq("parse_header", false)) {
-        let line = model.lines.get("parse_header").copied().unwrap_or(0);
+    // Ordered pairings: (writer, reader, bulk runs only?, what disagrees).
+    // Every store on disk has the writer's order, and two same-width runs
+    // read in the wrong order still parse.
+    let ordered = [
+        ("header_bytes", "parse_header", false, "header fields"),
+        ("put_u32s", "get_u32s", false, "array-run framing"),
+        ("encode_block", "decode_block", true, "record array runs"),
+    ];
+    for (writer, reader, bulk_only, what) in ordered {
+        let side = |section: &str, put: bool| {
+            let mut kinds = seq(section, put)?;
+            kinds.retain(|k| !bulk_only || k.starts_with(BULK));
+            Some(kinds)
+        };
+        let (Some(w), Some(r)) = (side(writer, true), side(reader, false)) else {
+            continue;
+        };
+        let line = model.lines.get(reader).copied().unwrap_or(0);
         if w != r && !u.is_allowed(RULE_PAIR, line) {
             findings.push(Finding::new(
                 RULE_PAIR,
                 &u.rel,
                 line,
                 format!(
-                    "header writer and reader disagree: `header_bytes` puts \
-                     {w:?} but `parse_header` gets {r:?} — every store on disk \
-                     has the writer's field order"
+                    "writer and reader disagree on the {what}: `{writer}` puts \
+                     {w:?} but `{reader}` gets {r:?}"
                 ),
             ));
         }
@@ -411,12 +439,54 @@ fn body_ops(u: &FileUnit, body: std::ops::Range<usize>) -> Vec<Op> {
             continue;
         }
         if let Some(kind) = t[i].text.strip_prefix("put_") {
-            ops.push(Op { kind: kind.to_string(), put: true, line: t[i].line });
+            let kind = match kind {
+                BULK => format!("{BULK}:{}", last_argument(t, i + 1)),
+                _ => kind.to_string(),
+            };
+            ops.push(Op { kind, put: true, line: t[i].line });
         } else if let Some(kind) = t[i].text.strip_prefix("get_") {
-            ops.push(Op { kind: kind.to_string(), put: false, line: t[i].line });
+            let kind = match kind {
+                BULK => format!("{BULK}:{}", bound_name(t, i)),
+                _ => kind.to_string(),
+            };
+            ops.push(Op { kind, put: false, line: t[i].line });
         }
     }
     ops
+}
+
+/// The last identifier inside the call whose `(` is at `open`:
+/// `put_u32s(&mut out, offsets)` → `offsets`. `?` when there is none.
+fn last_argument(t: &[crate::lexer::Tok], open: usize) -> String {
+    let mut depth = 0usize;
+    let mut last = "?";
+    for tok in &t[open..] {
+        match tok.text.as_str() {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ if tok.kind == crate::lexer::TokKind::Ident => last = &tok.text,
+            _ => {}
+        }
+    }
+    last.to_string()
+}
+
+/// The binding a call at `call` initialises: `let offsets = get_u32s(..)`
+/// → `offsets`. `?` when the call is not the whole initialiser.
+fn bound_name(t: &[crate::lexer::Tok], call: usize) -> String {
+    match (call.checked_sub(2).map(|i| &t[i]), call.checked_sub(1).map(|i| &t[i])) {
+        (Some(name), Some(eq))
+            if eq.text == "=" && name.kind == crate::lexer::TokKind::Ident =>
+        {
+            name.text.clone()
+        }
+        _ => "?".to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -426,11 +496,28 @@ mod tests {
 
     const MINI: &str = r#"
         pub const STORE_VERSION: u32 = 3;
-        pub const CHUNK_FANOUT: usize = 128;
         const HEADER_LEN: usize = 4 + 4 + 8 + 4;
-        fn encode_postings(entries: &[u32], out: &mut Vec<u8>) {
-            put_u32(out, entries.len() as u32);
-            for e in entries { put_varint(out, u64::from(*e)); }
+        fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
+            put_u64(out, vals.len() as u64);
+            for v in vals { out.extend_from_slice(&v.to_le_bytes()); }
+        }
+        fn get_u32s(data: &mut &[u8]) -> Result<Vec<u32>, E> {
+            let count = get_u64(data)? as usize;
+            Ok(take(data, count * 4)?.chunks_exact(4).map(le).collect())
+        }
+        fn encode_block(block: &Block) -> Vec<u8> {
+            let (offsets, entries) = block.parts();
+            let mut out = Vec::new();
+            put_u32s(&mut out, offsets);
+            put_u32s(&mut out, entries);
+            put_u32(&mut out, crc32(&out));
+            out
+        }
+        fn decode_block(body: &[u8]) -> Result<Block, E> {
+            let mut cur = body;
+            let offsets = get_u32s(&mut cur)?;
+            let entries = get_u32s(&mut cur)?;
+            Ok(Block::from_parts(offsets, entries))
         }
         fn header_bytes(config: &Config) -> Vec<u8> {
             let mut h = Vec::new();
@@ -464,6 +551,15 @@ mod tests {
         }
     "#;
 
+    const PUT_RUNS: &str =
+        "put_u32s(&mut out, offsets);\n            put_u32s(&mut out, entries);";
+    const PUT_RUNS_SWAPPED: &str =
+        "put_u32s(&mut out, entries);\n            put_u32s(&mut out, offsets);";
+    const GET_RUNS: &str = "let offsets = get_u32s(&mut cur)?;\n            \
+                            let entries = get_u32s(&mut cur)?;";
+    const GET_RUNS_SWAPPED: &str = "let entries = get_u32s(&mut cur)?;\n            \
+                                    let offsets = get_u32s(&mut cur)?;";
+
     fn units_of(src: &str) -> Vec<FileUnit> {
         build_units(&[("crates/dbindex/src/store.rs".to_string(), src.to_string())])
     }
@@ -473,9 +569,14 @@ mod tests {
         let units = units_of(MINI);
         let model = parse(&units[0]).unwrap();
         assert_eq!(model.version, 3);
-        assert_eq!(model.sections.len(), 5);
-        assert_eq!(model.consts.len(), 3);
+        assert_eq!(model.sections.len(), 8);
+        assert_eq!(model.consts.len(), 2);
         assert_eq!(model.consts["HEADER_LEN"], "4 + 4 + 8 + 4");
+        let kinds = |section: &str| -> Vec<&str> {
+            model.sections[section].iter().map(|o| o.kind.as_str()).collect()
+        };
+        assert_eq!(kinds("encode_block"), vec!["u32s:offsets", "u32s:entries", "u32"]);
+        assert_eq!(kinds("decode_block"), vec!["u32s:offsets", "u32s:entries"]);
         let header: Vec<&str> =
             model.sections["header_bytes"].iter().map(|o| o.kind.as_str()).collect();
         assert_eq!(header, vec!["u32", "u64", "u32"]);
@@ -502,6 +603,26 @@ mod tests {
         assert!(f.iter().any(|f| f.rule == RULE_PAIR && f.msg.contains("directory")), "{f:?}");
     }
 
+    /// Two `u32` runs are the same bytes to a width-only fingerprint; the
+    /// pass pairs them by array name, so a one-sided swap — which would
+    /// still parse, into a block whose CSR is its posting list — is caught
+    /// without a schema.
+    #[test]
+    fn record_runs_read_in_the_wrong_order_are_a_pairing_violation() {
+        assert!(MINI.contains(PUT_RUNS) && MINI.contains(GET_RUNS));
+        for src in [
+            MINI.replace(PUT_RUNS, PUT_RUNS_SWAPPED),
+            MINI.replace(GET_RUNS, GET_RUNS_SWAPPED),
+        ] {
+            let f = check(&units_of(&src), None);
+            assert!(f.iter().any(|f| f.rule == RULE_PAIR && f.msg.contains("record array runs")), "{f:?}");
+        }
+        let framed = MINI.replace("let count = get_u64(data)? as usize;",
+            "let count = get_u32(data)? as usize;");
+        let f = check(&units_of(&framed), None);
+        assert!(f.iter().any(|f| f.rule == RULE_PAIR && f.msg.contains("array-run framing")), "{f:?}");
+    }
+
     #[test]
     fn bless_then_check_roundtrips() {
         let units = units_of(MINI);
@@ -517,7 +638,9 @@ mod tests {
         let schema = bless(&units, None).unwrap();
         for mutation in [
             MINI.replace("put_u64(&mut h, config.block_bytes as u64);", ""),
-            MINI.replace("CHUNK_FANOUT: usize = 128", "CHUNK_FANOUT: usize = 64"),
+            // Both sides swapped: pairs cleanly, and is still another file.
+            MINI.replace(PUT_RUNS, PUT_RUNS_SWAPPED).replace(GET_RUNS, GET_RUNS_SWAPPED),
+            MINI.replace("HEADER_LEN: usize = 4 + 4 + 8 + 4", "HEADER_LEN: usize = 4 + 4 + 8 + 8"),
         ] {
             let mutated = units_of(&mutation);
             let f = check(&mutated, Some(&schema));

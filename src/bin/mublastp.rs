@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `search` builds the index on the fly when `--index` is not given (and
-//! the engine needs one). The index file is the block/chunk store of
+//! the engine needs one). The index file is the block store of
 //! `dbindex::store` (the same format `mublastpd` streams out-of-core) —
 //! build once, reuse across query batches, exactly the workflow the
 //! paper's database-index design targets.
