@@ -1,30 +1,23 @@
-//! Multi-node muBLASTP (paper Sec. IV-D2/3 and Fig. 10).
+//! Multi-node muBLASTP scaling (paper Sec. IV-D2/3 and Fig. 10).
 //!
 //! The paper runs MPI on 128 Stampede nodes; we have one machine and no
-//! MPI, so this crate splits the reproduction into two halves
-//! (substitution #4 in DESIGN.md):
-//!
-//! * **Correctness** — [`mpi`] is a minimal message-passing runtime whose
-//!   ranks are threads connected by channels, and [`distributed`] runs the
-//!   *actual* muBLASTP inter-node algorithm on it: length-sorted
-//!   round-robin database partitions, queries replicated to every rank,
-//!   independent local search with global E-value statistics, and a
-//!   single batched result merge at the root. A test asserts the merged
-//!   output equals a single-node search of the whole database.
-//! * **Scaling** — [`sim`] is a discrete-event model of both muBLASTP-MPI
-//!   and mpiBLAST executions whose per-task compute costs are calibrated
-//!   from *measured* single-node engine runs ([`model`]). The structural
-//!   differences the paper credits for its 88–92 % vs 31–57 % strong
-//!   scaling efficiency are all present: mpiBLAST's centralised scheduler
-//!   serialisation, per-(query, fragment) task granularity, unsorted
-//!   fragment imbalance and lack of multithreading vs muBLASTP's balanced
-//!   partitions and one batched merge.
+//! MPI, so the reproduction has two halves (substitution #4 in DESIGN.md).
+//! The inter-node *algorithm* — length-sorted round-robin partitions,
+//! queries replicated to every partition, independent local search with
+//! global E-value statistics, one batched merge — is the sharded driver
+//! (`engine::search_batch_sharded` over a `dbindex::ShardPlan::round_robin`
+//! plan), which `mublastp distributed` runs. This crate is the *scaling*
+//! half: [`sim`] is a discrete-event model of both muBLASTP-MPI and
+//! mpiBLAST executions whose per-task compute costs are calibrated from
+//! *measured* single-node engine runs ([`model`]). The structural
+//! differences the paper credits for its 88–92 % vs 31–57 % strong scaling
+//! efficiency are all present: mpiBLAST's centralised scheduler
+//! serialisation, per-(query, fragment) task granularity, unsorted
+//! fragment imbalance and lack of multithreading vs muBLASTP's balanced
+//! partitions and one batched merge.
 
-pub mod distributed;
 pub mod model;
-pub mod mpi;
 pub mod sim;
 
-pub use distributed::{distributed_search, DistributedResult};
 pub use model::{CalibratedCost, ClusterParams};
 pub use sim::{simulate_mpiblast, simulate_mublastp, simulate_query_partitioned, SimOutcome};

@@ -41,8 +41,8 @@ impl SimOutcome {
 }
 
 /// Per-bin residue totals under the paper's partitioner: sort by length,
-/// deal round-robin. Delegates to the *same* [`ShardPlan`] the sharded
-/// in-process driver and the distributed path use, so the simulator's
+/// deal round-robin. Delegates to the *same* [`ShardPlan`] that
+/// `mublastp distributed` hands the sharded driver, so the simulator's
 /// partitions are the real planner's partitions (bins end up within one
 /// sequence of each other).
 fn round_robin_residues(seq_lens: &[usize], bins: usize) -> Vec<usize> {

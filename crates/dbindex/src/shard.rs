@@ -15,9 +15,9 @@
 //!   partitioner targets equal character counts per partition.
 //! * Two partitioners are provided on the same plan type: [`ShardPlan::balance`]
 //!   (LPT greedy — longest sequence first onto the least-loaded shard,
-//!   used by the in-process sharded driver) and [`ShardPlan::round_robin`]
-//!   (the paper's sorted round-robin, used by the distributed path and the
-//!   cluster simulator so both reuse one planner).
+//!   the default of [`ShardedIndex::build`]) and [`ShardPlan::round_robin`]
+//!   (the paper's sorted round-robin, used by `mublastp distributed` and
+//!   the cluster simulator so both reuse one planner).
 //!
 //! [`ShardedIndex`] materialises a plan: one sub-database plus one
 //! [`DbIndex`] per shard, with the local→global sequence-id map needed to
@@ -75,7 +75,7 @@ impl ShardPlan {
     /// The paper's partitioner: sort by length, deal round-robin. Input
     /// order is *preserved as given* — callers that want the paper's exact
     /// behaviour sort their collection by length first (as
-    /// `cluster::distributed_search` does). Bins end up within one
+    /// `mublastp distributed` does). Bins end up within one
     /// sequence length of each other on sorted input.
     ///
     /// # Panics

@@ -43,8 +43,6 @@ pub struct SearchConfig {
     /// Worker threads for both the block loop's inner parallel-for and the
     /// finish pass.
     pub threads: usize,
-    /// Dynamic-scheduling chunk (queries handed out per grab).
-    pub chunk: usize,
     /// Hit-reorder sort (muBLASTP only).
     pub sort: SortAlgo,
     /// Pre-filter hits before sorting (muBLASTP only; `false` = Alg. 1
@@ -55,11 +53,6 @@ pub struct SearchConfig {
     /// database size so per-partition results merge consistently
     /// (Sec. IV-D2); `None` uses the local database.
     pub effective_db: Option<(usize, usize)>,
-    /// Dispatch queries longest-first (LPT order) to the dynamic
-    /// scheduler. With input-sensitive per-query costs this shrinks the
-    /// end-of-batch straggler tail; results are returned in the original
-    /// batch order regardless.
-    pub longest_first: bool,
     /// Absolute wall-clock point past which remaining work should be
     /// cancelled. Honored at task granularity by the sharded driver
     /// (a shard whose task starts after the deadline is dropped and
@@ -84,17 +77,15 @@ pub struct SearchConfig {
 
 impl SearchConfig {
     /// A configuration for `kind` with BLASTP defaults: single-threaded,
-    /// chunk 1, LSD radix hit sorting, prefilter on.
+    /// LSD radix hit sorting, prefilter on.
     pub fn new(kind: EngineKind) -> SearchConfig {
         SearchConfig {
             kind,
             params: SearchParams::blastp_defaults(),
             threads: 1,
-            chunk: 1,
             sort: SortAlgo::LsdRadix,
             prefilter: true,
             effective_db: None,
-            longest_first: false,
             deadline: None,
             faults: faultfn::Faults::none(),
             top_k: None,
@@ -445,14 +436,6 @@ where
         .map(|q| Finisher::new(q.residues(), &config.params, db_residues, db_seqs))
         .collect();
     let cutoff = config.params.evalue_cutoff;
-    // LPT dispatch order (identity when disabled).
-    let dispatch: Vec<usize> = {
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        if config.longest_first {
-            order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
-        }
-        order
-    };
     let by_blocks = !matches!(config.kind, EngineKind::QueryIndexed);
     let n_blocks = if by_blocks { source.num_blocks() } else { 0 };
     let mut pruning = (by_blocks && config.top_k.is_some()).then(|| Pruning {
@@ -548,14 +531,13 @@ where
         let per_query = parallel_map_dynamic_with_state(
             &mut workers,
             queries.len(),
-            config.chunk,
-            |(scratch, rec), slot| {
-                let qi = dispatch[slot];
+            1,
+            |(scratch, rec), qi| {
                 let mut found = Pending::default();
                 if prunable.as_ref().is_some_and(|p| p[qi]) {
                     // This block cannot affect query qi's top-k; skip its
                     // seeding entirely.
-                    return (qi, found);
+                    return found;
                 }
                 let query = queries[qi].residues();
                 scratch.seeds.clear();
@@ -613,10 +595,10 @@ where
                 } else {
                     found.seeds = seeds;
                 }
-                (qi, found)
+                found
             },
         );
-        for (qi, found) in per_query {
+        for (qi, found) in per_query.into_iter().enumerate() {
             if let Some(p) = &mut pruning {
                 for (_, cands) in &found.extended {
                     let ev = finishers[qi].evalue(cands[0].score);
@@ -696,7 +678,7 @@ fn finish_all<T: Send>(
     let results = parallel_map_dynamic_with_state(
         &mut recorders,
         finishers.len(),
-        config.chunk,
+        1,
         |rec, qi| {
             // Each slot is taken exactly once; recover from poisoning rather
             // than propagating a panic from an unrelated worker.
@@ -837,27 +819,6 @@ mod tests {
                 threads.min(queries.len()),
                 "{threads} threads"
             );
-        }
-    }
-
-    /// LPT dispatch and the scheduling chunk change the order work is
-    /// handed out in and nothing else — exhaustive and pruned alike.
-    #[test]
-    fn dispatch_order_and_chunk_do_not_change_results() {
-        let (db, index, mut queries) = small_world();
-        queries.reverse(); // lengths now differ from batch order
-        let mut params = SearchParams::blastp_defaults();
-        params.evalue_cutoff = 1e9;
-        for top_k in [None, Some(2)] {
-            let mut config = SearchConfig::new(EngineKind::MuBlastp)
-                .with_params(params.clone())
-                .with_threads(3);
-            config.top_k = top_k;
-            let plain = search_batch(&db, Some(&index), neighbors(), &queries, &config);
-            config.longest_first = true;
-            config.chunk = 2;
-            let lpt = search_batch(&db, Some(&index), neighbors(), &queries, &config);
-            assert_eq!(plain, lpt, "top_k={top_k:?}");
         }
     }
 

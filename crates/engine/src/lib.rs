@@ -37,7 +37,6 @@ pub mod finish;
 pub mod hit;
 pub mod instrument;
 pub mod kernels;
-pub mod longquery;
 pub mod report;
 pub mod results;
 pub mod scratch;
@@ -52,7 +51,6 @@ pub use driver::{
 };
 pub use hit::{HitPair, KeySpec};
 pub use instrument::{trace_engine, trace_engine_multicore, TraceReport};
-pub use longquery::{search_batch_long, LongQueryConfig};
 pub use report::{tabular_rows, write_tabular, write_tabular_commented, TabularRow};
 pub use results::{compare_alignments, split_batch, Alignment, QueryResult, StageCounts};
 pub use sharded::{

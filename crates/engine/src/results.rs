@@ -33,8 +33,8 @@ pub struct Alignment {
 /// subject id, then query/subject start, then query/subject *end*.
 ///
 /// This is the one sort key every result producer uses — the per-query
-/// finish stage, the sharded merge, and the distributed merge — so equal
-/// ranked output never depends on arrival order. The end coordinates
+/// finish stage and the sharded merge — so equal ranked output never
+/// depends on arrival order. The end coordinates
 /// matter: two tracebacks from different seeds can tie on
 /// `(score, subject, q_start, s_start)` and still span different ranges,
 /// and a key that stopped there would let thread or shard scheduling

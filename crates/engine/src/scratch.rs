@@ -7,7 +7,7 @@
 //! whole batch and lends it to every block's parallel-for, so the arrays
 //! are allocated (and page-faulted) once per batch and recycled across all
 //! its `(block, query)` pairs. Epoch-offset cells
-//! ([`crate::twohit::EpochCells`]) make the per-pair reset O(1) instead of
+//! (`twohit::EpochCells`) make the per-pair reset O(1) instead of
 //! O(cells). muBLASTP's last-hit cells are 2 bytes whenever the query's
 //! epoch span `query_len + 1` fits a `u16` — every query short of 65 534
 //! residues — and the 4-byte cells of [`PairFinder`] beyond that, so a
@@ -71,12 +71,12 @@ impl CoverageArray {
 /// All per-thread state for one worker.
 pub struct Scratch {
     /// Last-hit pair finder on 4-byte cells: detection in the interleaved
-    /// engines, and muBLASTP's pre-filter for queries too long for
-    /// [`Scratch::narrow_cells`].
+    /// engines, and muBLASTP's pre-filter for queries too long for the
+    /// 2-byte cells.
     pub finder: PairFinder,
     /// muBLASTP's 2-byte last-hit cells, used whenever the query's epoch
     /// span fits them.
-    pub narrow_cells: EpochCells<u16>,
+    pub(crate) narrow_cells: EpochCells<u16>,
     /// Extension coverage for the interleaved engines.
     pub coverage: CoverageArray,
     /// Hit-pair buffer (muBLASTP's temporal buffer, Sec. IV-A).
@@ -115,6 +115,12 @@ impl Scratch {
             diag_bases: Vec::new(),
             seeds: Vec::new(),
         }
+    }
+
+    /// Bytes held by muBLASTP's 2-byte last-hit cells: zero until a query
+    /// short enough for them has been searched.
+    pub fn narrow_cells_bytes(&self) -> usize {
+        self.narrow_cells.memory_bytes()
     }
 
     /// Compute the per-fragment diagonal bases for a block and query

@@ -8,7 +8,7 @@
 //!
 //! * shards fan out over the same dynamic scheduler the block loop uses
 //!   (one task per shard, largest shard dispatched first so the straggler
-//!   tail shrinks — LPT, mirroring the query dispatch heuristic);
+//!   tail shrinks — LPT);
 //! * each shard task runs the per-shard pipeline *up to the ranking of its
 //!   subjects* single-threaded with its own scratch (parallelism comes
 //!   from shards; pick `K ≥ threads`), with
@@ -406,8 +406,8 @@ fn merge_shard_candidates(
 
 /// Merge the concatenated *finished* alignments of independent database
 /// partitions into one ranked list — for callers that no longer have the
-/// partitions' candidates (the distributed merge, a by-hand merge of
-/// per-shard searches).
+/// partitions' candidates: the benchmark's `engine.shard_merge` row and
+/// tests that merge per-shard searches by hand.
 ///
 /// Subjects are ranked by `(best reported score, subject id)` and
 /// truncated to `max_reported` *subjects* (not alignments — a kept subject

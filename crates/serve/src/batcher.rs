@@ -106,7 +106,7 @@ impl ResidentIndex {
 
 /// Everything the daemon loads once and then serves from: the database,
 /// its resident index (monolithic or sharded), the neighbor table, and
-/// the base search configuration (threads, chunking, sort algorithm).
+/// the base search configuration (threads, sort algorithm).
 pub struct SearchContext {
     pub db: SequenceDb,
     pub index: ResidentIndex,

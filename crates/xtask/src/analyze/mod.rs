@@ -128,8 +128,8 @@ pub fn build_index(units: &[FileUnit]) -> CallIndex {
 }
 
 /// Method names that collide with ubiquitous std APIs: resolving these
-/// globally would wire unrelated crates together (`.send(` on an mpsc
-/// channel is not `cluster::Comm::send`). They still resolve same-file
+/// globally would wire unrelated crates together (`.lock(` on a std
+/// `Mutex` is not `serve::batcher::lock`). They still resolve same-file
 /// and same-crate, where the receiver type is far more likely ours.
 const STD_COLLISIONS: [&str; 30] = [
     "send", "recv", "lock", "try_lock", "read", "write", "wait", "notify_all", "notify_one",

@@ -1,7 +1,8 @@
 //! Multi-node muBLASTP (paper Sec. IV-D, Fig. 10):
 //!
-//! 1. run the *real* distributed algorithm on a few thread-backed ranks
-//!    and verify the merged output equals a single-node search;
+//! 1. run the muBLASTP inter-node algorithm — the length-sorted database
+//!    dealt round-robin to 4 shards, searched by the sharded driver — and
+//!    verify the merged output equals a single-node search;
 //! 2. simulate strong scaling of muBLASTP-MPI vs mpiBLAST to 128 nodes
 //!    with compute costs calibrated from real engine runs.
 //!
@@ -9,10 +10,10 @@
 //! cargo run --release --example cluster_scaling
 //! ```
 
-use cluster::{
-    distributed_search, simulate_mpiblast, simulate_mublastp, CalibratedCost, ClusterParams,
-};
+use cluster::{simulate_mpiblast, simulate_mublastp, CalibratedCost, ClusterParams};
 use datagen::{sample_queries, synthesize_db, DbSpec};
+use dbindex::{ShardPlan, ShardedIndex};
+use engine::search_batch_sharded;
 use mublastp::prelude::*;
 
 fn main() {
@@ -21,15 +22,22 @@ fn main() {
     let neighbors = NeighborTable::build(&BLOSUM62, 11);
     let index_config = IndexConfig::default();
 
-    // --- Part 1: real distributed execution on thread-backed ranks -----
-    println!("Distributed search on 4 thread-backed ranks ...");
+    // --- Part 1: the inter-node algorithm on 4 round-robin shards ------
+    println!("Round-robin sharded search over 4 partitions ...");
     let config = SearchConfig::new(EngineKind::MuBlastp);
-    let dist = distributed_search(&db, &queries, &neighbors, &index_config, &config, 4);
     let sorted = db.sorted_by_length();
+    let lens: Vec<usize> = sorted.sequences().iter().map(|s| s.len()).collect();
+    let sharded =
+        ShardedIndex::build_with_plan(&sorted, &index_config, &ShardPlan::round_robin(&lens, 4));
+    let merged = search_batch_sharded(
+        &sharded,
+        &neighbors,
+        &queries,
+        &config.clone().with_threads(4),
+    );
     let index = DbIndex::build(&sorted, &index_config);
     let reference = search_batch(&sorted, Some(&index), &neighbors, &queries, &config);
-    results_identical(&reference, &dist.results)
-        .expect("distributed result must equal single-node result");
+    results_identical(&reference, &merged).expect("sharded result must equal single-node result");
     println!("  merged output identical to a single-node search ✓");
 
     // --- Part 2: calibrated strong-scaling simulation -------------------

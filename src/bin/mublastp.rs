@@ -9,7 +9,7 @@
 //!                 [--kernel auto|scalar|striped]
 //!                 [--evalue X] [--max-hits N] [--top-k K] [--format report|tsv]
 //! mublastp distributed --db db.fasta --query q.fasta --ranks N
-//!                 [--threads-per-rank N] [--evalue X] [--max-hits N]
+//!                 [--kernel auto|scalar|striped] [--evalue X] [--max-hits N]
 //! ```
 //!
 //! `search` builds the index on the fly when `--index` is not given (and
@@ -63,7 +63,7 @@ USAGE:
                   [--evalue X] [--max-hits N] [--top-k K]
                   [--format report|tsv|tsv6|tsv7] [--seg yes]
   mublastp distributed --db db.fasta --query q.fasta --ranks N
-                  [--threads-per-rank N] [--evalue X] [--max-hits N]";
+                  [--kernel auto|scalar|striped] [--evalue X] [--max-hits N]";
 
 /// Parse the shared `--kernel auto|scalar|striped` flag.
 fn parse_kernel(flags: &Flags) -> Result<KernelKind, String> {
@@ -315,15 +315,15 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the muBLASTP inter-node algorithm on thread-backed ranks
-/// (Sec. IV-D2/3): length-sorted round-robin partitions, per-rank
-/// indexes, one batched merge at rank 0.
+/// Run the muBLASTP inter-node algorithm (Sec. IV-D2/3) with one shard
+/// per rank: the length-sorted database dealt round-robin, every shard
+/// searched on its own worker under the global E-value statistics, one
+/// batched merge. Each shard task searches single-threaded.
 fn cmd_distributed(args: &[String]) -> Result<(), String> {
     let flags = Flags(args);
     let db_path = flags.require("--db")?;
     let query_path = flags.require("--query")?;
     let ranks: usize = flags.parse("--ranks", 4usize)?;
-    let threads: usize = flags.parse("--threads-per-rank", 1usize)?;
     let kernel = parse_kernel(&flags)?;
     let evalue: f64 = flags.parse("--evalue", 10.0f64)?;
     let max_hits: usize = flags.parse("--max-hits", 25usize)?;
@@ -334,23 +334,22 @@ fn cmd_distributed(args: &[String]) -> Result<(), String> {
     let db: SequenceDb = load_fasta(db_path)?.into_iter().collect();
     let queries = load_fasta(query_path)?;
     let neighbors = NeighborTable::build(&BLOSUM62, 11);
-    let mut config = SearchConfig::new(EngineKind::MuBlastp).with_threads(threads);
+    let mut config = SearchConfig::new(EngineKind::MuBlastp).with_threads(ranks);
     config.params.evalue_cutoff = evalue;
     config.params.max_reported = max_hits;
     config.params.kernel = kernel;
-    let out = cluster::distributed_search(
-        &db,
-        &queries,
-        &neighbors,
-        &IndexConfig::default(),
-        &config,
-        ranks,
-    );
     // Subject ids refer to the length-sorted database.
     let sorted = db.sorted_by_length();
+    let lens: Vec<usize> = sorted.sequences().iter().map(|s| s.len()).collect();
+    let sharded = dbindex::ShardedIndex::build_with_plan(
+        &sorted,
+        &IndexConfig::default(),
+        &dbindex::ShardPlan::round_robin(&lens, ranks),
+    );
+    let results = engine::search_batch_sharded(&sharded, &neighbors, &queries, &config);
     let stdout = std::io::stdout();
     let mut w = BufWriter::new(stdout.lock());
-    for (query, result) in queries.iter().zip(&out.results) {
+    for (query, result) in queries.iter().zip(&results) {
         writeln!(w, "Query= {} ({} letters, {} ranks)", query.id, query.len(), ranks)
             .map_err(|e| e.to_string())?;
         for a in &result.alignments {

@@ -45,7 +45,7 @@
 //! | [`parallel`] | OpenMP-style dynamic parallel-for (Alg. 3) |
 //! | [`engine`] | the three engines: NCBI, NCBI-db, muBLASTP (Secs. II–IV) |
 //! | [`serve`] | resident-index daemon: admission control, micro-batching, wire protocol |
-//! | [`cluster`] | multi-node algorithm + scaling simulation (Sec. IV-D, Fig. 10) |
+//! | [`cluster`] | multi-node scaling simulation (Sec. IV-D, Fig. 10); the algorithm is `engine`'s sharded driver |
 //! | [`datagen`] | synthetic `uniprot_sprot` / `env_nr` stand-ins (Sec. V-A) |
 //!
 //! See `DESIGN.md` for the substitution ledger (what the paper used → what

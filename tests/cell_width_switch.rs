@@ -112,7 +112,7 @@ fn both_widths_match_the_interleaved_kernel_across_the_switch() {
         let (mu_seeds, mu_counts) = search(&query, &index, &neighbors, &mut scratch, true);
         assert_eq!(
             (
-                scratch.narrow_cells.memory_bytes() > 0,
+                scratch.narrow_cells_bytes() > 0,
                 scratch.finder.memory_bytes() > 0
             ),
             (narrow, !narrow),

@@ -88,6 +88,53 @@ fn full_cli_journey() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `distributed` is the sharded driver over a round-robin plan of the
+/// length-sorted database, so the rank count changes nothing but the
+/// count each `Query=` header prints.
+#[test]
+fn distributed_output_does_not_depend_on_rank_count() {
+    let dir = tmpdir("distributed");
+    let db = dir.join("db.fasta");
+    let qf = dir.join("q.fasta");
+    let out = bin()
+        .args(["gen", "--kind", "sprot", "--residues", "30000"])
+        .args(["--seed", "3", "--out", db.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = |out: &std::process::Output| String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let fasta = std::fs::read_to_string(&db).unwrap();
+    let seq_line = fasta
+        .lines()
+        .filter(|l| !l.starts_with('>'))
+        .find(|l| l.len() >= 60)
+        .unwrap();
+    std::fs::write(&qf, format!(">probe\n{}\n", &seq_line[..60])).unwrap();
+
+    let run = |ranks: &str| {
+        bin()
+            .args(["distributed", "--db", db.to_str().unwrap()])
+            .args(["--query", qf.to_str().unwrap(), "--ranks", ranks])
+            .output()
+            .unwrap()
+    };
+    let one = run("1");
+    assert!(one.status.success(), "{}", stderr(&one));
+    let one = String::from_utf8(one.stdout).unwrap();
+    assert!(one.contains("Query= probe (60 letters, 1 ranks)"), "{one}");
+    assert!(one.contains(" bits\t"), "no hit reported:\n{one}");
+    let three = run("3");
+    assert!(three.status.success(), "{}", stderr(&three));
+    let three = String::from_utf8(three.stdout).unwrap();
+    assert_eq!(three.replace(", 3 ranks)", ", 1 ranks)"), one);
+
+    let zero = run("0");
+    assert!(!zero.status.success());
+    let refusal = stderr(&zero);
+    assert!(refusal.contains("--ranks must be positive"), "{refusal}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_errors_are_clean() {
     // Unknown command.

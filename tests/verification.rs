@@ -4,8 +4,9 @@
 //! every block size, every thread count and the distributed execution all
 //! must report exactly the same alignments on realistic synthetic data.
 
-use cluster::distributed_search;
 use datagen::{sample_mixed_queries, sample_queries, synthesize_db, DbSpec};
+use dbindex::{ShardPlan, ShardedIndex};
+use engine::search_batch_sharded;
 use mublastp::prelude::*;
 use std::sync::OnceLock;
 
@@ -124,20 +125,6 @@ fn thread_count_does_not_change_results() {
 }
 
 #[test]
-fn longest_first_dispatch_does_not_change_results() {
-    let (db, queries) = world();
-    let index = DbIndex::build(db, &IndexConfig::default());
-    let reference =
-        search_batch(db, Some(&index), neighbors(), queries, &base_config(EngineKind::MuBlastp));
-    for kind in [EngineKind::QueryIndexed, EngineKind::MuBlastp] {
-        let mut c = base_config(kind).with_threads(4);
-        c.longest_first = true;
-        let got = search_batch(db, Some(&index), neighbors(), queries, &c);
-        results_identical(&reference, &got).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-    }
-}
-
-#[test]
 fn serialized_index_gives_identical_results() {
     let (db, queries) = world();
     let index = DbIndex::build(db, &IndexConfig::default());
@@ -176,6 +163,9 @@ fn appended_index_gives_identical_search_results() {
     results_identical(&fresh, &appended).unwrap();
 }
 
+/// The paper's inter-node algorithm (Sec. IV-D2/3) as `mublastp
+/// distributed` runs it: the length-sorted database dealt round-robin to
+/// one shard per rank, searched by the sharded driver.
 #[test]
 fn distributed_equals_single_node() {
     let (db, queries) = world();
@@ -188,16 +178,12 @@ fn distributed_equals_single_node() {
         queries,
         &base_config(EngineKind::MuBlastp),
     );
+    let lens: Vec<usize> = sorted.sequences().iter().map(|s| s.len()).collect();
     for ranks in [2usize, 5] {
-        let dist = distributed_search(
-            db,
-            queries,
-            neighbors(),
-            &IndexConfig::default(),
-            &base_config(EngineKind::MuBlastp),
-            ranks,
-        );
-        results_identical(&reference, &dist.results)
-            .unwrap_or_else(|e| panic!("{ranks} ranks: {e}"));
+        let plan = ShardPlan::round_robin(&lens, ranks);
+        let sharded = ShardedIndex::build_with_plan(&sorted, &IndexConfig::default(), &plan);
+        let config = base_config(EngineKind::MuBlastp).with_threads(ranks);
+        let merged = search_batch_sharded(&sharded, neighbors(), queries, &config);
+        results_identical(&reference, &merged).unwrap_or_else(|e| panic!("{ranks} ranks: {e}"));
     }
 }
