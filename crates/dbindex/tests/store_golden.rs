@@ -1,15 +1,18 @@
-//! Golden byte fixtures for the block store.
+//! Golden byte fixtures for the block store: the one pin on its layout.
 //!
-//! `tests/fixtures/store_v5*.bin` are what the serializer writes. Any
-//! serializer change that alters bytes — field order, widths, the order
-//! of a record's runs, CRC coverage, bound layout — fails here even if it round-trips
-//! symmetrically, because stores already written by shipped builds would
-//! no longer parse the same way. Regenerate deliberately with
-//! `STORE_BLESS=1` after an intentional `STORE_VERSION` bump (the `xtask
-//! analyze` store ratchet enforces the bump side).
+//! `tests/fixtures/store_v{STORE_VERSION}*.bin` are what the serializer
+//! writes. Any serializer change that alters bytes — field order, widths,
+//! the order of a record's runs, CRC coverage, bound layout — fails here
+//! even if it round-trips symmetrically, because stores already written by
+//! shipped builds would no longer parse the same way. A layout change
+//! bumps `STORE_VERSION`, which names new files, and `STORE_BLESS=1`
+//! writes them once; a bless never rewrites an existing file.
 
 use bioseq::{Sequence, SequenceDb};
-use dbindex::{read_directory, read_store, write_store, BlockBound, DbIndex, IndexConfig};
+use dbindex::{
+    read_directory, read_store, write_store, BlockBound, DbIndex, IndexConfig, STORE_VERSION,
+};
+use std::path::Path;
 
 fn fixtures_dir() -> std::path::PathBuf {
     if let Some(dir) = option_env!("CARGO_MANIFEST_DIR") {
@@ -59,42 +62,72 @@ fn golden_fragmented_index() -> DbIndex {
     DbIndex::build(&db, &config)
 }
 
+/// `store_v{STORE_VERSION}{suffix}.bin`: the fixture names follow the version.
+fn fixture_path(suffix: &str) -> std::path::PathBuf {
+    fixtures_dir().join(format!("store_v{STORE_VERSION}{suffix}.bin"))
+}
+
 fn golden_stores() -> Vec<(&'static str, Vec<u8>)> {
     vec![
-        ("store_v5.bin", write_store(&golden_index())),
-        ("store_v5_frag.bin", write_store(&golden_fragmented_index())),
-        (
-            "store_v5_empty.bin",
-            write_store(&DbIndex::build(&SequenceDb::new(), &IndexConfig::default())),
-        ),
+        ("", write_store(&golden_index())),
+        ("_frag", write_store(&golden_fragmented_index())),
+        ("_empty", write_store(&DbIndex::build(&SequenceDb::new(), &IndexConfig::default()))),
     ]
+}
+
+/// Compare `bytes` with the committed fixture at `path`. Under bless a
+/// missing fixture is written; an existing one is never rewritten, because
+/// stores already on disk carry its bytes — a layout change needs a new
+/// version, which names new files.
+fn check_or_bless(path: &Path, bytes: &[u8], bless: bool) -> Result<(), String> {
+    match std::fs::read(path) {
+        Ok(committed) if committed == bytes => Ok(()),
+        Ok(_) => Err(format!(
+            "{}: layout changed: bump STORE_VERSION",
+            path.display()
+        )),
+        Err(e) if bless && e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
+        }
+        Err(e) => Err(format!(
+            "{}: {e} (write it with STORE_BLESS=1)",
+            path.display()
+        )),
+    }
 }
 
 #[test]
 fn golden_fixtures_pin_the_store_bytes() {
-    let dir = fixtures_dir();
     let bless = std::env::var_os("STORE_BLESS").is_some();
-    if bless {
-        std::fs::create_dir_all(&dir).unwrap();
-    }
-    for (name, bytes) in golden_stores() {
-        let path = dir.join(name);
-        if bless {
-            std::fs::write(&path, &bytes).unwrap();
-            eprintln!("blessed {} ({} bytes)", path.display(), bytes.len());
-            continue;
+    for (suffix, bytes) in golden_stores() {
+        if let Err(e) = check_or_bless(&fixture_path(suffix), &bytes, bless) {
+            panic!("{e}");
         }
-        let committed = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (regenerate with STORE_BLESS=1)", path.display()));
-        assert_eq!(
-            committed,
-            bytes,
-            "{name}: serializer output diverged from the committed fixture — the \
-             layout changed; bump STORE_VERSION, re-bless the xtask store ratchet, \
-             and regenerate with STORE_BLESS=1"
-        );
     }
-    assert!(!bless, "STORE_BLESS run regenerated fixtures; unset it and re-run to verify");
+}
+
+#[test]
+fn bless_refuses_to_rewrite_a_differing_fixture() {
+    let dir = std::env::temp_dir().join(format!("store-bless-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shipped = dir.join("store.bin");
+    std::fs::write(&shipped, [1u8, 2, 3]).unwrap();
+    let err = check_or_bless(&shipped, &[1, 2, 4], true).unwrap_err();
+    assert!(err.contains("bump STORE_VERSION"), "{err}");
+    assert_eq!(
+        std::fs::read(&shipped).unwrap(),
+        [1, 2, 3],
+        "a bless rewrote a shipped fixture"
+    );
+
+    let fresh = dir.join("new.bin");
+    assert!(
+        check_or_bless(&fresh, &[9], false).is_err(),
+        "a missing fixture fails without bless"
+    );
+    check_or_bless(&fresh, &[9], true).unwrap();
+    check_or_bless(&fresh, &[9], false).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -107,14 +140,11 @@ fn committed_fixture_parses_and_its_bounds_are_sound() {
     // on).
     let mut saw_fragmented = false;
     let mut saw_whole = false;
-    for (name, want) in [
-        ("store_v5.bin", golden_index()),
-        ("store_v5_frag.bin", golden_fragmented_index()),
-    ] {
-        let path = fixtures_dir().join(name);
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            panic!("{}: {e} (regenerate with STORE_BLESS=1)", path.display())
-        });
+    for (suffix, want) in [("", golden_index()), ("_frag", golden_fragmented_index())] {
+        let path = fixture_path(suffix);
+        let name = path.display();
+        let bytes = std::fs::read(&path)
+            .unwrap_or_else(|e| panic!("{name}: {e} (write it with STORE_BLESS=1)"));
         let index = read_store(&bytes).unwrap();
         assert_eq!(index, want, "{name}");
 

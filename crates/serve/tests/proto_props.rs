@@ -307,11 +307,13 @@ fn random_byte_soup_never_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden byte fixtures: the committed encodings of fixed frames. These pin
-// the wire format itself — any codec change that alters bytes (field
-// order, widths) fails here even if it round-trips symmetrically.
-// Regenerate deliberately with `PROTO_BLESS=1` after an intentional format
-// change that bumped `PROTO_VERSION` (the file names carry the version).
+// Golden byte fixtures: the committed encodings of fixed frames, one per
+// frame variant and `Option` branch. They are the one pin on the wire
+// format — any codec change that alters bytes (field order, widths, two
+// same-width fields swapped) fails here even if it round-trips
+// symmetrically. The file names carry `PROTO_VERSION`, so a layout change
+// bumps it and `PROTO_BLESS=1` writes the new version's files once; a
+// bless never rewrites an existing file.
 // ---------------------------------------------------------------------------
 
 fn fixtures_dir() -> std::path::PathBuf {
@@ -459,7 +461,82 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                 retry_after_ms: 250,
             }),
         ),
+        (
+            "results_traced",
+            Frame::Results(SearchResponse {
+                replies: Vec::new(),
+                trace_id: 41,
+                trace: Some(obsv::Trace {
+                    spans: vec![
+                        obsv::SpanRecord {
+                            trace_id: 41,
+                            seq: 0,
+                            stage: obsv::Stage::Seed,
+                            query: 1,
+                            block: 2,
+                            worker: 3,
+                            start_ns: 1_000,
+                            dur_ns: 250,
+                        },
+                        obsv::SpanRecord {
+                            trace_id: 41,
+                            seq: 1,
+                            stage: obsv::Stage::Gapped,
+                            query: 4,
+                            block: obsv::NO_BLOCK,
+                            worker: 5,
+                            start_ns: 1_300,
+                            dur_ns: 70,
+                        },
+                    ],
+                    dropped: 6,
+                }),
+                degraded: None,
+                blocks_scanned: 2,
+                blocks_skipped: 0,
+            }),
+        ),
+        (
+            "search_all_overrides",
+            Frame::Search(SearchRequest {
+                fasta: ">q2\nWCHWMKVLA\n".to_string(),
+                engine: engine::EngineKind::DbInterleaved,
+                overrides: ParamOverrides {
+                    evalue_cutoff: Some(2.5),
+                    max_reported: Some(25),
+                    seg_filter: Some(true),
+                    top_k: Some(3),
+                },
+                deadline_ms: 1_500,
+                trace_id: 0x0102_0304,
+                want_trace: true,
+            }),
+        ),
+        ("stats_request", Frame::StatsRequest),
+        ("shutdown", Frame::Shutdown),
+        ("shutdown_ack", Frame::ShutdownAck),
     ]
+}
+
+/// Compare `bytes` with the committed fixture at `path`. Under bless a
+/// missing fixture is written; an existing one is never rewritten, because
+/// frames already sent carry its bytes — a layout change needs a new
+/// version, which names new files.
+fn check_or_bless(path: &std::path::Path, bytes: &[u8], bless: bool) -> Result<(), String> {
+    match std::fs::read(path) {
+        Ok(committed) if committed == bytes => Ok(()),
+        Ok(_) => Err(format!(
+            "{}: layout changed: bump PROTO_VERSION",
+            path.display()
+        )),
+        Err(e) if bless && e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
+        }
+        Err(e) => Err(format!(
+            "{}: {e} (write it with PROTO_BLESS=1)",
+            path.display()
+        )),
+    }
 }
 
 /// The committed fixture bytes match today's encoder and decode back to
@@ -471,25 +548,39 @@ fn golden_fixtures_pin_the_wire_bytes() {
     for (name, frame) in golden_frames() {
         let bytes = encode_frame(&frame);
         let path = dir.join(format!("{name}.v{PROTO_VERSION}.bin"));
-        if bless {
-            std::fs::create_dir_all(&dir).expect("create fixtures dir");
-            std::fs::write(&path, &bytes).expect("write fixture");
-            continue;
+        if let Err(e) = check_or_bless(&path, &bytes, bless) {
+            panic!("{name}: {e}");
         }
-        let golden = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (regenerate with PROTO_BLESS=1)", path.display()));
         assert_eq!(
-            golden, bytes,
-            "{name}: encoder bytes drifted from the committed fixture (an intentional \
-             format change must bump the version and re-bless)"
-        );
-        assert_eq!(
-            decode_frame(&golden).as_ref(),
+            decode_frame(&bytes).as_ref(),
             Ok(&frame),
             "{name}: fixture decodes"
         );
     }
-    assert!(!bless, "PROTO_BLESS run regenerated fixtures; unset it and re-run to verify");
+}
+
+#[test]
+fn bless_refuses_to_rewrite_a_differing_fixture() {
+    let dir = std::env::temp_dir().join(format!("proto-bless-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shipped = dir.join("frame.bin");
+    std::fs::write(&shipped, [1u8, 2, 3]).unwrap();
+    let err = check_or_bless(&shipped, &[1, 2, 4], true).unwrap_err();
+    assert!(err.contains("bump PROTO_VERSION"), "{err}");
+    assert_eq!(
+        std::fs::read(&shipped).unwrap(),
+        [1, 2, 3],
+        "a bless rewrote a shipped fixture"
+    );
+
+    let fresh = dir.join("new.bin");
+    assert!(
+        check_or_bless(&fresh, &[9], false).is_err(),
+        "a missing fixture fails without bless"
+    );
+    check_or_bless(&fresh, &[9], true).unwrap();
+    check_or_bless(&fresh, &[9], false).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

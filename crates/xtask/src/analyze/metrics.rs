@@ -22,9 +22,8 @@
 //!   `analyze --bless-metrics` appends rows for the new version and
 //!   refuses to rewrite existing ones.
 //!
-//! Like the store ratchet ([`super::store`]), only rows at the current
-//! version are checked; older rows ride along as a record of what
-//! dashboards were once promised.
+//! Only rows at the current version are checked; older rows ride along
+//! as a record of what dashboards were once promised.
 
 use super::FileUnit;
 use crate::rules::Finding;

@@ -1,16 +1,12 @@
 //! The multi-pass static analysis suite (`xtask analyze`).
 //!
-//! Three passes run over a shared parse of the workspace:
+//! Four passes run over a shared parse of the workspace:
 //!
 //! * [`locks`] — lock-order / deadlock: every `Mutex`/`RwLock`/`Condvar`
 //!   acquisition site, the lock-acquisition graph, cycles, and locks held
 //!   across channel sends or `Faults::fire` points.
 //! * [`panics`] — interprocedural may-panic propagation from the serving
 //!   entry points, reported with full call chains.
-//! * [`proto`] — the wire-protocol schema ratchet over
-//!   `serve/src/proto.rs` and `crates/serve/proto.schema`.
-//! * [`store`] — the on-disk store-layout ratchet over
-//!   `dbindex/src/store.rs` and `crates/dbindex/store.schema`.
 //! * [`metrics`] — the exported-metrics surface ratchet over
 //!   `obsv/src/metrics.rs` and `crates/obsv/metrics.schema`.
 //! * [`kernels`] — striped/scalar kernel signature parity over the
@@ -26,8 +22,6 @@ pub mod kernels;
 pub mod locks;
 pub mod metrics;
 pub mod panics;
-pub mod proto;
-pub mod store;
 
 use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_fns, Call, CallKind, FnInfo};

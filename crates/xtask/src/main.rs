@@ -9,9 +9,7 @@
 //! cargo run -p xtask -- lint                  # lint the workspace (CI gate)
 //! cargo run -p xtask -- lint FILE...          # lint specific files, all rules
 //! cargo run -p xtask -- lint --update-allow   # ratchet lint.allow down to reality
-//! cargo run -p xtask -- analyze               # lock-order, panic-reach, schema ratchets
-//! cargo run -p xtask -- analyze --bless-proto # (re)pin crates/serve/proto.schema
-//! cargo run -p xtask -- analyze --bless-store # (re)pin crates/dbindex/store.schema
+//! cargo run -p xtask -- analyze               # lock-order, panic-reach, metrics ratchet, kernels
 //! cargo run -p xtask -- analyze --bless-metrics # (re)pin crates/obsv/metrics.schema
 //! cargo run -p xtask -- bench diff            # gate: latest two BENCH_*.json per harness
 //! cargo run -p xtask -- fixtures              # self-test: every fixture must fail
@@ -47,7 +45,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: xtask <lint [--json FILE] [--update-allow] [FILE...] \
-                 | analyze [--json FILE] [--bless-proto] [--bless-store] [--bless-metrics] \
+                 | analyze [--json FILE] [--bless-metrics] \
                  [--strict-panics] | bench diff [DIR] | fixtures | rules>"
             );
             ExitCode::from(2)
@@ -64,11 +62,6 @@ fn cmd_rules() -> ExitCode {
         (analyze::locks::RULE_SEND, "no channel send while holding a lock"),
         (analyze::locks::RULE_FIRE, "no Faults::fire point while holding a lock"),
         (analyze::panics::RULE, "no panic site reachable from a serving entry point"),
-        (analyze::proto::RULE_APPEND, "wire fields append in version order, never splice"),
-        (analyze::proto::RULE_PAIR, "encode/decode arms agree per variant and version gate"),
-        (analyze::proto::RULE_DRIFT, "shipped wire layouts match the pinned proto.schema"),
-        (analyze::store::RULE_PAIR, "store writer/reader field sequences agree per section"),
-        (analyze::store::RULE_DRIFT, "shipped store layouts match the pinned store.schema"),
         (analyze::metrics::RULE_DECL, "every named metrics series is declared exactly once"),
         (analyze::metrics::RULE_DRIFT, "exported series match the pinned metrics.schema"),
         (analyze::kernels::RULE, "striped kernels shadow their scalar oracles, same shape"),
@@ -82,8 +75,6 @@ fn cmd_rules() -> ExitCode {
 struct Opts {
     json: Option<PathBuf>,
     update_allow: bool,
-    bless_proto: bool,
-    bless_store: bool,
     bless_metrics: bool,
     strict_panics: bool,
     paths: Vec<String>,
@@ -93,8 +84,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         json: None,
         update_allow: false,
-        bless_proto: false,
-        bless_store: false,
         bless_metrics: false,
         strict_panics: false,
         paths: Vec::new(),
@@ -107,8 +96,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.json = Some(PathBuf::from(v));
             }
             "--update-allow" => o.update_allow = true,
-            "--bless-proto" => o.bless_proto = true,
-            "--bless-store" => o.bless_store = true,
             "--bless-metrics" => o.bless_metrics = true,
             "--strict-panics" => o.strict_panics = true,
             f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
@@ -189,7 +176,8 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 }
 
 /// The multi-pass static analysis suite: lock-order/deadlock,
-/// panic-freedom reachability, and the wire-protocol schema ratchet.
+/// panic-freedom reachability, the exported-metrics ratchet, and
+/// striped/scalar kernel parity.
 fn cmd_analyze(args: &[String]) -> ExitCode {
     let opts = match parse_opts(args) {
         Ok(o) => o,
@@ -214,28 +202,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         }
     }
     let units = analyze::build_units(&files);
-    let schema_path = root.join("crates/serve/proto.schema");
-    let old_schema = std::fs::read_to_string(&schema_path).ok();
-    let store_schema_path = root.join("crates/dbindex/store.schema");
-    let old_store_schema = std::fs::read_to_string(&store_schema_path).ok();
     let metrics_schema_path = root.join("crates/obsv/metrics.schema");
     let old_metrics_schema = std::fs::read_to_string(&metrics_schema_path).ok();
 
-    if opts.bless_proto {
-        match analyze::proto::bless(&units, old_schema.as_deref()) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&schema_path, &text) {
-                    eprintln!("xtask: cannot write {}: {e}", schema_path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("xtask analyze: pinned {}", schema_path.display());
-                return ExitCode::SUCCESS;
-            }
-            Err(findings) => {
-                return report("analyze", findings, Vec::new(), opts.json.as_deref())
-            }
-        }
-    }
     if opts.bless_metrics {
         match analyze::metrics::bless(&units, old_metrics_schema.as_deref()) {
             Ok(text) => {
@@ -251,21 +220,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
         }
     }
-    if opts.bless_store {
-        match analyze::store::bless(&units, old_store_schema.as_deref()) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&store_schema_path, &text) {
-                    eprintln!("xtask: cannot write {}: {e}", store_schema_path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("xtask analyze: pinned {}", store_schema_path.display());
-                return ExitCode::SUCCESS;
-            }
-            Err(findings) => {
-                return report("analyze", findings, Vec::new(), opts.json.as_deref())
-            }
-        }
-    }
 
     let index = analyze::build_index(&units);
     let mut findings = analyze::locks::check(&units, &index);
@@ -274,34 +228,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         &index,
         &analyze::panics::Options { strict: opts.strict_panics },
     ));
-    match &old_schema {
-        Some(schema) => findings.extend(analyze::proto::check(&units, Some(schema))),
-        None => {
-            let mut f = analyze::proto::check(&units, None);
-            f.push(rules::Finding::new(
-                analyze::proto::RULE_DRIFT,
-                "crates/serve/proto.schema",
-                0,
-                "missing — run `xtask analyze --bless-proto` to pin the wire layouts"
-                    .to_string(),
-            ));
-            findings.extend(f);
-        }
-    }
-    match &old_store_schema {
-        Some(schema) => findings.extend(analyze::store::check(&units, Some(schema))),
-        None => {
-            let mut f = analyze::store::check(&units, None);
-            f.push(rules::Finding::new(
-                analyze::store::RULE_DRIFT,
-                "crates/dbindex/store.schema",
-                0,
-                "missing — run `xtask analyze --bless-store` to pin the store layouts"
-                    .to_string(),
-            ));
-            findings.extend(f);
-        }
-    }
     match &old_metrics_schema {
         Some(schema) => findings.extend(analyze::metrics::check(&units, Some(schema))),
         None => {
@@ -317,7 +243,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         }
     }
     findings.extend(analyze::kernels::check(&units));
-    eprintln!("xtask analyze: {} files, 6 passes", files.len());
+    eprintln!("xtask analyze: {} files, 4 passes", files.len());
     report("analyze", findings, Vec::new(), opts.json.as_deref())
 }
 
@@ -354,8 +280,6 @@ enum FixtureKind {
     Lint,
     Locks,
     Panics,
-    Proto,
-    Store,
     Metrics,
     Kernels,
 }
@@ -364,8 +288,6 @@ fn fixture_kind(stem: &str) -> FixtureKind {
     match stem {
         s if s.starts_with("lock_") => FixtureKind::Locks,
         s if s.starts_with("panic_reach") => FixtureKind::Panics,
-        s if s.starts_with("proto_") => FixtureKind::Proto,
-        s if s.starts_with("store_") => FixtureKind::Store,
         s if s.starts_with("metrics_") => FixtureKind::Metrics,
         s if s.starts_with("kernel_parity") => FixtureKind::Kernels,
         _ => FixtureKind::Lint,
@@ -422,14 +344,6 @@ fn cmd_fixtures() -> ExitCode {
                 analyze::panics::check(&units, &index, &analyze::panics::Options {
                     strict: false,
                 })
-            }
-            FixtureKind::Proto => {
-                let units = analyze::build_units(&[(rel.clone(), src)]);
-                analyze::proto::check(&units, None)
-            }
-            FixtureKind::Store => {
-                let units = analyze::build_units(&[(rel.clone(), src)]);
-                analyze::store::check(&units, None)
             }
             FixtureKind::Metrics => {
                 let units = analyze::build_units(&[(rel.clone(), src)]);
