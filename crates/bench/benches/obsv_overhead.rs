@@ -10,7 +10,7 @@
 //! (two counters, a gauge, a latency histogram) through handles from a
 //! *disabled* `obsv::Registry` must stay within the same bound of the
 //! loop with no metrics at all, and the *enabled* path's marginal cost
-//! is measured and recorded as ns per metric update in the run report.
+//! is measured and printed as ns per metric update.
 //!
 //! Runs as a `harness = false` bench timed with `std::time::Instant`; the
 //! workload is synthesized inline from [`faultfn::Rng`].
@@ -25,7 +25,6 @@
 
 use std::time::{Duration, Instant};
 
-use bench::RunReport;
 use bioseq::{Sequence, SequenceDb};
 use dbindex::{DbIndex, IndexConfig};
 use engine::kernels::{mublastp, null_ctx};
@@ -261,17 +260,6 @@ fn main() {
         best_enabled.as_nanos() as f64 / 1e6,
         enabled_ns_per_update,
     );
-
-    let mut rep = RunReport::new("obsv_overhead");
-    rep.push("noobs/min_wall", noobs_ns / 1e9, "s");
-    rep.push("disabled/min_wall", disabled_ns / 1e9, "s");
-    rep.push("disabled/overhead", overhead_pct, "pct");
-    rep.push("registry/disabled_overhead", reg_overhead_pct, "pct");
-    rep.push("registry/enabled_ns_per_update", enabled_ns_per_update, "ns");
-    match rep.write() {
-        Ok(path) => eprintln!("obsv_overhead: run report appended to {}", path.display()),
-        Err(e) => eprintln!("obsv_overhead: could not write run report: {e}"),
-    }
 
     assert!(
         overhead_pct <= bound_pct,

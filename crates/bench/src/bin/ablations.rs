@@ -18,14 +18,12 @@
 //! cargo run --release -p bench --bin ablations -- sort    # one of them
 //! ```
 
-use bench::{
-    assert_outputs_identical, default_index, mixed_batch, neighbors, query_batch, sprot, RunReport,
-};
+use bench::{default_index, mixed_batch, neighbors, query_batch, sprot};
 use engine::kernels::mublastp::{search_block, sort_pairs};
 use engine::kernels::null_ctx;
 use engine::results::StageCounts;
 use engine::scratch::Scratch;
-use engine::{search_batch, EngineKind, HitPair, SearchConfig, SortAlgo};
+use engine::{results_identical, search_batch, EngineKind, HitPair, SearchConfig, SortAlgo};
 use memsim::NullTracer;
 use parallel::{default_threads, parallel_for_dynamic, parallel_for_static};
 use scoring::SearchParams;
@@ -97,7 +95,7 @@ fn capture_pairs() -> Vec<HitPair> {
     best
 }
 
-fn ablation_sort(report: &mut RunReport) {
+fn ablation_sort() {
     let pairs = capture_pairs();
     println!(
         "ablation_sort: reorder {} hit pairs (ns per pair, min of {RUNS})",
@@ -125,11 +123,10 @@ fn ablation_sort(report: &mut RunReport) {
         );
         let ns = t.as_nanos() as f64 / pairs.len() as f64;
         println!("  {:<10} {ns:>8.2}", format!("{algo:?}"));
-        report.push(format!("sort/{algo:?}/ns_per_pair"), ns, "ns");
     }
 }
 
-fn ablation_prefilter(report: &mut RunReport) {
+fn ablation_prefilter() {
     let db = sprot();
     let index = default_index(db);
     println!("ablation_prefilter: 4-query muBLASTP batch (ms, min of {RUNS})");
@@ -145,19 +142,18 @@ fn ablation_prefilter(report: &mut RunReport) {
             times.push(t.as_secs_f64());
             outputs.push(results);
         }
-        assert_outputs_identical(&outputs[0], &outputs[1], "post-filter");
+        results_identical(&outputs[0], &outputs[1])
+            .unwrap_or_else(|e| panic!("post-filter diverged from the pre-filter search: {e}"));
         println!(
             "  len {qlen:<4} prefilter {:>8.2}  postfilter {:>8.2}  ({:.2}x)",
             times[0] * 1e3,
             times[1] * 1e3,
             times[1] / times[0]
         );
-        report.push(format!("prefilter/{qlen}/prefilter/wall"), times[0], "s");
-        report.push(format!("prefilter/{qlen}/postfilter/wall"), times[1], "s");
     }
 }
 
-fn ablation_schedule(report: &mut RunReport) {
+fn ablation_schedule() {
     let db = sprot();
     let index = default_index(db);
     // Mixed lengths — the input sensitivity that motivates dynamic.
@@ -185,26 +181,20 @@ fn ablation_schedule(report: &mut RunReport) {
         });
         totals.push(hits.load(Ordering::Relaxed));
         println!("  {label:<8} {:>8.2}", t.as_secs_f64() * 1e3);
-        report.push(format!("schedule/{label}/wall"), t.as_secs_f64(), "s");
     }
     assert_eq!(totals[0], totals[1], "the two schedules did different work");
 }
 
 fn main() {
-    let mut report = RunReport::new("ablations");
     match std::env::args().nth(1).as_deref() {
         None => {
-            ablation_sort(&mut report);
-            ablation_prefilter(&mut report);
-            ablation_schedule(&mut report);
+            ablation_sort();
+            ablation_prefilter();
+            ablation_schedule();
         }
-        Some("sort") => ablation_sort(&mut report),
-        Some("prefilter") => ablation_prefilter(&mut report),
-        Some("schedule") => ablation_schedule(&mut report),
+        Some("sort") => ablation_sort(),
+        Some("prefilter") => ablation_prefilter(),
+        Some("schedule") => ablation_schedule(),
         Some(other) => panic!("unknown ablation {other:?}; expected sort, prefilter or schedule"),
-    }
-    match report.write() {
-        Ok(path) => eprintln!("ablations: run report appended to {}", path.display()),
-        Err(e) => eprintln!("ablations: could not write run report: {e}"),
     }
 }

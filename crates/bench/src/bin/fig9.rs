@@ -22,12 +22,7 @@ use memsim::{CycleModel, HierarchyConfig};
 use scoring::SearchParams;
 use std::time::Instant;
 
-fn run_workload(
-    db: &'static SequenceDb,
-    name: &str,
-    queries: &[Sequence],
-    report: &mut bench::RunReport,
-) {
+fn run_workload(db: &'static SequenceDb, name: &str, queries: &[Sequence]) {
     let index = default_index(db);
     let params = SearchParams::blastp_defaults();
     let model = CycleModel::default();
@@ -61,11 +56,6 @@ fn run_workload(
     results_identical(&outputs[0], &outputs[1]).expect("engines diverged");
     results_identical(&outputs[1], &outputs[2]).expect("engines diverged");
 
-    for (i, engine) in ["ncbi", "ncbi-db", "mublastp"].iter().enumerate() {
-        report.push(format!("{name}/{engine}/wall"), wall[i], "s");
-        report.push(format!("{name}/{engine}/modeled"), modeled[i], "s");
-    }
-
     println!(
         "{:<10} {:>9.3} {:>9.3} {:>9.3} {:>9.2}x {:>9.2}x   {:>8.3} {:>8.3} {:>8.3} {:>7.2}x {:>7.2}x",
         name,
@@ -96,17 +86,11 @@ fn main() {
         "workload", "NCBI", "NCBI-db", "muBLASTP", "vs NCBI", "vs db", "NCBI", "NCBI-db",
         "muBLASTP", "vs NCBI", "vs db"
     );
-    let mut report = bench::RunReport::new("fig9");
     for (db, dbname) in [(sprot(), "sprot"), (env_nr(), "env_nr")] {
         for len in [128usize, 256, 512] {
-            run_workload(
-                db,
-                &format!("{dbname}/{len}"),
-                &query_batch(db, len, batch_size()),
-                &mut report,
-            );
+            run_workload(db, &format!("{dbname}/{len}"), &query_batch(db, len, batch_size()));
         }
-        run_workload(db, &format!("{dbname}/mix"), &mixed_batch(db, batch_size()), &mut report);
+        run_workload(db, &format!("{dbname}/mix"), &mixed_batch(db, batch_size()));
         println!();
     }
     println!(
@@ -114,8 +98,4 @@ fn main() {
          sprot, 3.9x over NCBI-db on env_nr); NCBI-db loses to NCBI on the\n\
          larger database — the database index alone is a pessimisation."
     );
-    match report.write() {
-        Ok(path) => eprintln!("fig9: run report appended to {}", path.display()),
-        Err(e) => eprintln!("fig9: could not write run report: {e}"),
-    }
 }

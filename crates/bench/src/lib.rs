@@ -13,24 +13,25 @@ use dbindex::{DbIndex, IndexConfig};
 use scoring::{NeighborTable, BLOSUM62};
 use std::sync::OnceLock;
 
-pub mod report;
-pub use report::{Measurement, RunReport, REPORT_SCHEMA};
-
 /// Baseline residue counts for the two database stand-ins (the paper's
 /// databases, scaled ~50×/100× down; `MUBLASTP_SCALE` rescales).
-pub const SPROT_RESIDUES: usize = 5_000_000;
-pub const ENVNR_RESIDUES: usize = 16_000_000;
+const SPROT_RESIDUES: usize = 5_000_000;
+const ENVNR_RESIDUES: usize = 16_000_000;
 
 /// Global workload scale factor from `MUBLASTP_SCALE`.
-pub fn scale() -> f64 {
+fn scale() -> f64 {
     static S: OnceLock<f64> = OnceLock::new();
-    *S.get_or_init(|| {
-        std::env::var("MUBLASTP_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v: &f64| v > 0.0)
-            .unwrap_or(1.0)
-    })
+    *S.get_or_init(|| parse_scale(std::env::var("MUBLASTP_SCALE").ok().as_deref()))
+}
+
+/// A scale factor must be positive and finite; anything else (absent,
+/// unparsable, `0`, `-1`, `inf`, `NaN`, `1e400`) falls back to 1.0. An
+/// infinite scale would saturate every workload size to `usize::MAX`.
+fn parse_scale(value: Option<&str>) -> f64 {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&v: &f64| v.is_finite() && v > 0.0)
+        .unwrap_or(1.0)
 }
 
 fn scaled(base: usize) -> usize {
@@ -77,22 +78,6 @@ pub fn mixed_batch(db: &SequenceDb, n: usize) -> Vec<Sequence> {
     sample_mixed_queries(db, n, 777)
 }
 
-/// The byte-equality gate every comparative harness passes through before
-/// reporting a single number: `actual` must match the reference engine's
-/// output exactly (alignment-for-alignment, via
-/// [`engine::results_identical`]) or the run panics with `context` and
-/// the first divergence. Centralised so no harness can drift into
-/// reporting times for an output it never proved correct.
-pub fn assert_outputs_identical(
-    reference: &[engine::QueryResult],
-    actual: &[engine::QueryResult],
-    context: &str,
-) {
-    if let Err(e) = engine::results_identical(reference, actual) {
-        panic!("{context} diverged from the reference engine: {e}");
-    }
-}
-
 /// Number of queries per batch used by the figure harnesses. The paper
 /// uses 128; the scaled default is 16 so a full figure regenerates in
 /// minutes (raise `MUBLASTP_QUERIES` to match the paper exactly).
@@ -106,6 +91,15 @@ pub fn batch_size() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_accepts_only_positive_finite_values() {
+        for bad in ["inf", "NaN", "1e400", "-1", "0", "x"] {
+            assert_eq!(parse_scale(Some(bad)), 1.0, "{bad}");
+        }
+        assert_eq!(parse_scale(None), 1.0);
+        assert_eq!(parse_scale(Some("0.5")), 0.5);
+    }
 
     #[test]
     fn workloads_materialize() {

@@ -18,10 +18,6 @@
 //!   for the database index (every cell of a database index holds
 //!   thousands of positions — the paper's argument for a different design).
 
-pub mod dfa;
-
-pub use dfa::{DfaIndex, DfaScanner};
-
 use bioseq::alphabet::{Word, WordIter, WORD_SPACE};
 use scoring::NeighborTable;
 

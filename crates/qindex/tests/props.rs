@@ -1,14 +1,14 @@
-//! Property tests: both query-index representations (lookup table and
-//! DFA) agree with a naive neighbor scan on arbitrary queries.
+//! Property tests: the query-index lookup table agrees with a naive
+//! neighbor scan on arbitrary queries.
 //!
 //! Each property is a seeded battery of [`CASES`] cases: case 0 draws
 //! every length and word at the low end of its range (the empty query),
 //! case 1 at the high end, and every later case uniformly from
 //! `Rng::new(seed, case)`. A failure names the case and its inputs.
 
-use bioseq::alphabet::{Word, WordIter, WORD_SPACE};
+use bioseq::alphabet::{WordIter, WORD_SPACE};
 use faultfn::Rng;
-use qindex::{DfaIndex, QueryIndex};
+use qindex::QueryIndex;
 use scoring::{NeighborTable, BLOSUM62};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -63,32 +63,6 @@ fn table_matches_naive() {
             .collect();
         assert_eq!(idx.lookup(*probe), naive.as_slice());
         assert_eq!(idx.is_present(*probe), !naive.is_empty());
-    });
-}
-
-/// The DFA agrees with the table on every word (sampled query).
-#[test]
-fn dfa_matches_table() {
-    let draw = |rng: &mut Rng, case| residues(rng, case, 0, 59);
-    battery(2, draw, |q| {
-        let table = QueryIndex::build(q, neighbors());
-        let dfa = DfaIndex::build(q, neighbors());
-        assert_eq!(dfa.query_len(), table.query_len());
-        for w in (0..WORD_SPACE as Word).step_by(97) {
-            assert_eq!(dfa.lookup(w), table.lookup(w), "word {w}");
-        }
-    });
-}
-
-/// Streaming the DFA over an arbitrary subject yields exactly the
-/// table's hit stream.
-#[test]
-fn dfa_scanner_matches_table_scan() {
-    let draw = |rng: &mut Rng, case| (residues(rng, case, 3, 59), residues(rng, case, 0, 79));
-    battery(3, draw, |(q, s)| {
-        let table = QueryIndex::build(q, neighbors());
-        let dfa = DfaIndex::build(q, neighbors());
-        assert!(qindex::dfa::hit_streams_equal(&dfa, &table, s));
     });
 }
 

@@ -32,7 +32,7 @@ use super::FileUnit;
 use crate::parser::FnInfo;
 use crate::rules::Finding;
 
-pub const RULE: &str = "kernel-parity";
+pub(crate) const RULE: &str = "kernel-parity";
 
 /// Striped-only parameter names: the profile replaces the scalar
 /// (matrix, query) pair.
@@ -51,7 +51,7 @@ fn in_kernel_scope(u: &FileUnit) -> bool {
 }
 
 /// Run the pass over the workspace units.
-pub fn check(units: &[FileUnit]) -> Vec<Finding> {
+pub(crate) fn check(units: &[FileUnit]) -> Vec<Finding> {
     // Collect the candidate surface: every public non-test fn in scope.
     let mut fns: Vec<(usize, &FnInfo)> = Vec::new();
     for (file, u) in units.iter().enumerate() {

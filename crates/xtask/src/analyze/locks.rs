@@ -30,9 +30,9 @@ use crate::parser::{calls_in, match_delim, receiver_chain, Call, CallKind};
 use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-pub const RULE_ORDER: &str = "lock-order";
-pub const RULE_SEND: &str = "lock-across-send";
-pub const RULE_FIRE: &str = "lock-across-fire";
+pub(crate) const RULE_ORDER: &str = "lock-order";
+pub(crate) const RULE_SEND: &str = "lock-across-send";
+pub(crate) const RULE_FIRE: &str = "lock-across-fire";
 
 /// Direct (non-transitive) lock behaviour of one fn.
 #[derive(Clone, Debug, Default)]
@@ -71,7 +71,7 @@ struct Edge {
 }
 
 /// Run the pass over every in-scope unit.
-pub fn check(units: &[FileUnit], index: &CallIndex) -> Vec<Finding> {
+pub(crate) fn check(units: &[FileUnit], index: &CallIndex) -> Vec<Finding> {
     // Phase 0: shallow summaries — direct acquisitions only, so callers
     // can resolve guard-helper calls. Helpers that acquire through
     // *another* helper are not modelled (documented caveat).

@@ -29,9 +29,9 @@ use super::FileUnit;
 use crate::rules::Finding;
 use std::collections::BTreeMap;
 
-pub const RULE_DECL: &str = "metrics-decl";
-pub const RULE_DRIFT: &str = "metrics-schema-drift";
-pub const RULE_PARSE: &str = "metrics-parse";
+pub(crate) const RULE_DECL: &str = "metrics-decl";
+pub(crate) const RULE_DRIFT: &str = "metrics-schema-drift";
+const RULE_PARSE: &str = "metrics-parse";
 
 /// Constants that fix the cell geometry (bucket counts, striping); their
 /// initializer tokens are fingerprinted alongside the series rows.
@@ -41,7 +41,7 @@ const GEOMETRY_CONSTS: [&str; 4] =
 /// One series: the `names` const it is bound to, its dotted name, and
 /// (once `declare_all` is parsed) the `def_*` method declaring it.
 #[derive(Clone, Debug)]
-pub struct SeriesDecl {
+pub(crate) struct SeriesDecl {
     pub dotted: String,
     /// `def_counter`, `def_gauge_per_shard`, ... — empty until declared.
     pub kind: String,
@@ -50,7 +50,7 @@ pub struct SeriesDecl {
 
 /// The parsed surface: `names`-const ident → series, plus the geometry
 /// constants.
-pub struct Model {
+pub(crate) struct Model {
     pub version: u32,
     pub series: BTreeMap<String, SeriesDecl>,
     pub consts: BTreeMap<String, String>,
@@ -58,7 +58,7 @@ pub struct Model {
 
 /// The unit holding the surface: the real `obsv/src/metrics.rs`, or a
 /// fixture whose stem starts with `metrics`.
-pub fn find_unit(units: &[FileUnit]) -> Option<usize> {
+fn find_unit(units: &[FileUnit]) -> Option<usize> {
     units.iter().position(|u| {
         u.rel == "crates/obsv/src/metrics.rs"
             || (u.rel.contains("fixtures/")
@@ -68,7 +68,7 @@ pub fn find_unit(units: &[FileUnit]) -> Option<usize> {
 
 /// Run the pass: parse, the declaration check, and (when the committed
 /// schema is supplied) the drift check.
-pub fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
+pub(crate) fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
     let Some(ui) = find_unit(units) else {
         return vec![Finding::new(
             RULE_PARSE,
@@ -91,7 +91,7 @@ pub fn check(units: &[FileUnit], schema: Option<&str>) -> Vec<Finding> {
 /// Regenerate the schema: append rows for the current `METRICS_VERSION`,
 /// carry historical rows forward verbatim, and refuse to rewrite a row
 /// that is already pinned at the current version.
-pub fn bless(units: &[FileUnit], old: Option<&str>) -> Result<String, Vec<Finding>> {
+pub(crate) fn bless(units: &[FileUnit], old: Option<&str>) -> Result<String, Vec<Finding>> {
     let Some(ui) = find_unit(units) else {
         return Err(vec![Finding::new(
             RULE_PARSE,
@@ -264,7 +264,7 @@ fn drift_checks(u: &FileUnit, model: &Model, schema: &str) -> Vec<Finding> {
 /// then the `def_*` calls in `declare_all`. Declaration mismatches are
 /// returned alongside the model so `check` reports them and `bless`
 /// refuses to pin an inconsistent surface.
-pub fn parse(u: &FileUnit) -> Result<(Model, Vec<Finding>), Finding> {
+fn parse(u: &FileUnit) -> Result<(Model, Vec<Finding>), Finding> {
     let series = name_consts(u);
     if series.is_empty() {
         return Err(Finding::new(

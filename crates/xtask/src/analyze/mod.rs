@@ -18,10 +18,10 @@
 //! Soundness caveats of the underlying approximate call graph are
 //! documented in DESIGN.md §"Static analysis architecture".
 
-pub mod kernels;
-pub mod locks;
-pub mod metrics;
-pub mod panics;
+pub(crate) mod kernels;
+pub(crate) mod locks;
+pub(crate) mod metrics;
+pub(crate) mod panics;
 
 use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_fns, Call, CallKind, FnInfo};
@@ -29,7 +29,7 @@ use crate::rules::{allowed_lines, test_mask};
 use std::collections::{HashMap, HashSet};
 
 /// One parsed source file, shared by every pass.
-pub struct FileUnit {
+pub(crate) struct FileUnit {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
     /// Owning crate (`crates/<k>/src/...` → `k`; `src/...` → `root`;
@@ -48,13 +48,13 @@ pub struct FileUnit {
 
 impl FileUnit {
     /// Whether `line` carries an inline suppression for `rule`.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
+    fn is_allowed(&self, rule: &str, line: usize) -> bool {
         self.allowed.get(rule).is_some_and(|l| l.contains(&line))
     }
 }
 
 /// Parse `(rel_path, source)` pairs into analysis units.
-pub fn build_units(files: &[(String, String)]) -> Vec<FileUnit> {
+pub(crate) fn build_units(files: &[(String, String)]) -> Vec<FileUnit> {
     files
         .iter()
         .map(|(rel, src)| {
@@ -88,24 +88,24 @@ fn crate_of(rel: &str) -> String {
 
 /// Paths the interprocedural passes look at: library code, not bins or
 /// benches (mirrors the lint rules' `scope_library`).
-pub fn in_analysis_scope(rel: &str) -> bool {
+fn in_analysis_scope(rel: &str) -> bool {
     !rel.contains("/bin/") && !rel.starts_with("crates/bench/")
 }
 
 /// A function, addressed as (unit index, fn index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FnRef {
+pub(crate) struct FnRef {
     pub file: usize,
     pub f: usize,
 }
 
 /// Name → candidate functions, over non-test fns of in-scope units.
-pub struct CallIndex {
+pub(crate) struct CallIndex {
     by_name: HashMap<String, Vec<FnRef>>,
 }
 
 /// Build the resolution index.
-pub fn build_index(units: &[FileUnit]) -> CallIndex {
+pub(crate) fn build_index(units: &[FileUnit]) -> CallIndex {
     let mut by_name: HashMap<String, Vec<FnRef>> = HashMap::new();
     for (file, u) in units.iter().enumerate() {
         if !in_analysis_scope(&u.rel) {
@@ -137,7 +137,7 @@ const STD_COLLISIONS: [&str; 30] = [
 /// the candidate's impl type or crate, or the call is treated as
 /// external. Returns every candidate at the winning scope — the passes
 /// union over them (may-analysis).
-pub fn resolve(units: &[FileUnit], index: &CallIndex, file: usize, call: &Call) -> Vec<FnRef> {
+fn resolve(units: &[FileUnit], index: &CallIndex, file: usize, call: &Call) -> Vec<FnRef> {
     if call.kind == CallKind::Macro {
         return Vec::new();
     }
@@ -185,7 +185,7 @@ pub fn resolve(units: &[FileUnit], index: &CallIndex, file: usize, call: &Call) 
 /// `engine::search_batch*`, everything public in `serve::server`, and the
 /// batcher's public surface. Fixture files use the same `search_batch`
 /// naming convention to mark their entry.
-pub fn entry_fns(units: &[FileUnit]) -> Vec<FnRef> {
+fn entry_fns(units: &[FileUnit]) -> Vec<FnRef> {
     let mut out = Vec::new();
     for (file, u) in units.iter().enumerate() {
         for (f, info) in u.fns.iter().enumerate() {
@@ -206,7 +206,7 @@ pub fn entry_fns(units: &[FileUnit]) -> Vec<FnRef> {
 }
 
 /// `path:line fn_name` — the chain-element format shared by the passes.
-pub fn describe(units: &[FileUnit], r: FnRef) -> String {
+fn describe(units: &[FileUnit], r: FnRef) -> String {
     let u = &units[r.file];
     let info = &u.fns[r.f];
     format!("{}:{} {}", u.rel, info.line, info.name)

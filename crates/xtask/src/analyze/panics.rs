@@ -21,7 +21,7 @@ use crate::parser::{calls_in, CallKind};
 use crate::rules::Finding;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-pub const RULE: &str = "panic-reach";
+pub(crate) const RULE: &str = "panic-reach";
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
@@ -31,14 +31,14 @@ struct Site {
     what: String,
 }
 
-pub struct Options {
+pub(crate) struct Options {
     /// Also treat slice/array indexing (`a[i]`) as a panic site. Off by
     /// default: index panics are pervasive and mostly guarded by
     /// construction; the flag exists for audit sweeps.
     pub strict: bool,
 }
 
-pub fn check(units: &[FileUnit], index: &CallIndex, opts: &Options) -> Vec<Finding> {
+pub(crate) fn check(units: &[FileUnit], index: &CallIndex, opts: &Options) -> Vec<Finding> {
     // Direct sites and adjacency per fn.
     let mut direct: HashMap<FnRef, Vec<Site>> = HashMap::new();
     let mut callees: HashMap<FnRef, Vec<FnRef>> = HashMap::new();

@@ -4,7 +4,7 @@
 use crate::rules::Finding;
 
 /// Escape a string for a JSON string literal (RFC 8259).
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -22,7 +22,7 @@ pub fn escape(s: &str) -> String {
 
 /// The findings report: shared schema between `lint --json` and
 /// `analyze --json`.
-pub fn render(tool: &str, findings: &[Finding], notes: &[String]) -> String {
+pub(crate) fn render(tool: &str, findings: &[Finding], notes: &[String]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"tool\": \"{}\",\n", escape(tool)));
     out.push_str(&format!("  \"findings\": [{}\n  ],\n", items(findings)));

@@ -11,7 +11,7 @@
 
 /// Kinds of tokens the rules can observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`pub`, `fn`, `as`, `unwrap`, …).
     Ident,
     /// Numeric literal.
@@ -24,7 +24,7 @@ pub enum TokKind {
 
 /// One token with its 1-based source line.
 #[derive(Clone, Debug)]
-pub struct Tok {
+pub(crate) struct Tok {
     pub kind: TokKind,
     pub text: String,
     pub line: usize,
@@ -37,7 +37,7 @@ pub struct Tok {
 /// that carries a token (so a multi-line comment block still covers the
 /// statement it annotates).
 #[derive(Clone, Debug)]
-pub struct Allow {
+pub(crate) struct Allow {
     pub rule: String,
     pub line: usize,
     /// True when the comment was the first thing on its line.
@@ -46,7 +46,7 @@ pub struct Allow {
 
 /// Lexer output: the token stream plus inline allow annotations.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub tokens: Vec<Tok>,
     pub allows: Vec<Allow>,
 }
@@ -54,7 +54,7 @@ pub struct Lexed {
 /// Tokenize `src`. Never fails: unterminated constructs simply consume
 /// the rest of the input (the lint engine is not a compiler; rustc will
 /// reject such a file anyway).
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer { b: src.as_bytes(), i: 0, line: 1, line_had_token: false, out: Lexed::default() }.run()
 }
 

@@ -11,7 +11,6 @@
 //! cargo run -p xtask -- lint --update-allow   # ratchet lint.allow down to reality
 //! cargo run -p xtask -- analyze               # lock-order, panic-reach, metrics ratchet, kernels
 //! cargo run -p xtask -- analyze --bless-metrics # (re)pin crates/obsv/metrics.schema
-//! cargo run -p xtask -- bench diff            # gate: latest two BENCH_*.json per harness
 //! cargo run -p xtask -- fixtures              # self-test: every fixture must fail
 //! cargo run -p xtask -- rules                 # list the rules and their rationale
 //! ```
@@ -24,7 +23,6 @@
 //! parallel`.
 
 mod analyze;
-mod bench;
 mod json;
 mod lexer;
 mod parser;
@@ -39,14 +37,13 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("bench") => bench::cmd_bench(&args[1..]),
         Some("fixtures") => cmd_fixtures(),
         Some("rules") => cmd_rules(),
         _ => {
             eprintln!(
                 "usage: xtask <lint [--json FILE] [--update-allow] [FILE...] \
                  | analyze [--json FILE] [--bless-metrics] \
-                 [--strict-panics] | bench diff [DIR] | fixtures | rules>"
+                 [--strict-panics] | fixtures | rules>"
             );
             ExitCode::from(2)
         }

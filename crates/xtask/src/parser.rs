@@ -16,14 +16,14 @@ use std::ops::Range;
 /// One parameter of a parsed `fn`: the binding name and its type, as
 /// flat token text (`&Mutex<QueueState>` becomes `& Mutex < QueueState >`).
 #[derive(Clone, Debug)]
-pub struct Param {
+pub(crate) struct Param {
     pub name: String,
     pub ty: String,
 }
 
 /// One parsed function item.
 #[derive(Clone, Debug)]
-pub struct FnInfo {
+pub(crate) struct FnInfo {
     pub name: String,
     /// The `Self` type when the fn sits inside an `impl` block (for
     /// trait impls, the implementing type after `for`).
@@ -44,7 +44,7 @@ pub struct FnInfo {
 
 /// How a call site spells itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallKind {
+pub(crate) enum CallKind {
     /// `name(...)` or `Path::name(...)`.
     Plain,
     /// `.name(...)`.
@@ -55,7 +55,7 @@ pub enum CallKind {
 
 /// One call site inside a function body.
 #[derive(Clone, Debug)]
-pub struct Call {
+pub(crate) struct Call {
     pub kind: CallKind,
     pub name: String,
     /// For `Path::name(...)`: the path segment right before the `::`.
@@ -70,7 +70,7 @@ pub struct Call {
 /// Per-token brace depth: `depth[i]` is the number of unclosed `{` at
 /// token `i` (an opening brace counts at its own position, its matching
 /// close does not). The analysis passes use this for scope lifetimes.
-pub fn brace_depths(tokens: &[Tok]) -> Vec<usize> {
+pub(crate) fn brace_depths(tokens: &[Tok]) -> Vec<usize> {
     let mut depth = 0usize;
     tokens
         .iter()
@@ -97,7 +97,7 @@ const NON_CALL_KEYWORDS: [&str; 16] = [
 
 /// Parse every `fn` item in a lexed file. `test_mask` is the per-token
 /// test-region mask from [`crate::rules`].
-pub fn parse_fns(tokens: &[Tok], test_mask: &[bool]) -> Vec<FnInfo> {
+pub(crate) fn parse_fns(tokens: &[Tok], test_mask: &[bool]) -> Vec<FnInfo> {
     let mut fns = Vec::new();
     // Spans of `impl` blocks: (type name, body token range).
     let impls = impl_spans(tokens);
@@ -325,7 +325,7 @@ fn skip_angles(tokens: &[Tok], open: usize) -> usize {
 
 /// Index of the token matching the opening delimiter at `open` (which
 /// must hold `open_text`). Returns the last token index on imbalance.
-pub fn match_delim(tokens: &[Tok], open: usize, open_text: &str, close_text: &str) -> usize {
+pub(crate) fn match_delim(tokens: &[Tok], open: usize, open_text: &str, close_text: &str) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < tokens.len() {
@@ -344,7 +344,7 @@ pub fn match_delim(tokens: &[Tok], open: usize, open_text: &str, close_text: &st
 }
 
 /// Every call site in a token range (typically an [`FnInfo::body`]).
-pub fn calls_in(tokens: &[Tok], range: Range<usize>) -> Vec<Call> {
+pub(crate) fn calls_in(tokens: &[Tok], range: Range<usize>) -> Vec<Call> {
     let mut out = Vec::new();
     for i in range.clone() {
         let t = &tokens[i];
@@ -410,7 +410,7 @@ pub fn calls_in(tokens: &[Tok], range: Range<usize>) -> Vec<Call> {
 /// `self.shared.queue.lock()` → `["self", "shared", "queue"]`;
 /// `slots[qi].lock()` → `["slots"]`. Empty when the receiver is a call
 /// result or otherwise not a plain field path.
-pub fn receiver_chain(tokens: &[Tok], name_tok: usize) -> Vec<String> {
+pub(crate) fn receiver_chain(tokens: &[Tok], name_tok: usize) -> Vec<String> {
     let mut segs: Vec<String> = Vec::new();
     // tokens[name_tok - 1] is the `.`; start left of it.
     let mut j = match name_tok.checked_sub(2) {
@@ -460,7 +460,7 @@ pub fn receiver_chain(tokens: &[Tok], name_tok: usize) -> Vec<String> {
 
 /// The last plain ident of a call's first argument:
 /// `lock(&self.shared.queue)` → `Some("queue")`. `None` for empty args.
-pub fn first_arg_last_ident(tokens: &[Tok], args_open: usize) -> Option<String> {
+pub(crate) fn first_arg_last_ident(tokens: &[Tok], args_open: usize) -> Option<String> {
     let close = match_delim(tokens, args_open, "(", ")");
     let mut depth = 0i32;
     let mut last = None;

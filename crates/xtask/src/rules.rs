@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 /// One lint or analysis violation.
 #[derive(Clone, Debug)]
-pub struct Finding {
+pub(crate) struct Finding {
     pub rule: &'static str,
     pub path: String,
     pub line: usize,
@@ -31,7 +31,7 @@ pub struct Finding {
 
 impl Finding {
     /// A single-site finding (no call chain).
-    pub fn new(rule: &'static str, path: &str, line: usize, msg: String) -> Finding {
+    pub(crate) fn new(rule: &'static str, path: &str, line: usize, msg: String) -> Finding {
         Finding { rule, path: path.to_string(), line, msg, chain: Vec::new() }
     }
 }
@@ -43,7 +43,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// A lint rule: name, rationale, path scope, and the check itself.
-pub struct Rule {
+pub(crate) struct Rule {
     pub name: &'static str,
     pub desc: &'static str,
     pub in_scope: fn(&str) -> bool,
@@ -51,7 +51,7 @@ pub struct Rule {
 }
 
 /// All rules, in reporting order.
-pub fn all_rules() -> Vec<Rule> {
+pub(crate) fn all_rules() -> Vec<Rule> {
     vec![
         Rule {
             name: "no-unwrap",
@@ -121,7 +121,7 @@ fn scope_documented_crates(path: &str) -> bool {
 
 /// A lexed file prepared for rule checks: tokens, an is-test mask, and
 /// the lines suppressed per rule by inline allows.
-pub struct FileCx<'a> {
+pub(crate) struct FileCx<'a> {
     pub path: &'a str,
     pub tokens: &'a [Tok],
     in_test: Vec<bool>,
@@ -131,24 +131,24 @@ pub struct FileCx<'a> {
 impl<'a> FileCx<'a> {
     /// Prepare a lexed file for rule checks: compute the test mask and
     /// resolve inline `lint: allow(...)` annotations to line sets.
-    pub fn new(path: &'a str, lexed: &'a Lexed) -> FileCx<'a> {
+    fn new(path: &'a str, lexed: &'a Lexed) -> FileCx<'a> {
         let in_test = test_mask(&lexed.tokens);
         let allowed = allowed_lines(lexed);
         FileCx { path, tokens: &lexed.tokens, in_test, allowed }
     }
 
     /// Whether the token at `tok_index` sits inside a test region.
-    pub fn is_test(&self, tok_index: usize) -> bool {
+    fn is_test(&self, tok_index: usize) -> bool {
         self.in_test.get(tok_index).copied().unwrap_or(false)
     }
 
     /// Whether `line` carries an inline `lint: allow(rule)` suppression.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
+    fn is_allowed(&self, rule: &str, line: usize) -> bool {
         self.allowed.get(rule).is_some_and(|lines| lines.contains(&line))
     }
 
     /// Emit a finding unless the line is inline-suppressed for `rule`.
-    pub fn report(&self, rule: &'static str, line: usize, msg: String, out: &mut Vec<Finding>) {
+    fn report(&self, rule: &'static str, line: usize, msg: String, out: &mut Vec<Finding>) {
         if !self.is_allowed(rule, line) {
             out.push(Finding::new(rule, self.path, line, msg));
         }
@@ -158,7 +158,7 @@ impl<'a> FileCx<'a> {
 /// Resolve a lexed file's inline `lint: allow(...)` annotations to the
 /// line sets they suppress, per rule. Shared by the lint engine (via
 /// [`FileCx`]) and the analysis passes (via their per-file units).
-pub fn allowed_lines(lexed: &Lexed) -> HashMap<String, HashSet<usize>> {
+pub(crate) fn allowed_lines(lexed: &Lexed) -> HashMap<String, HashSet<usize>> {
     let mut allowed: HashMap<String, HashSet<usize>> = HashMap::new();
     for allow in &lexed.allows {
         let lines = allowed.entry(allow.rule.clone()).or_default();
@@ -388,7 +388,7 @@ fn check_doc_pub_fn(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
 
 /// Lint one file's source against every rule whose scope matches `path`
 /// (or against all rules when `ignore_scope` — used for fixture files).
-pub fn lint_source(path: &str, src: &str, ignore_scope: bool) -> Vec<Finding> {
+pub(crate) fn lint_source(path: &str, src: &str, ignore_scope: bool) -> Vec<Finding> {
     let lexed = lex(src);
     let cx = FileCx::new(path, &lexed);
     let mut findings = Vec::new();

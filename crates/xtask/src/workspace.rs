@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 /// Locate the workspace root by walking up from the current directory to
 /// the first `Cargo.toml` that declares `[workspace]`.
-pub fn find_root() -> Option<PathBuf> {
+pub(crate) fn find_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
         if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
@@ -24,7 +24,7 @@ pub fn find_root() -> Option<PathBuf> {
 /// `(workspace-relative path with forward slashes, absolute path)`,
 /// sorted for deterministic reports. Fixture files live outside any
 /// `src/` directory and are deliberately not picked up here.
-pub fn workspace_sources(root: &Path) -> Vec<(String, PathBuf)> {
+pub(crate) fn workspace_sources(root: &Path) -> Vec<(String, PathBuf)> {
     let mut dirs = vec![root.join("src")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for e in entries.flatten() {
@@ -66,7 +66,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 /// One line of `crates/xtask/lint.allow`: up to `max` findings of `rule`
 /// in `path` are tolerated (the burn-down ratchet).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Budget {
+pub(crate) struct Budget {
     pub rule: String,
     pub path: String,
     pub max: usize,
@@ -75,7 +75,7 @@ pub struct Budget {
 /// Parse the allowlist: `<rule> <path> <max>` per line, `#` comments.
 /// Malformed lines are returned as errors rather than ignored — a typo'd
 /// suppression must not silently widen the policy.
-pub fn parse_allowlist(text: &str) -> Result<Vec<Budget>, String> {
+pub(crate) fn parse_allowlist(text: &str) -> Result<Vec<Budget>, String> {
     let mut budgets = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -99,7 +99,10 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<Budget>, String> {
 /// reality) is noted; a *stale* entry — zero findings left — is a hard
 /// `stale-allow` finding: dead suppressions are latent policy holes, and
 /// `xtask lint --update-allow` removes them mechanically.
-pub fn apply_budgets(findings: Vec<Finding>, budgets: &[Budget]) -> (Vec<Finding>, Vec<String>) {
+pub(crate) fn apply_budgets(
+    findings: Vec<Finding>,
+    budgets: &[Budget],
+) -> (Vec<Finding>, Vec<String>) {
     let mut counts: HashMap<(&str, &str), usize> = HashMap::new();
     for f in &findings {
         *counts.entry((f.rule, f.path.as_str())).or_default() += 1;
@@ -157,7 +160,7 @@ pub fn apply_budgets(findings: Vec<Finding>, budgets: &[Budget]) -> (Vec<Finding
 /// Rewrite the allowlist so every budget equals the current finding
 /// count, never raising a budget and never adding entries: the ratchet
 /// only tightens. Entries whose findings are gone disappear.
-pub fn update_allow(findings: &[Finding], budgets: &[Budget]) -> String {
+pub(crate) fn update_allow(findings: &[Finding], budgets: &[Budget]) -> String {
     let mut counts: HashMap<(&str, &str), usize> = HashMap::new();
     for f in findings {
         *counts.entry((f.rule, f.path.as_str())).or_default() += 1;

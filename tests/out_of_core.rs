@@ -105,8 +105,10 @@ fn quarter_budget_out_of_core_search_matches_resident_engine() {
 }
 
 /// Streaming shards behind the generic backend driver merge to the
-/// resident unsharded reference bit-for-bit, sharing one quarter-budget
-/// cache across all shard stores.
+/// resident unsharded reference bit-for-bit, sharing one cache across
+/// all shard stores, at every cache budget: the whole decoded index, ¼ of
+/// the serialized index, and one byte below the largest decoded block,
+/// where that block is the oversized insert `BlockCache` documents.
 #[test]
 fn streaming_shards_match_resident_engine() {
     let db = seeded_db();
@@ -114,34 +116,55 @@ fn streaming_shards_match_resident_engine() {
     let cfg = search_config().with_threads(3);
     let index = DbIndex::build(&db, &index_config());
     let reference = search_batch(&db, Some(&index), neighbors(), &queries, &search_config());
-    let serialized_len = dbindex::write_store(&index).len();
+    let serialized_len = dbindex::write_store(&index).len() as u64;
 
     let dir = std::env::temp_dir().join(format!("mublastp_ooc_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cache = Arc::new(BlockCache::new((serialized_len / 4) as u64));
-    let shards = StreamingShards::build_in_dir(
-        &db,
-        &index_config(),
-        3,
-        &dir,
-        Arc::clone(&cache),
-        &faultfn::Faults::none(),
-    )
-    .unwrap();
-    let out = search_batch_backend_traced(
-        &shards,
-        neighbors(),
-        &queries,
-        &cfg,
-        &obsv::TraceSession::disabled(),
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    let build = |budget: u64| {
+        let cache = Arc::new(BlockCache::new(budget));
+        StreamingShards::build_in_dir(&db, &index_config(), 3, &dir, cache, &faultfn::Faults::none())
+            .unwrap()
+    };
+    let decoded: Vec<u64> = build(u64::MAX)
+        .shards()
+        .iter()
+        .flat_map(|s| s.store.directory().blocks.iter().map(|b| b.decoded_bytes))
+        .collect();
+    let largest = *decoded.iter().max().unwrap();
+    let budgets = [
+        ("full", decoded.iter().sum::<u64>()),
+        ("quarter", serialized_len / 4),
+        ("below the largest block", largest - 1),
+    ];
 
-    assert!(out.failed.is_empty(), "no faults → no degradation: {:?}", out.failed);
-    assert_eq!(out.covered_residues, out.total_residues);
-    assert_eq!(out.total_residues, db.total_residues());
-    results_identical(&reference, &out.results).expect("streamed shards must match resident");
-    let snap = cache.counters().snapshot();
-    assert!(snap.fetched_blocks > 0, "shards actually streamed from disk");
-    assert!(snap.peak_resident_bytes <= cache.budget_bytes());
+    for (label, budget) in budgets {
+        let shards = build(budget);
+        let out = search_batch_backend_traced(
+            &shards,
+            neighbors(),
+            &queries,
+            &cfg,
+            &obsv::TraceSession::disabled(),
+        );
+        assert!(out.failed.is_empty(), "{label}: no faults → no degradation: {:?}", out.failed);
+        assert_eq!(out.covered_residues, out.total_residues);
+        assert_eq!(out.total_residues, db.total_residues());
+        results_identical(&reference, &out.results)
+            .unwrap_or_else(|e| panic!("{label}: streamed shards must match resident: {e}"));
+        let snap = shards.cache().counters().snapshot();
+        assert!(snap.fetched_blocks > 0, "{label}: shards actually streamed from disk");
+        if budget >= largest {
+            assert!(
+                snap.peak_resident_bytes <= budget,
+                "{label}: peak residency {} exceeds budget {budget}",
+                snap.peak_resident_bytes
+            );
+        } else {
+            assert!(
+                snap.peak_resident_bytes > budget,
+                "{label}: the oversized block is cached and its overshoot recorded"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
