@@ -12,7 +12,7 @@ use bioseq::{Sequence, SequenceDb};
 use dbindex::{
     read_directory, read_store, write_store, BlockBound, DbIndex, IndexConfig, STORE_VERSION,
 };
-use std::path::Path;
+use faultfn::golden::{check, check_or_bless};
 
 fn fixtures_dir() -> std::path::PathBuf {
     if let Some(dir) = option_env!("CARGO_MANIFEST_DIR") {
@@ -75,32 +75,11 @@ fn golden_stores() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Compare `bytes` with the committed fixture at `path`. Under bless a
-/// missing fixture is written; an existing one is never rewritten, because
-/// stores already on disk carry its bytes — a layout change needs a new
-/// version, which names new files.
-fn check_or_bless(path: &Path, bytes: &[u8], bless: bool) -> Result<(), String> {
-    match std::fs::read(path) {
-        Ok(committed) if committed == bytes => Ok(()),
-        Ok(_) => Err(format!(
-            "{}: layout changed: bump STORE_VERSION",
-            path.display()
-        )),
-        Err(e) if bless && e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
-        }
-        Err(e) => Err(format!(
-            "{}: {e} (write it with STORE_BLESS=1)",
-            path.display()
-        )),
-    }
-}
-
 #[test]
 fn golden_fixtures_pin_the_store_bytes() {
-    let bless = std::env::var_os("STORE_BLESS").is_some();
     for (suffix, bytes) in golden_stores() {
-        if let Err(e) = check_or_bless(&fixture_path(suffix), &bytes, bless) {
+        let path = fixture_path(suffix);
+        if let Err(e) = check_or_bless(&path, &bytes, "STORE_BLESS", "STORE_VERSION") {
             panic!("{e}");
         }
     }
@@ -112,7 +91,7 @@ fn bless_refuses_to_rewrite_a_differing_fixture() {
     std::fs::create_dir_all(&dir).unwrap();
     let shipped = dir.join("store.bin");
     std::fs::write(&shipped, [1u8, 2, 3]).unwrap();
-    let err = check_or_bless(&shipped, &[1, 2, 4], true).unwrap_err();
+    let err = check(&shipped, &[1, 2, 4], true, "STORE_BLESS", "STORE_VERSION").unwrap_err();
     assert!(err.contains("bump STORE_VERSION"), "{err}");
     assert_eq!(
         std::fs::read(&shipped).unwrap(),
@@ -122,11 +101,11 @@ fn bless_refuses_to_rewrite_a_differing_fixture() {
 
     let fresh = dir.join("new.bin");
     assert!(
-        check_or_bless(&fresh, &[9], false).is_err(),
+        check(&fresh, &[9], false, "STORE_BLESS", "STORE_VERSION").is_err(),
         "a missing fixture fails without bless"
     );
-    check_or_bless(&fresh, &[9], true).unwrap();
-    check_or_bless(&fresh, &[9], false).unwrap();
+    check(&fresh, &[9], true, "STORE_BLESS", "STORE_VERSION").unwrap();
+    check(&fresh, &[9], false, "STORE_BLESS", "STORE_VERSION").unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

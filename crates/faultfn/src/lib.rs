@@ -18,6 +18,12 @@
 //!   id) and ignores call order. Use it wherever a scheduler may reorder
 //!   work, so "shard 2 fails" means shard 2 regardless of which worker
 //!   picks it up first.
+//!
+//! The crate also holds the workspace's std-only test support: [`Rng`],
+//! the one seeded generator, and [`golden::check_or_bless`], the one
+//! golden-file pin the wire, store and metrics suites share.
+
+pub mod golden;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -27,8 +27,8 @@
 //! Besides per-span tracing, the crate hosts the service's unified
 //! [`metrics`] registry: every counter, gauge, and latency histogram the
 //! serving stack exports, declared under stable dotted names, rendered
-//! as a Prometheus text exposition, and frozen by the `xtask analyze
-//! metrics` schema ratchet (`crates/obsv/metrics.schema`).
+//! as a Prometheus text exposition, and pinned by the golden exposition
+//! `tests/fixtures/metrics.v{METRICS_VERSION}.prom`.
 
 pub mod chrome;
 pub mod folded;

@@ -11,18 +11,19 @@
 //!    [`Histogram`], [`SizeHistogram`]) are resolved once against the
 //!    registry (one short-lived lock) and then update plain atomic cells.
 //!    Where many connection threads hammer one counter, a striped
-//!    per-worker cell ([`Registry::def_counter_sharded`]) spreads the
+//!    per-worker cell (`def_counter_sharded` in [`declare_all`]) spreads the
 //!    contention and sums at read time.
 //! 2. **The disabled path costs a branch.** A registry built with
 //!    `Registry::new(false)` resolves every handle to `None`; `add` /
 //!    `record` are then a single `Option` test. `crates/bench`'s
 //!    `obsv_overhead` harness asserts the <2% bound.
-//! 3. **The exported surface is frozen.** Series are *declared* in one
-//!    place, [`declare_all`], with their names spelled through the
-//!    [`series!`] ident macro — both are plain tokens, so `xtask analyze
-//!    metrics` can fingerprint every `(name, kind)` row into the
-//!    committed `crates/obsv/metrics.schema` and refuse renames or drops
-//!    without a bless.
+//! 3. **The exported surface is pinned.** Series are *declared* in one
+//!    place, [`declare_all`]; declaring a name twice panics, and so does
+//!    resolving a handle against an undeclared name in a debug build.
+//!    The golden exposition `tests/fixtures/metrics.v{METRICS_VERSION}.prom`
+//!    fixes every name, type, label and bucket edge, so a rename, a kind
+//!    change or a dropped series fails `cargo test` until
+//!    [`METRICS_VERSION`] is bumped and the new golden blessed.
 //!
 //! Histogram buckets replicate the service's original `LatencyRecorder`
 //! math exactly: one bucket per power of two of microseconds, percentile
@@ -36,118 +37,107 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Version of the exported metrics surface. Bump when a pinned series
-/// must change shape; `xtask analyze --bless-metrics` then appends rows
-/// for the new version and keeps history.
+/// Version of the exported metrics surface; it names the golden
+/// exposition `tests/fixtures/metrics.v{METRICS_VERSION}.prom`. Bump it
+/// when a series must change name, type, label or bucket edges, then
+/// write the new golden once with `METRICS_BLESS=1`; a bless never
+/// rewrites an existing file.
 pub const METRICS_VERSION: u32 = 1;
 
-/// Spell a dotted series name out of identifiers:
-/// `series!(serve.batcher.accepted)` expands to the string
-/// `"serve.batcher.accepted"`. Using idents instead of a string literal
-/// keeps the name visible to the repo's token-level analyzer, which is
-/// what lets the metrics schema ratchet exist at all.
-#[macro_export]
-macro_rules! series {
-    ($first:ident $(. $rest:ident)*) => {
-        concat!(stringify!($first) $(, ".", stringify!($rest))*)
-    };
-}
-
 /// The stable dotted names of every exported series. One `const` per
-/// series; renaming or deleting one here without re-blessing
-/// `crates/obsv/metrics.schema` fails `xtask analyze`.
+/// series; the golden exposition pins each one, so renaming or deleting
+/// one here fails `cargo test -p obsv` until [`METRICS_VERSION`] moves.
 pub mod names {
     /// Requests admitted to the batcher queue.
-    pub const BATCHER_ACCEPTED: &str = crate::series!(serve.batcher.accepted);
+    pub const BATCHER_ACCEPTED: &str = "serve.batcher.accepted";
     /// Requests refused because the queue was full.
-    pub const BATCHER_REJECTED: &str = crate::series!(serve.batcher.rejected);
+    pub const BATCHER_REJECTED: &str = "serve.batcher.rejected";
     /// Requests whose deadline passed while queued.
-    pub const BATCHER_EXPIRED: &str = crate::series!(serve.batcher.expired);
+    pub const BATCHER_EXPIRED: &str = "serve.batcher.expired";
     /// Requests answered (successfully or degraded).
-    pub const BATCHER_COMPLETED: &str = crate::series!(serve.batcher.completed);
+    pub const BATCHER_COMPLETED: &str = "serve.batcher.completed";
     /// Batches dispatched to the engine.
-    pub const BATCHER_BATCHES: &str = crate::series!(serve.batcher.batches);
+    pub const BATCHER_BATCHES: &str = "serve.batcher.batches";
     /// Batches dispatched, labeled by what closed their forming window.
-    pub const DISPATCHES_BY_TRIGGER: &str = crate::series!(serve.batcher.dispatches_by_trigger);
+    pub const DISPATCHES_BY_TRIGGER: &str = "serve.batcher.dispatches_by_trigger";
     /// Requests answered with partial (degraded) coverage.
-    pub const BATCHER_DEGRADED: &str = crate::series!(serve.batcher.degraded);
+    pub const BATCHER_DEGRADED: &str = "serve.batcher.degraded";
     /// Requests slower than the configured slow-query threshold.
-    pub const SLOW_QUERIES: &str = crate::series!(serve.batcher.slow_queries);
+    pub const SLOW_QUERIES: &str = "serve.batcher.slow_queries";
     /// Retry attempts made (first tries included).
-    pub const RETRY_ATTEMPTS: &str = crate::series!(serve.retry.attempts);
+    pub const RETRY_ATTEMPTS: &str = "serve.retry.attempts";
     /// Retry loops that gave up with the error unresolved.
-    pub const RETRY_EXHAUSTED: &str = crate::series!(serve.retry.exhausted);
+    pub const RETRY_EXHAUSTED: &str = "serve.retry.exhausted";
     /// Structured events written to the event log.
-    pub const EVENTS_LOGGED: &str = crate::series!(serve.events.logged);
+    pub const EVENTS_LOGGED: &str = "serve.events.logged";
     /// Structured events lost to I/O errors on the event log.
-    pub const EVENTS_DROPPED: &str = crate::series!(serve.events.dropped);
+    pub const EVENTS_DROPPED: &str = "serve.events.dropped";
     /// Shard dispatch failures, labeled by shard id.
-    pub const SHARD_FAILURES: &str = crate::series!(engine.shard.failures);
+    pub const SHARD_FAILURES: &str = "engine.shard.failures";
     /// Shard dispatch failures, labeled by failure cause.
-    pub const SHARD_FAILURES_BY_CAUSE: &str = crate::series!(engine.shard.failures_by_cause);
+    pub const SHARD_FAILURES_BY_CAUSE: &str = "engine.shard.failures_by_cause";
     /// Block-cache lookups served from memory.
-    pub const CACHE_HITS: &str = crate::series!(blockstore.cache.hits);
+    pub const CACHE_HITS: &str = "blockstore.cache.hits";
     /// Block-cache lookups that missed.
-    pub const CACHE_MISSES: &str = crate::series!(blockstore.cache.misses);
+    pub const CACHE_MISSES: &str = "blockstore.cache.misses";
     /// Blocks evicted to stay under the cache budget.
-    pub const CACHE_EVICTIONS: &str = crate::series!(blockstore.cache.evictions);
+    pub const CACHE_EVICTIONS: &str = "blockstore.cache.evictions";
     /// Blocks fetched from backing stores on misses.
-    pub const CACHE_FETCHED_BLOCKS: &str = crate::series!(blockstore.cache.fetched_blocks);
+    pub const CACHE_FETCHED_BLOCKS: &str = "blockstore.cache.fetched_blocks";
     /// Encoded bytes read from backing stores on misses.
-    pub const CACHE_FETCHED_BYTES: &str = crate::series!(blockstore.cache.fetched_bytes);
+    pub const CACHE_FETCHED_BYTES: &str = "blockstore.cache.fetched_bytes";
     /// Nanoseconds spent decoding fetched blocks.
-    pub const CACHE_DECODE_NS: &str = crate::series!(blockstore.cache.decode_ns);
+    pub const CACHE_DECODE_NS: &str = "blockstore.cache.decode_ns";
     /// Postings decoded from fetched blocks.
-    pub const CACHE_DECODED_POSTINGS: &str = crate::series!(blockstore.cache.decoded_postings);
+    pub const CACHE_DECODED_POSTINGS: &str = "blockstore.cache.decoded_postings";
     /// Current admission-queue depth (sampled at snapshot time).
-    pub const QUEUE_DEPTH: &str = crate::series!(serve.queue.depth);
+    pub const QUEUE_DEPTH: &str = "serve.queue.depth";
     /// Admission-queue capacity.
-    pub const QUEUE_CAP: &str = crate::series!(serve.queue.cap);
+    pub const QUEUE_CAP: &str = "serve.queue.cap";
     /// High-water mark of the admission queue.
-    pub const QUEUE_MAX_DEPTH: &str = crate::series!(serve.queue.max_depth);
+    pub const QUEUE_MAX_DEPTH: &str = "serve.queue.max_depth";
     /// Bytes of decoded index pinned for the daemon's lifetime.
-    pub const INDEX_PINNED_BYTES: &str = crate::series!(serve.index.pinned_bytes);
+    pub const INDEX_PINNED_BYTES: &str = "serve.index.pinned_bytes";
     /// Block-cache byte budget.
-    pub const CACHE_BUDGET_BYTES: &str = crate::series!(blockstore.cache.budget_bytes);
+    pub const CACHE_BUDGET_BYTES: &str = "blockstore.cache.budget_bytes";
     /// Decoded bytes currently resident in the block cache.
-    pub const CACHE_RESIDENT_BYTES: &str = crate::series!(blockstore.cache.resident_bytes);
+    pub const CACHE_RESIDENT_BYTES: &str = "blockstore.cache.resident_bytes";
     /// High-water mark of cache residency.
-    pub const CACHE_PEAK_RESIDENT_BYTES: &str =
-        crate::series!(blockstore.cache.peak_resident_bytes);
+    pub const CACHE_PEAK_RESIDENT_BYTES: &str = "blockstore.cache.peak_resident_bytes";
     /// Sequences per shard, labeled by shard id.
-    pub const SHARD_SEQS: &str = crate::series!(engine.shard.seqs);
+    pub const SHARD_SEQS: &str = "engine.shard.seqs";
     /// Residues per shard, labeled by shard id.
-    pub const SHARD_RESIDUES: &str = crate::series!(engine.shard.residues);
+    pub const SHARD_RESIDUES: &str = "engine.shard.residues";
     /// Per-request queue wait, admission to dispatch.
-    pub const LATENCY_QUEUE_WAIT: &str = crate::series!(serve.latency.queue_wait);
+    pub const LATENCY_QUEUE_WAIT: &str = "serve.latency.queue_wait";
     /// Engine time per dispatched batch.
-    pub const LATENCY_SEARCH: &str = crate::series!(serve.latency.search);
+    pub const LATENCY_SEARCH: &str = "serve.latency.search";
     /// Per-request total latency, admission to reply.
-    pub const LATENCY_TOTAL: &str = crate::series!(serve.latency.total);
+    pub const LATENCY_TOTAL: &str = "serve.latency.total";
     /// Per-stage span durations, labeled by pipeline stage.
-    pub const LATENCY_STAGE: &str = crate::series!(serve.latency.stage);
+    pub const LATENCY_STAGE: &str = "serve.latency.stage";
     /// Per-shard scheduler wait, labeled by shard id.
-    pub const SHARD_QUEUED_US: &str = crate::series!(engine.shard.queued_us);
+    pub const SHARD_QUEUED_US: &str = "engine.shard.queued_us";
     /// Per-shard search time, labeled by shard id.
-    pub const SHARD_SEARCH_US: &str = crate::series!(engine.shard.search_us);
+    pub const SHARD_SEARCH_US: &str = "engine.shard.search_us";
     /// Dispatched batch sizes (requests per batch).
-    pub const BATCH_SIZE: &str = crate::series!(serve.batch.size);
+    pub const BATCH_SIZE: &str = "serve.batch.size";
     /// Requests that asked for top-k pruned reporting.
-    pub const TOPK_REQUESTS: &str = crate::series!(engine.topk.requests);
+    pub const TOPK_REQUESTS: &str = "engine.topk.requests";
     /// Index blocks fetched and searched by pruned top-k searches.
-    pub const TOPK_BLOCKS_SCANNED: &str = crate::series!(engine.topk.blocks_scanned);
+    pub const TOPK_BLOCKS_SCANNED: &str = "engine.topk.blocks_scanned";
     /// Index blocks the score bound excused from scanning.
-    pub const TOPK_BLOCKS_SKIPPED: &str = crate::series!(engine.topk.blocks_skipped);
+    pub const TOPK_BLOCKS_SKIPPED: &str = "engine.topk.blocks_skipped";
     /// Requests the daemon searched with the striped gapped-extension
     /// kernels (ungapped extension is scalar either way).
-    pub const KERNEL_STRIPED_REQUESTS: &str = crate::series!(engine.kernel.striped_requests);
+    pub const KERNEL_STRIPED_REQUESTS: &str = "engine.kernel.striped_requests";
     /// Requests the daemon searched with the scalar gapped-extension
     /// kernels.
-    pub const KERNEL_SCALAR_REQUESTS: &str = crate::series!(engine.kernel.scalar_requests);
+    pub const KERNEL_SCALAR_REQUESTS: &str = "engine.kernel.scalar_requests";
     /// Process-wide total of gapped halves the striped kernel re-ran
     /// scalar after an i16 saturation guard fired (DESIGN.md §3.8);
     /// a monotone gauge mirroring `align::gapped_rescues()`.
-    pub const KERNEL_GAPPED_RESCUES: &str = crate::series!(engine.kernel.gapped_rescues);
+    pub const KERNEL_GAPPED_RESCUES: &str = "engine.kernel.gapped_rescues";
 }
 
 /// The label values of the `cause` label, in wire order. Matches
@@ -161,10 +151,9 @@ pub const CAUSES: [&str; 3] = ["injected", "deadline", "storage"];
 /// shutdown flushed the queue.
 pub const TRIGGERS: [&str; 4] = ["idle", "aged", "full", "drain"];
 
-/// Declare every exported series against a fresh registry. This function
-/// *is* the metrics schema: `xtask analyze metrics` fingerprints each
-/// `def_*` call (method = kind and bucket geometry, argument = the
-/// dotted name) into `crates/obsv/metrics.schema`.
+/// Declare every exported series against a fresh registry: one `def_*`
+/// call per [`names`] entry, whose method fixes the series' type, label
+/// and bucket layout. The golden exposition test renders the result.
 fn declare_all(r: &Registry) {
     r.def_counter_sharded(names::BATCHER_ACCEPTED);
     r.def_counter_sharded(names::BATCHER_REJECTED);
@@ -286,8 +275,8 @@ fn stripe_id() -> usize {
 
 /// Log2 histogram bucket count (one per power of two of microseconds).
 const LOG2_BUCKETS: usize = 64;
-/// Linear histogram bucket count (sizes 1..=64; larger clamps to the
-/// last bucket).
+/// Linear histogram bucket count (sizes 1..=63, then one bucket for
+/// every size ≥ 64).
 const LINEAR_BUCKETS: usize = 64;
 
 /// Shared histogram cell: bucket counts plus count/sum/max.
@@ -311,8 +300,9 @@ impl HistCell {
 
     /// Record one log2-bucketed microsecond value: 0 µs lands in bucket
     /// 0; otherwise value v lands in bucket floor(log2 v) + 1, i.e.
-    /// bucket i holds [2^(i-1), 2^i). Same math as the service's
-    /// original `LatencyRecorder`.
+    /// bucket i holds [2^(i-1), 2^i), except that the last bucket also
+    /// holds every value ≥ 2^63. Same math as the service's original
+    /// `LatencyRecorder`.
     fn record_us(&self, us: u64) {
         let bucket = (64 - us.leading_zeros()).min(63) as usize;
         stat_add(&self.buckets[bucket], 1);
@@ -526,7 +516,8 @@ impl SizeHistogram {
     }
 
     /// Per-size counts, trimmed of trailing zeros: index i holds the
-    /// count of size i + 1 (the shape the wire stats frame reports).
+    /// count of size i + 1, except that the last index (63) holds every
+    /// size ≥ 64 (the shape the wire stats frame reports).
     pub fn counts(&self) -> Vec<u64> {
         let Some(c) = &self.cell else { return Vec::new() };
         let mut counts = c.bucket_counts();
@@ -614,10 +605,20 @@ impl Registry {
         self.enabled
     }
 
-    // -- declaration (the schema; called from `declare_all` only) ------
+    // -- declaration (called from `declare_all` only) -----------------
+
+    /// Add one series. A name declared twice is a programming error: the
+    /// second declaration would silently drop the first one's cells.
+    fn insert(&self, name: &'static str, series: Series) {
+        let mut m = self.lock();
+        assert!(
+            !m.contains_key(name),
+            "metrics series `{name}` declared twice"
+        );
+        m.insert(name, series);
+    }
 
     fn def(&self, name: &'static str, kind: Kind, label: Option<&'static str>) {
-        let mut m = self.lock();
         let cells = match label {
             None => vec![(String::new(), Cell::for_kind(kind))],
             Some("cause") => {
@@ -633,18 +634,17 @@ impl Registry {
             // Shard labels register dynamically (`*_for_shard`).
             Some(_) => Vec::new(),
         };
-        m.insert(name, Series { kind, label, cells });
+        self.insert(name, Series { kind, label, cells });
     }
 
     /// Declare an unlabeled monotonic counter.
-    pub fn def_counter(&self, name: &'static str) {
+    fn def_counter(&self, name: &'static str) {
         self.def(name, Kind::Counter, None);
     }
 
     /// Declare a contended counter with per-worker striping.
-    pub fn def_counter_sharded(&self, name: &'static str) {
-        let mut m = self.lock();
-        m.insert(
+    fn def_counter_sharded(&self, name: &'static str) {
+        self.insert(
             name,
             Series {
                 kind: Kind::Counter,
@@ -656,49 +656,49 @@ impl Registry {
 
     /// Declare a counter labeled by shard id (cells appear as shards
     /// register).
-    pub fn def_counter_per_shard(&self, name: &'static str) {
+    fn def_counter_per_shard(&self, name: &'static str) {
         self.def(name, Kind::Counter, Some("shard"));
     }
 
     /// Declare a counter labeled by failure cause (one cell per
     /// [`CAUSES`] entry).
-    pub fn def_counter_per_cause(&self, name: &'static str) {
+    fn def_counter_per_cause(&self, name: &'static str) {
         self.def(name, Kind::Counter, Some("cause"));
     }
 
     /// Declare a counter labeled by dispatch trigger (one cell per
     /// [`TRIGGERS`] entry).
-    pub fn def_counter_per_trigger(&self, name: &'static str) {
+    fn def_counter_per_trigger(&self, name: &'static str) {
         self.def(name, Kind::Counter, Some("trigger"));
     }
 
     /// Declare an unlabeled gauge.
-    pub fn def_gauge(&self, name: &'static str) {
+    fn def_gauge(&self, name: &'static str) {
         self.def(name, Kind::Gauge, None);
     }
 
     /// Declare a gauge labeled by shard id.
-    pub fn def_gauge_per_shard(&self, name: &'static str) {
+    fn def_gauge_per_shard(&self, name: &'static str) {
         self.def(name, Kind::Gauge, Some("shard"));
     }
 
     /// Declare an unlabeled log2-µs latency histogram.
-    pub fn def_hist_log2_us(&self, name: &'static str) {
+    fn def_hist_log2_us(&self, name: &'static str) {
         self.def(name, Kind::HistLog2Us, None);
     }
 
     /// Declare a log2-µs histogram labeled by pipeline stage.
-    pub fn def_hist_per_stage(&self, name: &'static str) {
+    fn def_hist_per_stage(&self, name: &'static str) {
         self.def(name, Kind::HistLog2Us, Some("stage"));
     }
 
     /// Declare a log2-µs histogram labeled by shard id.
-    pub fn def_hist_per_shard(&self, name: &'static str) {
+    fn def_hist_per_shard(&self, name: &'static str) {
         self.def(name, Kind::HistLog2Us, Some("shard"));
     }
 
     /// Declare a linear size histogram.
-    pub fn def_hist_linear(&self, name: &'static str) {
+    fn def_hist_linear(&self, name: &'static str) {
         self.def(name, Kind::HistLinear, None);
     }
 
@@ -709,8 +709,9 @@ impl Registry {
             return None;
         }
         let m = self.lock();
-        let s = m.get(name)?;
-        let (_, cell) = s.cells.iter().find(|(v, _)| v == value)?;
+        let s = m.get(name);
+        debug_assert!(s.is_some(), "metrics series `{name}` is not declared");
+        let (_, cell) = s?.cells.iter().find(|(v, _)| v == value)?;
         Some(match cell {
             Cell::Num(c) => CellRef::Num(Arc::clone(c)),
             Cell::Striped(st) => CellRef::Striped(Arc::clone(st)),
@@ -719,14 +720,16 @@ impl Registry {
     }
 
     /// Create-or-find the cell for one shard-label value. Returns `None`
-    /// when the series is unknown, not shard-labeled, or the registry is
-    /// disabled.
+    /// when the series is not shard-labeled or the registry is disabled;
+    /// an undeclared series also fails a debug assertion.
     fn shard_cell(&self, name: &str, shard: usize) -> Option<CellRef> {
         if !self.enabled {
             return None;
         }
         let mut m = self.lock();
-        let s = m.get_mut(name)?;
+        let s = m.get_mut(name);
+        debug_assert!(s.is_some(), "metrics series `{name}` is not declared");
+        let s = s?;
         if s.label != Some("shard") {
             return None;
         }
@@ -901,8 +904,9 @@ impl Registry {
     /// Render the whole registry in Prometheus text exposition format
     /// (version 0.0.4). Dots in series names become underscores;
     /// histograms render cumulative `_bucket{le=...}` rows (µs upper
-    /// edges for log2 series, sizes for linear ones) plus `_sum` and
-    /// `_count`.
+    /// edges for log2 series, sizes for linear ones) up to the last
+    /// non-empty finite bucket, then `le="+Inf"`, `_sum` and `_count`.
+    /// Each layout's top bucket is open-ended, so it has no finite row.
     pub fn render_prometheus(&self) -> String {
         let m = self.lock();
         let mut out = String::new();
@@ -931,10 +935,13 @@ impl Registry {
                             (Some(l), v) => format!("{l}=\"{v}\","),
                             (None, _) => String::new(),
                         };
+                        // The last bucket is open-ended (it takes every
+                        // clamped sample), so only `+Inf` may count it.
                         let counts = h.bucket_counts();
-                        let last = counts.iter().rposition(|&n| n > 0);
+                        let finite = &counts[..counts.len() - 1];
+                        let last = finite.iter().rposition(|&n| n > 0);
                         let mut cum = 0u64;
-                        for (i, &n) in counts.iter().enumerate() {
+                        for (i, &n) in finite.iter().enumerate() {
                             if Some(i) > last {
                                 break;
                             }
@@ -1120,6 +1127,45 @@ mod tests {
         // Oversized batches clamp into the last bucket.
         h.record(LINEAR_BUCKETS + 100);
         assert_eq!(h.counts().len(), LINEAR_BUCKETS);
+    }
+
+    #[test]
+    fn top_buckets_count_only_under_inf() {
+        let r = Registry::new(true);
+        let sizes = r.size_hist(names::BATCH_SIZE);
+        sizes.record(2);
+        sizes.record(100); // clamped into the open-ended last bucket
+        let h = r.hist(names::LATENCY_TOTAL);
+        h.record_us(3);
+        h.record_us(u64::MAX);
+        let text = r.render_prometheus();
+        for flat in ["serve_batch_size", "serve_latency_total"] {
+            let rows: Vec<(&str, u64)> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix(flat)?.strip_prefix("_bucket{le=\""))
+                .filter_map(|l| {
+                    let (le, n) = l.split_once("\"} ")?;
+                    Some((le, n.parse().ok()?))
+                })
+                .collect();
+            assert!(rows.contains(&("+Inf", 2)), "{flat}: {rows:?}");
+            for (le, n) in rows.iter().filter(|(le, _)| *le != "+Inf") {
+                assert!(*n <= 1, "{flat}: le=\"{le}\" counts a sample above it");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "declared twice")]
+    fn a_second_declaration_panics() {
+        Registry::new(true).def_counter(names::BATCHER_EXPIRED);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not declared")]
+    fn resolving_an_undeclared_name_panics_in_debug() {
+        let _ = Registry::new(true).counter("serve.batcher.expird");
     }
 
     #[test]

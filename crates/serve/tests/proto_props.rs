@@ -9,6 +9,7 @@
 //!   must always be "typed error (or valid frame) out", never a crash.
 
 use engine::{Alignment, QueryResult, StageCounts};
+use faultfn::golden::{check, check_or_bless};
 use faultfn::Rng;
 use serve::proto::{
     decode_frame, encode_frame, Degraded, ErrorCode, Frame, LatencySummary, ParamOverrides,
@@ -518,37 +519,15 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
     ]
 }
 
-/// Compare `bytes` with the committed fixture at `path`. Under bless a
-/// missing fixture is written; an existing one is never rewritten, because
-/// frames already sent carry its bytes — a layout change needs a new
-/// version, which names new files.
-fn check_or_bless(path: &std::path::Path, bytes: &[u8], bless: bool) -> Result<(), String> {
-    match std::fs::read(path) {
-        Ok(committed) if committed == bytes => Ok(()),
-        Ok(_) => Err(format!(
-            "{}: layout changed: bump PROTO_VERSION",
-            path.display()
-        )),
-        Err(e) if bless && e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
-        }
-        Err(e) => Err(format!(
-            "{}: {e} (write it with PROTO_BLESS=1)",
-            path.display()
-        )),
-    }
-}
-
 /// The committed fixture bytes match today's encoder and decode back to
 /// the frames they were written from.
 #[test]
 fn golden_fixtures_pin_the_wire_bytes() {
     let dir = fixtures_dir();
-    let bless = std::env::var_os("PROTO_BLESS").is_some();
     for (name, frame) in golden_frames() {
         let bytes = encode_frame(&frame);
         let path = dir.join(format!("{name}.v{PROTO_VERSION}.bin"));
-        if let Err(e) = check_or_bless(&path, &bytes, bless) {
+        if let Err(e) = check_or_bless(&path, &bytes, "PROTO_BLESS", "PROTO_VERSION") {
             panic!("{name}: {e}");
         }
         assert_eq!(
@@ -565,7 +544,7 @@ fn bless_refuses_to_rewrite_a_differing_fixture() {
     std::fs::create_dir_all(&dir).unwrap();
     let shipped = dir.join("frame.bin");
     std::fs::write(&shipped, [1u8, 2, 3]).unwrap();
-    let err = check_or_bless(&shipped, &[1, 2, 4], true).unwrap_err();
+    let err = check(&shipped, &[1, 2, 4], true, "PROTO_BLESS", "PROTO_VERSION").unwrap_err();
     assert!(err.contains("bump PROTO_VERSION"), "{err}");
     assert_eq!(
         std::fs::read(&shipped).unwrap(),
@@ -575,11 +554,11 @@ fn bless_refuses_to_rewrite_a_differing_fixture() {
 
     let fresh = dir.join("new.bin");
     assert!(
-        check_or_bless(&fresh, &[9], false).is_err(),
+        check(&fresh, &[9], false, "PROTO_BLESS", "PROTO_VERSION").is_err(),
         "a missing fixture fails without bless"
     );
-    check_or_bless(&fresh, &[9], true).unwrap();
-    check_or_bless(&fresh, &[9], false).unwrap();
+    check(&fresh, &[9], true, "PROTO_BLESS", "PROTO_VERSION").unwrap();
+    check(&fresh, &[9], false, "PROTO_BLESS", "PROTO_VERSION").unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,26 +1,23 @@
 //! The multi-pass static analysis suite (`xtask analyze`).
 //!
-//! Four passes run over a shared parse of the workspace:
+//! Two passes run over a shared parse of the workspace:
 //!
 //! * [`locks`] — lock-order / deadlock: every `Mutex`/`RwLock`/`Condvar`
 //!   acquisition site, the lock-acquisition graph, cycles, and locks held
 //!   across channel sends or `Faults::fire` points.
 //! * [`panics`] — interprocedural may-panic propagation from the serving
 //!   entry points, reported with full call chains.
-//! * [`metrics`] — the exported-metrics surface ratchet over
-//!   `obsv/src/metrics.rs` and `crates/obsv/metrics.schema`.
-//! * [`kernels`] — striped/scalar kernel signature parity over the
-//!   `align` crate (every `_striped` entry point shadows its scalar
-//!   oracle with a matching shape).
+//!
+//! The wire codec, the block store and the metrics exposition have no
+//! pass: each is pinned by golden bytes its own crate's tests compare
+//! (DESIGN.md §5.1).
 //!
 //! All passes reuse the lint engine's suppression machinery: inline
 //! `// lint: allow(<rule>)` annotations and the `lint.allow` budget file.
 //! Soundness caveats of the underlying approximate call graph are
 //! documented in DESIGN.md §"Static analysis architecture".
 
-pub(crate) mod kernels;
 pub(crate) mod locks;
-pub(crate) mod metrics;
 pub(crate) mod panics;
 
 use crate::lexer::{lex, Lexed};

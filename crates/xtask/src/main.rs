@@ -9,8 +9,7 @@
 //! cargo run -p xtask -- lint                  # lint the workspace (CI gate)
 //! cargo run -p xtask -- lint FILE...          # lint specific files, all rules
 //! cargo run -p xtask -- lint --update-allow   # ratchet lint.allow down to reality
-//! cargo run -p xtask -- analyze               # lock-order, panic-reach, metrics ratchet, kernels
-//! cargo run -p xtask -- analyze --bless-metrics # (re)pin crates/obsv/metrics.schema
+//! cargo run -p xtask -- analyze               # lock-order and panic-reach passes
 //! cargo run -p xtask -- fixtures              # self-test: every fixture must fail
 //! cargo run -p xtask -- rules                 # list the rules and their rationale
 //! ```
@@ -42,8 +41,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: xtask <lint [--json FILE] [--update-allow] [FILE...] \
-                 | analyze [--json FILE] [--bless-metrics] \
-                 [--strict-panics] | fixtures | rules>"
+                 | analyze [--json FILE] [--strict-panics] | fixtures | rules>"
             );
             ExitCode::from(2)
         }
@@ -59,9 +57,6 @@ fn cmd_rules() -> ExitCode {
         (analyze::locks::RULE_SEND, "no channel send while holding a lock"),
         (analyze::locks::RULE_FIRE, "no Faults::fire point while holding a lock"),
         (analyze::panics::RULE, "no panic site reachable from a serving entry point"),
-        (analyze::metrics::RULE_DECL, "every named metrics series is declared exactly once"),
-        (analyze::metrics::RULE_DRIFT, "exported series match the pinned metrics.schema"),
-        (analyze::kernels::RULE, "striped kernels shadow their scalar oracles, same shape"),
     ] {
         println!("{name:<18} {desc}");
     }
@@ -72,7 +67,6 @@ fn cmd_rules() -> ExitCode {
 struct Opts {
     json: Option<PathBuf>,
     update_allow: bool,
-    bless_metrics: bool,
     strict_panics: bool,
     paths: Vec<String>,
 }
@@ -81,7 +75,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         json: None,
         update_allow: false,
-        bless_metrics: false,
         strict_panics: false,
         paths: Vec::new(),
     };
@@ -93,7 +86,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.json = Some(PathBuf::from(v));
             }
             "--update-allow" => o.update_allow = true,
-            "--bless-metrics" => o.bless_metrics = true,
             "--strict-panics" => o.strict_panics = true,
             f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
             p => o.paths.push(p.to_string()),
@@ -172,9 +164,8 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     report("lint", kept, notes, opts.json.as_deref())
 }
 
-/// The multi-pass static analysis suite: lock-order/deadlock,
-/// panic-freedom reachability, the exported-metrics ratchet, and
-/// striped/scalar kernel parity.
+/// The multi-pass static analysis suite: lock-order/deadlock and
+/// panic-freedom reachability.
 fn cmd_analyze(args: &[String]) -> ExitCode {
     let opts = match parse_opts(args) {
         Ok(o) => o,
@@ -199,49 +190,15 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         }
     }
     let units = analyze::build_units(&files);
-    let metrics_schema_path = root.join("crates/obsv/metrics.schema");
-    let old_metrics_schema = std::fs::read_to_string(&metrics_schema_path).ok();
-
-    if opts.bless_metrics {
-        match analyze::metrics::bless(&units, old_metrics_schema.as_deref()) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&metrics_schema_path, &text) {
-                    eprintln!("xtask: cannot write {}: {e}", metrics_schema_path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("xtask analyze: pinned {}", metrics_schema_path.display());
-                return ExitCode::SUCCESS;
-            }
-            Err(findings) => {
-                return report("analyze", findings, Vec::new(), opts.json.as_deref())
-            }
-        }
-    }
-
     let index = analyze::build_index(&units);
-    let mut findings = analyze::locks::check(&units, &index);
-    findings.extend(analyze::panics::check(
-        &units,
-        &index,
-        &analyze::panics::Options { strict: opts.strict_panics },
-    ));
-    match &old_metrics_schema {
-        Some(schema) => findings.extend(analyze::metrics::check(&units, Some(schema))),
-        None => {
-            let mut f = analyze::metrics::check(&units, None);
-            f.push(rules::Finding::new(
-                analyze::metrics::RULE_DRIFT,
-                "crates/obsv/metrics.schema",
-                0,
-                "missing — run `xtask analyze --bless-metrics` to pin the metrics surface"
-                    .to_string(),
-            ));
-            findings.extend(f);
-        }
-    }
-    findings.extend(analyze::kernels::check(&units));
-    eprintln!("xtask analyze: {} files, 4 passes", files.len());
-    report("analyze", findings, Vec::new(), opts.json.as_deref())
+    let per_pass = [
+        analyze::locks::check(&units, &index),
+        analyze::panics::check(&units, &index, &analyze::panics::Options {
+            strict: opts.strict_panics,
+        }),
+    ];
+    eprintln!("xtask analyze: {} files, {} passes", files.len(), per_pass.len());
+    report("analyze", per_pass.concat(), Vec::new(), opts.json.as_deref())
 }
 
 fn report(
@@ -277,16 +234,12 @@ enum FixtureKind {
     Lint,
     Locks,
     Panics,
-    Metrics,
-    Kernels,
 }
 
 fn fixture_kind(stem: &str) -> FixtureKind {
     match stem {
         s if s.starts_with("lock_") => FixtureKind::Locks,
         s if s.starts_with("panic_reach") => FixtureKind::Panics,
-        s if s.starts_with("metrics_") => FixtureKind::Metrics,
-        s if s.starts_with("kernel_parity") => FixtureKind::Kernels,
         _ => FixtureKind::Lint,
     }
 }
@@ -341,14 +294,6 @@ fn cmd_fixtures() -> ExitCode {
                 analyze::panics::check(&units, &index, &analyze::panics::Options {
                     strict: false,
                 })
-            }
-            FixtureKind::Metrics => {
-                let units = analyze::build_units(&[(rel.clone(), src)]);
-                analyze::metrics::check(&units, None)
-            }
-            FixtureKind::Kernels => {
-                let units = analyze::build_units(&[(rel.clone(), src)]);
-                analyze::kernels::check(&units)
             }
         };
         let hits = findings.iter().filter(|f| f.rule == expected).count();
