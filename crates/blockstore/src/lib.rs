@@ -46,7 +46,7 @@ pub use stream::{
 mod tests {
     use super::*;
     use bioseq::{Sequence, SequenceDb};
-    use dbindex::{DbIndex, IndexConfig};
+    use dbindex::{DbIndex, IndexConfig, SerialError};
     use engine::{search_batch, BlockSource, EngineKind, QueryResult, SearchConfig};
     use scoring::{NeighborTable, SearchParams, BLOSUM62};
     use std::sync::{Arc, OnceLock};
@@ -236,6 +236,49 @@ mod tests {
             let err = search(&db, &store, &queries, &cfg)
                 .expect_err("injected fault must fail the search");
             assert!(matches!(err, StoreError::Format(_)), "{site}: {err}");
+        }
+    }
+
+    /// A directory row whose CRC no longer matches its record — what a
+    /// stale record of equal length under a rewritten directory looks
+    /// like — opens (the directory is sealed) but fails that block's
+    /// fetch typed; every other block fetches as before.
+    #[test]
+    fn record_must_match_its_directory_row() {
+        let db = toy_db();
+        let index = DbIndex::build(&db, &index_config());
+        let mut bytes = dbindex::write_store(&index);
+        // Footer tail: n_blocks u32 | dir_len u32 | dir_crc u32 | magic;
+        // a row's `crc` follows `offset u64 | len u32`; the directory CRC
+        // covers the 32-byte header and the rows.
+        let tail = bytes.len() - 16;
+        let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let n_blocks = u32_at(&bytes, tail) as usize;
+        let dir_len = u32_at(&bytes, tail + 4) as usize;
+        let dir = tail - dir_len;
+        let victim = n_blocks / 2;
+        bytes[dir + victim * (dir_len / n_blocks) + 12] ^= 1;
+        let mut crc = dbindex::crc::Crc32::new();
+        crc.update(&bytes[..32]);
+        crc.update(&bytes[dir..tail]);
+        bytes[tail + 8..tail + 12].copy_from_slice(&crc.finalize().to_le_bytes());
+
+        let cache = Arc::new(BlockCache::new(u64::MAX));
+        let store =
+            SequenceStore::open(std::io::Cursor::new(bytes), cache, faultfn::Faults::none())
+                .expect("a re-sealed directory opens");
+        let err = search(&db, &store, &queries(&db), &search_config())
+            .expect_err("a search needing the mismatched block must fail");
+        assert!(
+            matches!(err, StoreError::Format(SerialError::Corrupt)),
+            "{err}"
+        );
+        for (i, want) in index.blocks().iter().enumerate() {
+            match store.block(i) {
+                Ok(got) if i != victim => assert_eq!(&*got, want, "block {i}"),
+                Err(StoreError::Format(SerialError::Corrupt)) if i == victim => {}
+                other => panic!("block {i}: {:?}", other.map(|_| ())),
+            }
         }
     }
 

@@ -119,10 +119,15 @@ impl<R: Read + Seek> SequenceStore<R> {
 
     /// Fetch block `i`, from cache when resident, else by seek + read +
     /// decode + insert. A record is fixed-width arrays, so a miss costs
-    /// the read, one CRC pass over the record and a bounds-checked copy
-    /// into the block's vectors. Injected faults surface exactly like
-    /// real ones: a short read or bit flip becomes a typed decode error,
-    /// latency only delays.
+    /// the read, one CRC pass over the record (four lanes at once, see
+    /// `dbindex::crc`) and a bounds-checked copy into the block's vectors.
+    /// A record that decodes must also be the one directory row `i`
+    /// describes — its trailer CRC, fragment, residue and posting counts
+    /// — or the fetch is [`SerialError::Corrupt`]: a stale record of the
+    /// same length, left by an in-place rebuild, is sound on its own but
+    /// is another block. Injected faults surface exactly like real ones: a
+    /// short read or bit flip becomes a typed decode error, latency only
+    /// delays.
     pub fn block(&self, i: usize) -> Result<Arc<IndexBlock>, StoreError> {
         let meta = *self.dir.blocks.get(i).ok_or(StoreError::Format(SerialError::Truncated))?;
         // lint: allow(lossy-cast): directory rows are u32-indexed by
@@ -161,6 +166,14 @@ impl<R: Read + Seek> SequenceStore<R> {
         let t0 = Instant::now();
         let decoded = dbindex::decode_block(&buf, self.dir.config.offset_bits)?;
         let decode_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let trailer_crc = buf.last_chunk::<4>().map(|t| u32::from_le_bytes(*t));
+        if trailer_crc != Some(meta.crc)
+            || decoded.n_seqs() as u64 != u64::from(meta.n_seqs)
+            || decoded.total_residues() as u64 != meta.residues
+            || decoded.total_positions() as u64 != meta.n_entries
+        {
+            return Err(StoreError::Format(SerialError::Corrupt));
+        }
         self.cache
             .counters()
             .record_fetch(fetched, decode_ns, decoded.total_positions() as u64);
