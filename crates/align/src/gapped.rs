@@ -155,7 +155,10 @@ pub fn xdrop_half(
 /// The left half covers `q[..=seed_q]` / `s[..=seed_s]` (anchored at the
 /// seed pair, growing leftward); the right half covers the suffixes after
 /// the seed. Coordinates in the result are for the original sequences.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "sequences, seed, scoring and x-drop are independent kernel inputs"
+)]
 pub fn gapped_extend_score(
     matrix: &Matrix,
     query: &[u8],
@@ -178,7 +181,10 @@ pub fn gapped_extend_score(
 /// rectangle with a full direction-recording DP and stitches the operation
 /// lists. The final x-drop (`xdrop`) is typically larger than the
 /// preliminary one (NCBI: 25 bits vs 15 bits).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "sequences, seed, scoring and x-drop are independent kernel inputs"
+)]
 pub fn gapped_extend_traceback(
     matrix: &Matrix,
     query: &[u8],
@@ -207,7 +213,10 @@ pub(crate) fn reversed_through(seq: &[u8], last: u32) -> Vec<u8> {
 /// [`GappedExtender`]: two anchored half-extensions by `half`, plus — with
 /// `with_ops` — the rectangle realignment of each half. `rev_q` is
 /// `query[..=seed_q]` reversed.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "sequences, seed, scoring and x-drop are independent kernel inputs"
+)]
 pub(crate) fn extend_seeded(
     half: HalfFn,
     matrix: &Matrix,

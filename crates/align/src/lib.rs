@@ -27,6 +27,13 @@
 //! bit-identical and lets the benchmarks attribute performance differences
 //! purely to indexing and scheduling (paper Sec. V-E).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod assembly;
 pub mod gapped;
 pub mod pretty;

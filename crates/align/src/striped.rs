@@ -561,7 +561,10 @@ pub fn xdrop_half_striped(
 
 /// Striped twin of [`crate::gapped::gapped_extend_score`]: seeded gapped
 /// extension, score only, bit-identical coordinates and score.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the scalar kernel's signature argument for argument"
+)]
 pub fn gapped_extend_score_striped(
     matrix: &Matrix,
     query: &[u8],
@@ -592,7 +595,10 @@ pub fn gapped_extend_score_striped(
 /// half-extensions run striped; the rectangle realignment (which is
 /// already sequential and runs only for reported alignments) is shared
 /// with the scalar kernel, so the op list is identical by construction.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the scalar kernel's signature argument for argument"
+)]
 pub fn gapped_extend_traceback_striped(
     matrix: &Matrix,
     query: &[u8],

@@ -48,7 +48,10 @@ pub struct TwoHitOutcome {
 ///
 /// # Panics
 /// Debug-asserts that the word at `(q2, s2)` lies inside both sequences.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "sequences, both hit positions, scoring and x-drop are independent kernel inputs"
+)]
 pub fn extend_two_hit<T: Tracer>(
     matrix: &Matrix,
     query: &[u8],

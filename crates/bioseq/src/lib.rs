@@ -13,6 +13,13 @@
 //! All residues are stored *encoded* (`0..24`); encoding happens exactly once
 //! at parse time so the hot search kernels never touch ASCII.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod alphabet;
 pub mod complexity;
 pub mod db;

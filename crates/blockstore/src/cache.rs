@@ -105,7 +105,7 @@ impl CounterSnapshot {
         if total == 0 {
             1.0
         } else {
-            // lint: allow(lossy-cast): statistics; precision loss above
+            // Statistics; precision loss above
             // 2^52 lookups is irrelevant to a hit rate.
             self.hits as f64 / total as f64
         }
@@ -117,7 +117,7 @@ impl CounterSnapshot {
         if self.decoded_postings == 0 {
             0.0
         } else {
-            // lint: allow(lossy-cast): statistics, same as above.
+            // Statistics, same as above.
             self.decode_ns as f64 / self.decoded_postings as f64
         }
     }

@@ -33,6 +33,13 @@
 //! does, which the chaos battery uses to pin the contract: searches
 //! either succeed bit-identically or report exact degraded coverage.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod cache;
 pub mod stream;
 

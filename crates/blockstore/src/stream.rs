@@ -130,7 +130,7 @@ impl<R: Read + Seek> SequenceStore<R> {
     /// delays.
     pub fn block(&self, i: usize) -> Result<Arc<IndexBlock>, StoreError> {
         let meta = *self.dir.blocks.get(i).ok_or(StoreError::Format(SerialError::Truncated))?;
-        // lint: allow(lossy-cast): directory rows are u32-indexed by
+        // Directory rows are u32-indexed by
         // construction (the tail stores n_blocks as u32).
         let block_id = i as u32;
         if let Some(b) = self.cache.get(self.store_id, block_id) {
@@ -201,7 +201,7 @@ impl<R: Read + Seek> BlockSource for SequenceStore<R> {
     }
 
     fn resident(&self, i: usize) -> bool {
-        // lint: allow(lossy-cast): directory rows are u32-indexed by
+        // Directory rows are u32-indexed by
         // construction (the tail stores n_blocks as u32).
         self.cache.contains(self.store_id, i as u32)
     }
@@ -292,9 +292,7 @@ impl StreamingShards<std::fs::File> {
             for &gid in plan.members(s) {
                 // Plans are index-addressed; `gid` fits SequenceId
                 // because it addresses an existing db sequence.
-                // lint: allow(lossy-cast): see above.
                 ids.push(gid as SequenceId);
-                // lint: allow(lossy-cast): see above.
                 local.push(db.get(gid as SequenceId).clone());
             }
             let path = dir.join(format!("shard{s}.mubp"));

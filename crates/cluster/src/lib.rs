@@ -16,6 +16,13 @@
 //! fragment imbalance and lack of multithreading vs muBLASTP's balanced
 //! partitions and one batched merge.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod model;
 pub mod sim;
 

@@ -22,6 +22,13 @@
 //!
 //! Everything is deterministic given the seed.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use bioseq::{Sequence, SequenceDb};
 use faultfn::Rng;
 use scoring::karlin::ROBINSON_FREQS;

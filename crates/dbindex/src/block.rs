@@ -163,9 +163,10 @@ impl IndexBlock {
         for (local, s) in seqs.iter().enumerate() {
             let frag = &residues[s.start as usize..(s.start + s.len) as usize];
             for (p, w) in WordIter::new(frag) {
-                // lint: allow(lossy-cast): `local < max_seqs_per_block() =
-                // 2^(32-offset_bits)` — asserted in `finish_block` (Sec. III
-                // local-offset packing).
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`local < max_seqs_per_block() = 2^(32-offset_bits)` — asserted in `finish_block` (Sec. III local-offset packing)"
+                )]
                 let e = ((local as u32) << offset_bits) | p;
                 entries[cursor[w as usize] as usize] = e;
                 cursor[w as usize] += 1;
@@ -221,14 +222,17 @@ impl DbIndex {
         let mut frags: Vec<(SequenceId, u32, u32)> = Vec::with_capacity(db.len());
         for (id, seq) in db.iter() {
             if seq.len() <= max_len {
-                // lint: allow(lossy-cast): `seq.len() <= max_seq_len() <
-                // 2^offset_bits ≤ 2^31` on this branch.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`seq.len() <= max_seq_len() < 2^offset_bits ≤ 2^31` on this branch"
+                )]
                 frags.push((id, 0, seq.len() as u32));
             } else {
                 for f in split_long(seq.len(), max_len, config.frag_overlap) {
-                    // lint: allow(lossy-cast): `split_long` caps fragment
-                    // offset and length at the original sequence length,
-                    // itself bounded by the u32 residue space of `SequenceDb`.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "`split_long` caps fragment offset and length at the original sequence length, itself bounded by the u32 residue space of `SequenceDb`"
+                    )]
                     frags.push((id, f.offset as u32, f.len as u32));
                 }
             }
@@ -267,9 +271,10 @@ impl DbIndex {
         let mut residues = Vec::with_capacity(total);
         let mut seqs = Vec::with_capacity(frags.len());
         for &(gid, off, len) in frags {
-            // lint: allow(lossy-cast): fragment starts fit u32 — a block holds
-            // `residues_per_block()` residues plus one fragment of at most
-            // `max_seq_len() < 2^offset_bits ≤ 2^31` residues.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "fragment starts fit u32 — a block holds `residues_per_block()` residues plus one fragment of at most `max_seq_len() < 2^offset_bits ≤ 2^31` residues"
+            )]
             let start = residues.len() as u32;
             let src = db.get(gid).residues();
             residues.extend_from_slice(&src[off as usize..(off + len) as usize]);
@@ -289,14 +294,17 @@ impl DbIndex {
         let mut frags: Vec<(SequenceId, u32, u32)> = Vec::with_capacity(db.len());
         for (id, seq) in db.iter() {
             if seq.len() <= max_len {
-                // lint: allow(lossy-cast): `seq.len() <= max_seq_len() <
-                // 2^offset_bits ≤ 2^31` on this branch.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`seq.len() <= max_seq_len() < 2^offset_bits ≤ 2^31` on this branch"
+                )]
                 frags.push((id, 0, seq.len() as u32));
             } else {
                 for f in split_long(seq.len(), max_len, config.frag_overlap) {
-                    // lint: allow(lossy-cast): `split_long` caps fragment
-                    // offset and length at the original sequence length,
-                    // itself bounded by the u32 residue space of `SequenceDb`.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "`split_long` caps fragment offset and length at the original sequence length, itself bounded by the u32 residue space of `SequenceDb`"
+                    )]
                     frags.push((id, f.offset as u32, f.len as u32));
                 }
             }
@@ -351,14 +359,17 @@ impl DbIndex {
         for id in new_ids {
             let seq = db.get(id);
             if seq.len() <= max_len {
-                // lint: allow(lossy-cast): `seq.len() <= max_seq_len() <
-                // 2^offset_bits ≤ 2^31` on this branch.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`seq.len() <= max_seq_len() < 2^offset_bits ≤ 2^31` on this branch"
+                )]
                 frags.push((id, 0, seq.len() as u32));
             } else {
                 for f in split_long(seq.len(), max_len, config.frag_overlap) {
-                    // lint: allow(lossy-cast): `split_long` caps fragment
-                    // offset and length at the original sequence length,
-                    // itself bounded by the u32 residue space of `SequenceDb`.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "`split_long` caps fragment offset and length at the original sequence length, itself bounded by the u32 residue space of `SequenceDb`"
+                    )]
                     frags.push((id, f.offset as u32, f.len as u32));
                 }
             }
@@ -416,6 +427,10 @@ impl DbIndex {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data is sized far below u32"
+)]
 mod tests {
     use super::*;
     use bioseq::Sequence;

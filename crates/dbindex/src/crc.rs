@@ -67,7 +67,10 @@ const fn make_tables() -> [[u32; 256]; SLICES] {
     let mut tables = [[0u32; 256]; SLICES];
     let mut i: usize = 0;
     while i < 256 {
-        // lint: allow(lossy-cast): i < 256 fits in any integer width.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i < 256 fits in any integer width"
+        )]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {

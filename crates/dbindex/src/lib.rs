@@ -28,6 +28,19 @@
 //! resident or streamed block by block; [`serial`] holds its error type
 //! and the daemon's resilient loader.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+#![deny(missing_docs)]
+
 pub mod block;
 pub mod config;
 pub mod crc;

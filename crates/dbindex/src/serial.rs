@@ -87,6 +87,10 @@ where
     for attempt in 0..=retries {
         let Ok(mut bytes) = read() else { continue };
         if faults.fire(FAULT_LOAD) && !bytes.is_empty() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a fault-injection draw: any bits of it pick a byte"
+            )]
             let pos = faults.rand(FAULT_LOAD, u64::from(attempt)) as usize % bytes.len();
             bytes[pos] ^= 0x40;
         }

@@ -200,9 +200,11 @@ impl ShardedIndex {
             |(), s| {
                 let mut ids: Vec<SequenceId> = Vec::with_capacity(plan.members(s).len());
                 let mut local = SequenceDb::new();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "plans are index-addressed: `gid` addresses an existing db sequence, so it fits SequenceId"
+                )]
                 for &gid in plan.members(s) {
-                    // Plans are index-addressed; `gid` fits SequenceId
-                    // because it addresses an existing db sequence.
                     let seq = db.get(gid as SequenceId);
                     ids.push(gid as SequenceId);
                     local.push(seq.clone());
@@ -248,6 +250,10 @@ impl ShardedIndex {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data is sized far below u32"
+)]
 mod tests {
     use super::*;
     use bioseq::Sequence;

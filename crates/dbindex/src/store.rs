@@ -130,9 +130,10 @@ pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         4 + seqs.len() * 16 + 8 + residues.len() + 2 * 8 + (offsets.len() + entries.len()) * 4 + 4,
     );
-    // lint: allow(lossy-cast): a block holds at most
-    // `max_seqs_per_block() = 2^(32-offset_bits)` fragments (asserted at
-    // build time in `DbIndex::finish_block`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a block holds at most `max_seqs_per_block() = 2^(32-offset_bits)` fragments (asserted at build time in `DbIndex::finish_block`)"
+    )]
     put_u32(&mut out, seqs.len() as u32);
     for s in seqs {
         put_u32(&mut out, s.global_id);
@@ -245,8 +246,10 @@ impl BlockBound {
         let max_frag = (1u32 << block.offset_bits()) - 1;
         let mut bound = BlockBound::default();
         for local in 0..block.n_seqs() {
-            // lint: allow(lossy-cast): local ids are bounded by
-            // `max_seqs_per_block() ≤ 2^(32-offset_bits)`.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "local ids are bounded by `max_seqs_per_block() ≤ 2^(32-offset_bits)`"
+            )]
             let local = local as u32;
             let s = block.seq(local);
             bound.max_len = bound.max_len.max(s.frag_offset + s.len);
@@ -329,8 +332,10 @@ fn header_bytes(config: &IndexConfig, n_blocks: usize) -> Vec<u8> {
     put_u64(&mut header, config.block_bytes as u64);
     put_u32(&mut header, config.offset_bits);
     put_u64(&mut header, config.frag_overlap as u64);
-    // lint: allow(lossy-cast): the header's block-count field is u32; a
-    // store needing more is unaddressable.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the header's block-count field is u32; a store needing more is unaddressable"
+    )]
     put_u32(&mut header, n_blocks as u32);
     header
 }
@@ -373,12 +378,16 @@ impl<W: Write + Seek> StoreWriter<W> {
             .unwrap_or((0, 0));
         self.dir.push(StoreBlockMeta {
             offset: self.pos,
-            // lint: allow(lossy-cast): one record serializes one block,
-            // itself bounded far below u32 bytes by the block budget.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "one record serializes one block, itself bounded far below u32 bytes by the block budget"
+            )]
             len: record.len() as u32,
             crc,
-            // lint: allow(lossy-cast): fragment count per block is bounded
-            // by `max_seqs_per_block()` (asserted at build time).
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "fragment count per block is bounded by `max_seqs_per_block()` (asserted at build time)"
+            )]
             n_seqs: block.n_seqs() as u32,
             first_seq,
             last_seq,
@@ -419,17 +428,25 @@ impl<W: Write + Seek> StoreWriter<W> {
         crc.update(&header);
         crc.update(&dir_bytes);
         let mut tail = Vec::with_capacity(TAIL_LEN);
-        // lint: allow(lossy-cast): same u32 block-count bound as the
-        // header; a directory needing more is unaddressable.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "same u32 block-count bound as the header; a directory needing more is unaddressable"
+        )]
         put_u32(&mut tail, self.dir.len() as u32);
-        // lint: allow(lossy-cast): see above — DIR_ROW × u32 rows fits.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "DIR_ROW bytes per u32-counted row fits u32"
+        )]
         put_u32(&mut tail, dir_bytes.len() as u32);
         put_u32(&mut tail, crc.finalize());
         tail.extend_from_slice(FOOTER_MAGIC);
         self.w.write_all(&dir_bytes)?;
         self.w.write_all(&tail)?;
         self.w.seek(SeekFrom::Start(N_BLOCKS_OFFSET))?;
-        // lint: allow(lossy-cast): same u32 block-count bound as above.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "same u32 block-count bound as above"
+        )]
         self.w.write_all(&(self.dir.len() as u32).to_le_bytes())?;
         self.w.seek(SeekFrom::End(0))?;
         Ok((self.w, StoreDirectory { config: self.config, blocks: self.dir }))
@@ -440,13 +457,14 @@ impl<W: Write + Seek> StoreWriter<W> {
 /// [`StoreWriter`] for resident indexes; the streamed and one-shot paths
 /// produce identical bytes).
 pub fn write_store(index: &DbIndex) -> Vec<u8> {
+    #[expect(clippy::expect_used, reason = "Vec sink is infallible")]
     let mut writer = StoreWriter::new(std::io::Cursor::new(Vec::new()), index.config())
-        .expect("in-memory writes cannot fail"); // lint: allow(no-unwrap): Vec sink is infallible
+        .expect("in-memory writes cannot fail");
     for block in index.blocks() {
-        // lint: allow(no-unwrap): Vec sink is infallible.
+        #[expect(clippy::expect_used, reason = "Vec sink is infallible")]
         writer.push(block).expect("in-memory writes cannot fail");
     }
-    // lint: allow(no-unwrap): Vec sink is infallible.
+    #[expect(clippy::expect_used, reason = "Vec sink is infallible")]
     let (cursor, _) = writer.finish().expect("in-memory writes cannot fail");
     cursor.into_inner()
 }
@@ -460,6 +478,10 @@ fn parse_header(data: &mut &[u8]) -> Result<(IndexConfig, usize), SerialError> {
     if version != STORE_VERSION {
         return Err(SerialError::BadVersion(version));
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "stores are written and read on 64-bit targets, where u64 fits usize"
+    )]
     let config = IndexConfig {
         block_bytes: get_u64(data)? as usize,
         offset_bits: get_u32(data)?,
@@ -487,6 +509,7 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
     if file_len < (HEADER_LEN + TAIL_LEN) as u64 {
         return Err(SerialError::Truncated);
     }
+    #[expect(clippy::cast_possible_wrap, reason = "TAIL_LEN is a small constant")]
     r.seek(SeekFrom::End(-(TAIL_LEN as i64))).map_err(io)?;
     let mut tail = [0u8; TAIL_LEN];
     r.read_exact(&mut tail).map_err(io)?;
@@ -500,6 +523,10 @@ pub fn read_directory<R: Read + Seek>(r: &mut R) -> Result<StoreDirectory, Seria
     if dir_len != n_blocks * DIR_ROW || (dir_len + TAIL_LEN + HEADER_LEN) as u64 > file_len {
         return Err(SerialError::Truncated);
     }
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "TAIL_LEN + dir_len is at most file_len, a u64 file size, checked above"
+    )]
     r.seek(SeekFrom::End(-((TAIL_LEN + dir_len) as i64))).map_err(io)?;
     let mut dir_bytes = vec![0u8; dir_len];
     r.read_exact(&mut dir_bytes).map_err(io)?;
@@ -552,6 +579,10 @@ pub fn read_store(data: &[u8]) -> Result<DbIndex, SerialError> {
     let dir = read_directory(&mut r)?;
     let mut blocks = Vec::with_capacity(dir.blocks.len());
     for m in &dir.blocks {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "read_directory keeps every extent inside data.len(), a usize"
+        )]
         let start = m.offset as usize;
         let end = start + m.len as usize;
         let record = data.get(start..end).ok_or(SerialError::Truncated)?;
@@ -561,6 +592,10 @@ pub fn read_store(data: &[u8]) -> Result<DbIndex, SerialError> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data is sized far below u32"
+)]
 mod tests {
     use super::*;
     use bioseq::{Sequence, SequenceDb};

@@ -38,7 +38,9 @@ pub enum EngineKind {
 /// Batch search configuration.
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
+    /// Which engine runs the batch.
     pub kind: EngineKind,
+    /// Scoring, seeding and extension parameters.
     pub params: SearchParams,
     /// Worker threads for both the block loop's inner parallel-for and the
     /// finish pass.
@@ -241,9 +243,10 @@ pub fn search_batch_traced(
     let blocks: &[IndexBlock] = match index {
         Some(index) => index.blocks(),
         None if matches!(config.kind, EngineKind::QueryIndexed) => &[],
-        // lint: allow(panic-reach): contract panic — every serving caller
-        // (serve::SearchSession) builds the index with the engine; a None
-        // here is a harness bug, not a data fault.
+        #[expect(
+            clippy::panic,
+            reason = "contract panic — every serving caller (serve::SearchSession) builds the index with the engine; a None here is a harness bug, not a data fault"
+        )]
         None => panic!(
             "database-indexed engines need a DbIndex (got None for {:?})",
             config.kind
@@ -406,7 +409,10 @@ struct Pending {
 /// `Finish` span. The sharded driver passes the identity and traces back
 /// after merging its shards' lists. `config` must be [`capped`] and
 /// `queries` [`seg_masked`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the one block executor every search entry point shares; each argument is a caller choice"
+)]
 pub(crate) fn search_blocks_with<S, T, F>(
     db: &SequenceDb,
     source: &S,

@@ -25,7 +25,9 @@ use scoring::{NeighborTable, SearchParams};
 /// Result of an instrumented run.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceReport {
+    /// Simulated cache and TLB counters of the whole run.
     pub stats: HierarchyStats,
+    /// Per-stage work counts (hits, pairs, extensions).
     pub counts: StageCounts,
     /// Memory-stall share of total simulated cycles (Fig. 2(c) proxy).
     pub stalled_fraction: f64,
@@ -119,8 +121,10 @@ pub fn trace_engine(
             );
         }
         EngineKind::DbInterleaved | EngineKind::MuBlastp => {
-            // lint: allow(no-unwrap): instrumentation is bench/CLI-side;
-            // its callers construct the index alongside the engine kind.
+            #[expect(
+                clippy::expect_used,
+                reason = "instrumentation is bench/CLI-side; its callers construct the index alongside the engine kind"
+            )]
             let index = index.expect("database-indexed tracing needs an index");
             let regions = db_regions(&mut space, index, kind, query.len());
             let mut ctx = TraceCtx::new(&mut hierarchy, regions);
@@ -162,7 +166,10 @@ pub fn trace_engine(
 /// trace is captured and the traces are replayed in `quantum`-access time
 /// slices. This is the context the paper's profiles were taken in — the
 /// aggregate of all threads' last-hit arrays is what pressures the LLC.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per traced engine input, as in trace_engine"
+)]
 pub fn trace_engine_multicore(
     kind: EngineKind,
     db: &SequenceDb,
@@ -195,8 +202,10 @@ pub fn trace_engine_multicore(
                 ..Default::default()
             }
         }
-        // lint: allow(no-unwrap): same caller precondition as trace_engine —
-        // database-indexed kinds are always invoked with their index.
+        #[expect(
+            clippy::expect_used,
+            reason = "same caller precondition as trace_engine — database-indexed kinds are always invoked with their index"
+        )]
         _ => db_regions(&mut space, index.expect("database-indexed tracing needs an index"), kind, max_qlen),
     };
     // Per-core last-hit and coverage bytes; a batch's widest query sizes
@@ -278,6 +287,10 @@ pub fn trace_engine_multicore(
                     SortAlgo::LsdRadix,
                     true,
                 ),
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the caller below builds SubjectRange work for QueryIndexed and Block work for the other kinds"
+                )]
                 _ => unreachable!("work kind mismatch"),
             }
         }
@@ -304,9 +317,11 @@ pub fn trace_engine_multicore(
                 start = end;
             }
         }
+        #[expect(
+            clippy::unwrap_used,
+            reason = "database-indexed kinds always carry their index (checked by every instrumentation caller)"
+        )]
         _ => {
-            // lint: allow(no-unwrap): database-indexed kinds always carry
-            // their index (checked by every instrumentation caller).
             for block in index.unwrap().blocks() {
                 let work = Work::Block(block);
                 let traces: Vec<Vec<(u64, u32)>> =

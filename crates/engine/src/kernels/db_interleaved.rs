@@ -25,7 +25,10 @@ use scoring::{NeighborTable, SearchParams};
 /// baseline the paper measures against), `obs` sees a single `Seed`
 /// span covering the whole scan — there is no separable reorder or
 /// extension phase to time.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
+)]
 pub fn search_block<T: Tracer, O: StageObs>(
     query: &[u8],
     block: &IndexBlock,

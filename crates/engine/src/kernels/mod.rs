@@ -5,6 +5,8 @@
 //! experiments pass a [`memsim::Hierarchy`] or a trace collector together
 //! with the simulated base addresses in [`TraceCtx`].
 
+#![deny(clippy::disallowed_types)]
+
 pub mod db_interleaved;
 pub mod mublastp;
 pub mod query_indexed;
@@ -38,7 +40,9 @@ pub struct Regions {
 
 /// Tracer + regions bundle threaded through a kernel.
 pub struct TraceCtx<'a, T: Tracer> {
+    /// Receives every simulated memory access.
     pub tracer: &'a mut T,
+    /// Simulated base addresses of the data the kernel touches.
     pub regions: Regions,
 }
 

@@ -38,8 +38,11 @@ use scoring::{NeighborTable, SearchParams};
 /// comparison; LSD radix is its choice).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReorderAlgo {
+    /// Least-significant-digit radix sort (the paper's choice).
     LsdRadix,
+    /// Most-significant-digit radix sort.
     MsdRadix,
+    /// Stable merge sort.
     Merge,
     /// Two-level binning (the authors' earlier scheme, related work).
     Binning,
@@ -52,7 +55,10 @@ pub enum ReorderAlgo {
 /// `obs` records one wall-clock span per phase (`Seed`, `Reorder`,
 /// `Ungapped`, plus `TwoHit` in post-filter mode); production callers
 /// pass [`obsv::NoObs`], which compiles away like `NullTracer` does.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
+)]
 pub fn search_block<T: Tracer, O: StageObs>(
     query: &[u8],
     block: &IndexBlock,
@@ -237,7 +243,10 @@ struct Scan {
 
 /// Phase 1 in pre-filter mode (Alg. 2) on `C`-wide last-hit cells of the
 /// epoch `(cells, base)`: one [`scan_position`] per query word.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the hot scan takes its per-thread state unbundled"
+)]
 fn prefilter_scan<C: CellWord, T: Tracer>(
     query: &[u8],
     block: &IndexBlock,
@@ -285,7 +294,10 @@ fn prefilter_scan<C: CellWord, T: Tracer>(
 /// per posting list keeps that store in bounds with the buffer grown to
 /// the pairs kept plus one list of slack, never to the hit count.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the hot scan takes its per-thread state unbundled"
+)]
 fn scan_position<C: CellWord, T: Tracer>(
     q_off: u32,
     words: &[Word],
@@ -333,7 +345,10 @@ fn scan_position<C: CellWord, T: Tracer>(
 }
 
 /// Phase 3 worker: extend `pairs` (already in key order).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
+)]
 fn extend_pairs<T: Tracer>(
     query: &[u8],
     block: &IndexBlock,

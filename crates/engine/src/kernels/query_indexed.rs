@@ -25,7 +25,10 @@ use scoring::SearchParams;
 /// inside the simulated subject region (empty when not tracing). The
 /// stages are fused per subject (that is the design), so `obs` records a
 /// single `Seed` span covering the whole scan.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
+)]
 pub fn search_db<T: Tracer, O: StageObs>(
     query: &[u8],
     qidx: &QueryIndex,
@@ -53,7 +56,10 @@ pub fn search_db<T: Tracer, O: StageObs>(
 
 /// [`search_db`] restricted to subjects `range` — the chunked multicore
 /// tracer replays the database in slices to bound trace memory.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
+)]
 pub fn search_db_range<T: Tracer, O: StageObs>(
     query: &[u8],
     qidx: &QueryIndex,

@@ -32,6 +32,14 @@
 //! parallelisation (Alg. 3): a serial loop over index blocks with an
 //! OpenMP-style dynamic parallel-for over queries inside each block.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(missing_docs)]
+
 pub mod driver;
 pub mod finish;
 pub mod hit;

@@ -20,20 +20,29 @@ use std::io::{self, Write};
 /// One parsed outfmt-6 row (useful for tests and downstream consumers).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TabularRow {
+    /// Query sequence id.
     pub qseqid: String,
+    /// Subject sequence id.
     pub sseqid: String,
     /// Percent identity over the alignment length.
     pub pident: f64,
     /// Alignment length (aligned pairs + gap positions).
     pub length: usize,
+    /// Aligned pairs whose residues differ.
     pub mismatch: usize,
     /// Number of gap *openings*.
     pub gapopen: usize,
+    /// First aligned query position, 1-based.
     pub qstart: usize,
+    /// Last aligned query position, 1-based.
     pub qend: usize,
+    /// First aligned subject position, 1-based.
     pub sstart: usize,
+    /// Last aligned subject position, 1-based.
     pub send: usize,
+    /// Expect value.
     pub evalue: f64,
+    /// Bit score.
     pub bitscore: f64,
 }
 

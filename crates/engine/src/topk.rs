@@ -224,7 +224,7 @@ impl QueryPruner {
             total += take as i64 * i64::from(s);
             left -= take;
         }
-        // lint: allow(lossy-cast): clamped to i32::MAX on the line above's
+        // Clamped to i32::MAX on the line above's
         // accumulator; scores fit comfortably below that in practice.
         total.min(i64::from(i32::MAX)) as i32
     }
@@ -311,7 +311,7 @@ mod tests {
             let bound = dbindex::BlockBound::from_block(block);
             let cap = pruner.bound_raw(&bound);
             for local in 0..block.n_seqs() {
-                // lint: allow(lossy-cast): local ids fit the packed
+                // Local ids fit the packed
                 // offset layout by construction (see dbindex::block).
                 let res = block.seq_residues(local as u32);
                 // Best possible pairing score for this fragment: same

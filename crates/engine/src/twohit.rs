@@ -73,7 +73,7 @@ impl CellWord for u16 {
     #[inline(always)]
     fn narrow(value: u32) -> u16 {
         debug_assert!(value <= <u16 as CellWord>::MAX);
-        // lint: allow(lossy-cast): every stored value is at most
+        // Every stored value is at most
         // `base + span`, which `EpochCells::reset` keeps <= u16::MAX.
         value as u16
     }

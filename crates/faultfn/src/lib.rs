@@ -23,6 +23,13 @@
 //! the one seeded generator, and [`golden::check_or_bless`], the one
 //! golden-file pin the wire, store and metrics suites share.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod golden;
 
 use std::fmt;

@@ -16,6 +16,13 @@
 //! Production kernels are generic over [`Tracer`] and use [`NullTracer`],
 //! which compiles to nothing.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod cache;
 pub mod hierarchy;
 pub mod space;

@@ -8,7 +8,7 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **No locks in hot loops.** The xtask `kernel-locks` lint bans
+//! 1. **No locks in hot loops.** Clippy's `disallowed_types` bans
 //!    `Mutex`/`RwLock` inside `engine/src/kernels/`, so recording state is
 //!    per-worker — a [`Recorder`] handed out like the engine's `Scratch`
 //!    and merged into a [`Trace`] after the parallel-for joins. Rings are
@@ -29,6 +29,13 @@
 //! serving stack exports, declared under stable dotted names, rendered
 //! as a Prometheus text exposition, and pinned by the golden exposition
 //! `tests/fixtures/metrics.v{METRICS_VERSION}.prom`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod chrome;
 pub mod folded;

@@ -1,7 +1,7 @@
 //! Per-worker span recording.
 //!
-//! The hot loops this crate observes are lock-free by construction (the
-//! xtask `kernel-locks` lint bans `Mutex`/`RwLock` in
+//! The hot loops this crate observes are lock-free by construction
+//! (clippy's `disallowed_types` bans `Mutex`/`RwLock` in
 //! `engine/src/kernels/`), so recording state is handed out exactly like
 //! the engine's `Scratch`: one [`Recorder`] per worker thread, created
 //! from a shared [`TraceSession`], mutated without any synchronisation,

@@ -13,8 +13,8 @@
 //!   so the cursor is monotone, bounded, and can never wrap.
 //! * **Model checking.** The function is generic over [`CursorCell`], an
 //!   abstraction of the two atomic operations it needs. Production uses
-//!   the [`AtomicUsize`] implementation below; the model checker in
-//!   [`crate::model`] substitutes a virtual cursor whose every atomic
+//!   the [`AtomicUsize`] implementation below; the test-only model
+//!   checker in `model.rs` substitutes a virtual cursor whose every atomic
 //!   operation is a scheduling point, and drives *this exact code* through
 //!   exhaustive and seeded-random interleavings.
 //!
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The atomic operations [`claim_next`] needs from a cursor.
 ///
 /// Implemented by [`AtomicUsize`] for production and by the model
-/// checker's virtual cursor ([`crate::model`]), where each call is a
+/// checker's virtual cursor (the test-only `model.rs`), where each call is a
 /// scheduling point of the simulated interleaving.
 pub trait CursorCell {
     /// Atomically read the cursor.
@@ -79,7 +79,7 @@ impl CursorCell for AtomicUsize {
 /// overflow, for any `chunk` up to and including `usize::MAX`. Ranges
 /// returned to distinct callers are disjoint, and their union over the
 /// whole run is exactly `0..n` (verified exhaustively by the model checker
-/// in [`crate::model`]).
+/// in the test-only `model.rs`).
 #[inline]
 pub fn claim_next<C: CursorCell>(cursor: &C, n: usize, chunk: usize) -> Option<(usize, usize)> {
     let mut current = cursor.load();

@@ -9,7 +9,8 @@
 //! * work items are handed out through an atomic cursor in chunks
 //!   (dynamic scheduling — BLAST is input-sensitive, so static partitioning
 //!   of queries load-imbalances badly, see paper Sec. IV-D); the claim
-//!   protocol lives in [`cursor`] and is model-checked in [`model`];
+//!   protocol lives in [`cursor`] and is model-checked in the test-only
+//!   `model` module;
 //! * every worker owns a scratch value created by an `init` closure at
 //!   spawn time and reused across all its items (the paper's per-thread
 //!   last-hit arrays);
@@ -23,8 +24,17 @@
 //! system under study, and owning it keeps the schedule identical to the
 //! paper's.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(missing_docs)]
+
 pub mod cursor;
-pub mod model;
+#[cfg(test)]
+mod model;
 
 pub use cursor::{claim_next, CursorCell};
 
@@ -60,9 +70,9 @@ fn join_resuming_first_panic<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T
 /// spawn), which keeps single-threaded benchmarks free of pool overhead.
 ///
 /// Scheduling invariants (see [`cursor`] for the claim protocol and
-/// [`model`] for the machine-checked argument): every index in `0..n` is
-/// executed exactly once, for any `threads`, `n`, and `chunk` — including
-/// `chunk > n` and `chunk == usize::MAX`.
+/// the test-only `model` module for the machine-checked argument): every
+/// index in `0..n` is executed exactly once, for any `threads`, `n`, and
+/// `chunk` — including `chunk > n` and `chunk == usize::MAX`.
 ///
 /// # Panics
 /// Panics if `threads == 0` or `chunk == 0`. A panic from `body` is

@@ -41,6 +41,10 @@ pub type Strategy = fn(&VirtualCursor, usize, usize) -> Option<(usize, usize)>;
 
 /// What went wrong in a run, in shadow-state terms.
 #[derive(Clone, Debug, PartialEq, Eq)]
+#[expect(
+    clippy::enum_variant_names,
+    reason = "each variant names the shadow-state check that failed"
+)]
 pub enum Violation {
     /// An index was handed to two claims (duplicated work).
     DuplicateIndex { index: usize },

@@ -18,6 +18,13 @@
 //!   for the database index (every cell of a database index holds
 //!   thousands of positions — the paper's argument for a different design).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use bioseq::alphabet::{Word, WordIter, WORD_SPACE};
 use scoring::NeighborTable;
 

@@ -17,6 +17,13 @@
 //!   instead of gathering `matrix[q[i]][s[j]]` cell by cell (the paper's
 //!   irregularity-elimination move applied to extension).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod karlin;
 pub mod matrix;
 pub mod neighbors;

@@ -592,7 +592,10 @@ fn worker_loop(shared: &Shared, mut idle_since: Instant) {
 /// Fold one sharded (resident or streaming) dispatch into the stats
 /// counters and the `(results, trace, loss)` triple `dispatch` threads to
 /// the demultiplexer.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the sharded reply tuple is read once, here"
+)]
 fn absorb_sharded(
     shared: &Shared,
     out: engine::ShardedOutput,

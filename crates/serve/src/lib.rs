@@ -38,6 +38,13 @@
 //!   Prometheus text exposition of the daemon's metrics registry
 //!   (`mublastpd --metrics-addr`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod batcher;
 pub mod client;
 pub mod events;

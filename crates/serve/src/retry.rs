@@ -270,7 +270,10 @@ where
 /// [`search_with_retry`] with metrics: attempts and exhaustion are
 /// recorded through `obs` (the loop runs before admission, so
 /// exhaustion events carry trace ID 0).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the observed variant adds its observers to search_with_retry's arguments"
+)]
 pub fn search_with_retry_observed<C, F>(
     policy: &RetryPolicy,
     obs: &RetryObs,

@@ -21,6 +21,18 @@
 //! caller-supplied closure, which matches the packed
 //! `(seq_id << diag_bits) | diag` hit keys used by the engine.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 pub mod binning;
 pub mod merge;
 pub mod radix;
@@ -30,6 +42,10 @@ pub use merge::merge_sort_by_key;
 pub use radix::{lsd_radix_sort_by_key, lsd_radix_sort_u64_by_key, msd_radix_sort_by_key};
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data is sized far below u32"
+)]
 mod proptests {
     //! Seeded batteries of [`CASES`] cases: case 0 is the empty input,
     //! case 1 the longest with every key at the top of its range, and

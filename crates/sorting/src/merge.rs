@@ -55,6 +55,10 @@ fn merge_runs<T: Clone, F: Fn(&T) -> u32>(left: &[T], right: &[T], out: &mut [T]
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data is sized far below u32"
+)]
 mod tests {
     use super::*;
 

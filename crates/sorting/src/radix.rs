@@ -33,7 +33,10 @@ pub fn lsd_radix_sort_by_key<T: Clone, F: Fn(&T) -> u32>(items: &mut Vec<T>, key
     // Safety-free approach: use clone-based scatter via MaybeUninit-free
     // double buffer. We simulate ping-pong with two Vecs.
     let mut src: Vec<T> = std::mem::take(items);
-    #[allow(clippy::needless_range_loop)] // d is a digit shift, not just an index
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "d is a digit shift, not just an index"
+    )]
     for d in 0..4 {
         // Skip a pass when the digit is constant across all keys.
         let digit_or = (or_all >> (d * RADIX_BITS)) as usize & (RADIX - 1);
@@ -62,6 +65,10 @@ pub fn lsd_radix_sort_by_key<T: Clone, F: Fn(&T) -> u32>(items: &mut Vec<T>, key
 
 /// Stable LSD radix sort by a `u64` key (eight 8-bit passes, constant
 /// digits skipped). Used when `(seq_id, diag_id)` does not fit in 32 bits.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each u64 -> usize cast is masked to one RADIX_BITS digit, so truncation drops only bits the mask drops"
+)]
 pub fn lsd_radix_sort_u64_by_key<T: Clone, F: Fn(&T) -> u64>(items: &mut Vec<T>, key: F) {
     if items.len() < 2 {
         return;
@@ -79,7 +86,10 @@ pub fn lsd_radix_sort_u64_by_key<T: Clone, F: Fn(&T) -> u64>(items: &mut Vec<T>,
     }
     let mut scratch: Vec<T> = Vec::new();
     let mut src: Vec<T> = std::mem::take(items);
-    #[allow(clippy::needless_range_loop)] // d is a digit shift, not just an index
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "d is a digit shift, not just an index"
+    )]
     for d in 0..8 {
         let digit_or = (or_all >> (d * RADIX_BITS)) as usize & (RADIX - 1);
         let digit_and = (and_all >> (d * RADIX_BITS)) as usize & (RADIX - 1);
@@ -170,6 +180,11 @@ fn low_mask(digit: usize) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test data is sized far below u32"
+)]
 mod tests {
     use super::*;
 

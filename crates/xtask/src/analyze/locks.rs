@@ -25,9 +25,8 @@
 //! Two different fields named `state` in the same crate would alias;
 //! the workspace's lock fields are named distinctly per crate.
 
-use super::{describe, resolve, CallIndex, FileUnit, FnRef};
+use super::{describe, resolve, CallIndex, FileUnit, Finding, FnRef};
 use crate::parser::{calls_in, match_delim, receiver_chain, Call, CallKind};
-use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 pub(crate) const RULE_ORDER: &str = "lock-order";
@@ -303,7 +302,10 @@ fn classify_receiver(u: &FileUnit, info: &crate::parser::FnInfo, segs: &[String]
 
 /// Simulate one fn body. Pushes immediate findings and graph edges;
 /// returns the fn's direct summary and resolved callees.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the simulation threads its summaries, graph and findings through one call"
+)]
 fn simulate(
     units: &[FileUnit],
     index: &CallIndex,

@@ -1,31 +1,61 @@
-//! The multi-pass static analysis suite (`xtask analyze`).
+//! The static analysis suite (`xtask analyze`).
 //!
-//! Two passes run over a shared parse of the workspace:
+//! One pass runs over a shared parse of the workspace:
+//! [`locks`] — lock-order / deadlock: every `Mutex`/`RwLock`/`Condvar`
+//! acquisition site, the lock-acquisition graph, cycles, and locks held
+//! across channel sends or `Faults::fire` points. Clippy has no lint for
+//! any of these. What clippy and rustc do check (no unwrap or panic in
+//! library code, cast discipline, lock-free kernels, doc coverage) sits in
+//! the crate roots and `clippy.toml`.
 //!
-//! * [`locks`] — lock-order / deadlock: every `Mutex`/`RwLock`/`Condvar`
-//!   acquisition site, the lock-acquisition graph, cycles, and locks held
-//!   across channel sends or `Faults::fire` points.
-//! * [`panics`] — interprocedural may-panic propagation from the serving
-//!   entry points, reported with full call chains.
-//!
-//! The wire codec, the block store and the metrics exposition have no
-//! pass: each is pinned by golden bytes its own crate's tests compare
-//! (DESIGN.md §5.1).
-//!
-//! All passes reuse the lint engine's suppression machinery: inline
-//! `// lint: allow(<rule>)` annotations and the `lint.allow` budget file.
+//! A site the pass must not convict carries an inline
+//! `// lint: allow(<rule>): <invariant>` comment ([`allowed_lines`]).
 //! Soundness caveats of the underlying approximate call graph are
 //! documented in DESIGN.md §"Static analysis architecture".
 
 pub(crate) mod locks;
-pub(crate) mod panics;
 
-use crate::lexer::{lex, Lexed};
+use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::parser::{parse_fns, Call, CallKind, FnInfo};
-use crate::rules::{allowed_lines, test_mask};
 use std::collections::{HashMap, HashSet};
 
-/// One parsed source file, shared by every pass.
+/// One analysis violation.
+#[derive(Clone, Debug)]
+pub(crate) struct Finding {
+    pub rule: &'static str,
+    pub path: String,
+    pub line: usize,
+    pub msg: String,
+    /// The lock sites or call chain behind the finding (empty for
+    /// single-site findings). Carried into the JSON report; the
+    /// human-readable `msg` already spells it out.
+    pub chain: Vec<String>,
+}
+
+impl Finding {
+    /// A single-site finding (no call chain).
+    pub(crate) fn new(rule: &'static str, path: &str, line: usize, msg: String) -> Finding {
+        Finding {
+            rule,
+            path: path.to_string(),
+            line,
+            msg,
+            chain: Vec::new(),
+        }
+    }
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.msg
+        )
+    }
+}
+
+/// One parsed source file.
 pub(crate) struct FileUnit {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
@@ -65,6 +95,94 @@ pub(crate) fn build_units(files: &[(String, String)]) -> Vec<FileUnit> {
         .collect()
 }
 
+/// Resolve a lexed file's inline `lint: allow(...)` annotations to the
+/// line sets they suppress, per rule.
+pub(crate) fn allowed_lines(lexed: &Lexed) -> HashMap<String, HashSet<usize>> {
+    let mut allowed: HashMap<String, HashSet<usize>> = HashMap::new();
+    for allow in &lexed.allows {
+        let lines = allowed.entry(allow.rule.clone()).or_default();
+        lines.insert(allow.line);
+        if allow.stands_alone {
+            // A standalone comment covers the next line that carries
+            // code (skipping further comment-only lines).
+            if let Some(next) = lexed
+                .tokens
+                .iter()
+                .find(|t| t.line > allow.line && t.kind != TokKind::DocComment)
+            {
+                lines.insert(next.line);
+            }
+        }
+    }
+    allowed
+}
+
+/// Mark tokens covered by `#[cfg(test)]` / `#[test]` items (attribute →
+/// following braced item). Nested regions simply re-mark.
+pub(crate) fn test_mask(tokens: &[Tok]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if !(tokens[i].text == "#" && matches!(tokens.get(i + 1), Some(t) if t.text == "[")) {
+            i += 1;
+            continue;
+        }
+        // Collect the attribute's tokens up to its matching `]`.
+        let mut j = i + 2;
+        let mut depth = 1usize;
+        let mut attr: Vec<&str> = Vec::new();
+        while j < tokens.len() && depth > 0 {
+            match tokens[j].text.as_str() {
+                "[" => depth += 1,
+                "]" => depth -= 1,
+                other => attr.push(other),
+            }
+            j += 1;
+        }
+        let is_test_attr = attr.first() == Some(&"test")
+            || (attr.first() == Some(&"cfg") && attr.contains(&"test"));
+        if !is_test_attr {
+            i = j;
+            continue;
+        }
+        // Skip any further attributes, then mark the braced item.
+        let mut k = j;
+        while k + 1 < tokens.len() && tokens[k].text == "#" && tokens[k + 1].text == "[" {
+            let mut d = 1usize;
+            k += 2;
+            while k < tokens.len() && d > 0 {
+                match tokens[k].text.as_str() {
+                    "[" => d += 1,
+                    "]" => d -= 1,
+                    _ => {}
+                }
+                k += 1;
+            }
+        }
+        while k < tokens.len() && tokens[k].text != "{" && tokens[k].text != ";" {
+            k += 1;
+        }
+        if k < tokens.len() && tokens[k].text == "{" {
+            let mut d = 1usize;
+            let open = k;
+            k += 1;
+            while k < tokens.len() && d > 0 {
+                match tokens[k].text.as_str() {
+                    "{" => d += 1,
+                    "}" => d -= 1,
+                    _ => {}
+                }
+                k += 1;
+            }
+            for m in mask.iter_mut().take(k).skip(open) {
+                *m = true;
+            }
+        }
+        i = j;
+    }
+    mask
+}
+
 fn crate_of(rel: &str) -> String {
     if let Some(rest) = rel.strip_prefix("crates/") {
         if let Some((k, tail)) = rest.split_once('/') {
@@ -83,9 +201,8 @@ fn crate_of(rel: &str) -> String {
     "root".to_string()
 }
 
-/// Paths the interprocedural passes look at: library code, not bins or
-/// benches (mirrors the lint rules' `scope_library`).
-fn in_analysis_scope(rel: &str) -> bool {
+/// Paths the analysis looks at: library code, not bins or benches.
+pub(crate) fn in_analysis_scope(rel: &str) -> bool {
     !rel.contains("/bin/") && !rel.starts_with("crates/bench/")
 }
 
@@ -178,31 +295,7 @@ fn resolve(units: &[FileUnit], index: &CallIndex, file: usize, call: &Call) -> V
     }
 }
 
-/// The serving entry points the reachability passes start from:
-/// `engine::search_batch*`, everything public in `serve::server`, and the
-/// batcher's public surface. Fixture files use the same `search_batch`
-/// naming convention to mark their entry.
-fn entry_fns(units: &[FileUnit]) -> Vec<FnRef> {
-    let mut out = Vec::new();
-    for (file, u) in units.iter().enumerate() {
-        for (f, info) in u.fns.iter().enumerate() {
-            if info.is_test || info.body.is_empty() {
-                continue;
-            }
-            let is_entry = (u.krate == "engine" && info.name.starts_with("search_batch"))
-                || (u.krate == "serve"
-                    && (u.rel.ends_with("/server.rs") || u.rel.ends_with("/batcher.rs"))
-                    && info.is_pub)
-                || (u.rel.contains("fixtures/") && info.name.starts_with("search_batch"));
-            if is_entry {
-                out.push(FnRef { file, f });
-            }
-        }
-    }
-    out
-}
-
-/// `path:line fn_name` — the chain-element format shared by the passes.
+/// `path:line fn_name` — the chain-element format of a finding.
 fn describe(units: &[FileUnit], r: FnRef) -> String {
     let u = &units[r.file];
     let info = &u.fns[r.f];
@@ -222,6 +315,30 @@ mod tests {
         assert_eq!(crate_of("crates/serve/src/batcher.rs"), "serve");
         assert_eq!(crate_of("src/main.rs"), "root");
         assert_eq!(crate_of("crates/xtask/fixtures/lock_cycle.rs"), "lock_cycle");
+    }
+
+    #[test]
+    fn test_mask_covers_nested_items() {
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); }\n}\nfn lib2(x: Option<u8>) { x.unwrap(); }";
+        let lexed = lex(src);
+        let mask = test_mask(&lexed.tokens);
+        let unwraps: Vec<(usize, bool)> = lexed
+            .tokens
+            .iter()
+            .zip(&mask)
+            .filter(|(t, _)| t.text == "unwrap")
+            .map(|(t, &in_test)| (t.line, in_test))
+            .collect();
+        assert_eq!(unwraps, vec![(5, true), (7, false)]);
+    }
+
+    #[test]
+    fn inline_allow_suppresses_same_line_and_next_code_line() {
+        let same =
+            "fn f(m: &Mutex<u8>) { fire(m.lock()) } // lint: allow(lock-across-fire): atomics only";
+        assert!(allowed_lines(&lex(same))["lock-across-fire"].contains(&1));
+        let above = "// lint: allow(lock-across-fire): invariant documented here,\n// across two comment lines.\nfn f(m: &Mutex<u8>) { fire(m.lock()) }";
+        assert!(allowed_lines(&lex(above))["lock-across-fire"].contains(&3));
     }
 
     #[test]
@@ -257,23 +374,5 @@ mod tests {
         let index = build_index(&units);
         let calls = crate::parser::calls_in(&units[1].lexed.tokens, units[1].fns[0].body.clone());
         assert!(resolve(&units, &index, 1, &calls[0]).is_empty());
-    }
-
-    #[test]
-    fn entries_cover_engine_serve_and_fixtures() {
-        let files = vec![
-            ("crates/engine/src/lib.rs".to_string(),
-             "pub fn search_batch() { run(); }\nfn helper() { run(); }".to_string()),
-            ("crates/serve/src/server.rs".to_string(),
-             "pub fn serve() { run(); }\nfn private() { run(); }".to_string()),
-            ("crates/xtask/fixtures/panic_reach.rs".to_string(),
-             "pub fn search_batch_fixture() { run(); }".to_string()),
-        ];
-        let units = build_units(&files);
-        let names: Vec<String> = entry_fns(&units)
-            .into_iter()
-            .map(|r| units[r.file].fns[r.f].name.clone())
-            .collect();
-        assert_eq!(names, vec!["search_batch", "serve", "search_batch_fixture"]);
     }
 }

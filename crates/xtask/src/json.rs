@@ -1,7 +1,7 @@
 //! Minimal JSON emission for machine-readable reports (CI artifacts).
 //! Serialization only — xtask stays dependency-free.
 
-use crate::rules::Finding;
+use crate::analyze::Finding;
 
 /// Escape a string for a JSON string literal (RFC 8259).
 fn escape(s: &str) -> String {
@@ -20,15 +20,10 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// The findings report: shared schema between `lint --json` and
-/// `analyze --json`.
-pub(crate) fn render(tool: &str, findings: &[Finding], notes: &[String]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"tool\": \"{}\",\n", escape(tool)));
-    out.push_str(&format!("  \"findings\": [{}\n  ],\n", items(findings)));
-    let notes_json: Vec<String> =
-        notes.iter().map(|n| format!("\"{}\"", escape(n))).collect();
-    out.push_str(&format!("  \"notes\": [{}]\n", notes_json.join(", ")));
+/// The findings report that `analyze --json` writes.
+pub(crate) fn render(findings: &[Finding]) -> String {
+    let mut out = String::from("{\n  \"tool\": \"analyze\",\n");
+    out.push_str(&format!("  \"findings\": [{}\n  ]\n", items(findings)));
     out.push_str("}\n");
     out
 }
@@ -64,21 +59,19 @@ mod tests {
 
     #[test]
     fn renders_findings_with_chains() {
-        let mut f = Finding::new("panic-reach", "a.rs", 3, "bad \"thing\"".to_string());
+        let mut f = Finding::new("lock-order", "a.rs", 3, "bad \"thing\"".to_string());
         f.chain = vec!["a.rs:1 entry".to_string()];
-        let s = render("analyze", &[f], &["note one".to_string()]);
+        let s = render(&[f]);
         assert!(s.contains("\"tool\": \"analyze\""));
-        assert!(s.contains("\"rule\": \"panic-reach\""));
+        assert!(s.contains("\"rule\": \"lock-order\""));
         assert!(s.contains("\"line\": 3"));
         assert!(s.contains("bad \\\"thing\\\""));
         assert!(s.contains("\"chain\": [\"a.rs:1 entry\"]"));
-        assert!(s.contains("\"notes\": [\"note one\"]"));
     }
 
     #[test]
     fn renders_empty_report() {
-        let s = render("lint", &[], &[]);
-        assert!(s.contains("\"findings\": [\n  ]"));
-        assert!(s.contains("\"notes\": []"));
+        let s = render(&[]);
+        assert!(s.contains("\"findings\": [\n  ]\n}"));
     }
 }

@@ -1,15 +1,15 @@
-//! A minimal Rust lexer for the lint engine.
+//! A minimal Rust lexer for the analysis.
 //!
-//! This is not a full grammar — the rules only need a token stream with
+//! This is not a full grammar — the checks only need a token stream with
 //! line numbers that is *reliable about what is code and what is not*:
 //! strings (including raw and byte strings), char literals, lifetimes,
 //! and nested block comments must never leak their contents into the
-//! token stream, or every rule would false-positive on prose. Doc
-//! comments are kept as tokens (the `doc-pub-fn` rule needs them);
-//! ordinary comments are dropped, except that `lint: allow(<rule>)`
-//! annotations inside them are collected for suppression.
+//! token stream, or every check would false-positive on prose. Doc
+//! comments are kept as tokens; ordinary comments are dropped, except
+//! that `lint: allow(<rule>)` annotations inside them are collected for
+//! suppression.
 
-/// Kinds of tokens the rules can observe.
+/// Kinds of tokens the checks can observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TokKind {
     /// Identifier or keyword (`pub`, `fn`, `as`, `unwrap`, …).
@@ -52,7 +52,7 @@ pub(crate) struct Lexed {
 }
 
 /// Tokenize `src`. Never fails: unterminated constructs simply consume
-/// the rest of the input (the lint engine is not a compiler; rustc will
+/// the rest of the input (the lexer is not a compiler; rustc will
 /// reject such a file anyway).
 pub(crate) fn lex(src: &str) -> Lexed {
     Lexer { b: src.as_bytes(), i: 0, line: 1, line_had_token: false, out: Lexed::default() }.run()
@@ -334,10 +334,10 @@ mod tests {
 
     #[test]
     fn allow_annotations_parse() {
-        let src = "// lint: allow(no-unwrap): invariant X\nlet y = x.unwrap();\nlet z = q.unwrap(); // lint: allow(no-unwrap)\n";
+        let src = "// lint: allow(relaxed-ordering): invariant X\nlet y = a.load(Relaxed);\nlet z = b.load(Relaxed); // lint: allow(relaxed-ordering)\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rule, "no-unwrap");
+        assert_eq!(lexed.allows[0].rule, "relaxed-ordering");
         assert!(lexed.allows[0].stands_alone);
         assert_eq!(lexed.allows[1].line, 3);
         assert!(!lexed.allows[1].stands_alone);

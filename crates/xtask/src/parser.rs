@@ -1,7 +1,7 @@
 //! A brace-aware item parser layered over [`crate::lexer`].
 //!
-//! The analysis passes need more structure than the token-level lint
-//! rules: which function a token belongs to, what an `fn`'s parameters
+//! The lock-order pass needs more structure than a token stream: which
+//! function a token belongs to, what an `fn`'s parameters
 //! and return type are, which `impl` block encloses it, and what calls
 //! its body makes. This module recovers exactly that — items, signatures,
 //! bodies, and call sites — from the token stream, without becoming a
@@ -29,7 +29,6 @@ pub(crate) struct FnInfo {
     /// trait impls, the implementing type after `for`).
     pub impl_type: Option<String>,
     pub line: usize,
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` / `#[test]` region.
     pub is_test: bool,
     /// Whether the signature takes `self` in any form.
@@ -96,7 +95,7 @@ const NON_CALL_KEYWORDS: [&str; 16] = [
 ];
 
 /// Parse every `fn` item in a lexed file. `test_mask` is the per-token
-/// test-region mask from [`crate::rules`].
+/// test-region mask from [`crate::analyze::test_mask`].
 pub(crate) fn parse_fns(tokens: &[Tok], test_mask: &[bool]) -> Vec<FnInfo> {
     let mut fns = Vec::new();
     // Spans of `impl` blocks: (type name, body token range).
@@ -115,7 +114,6 @@ pub(crate) fn parse_fns(tokens: &[Tok], test_mask: &[bool]) -> Vec<FnInfo> {
             continue;
         }
         let name = name_tok.text.clone();
-        let is_pub = looks_pub(tokens, i);
         let is_test = test_mask.get(i).copied().unwrap_or(false);
         let impl_type = impls
             .iter()
@@ -167,7 +165,6 @@ pub(crate) fn parse_fns(tokens: &[Tok], test_mask: &[bool]) -> Vec<FnInfo> {
             name,
             impl_type,
             line: t.line,
-            is_pub,
             is_test,
             has_self,
             params,
@@ -226,21 +223,6 @@ fn impl_spans(tokens: &[Tok]) -> Vec<(String, Range<usize>)> {
         }
     }
     spans
-}
-
-/// Whether the tokens right before `fn` at `fn_tok` carry a `pub`.
-fn looks_pub(tokens: &[Tok], fn_tok: usize) -> bool {
-    let mut j = fn_tok;
-    while j > 0 {
-        j -= 1;
-        match tokens[j].text.as_str() {
-            "unsafe" | "const" | "async" | "extern" => {}
-            ")" | "(" | "crate" | "super" | "self" | "in" => {}
-            "pub" => return true,
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Split a param-list token range at top-level commas into [`Param`]s,
@@ -479,8 +461,8 @@ pub(crate) fn first_arg_last_ident(tokens: &[Tok], args_open: usize) -> Option<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::test_mask;
     use crate::lexer::lex;
-    use crate::rules::test_mask;
 
     fn parse(src: &str) -> (Vec<Tok>, Vec<FnInfo>) {
         let lexed = lex(src);
@@ -490,13 +472,12 @@ mod tests {
     }
 
     #[test]
-    fn signatures_parse_params_ret_and_pub() {
+    fn signatures_parse_params_and_ret() {
         let src = "pub fn lock(queue: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> { queue.lock() }";
         let (_, fns) = parse(src);
         assert_eq!(fns.len(), 1);
         let f = &fns[0];
         assert_eq!(f.name, "lock");
-        assert!(f.is_pub);
         assert!(!f.has_self);
         assert_eq!(f.params.len(), 1);
         assert_eq!(f.params[0].name, "queue");

@@ -52,6 +52,13 @@
 //! this workspace builds) and `EXPERIMENTS.md` for paper-vs-measured
 //! results of every figure.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub use align;
 pub use bioseq;
 pub use cluster;

@@ -68,7 +68,10 @@ fn gen_seq(seed: u64, tag: u64, len: usize, regime: u64) -> Vec<u8> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)] // a test helper: one argument per kernel input
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a test helper: one argument per kernel input"
+)]
 fn check_two_hit(
     matrix: &Matrix,
     q: &[u8],
@@ -85,7 +88,10 @@ fn check_two_hit(
     assert_eq!(scalar, striped, "two-hit diverged [{cx}] at ({q2},{s2}) xdrop={xdrop}");
 }
 
-#[allow(clippy::too_many_arguments)] // a test helper: one argument per kernel input
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a test helper: one argument per kernel input"
+)]
 fn check_gapped(
     matrix: &Matrix,
     q: &[u8],
