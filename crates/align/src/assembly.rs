@@ -17,12 +17,6 @@ pub struct Fragment {
     pub len: usize,
 }
 
-impl Fragment {
-    pub fn end(&self) -> usize {
-        self.offset + self.len
-    }
-}
-
 /// Split a sequence of length `len` into fragments of at most `max_len`
 /// residues with `overlap` residues shared between consecutive fragments.
 ///
@@ -112,10 +106,14 @@ mod tests {
         assert!(frags.len() > 1);
         // Coverage and overlap invariants.
         assert_eq!(frags[0].offset, 0);
-        assert_eq!(frags.last().unwrap().end(), len);
+        let last = frags.last().unwrap();
+        assert_eq!(last.offset + last.len, len);
         for w in frags.windows(2) {
             assert_eq!(w[1].offset, w[0].offset + (max - ov));
-            assert!(w[1].offset < w[0].end(), "consecutive fragments must overlap");
+            assert!(
+                w[1].offset < w[0].offset + w[0].len,
+                "consecutive fragments must overlap"
+            );
         }
         for f in &frags {
             assert!(f.len <= max);

@@ -43,13 +43,11 @@ pub mod swar;
 pub mod types;
 pub mod ungapped;
 
-pub use gapped::{
-    gapped_extend_score, gapped_extend_traceback, xdrop_half, GappedExtender, GappedExtension,
-};
+pub use gapped::{gapped_extend_score, gapped_extend_traceback, xdrop_half, GappedExtender};
 pub use striped::{
     extend_two_hit_striped, gapped_extend_score_striped, gapped_extend_traceback_striped,
     gapped_rescues, xdrop_half_striped,
 };
 pub use sw::{smith_waterman, smith_waterman_traceback};
 pub use types::{AlignOp, GappedAlignment, UngappedAlignment};
-pub use ungapped::{extend_two_hit, TwoHitOutcome};
+pub use ungapped::extend_two_hit;

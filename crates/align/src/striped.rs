@@ -36,12 +36,12 @@
 //! # Why `i16` storage is exact
 //!
 //! Live cells satisfy `best − xdrop ≤ h ≤ best`; the domain guard caps
-//! `open`, `extend`, `xdrop` at [`MAX_PENALTY`] and the saturation guard
-//! rescues to the scalar kernel whenever `best` crosses [`RESCUE_BEST`],
+//! `open`, `extend`, `xdrop` at `MAX_PENALTY` and the saturation guard
+//! rescues to the scalar kernel whenever `best` crosses `RESCUE_BEST`,
 //! so every *live* value the two kernels compute is the same exact
 //! integer. Dead cells are another matter: the scalar kernel's sentinel
 //! chains sit near `i32::MIN / 4` while the striped kernel's sit near
-//! [`NEG16`], so dead values differ *in magnitude* between the kernels —
+//! `NEG16`, so dead values differ *in magnitude* between the kernels —
 //! but a dead chain can never out-compare a live value or a threshold
 //! (live values are ≥ `−MAX_PENALTY`, dead chains are ≤ `NEG16 −
 //! extend`, and the floor `NEG16 − open − extend` keeps them from
@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Diagonal-walk chunk width of the ungapped kernel (two packed u64s of
 /// four i16 lanes each).
-pub const CHUNK: usize = 8;
+pub(crate) const CHUNK: usize = 8;
 
 /// Sentinel for unreachable DP cells in the i16 domain. Far enough from
 /// `i16::MIN` that a dead chain (`≥ NEG16 − open − extend`) cannot wrap,
@@ -297,11 +297,11 @@ pub fn extend_two_hit_striped(
     TwoHitOutcome { alignment: Some(alignment), last_hit_update: alignment.q_end }
 }
 
-/// Lazily-built subject score strip: the [`ScoreProfile::for_subject`]
-/// layout, materialized one residue-code row at a time and only over
-/// the columns the live window has actually visited. Row `c` holds
-/// `matrix.score(c, s[j])` widened to `i16`, so the DP reads its scores
-/// sequentially from one contiguous run.
+/// Lazily-built subject score strip: a score profile with the subject
+/// as the matrix's second index, materialized one residue-code row at a
+/// time and only over the columns the live window has actually visited.
+/// Row `c` holds `matrix.score(c, s[j])` widened to `i16`, so the DP
+/// reads its scores sequentially from one contiguous run.
 ///
 /// Each row is anchored at the first column the code was requested at —
 /// the window's left edge never moves back (the live span's `lo` is

@@ -7,7 +7,7 @@
 //! scores sum to at most `±1016`), which is why none of this needs
 //! saturation, intrinsics, or unsafe.
 //!
-//! The only non-obvious trick is [`add4`]: adding two packed words with a
+//! The only non-obvious trick is `add4`: adding two packed words with a
 //! plain `+` would let a carry out of lane `k` corrupt lane `k + 1`, so
 //! the sign bits are masked out, added separately, and recombined with
 //! xor — the classic carry-fenced SWAR add.
@@ -17,7 +17,7 @@ const SIGN: u64 = 0x8000_8000_8000_8000;
 
 /// Pack four `i16` values into one u64, lane 0 in the low bits.
 #[inline]
-pub fn pack4(a: [i16; 4]) -> u64 {
+pub(crate) fn pack4(a: [i16; 4]) -> u64 {
     (a[0] as u16 as u64)
         | ((a[1] as u16 as u64) << 16)
         | ((a[2] as u16 as u64) << 32)
@@ -26,7 +26,7 @@ pub fn pack4(a: [i16; 4]) -> u64 {
 
 /// Unpack the four `i16` lanes of a u64.
 #[inline]
-pub fn unpack4(x: u64) -> [i16; 4] {
+pub(crate) fn unpack4(x: u64) -> [i16; 4] {
     [
         x as u16 as i16,
         (x >> 16) as u16 as i16,
@@ -39,21 +39,21 @@ pub fn unpack4(x: u64) -> [i16; 4] {
 /// Each lane wraps modulo 2^16 independently, exactly like `i16`
 /// wrapping addition.
 #[inline]
-pub fn add4(x: u64, y: u64) -> u64 {
+pub(crate) fn add4(x: u64, y: u64) -> u64 {
     ((x & !SIGN).wrapping_add(y & !SIGN)) ^ ((x ^ y) & SIGN)
 }
 
 /// In-register inclusive prefix sum: lane `k` becomes the sum of lanes
 /// `0..=k`. Two shift-add doubling steps cover all four lanes.
 #[inline]
-pub fn prefix4(x: u64) -> u64 {
+pub(crate) fn prefix4(x: u64) -> u64 {
     let x = add4(x, x << 16);
     add4(x, x << 32)
 }
 
 /// Broadcast lane 3 (the running total after [`prefix4`]) to all lanes.
 #[inline]
-pub fn splat_hi(x: u64) -> u64 {
+pub(crate) fn splat_hi(x: u64) -> u64 {
     let t = x >> 48;
     t | (t << 16) | (t << 32) | (t << 48)
 }
@@ -63,7 +63,7 @@ pub fn splat_hi(x: u64) -> u64 {
 /// every lane of the high half. Exact whenever all partial sums fit
 /// `i16` (the striped kernels feed `i8` scores: `|sum| ≤ 1016`).
 #[inline]
-pub fn prefix8(v: [i16; 8]) -> [i16; 8] {
+pub(crate) fn prefix8(v: [i16; 8]) -> [i16; 8] {
     let lo = prefix4(pack4([v[0], v[1], v[2], v[3]]));
     let hi = prefix4(pack4([v[4], v[5], v[6], v[7]]));
     let hi = add4(hi, splat_hi(lo));

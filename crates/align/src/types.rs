@@ -16,17 +16,12 @@ pub struct UngappedAlignment {
 
 impl UngappedAlignment {
     /// Length of the (gapless) alignment.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.q_end - self.q_start
     }
 
-    /// Whether the alignment spans no residues.
-    pub fn is_empty(&self) -> bool {
-        self.q_end == self.q_start
-    }
-
     /// Diagonal id `s_start − q_start` (can be negative).
-    pub fn diagonal(&self) -> i64 {
+    pub(crate) fn diagonal(&self) -> i64 {
         self.s_start as i64 - self.q_start as i64
     }
 
@@ -65,11 +60,6 @@ pub struct GappedAlignment {
 }
 
 impl GappedAlignment {
-    /// Number of aligned pairs (CIGAR `M` count).
-    pub fn aligned_pairs(&self) -> usize {
-        self.ops.iter().filter(|o| matches!(o, AlignOp::Sub)).count()
-    }
-
     /// Count identical residues given the two sequences.
     pub fn identities(&self, query: &[u8], subject: &[u8]) -> usize {
         let mut q = self.q_start as usize;
@@ -119,7 +109,6 @@ mod tests {
     fn ungapped_geometry() {
         let u = UngappedAlignment { q_start: 4, q_end: 12, s_start: 6, s_end: 14, score: 30 };
         assert_eq!(u.len(), 8);
-        assert!(!u.is_empty());
         assert_eq!(u.diagonal(), 2);
         assert_eq!(u.seed(), (8, 10));
     }
@@ -135,7 +124,6 @@ mod tests {
             ops: vec![AlignOp::Sub, AlignOp::Del, AlignOp::Sub, AlignOp::Sub],
         };
         assert!(g.validate());
-        assert_eq!(g.aligned_pairs(), 3);
         // query ABC vs subject A-BC with the Del consuming subject's X.
         let q = [0u8, 1, 2];
         let s = [0u8, 9, 1, 2];

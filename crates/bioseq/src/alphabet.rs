@@ -25,12 +25,12 @@ pub const WORD_LEN: usize = 3;
 pub const WORD_SPACE: usize = ALPHABET_SIZE * ALPHABET_SIZE * ALPHABET_SIZE;
 
 /// Canonical residue ordering (NCBI / BLOSUM order).
-pub const RESIDUES: [u8; ALPHABET_SIZE] = *b"ARNDCQEGHILKMFPSTWYVBZX*";
+pub(crate) const RESIDUES: [u8; ALPHABET_SIZE] = *b"ARNDCQEGHILKMFPSTWYVBZX*";
 
 /// Residue code of the ambiguity letter `X` (position in [`RESIDUES`]).
 /// Maskers write this code directly instead of round-tripping through
 /// [`encode_residue`].
-pub const X_CODE: u8 = 22;
+pub(crate) const X_CODE: u8 = 22;
 
 /// Packed word identifier in `0..WORD_SPACE`.
 pub type Word = u32;

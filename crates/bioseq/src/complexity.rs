@@ -39,7 +39,7 @@ impl Default for SegParams {
 }
 
 /// Shannon entropy (bits) of the residue composition of `window`.
-pub fn window_entropy(window: &[u8]) -> f64 {
+pub(crate) fn window_entropy(window: &[u8]) -> f64 {
     let mut counts = [0u32; ALPHABET_SIZE];
     for &r in window {
         counts[r as usize] += 1;
@@ -57,7 +57,7 @@ pub fn window_entropy(window: &[u8]) -> f64 {
 
 /// Find low-complexity intervals of an encoded sequence (half-open
 /// ranges, ascending, non-overlapping).
-pub fn seg_intervals(seq: &[u8], params: &SegParams) -> Vec<(usize, usize)> {
+pub(crate) fn seg_intervals(seq: &[u8], params: &SegParams) -> Vec<(usize, usize)> {
     let w = params.window;
     if seq.len() < w {
         return Vec::new();
@@ -114,15 +114,6 @@ pub fn seg_mask(seq: &[u8], params: &SegParams) -> Vec<u8> {
     out
 }
 
-/// Fraction of residues that would be masked (a cheap complexity gauge).
-pub fn masked_fraction(seq: &[u8], params: &SegParams) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    let masked: usize = seg_intervals(seq, params).iter().map(|(a, b)| b - a).sum();
-    masked as f64 / seq.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +150,6 @@ mod tests {
         let seq = enc("MARNDCQEGHILKMFPSTWYVMARNDCQEGHILKMFPSTWYV");
         assert!(seg_intervals(&seq, &SegParams::default()).is_empty());
         assert_eq!(seg_mask(&seq, &SegParams::default()), seq);
-        assert_eq!(masked_fraction(&seq, &SegParams::default()), 0.0);
     }
 
     #[test]
@@ -181,7 +171,6 @@ mod tests {
         let seq = enc(&format!("{}{}", "A".repeat(15), "G".repeat(15)));
         let iv = seg_intervals(&seq, &SegParams::default());
         assert_eq!(iv, vec![(0, 30)]);
-        assert!((masked_fraction(&seq, &SegParams::default()) - 1.0).abs() < 1e-9);
     }
 
     #[test]

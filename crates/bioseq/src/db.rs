@@ -35,11 +35,6 @@ impl SequenceDb {
         Self::default()
     }
 
-    /// Build from a vector of sequences.
-    pub fn from_sequences(seqs: Vec<Sequence>) -> Self {
-        SequenceDb { seqs }
-    }
-
     /// Append one sequence, returning its id.
     pub fn push(&mut self, seq: Sequence) -> SequenceId {
         self.seqs.push(seq);
@@ -89,53 +84,6 @@ impl SequenceDb {
         let mut seqs = self.seqs.clone();
         seqs.sort_by_key(|s| s.len());
         SequenceDb { seqs }
-    }
-
-    /// Sort in place by ascending length (stable).
-    pub fn sort_by_length(&mut self) {
-        self.seqs.sort_by_key(|s| s.len());
-    }
-
-    /// Split the (assumed length-sorted) database into `n` partitions in a
-    /// round-robin manner, the paper's load-balancing partitioner: every
-    /// partition receives nearly the same number of sequences *and* a similar
-    /// length distribution.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn round_robin_partitions(&self, n: usize) -> Vec<SequenceDb> {
-        assert!(n > 0, "cannot partition into zero parts");
-        let mut parts = vec![SequenceDb::new(); n];
-        for (i, s) in self.seqs.iter().enumerate() {
-            parts[i % n].seqs.push(s.clone());
-        }
-        parts
-    }
-
-    /// Contiguous chunk partitioning (what mpiBLAST-style segmentation
-    /// does): split the database into `n` fragments of approximately equal
-    /// *residue* counts without reordering. Used as the baseline partitioner
-    /// in the cluster experiments.
-    pub fn chunk_partitions(&self, n: usize) -> Vec<SequenceDb> {
-        assert!(n > 0, "cannot partition into zero parts");
-        let total = self.total_residues();
-        let target = total.div_ceil(n).max(1);
-        let mut parts: Vec<SequenceDb> = Vec::with_capacity(n);
-        let mut cur = SequenceDb::new();
-        let mut cur_residues = 0usize;
-        for s in &self.seqs {
-            if cur_residues >= target && parts.len() + 1 < n {
-                parts.push(std::mem::take(&mut cur));
-                cur_residues = 0;
-            }
-            cur_residues += s.len();
-            cur.seqs.push(s.clone());
-        }
-        parts.push(cur);
-        while parts.len() < n {
-            parts.push(SequenceDb::new());
-        }
-        parts
     }
 
     /// Compute summary statistics.
@@ -212,38 +160,6 @@ mod tests {
         let s = d.sorted_by_length();
         let ids: Vec<&str> = s.sequences().iter().map(|s| s.id.as_str()).collect();
         assert_eq!(ids, ["s3", "s1", "s0", "s2"]);
-    }
-
-    #[test]
-    fn round_robin_balances_counts() {
-        let d = db(&[1, 2, 3, 4, 5, 6, 7]).sorted_by_length();
-        let parts = d.round_robin_partitions(3);
-        let counts: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        assert_eq!(counts, [3, 2, 2]);
-        let total: usize = parts.iter().map(|p| p.total_residues()).sum();
-        assert_eq!(total, d.total_residues());
-    }
-
-    #[test]
-    fn chunk_partitions_cover_everything_in_order() {
-        let d = db(&[10, 10, 10, 10, 10, 10]);
-        let parts = d.chunk_partitions(3);
-        assert_eq!(parts.len(), 3);
-        let flat: Vec<&str> = parts
-            .iter()
-            .flat_map(|p| p.sequences().iter().map(|s| s.id.as_str()))
-            .collect();
-        assert_eq!(flat, ["s0", "s1", "s2", "s3", "s4", "s5"]);
-        assert!(parts.iter().all(|p| p.total_residues() == 20));
-    }
-
-    #[test]
-    fn chunk_partitions_more_parts_than_sequences() {
-        let d = db(&[4, 4]);
-        let parts = d.chunk_partitions(5);
-        assert_eq!(parts.len(), 5);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 2);
     }
 
     #[test]

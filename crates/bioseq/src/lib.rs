@@ -26,10 +26,8 @@ pub mod db;
 pub mod fasta;
 pub mod seq;
 
-pub use alphabet::{
-    decode_residue, encode_residue, Word, WordIter, ALPHABET_SIZE, WORD_LEN, WORD_SPACE,
-};
-pub use complexity::{seg_intervals, seg_mask, SegParams};
-pub use db::{DbStats, SequenceDb};
-pub use fasta::{read_fasta, write_fasta, FastaError};
+pub use alphabet::{decode_residue, encode_residue};
+pub use complexity::{seg_mask, SegParams};
+pub use db::SequenceDb;
+pub use fasta::{read_fasta, write_fasta};
 pub use seq::{Sequence, SequenceId};

@@ -1,6 +1,6 @@
 //! Owned, encoded protein sequences.
 
-use crate::alphabet::{self, WordIter};
+use crate::alphabet;
 use std::fmt;
 
 /// Index of a sequence within a [`crate::db::SequenceDb`].
@@ -63,13 +63,8 @@ impl Sequence {
         self.residues.is_empty()
     }
 
-    /// Iterate the overlapping `W = 3` words of this sequence.
-    pub fn words(&self) -> WordIter<'_> {
-        WordIter::new(&self.residues)
-    }
-
     /// ASCII rendering of the residues.
-    pub fn to_ascii(&self) -> String {
+    pub(crate) fn to_ascii(&self) -> String {
         alphabet::decode_to_string(&self.residues)
     }
 }
@@ -90,12 +85,6 @@ mod tests {
         assert_eq!(s.to_ascii(), "MARND");
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn words_count() {
-        let s = Sequence::from_str_checked("q", "MARNDC").unwrap();
-        assert_eq!(s.words().count(), 4);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Eviction is strict LRU and nothing else. LRU alone serves a repeated
 //! ascending scan of more blocks than fit *nothing* — each block is the
 //! least recently used just before its turn comes round — so the engine's
-//! exhaustive scan asks [`BlockCache::contains`] (a pure observation: no
+//! exhaustive scan asks `BlockCache::contains` (a pure observation: no
 //! counter, no recency refresh) and visits resident blocks first; the
 //! policy stays simple and the visit order does the work.
 //!
@@ -99,25 +99,14 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Hits over lookups, in `[0, 1]`; 1.0 for an untouched cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            // Statistics; precision loss above
-            // 2^52 lookups is irrelevant to a hit rate.
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Mean decode cost per posting in nanoseconds (0.0 before any
     /// decode).
     pub fn decode_ns_per_posting(&self) -> f64 {
         if self.decoded_postings == 0 {
             0.0
         } else {
-            // Statistics, same as above.
+            // Statistics; precision loss above 2^52 postings is
+            // irrelevant to a mean.
             self.decode_ns as f64 / self.decoded_postings as f64
         }
     }
@@ -250,7 +239,7 @@ impl BlockCache {
 
     /// Look up a decoded block, refreshing its recency. Counts a hit or
     /// a miss.
-    pub fn get(&self, store: u32, block: u32) -> Option<Arc<IndexBlock>> {
+    pub(crate) fn get(&self, store: u32, block: u32) -> Option<Arc<IndexBlock>> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -272,7 +261,7 @@ impl BlockCache {
     /// never changes what [`BlockCache::insert`] evicts next. The answer
     /// can be stale as soon as it is returned; callers use it to *order*
     /// fetches ([`engine::BlockSource::resident`]), never to skip one.
-    pub fn contains(&self, store: u32, block: u32) -> bool {
+    pub(crate) fn contains(&self, store: u32, block: u32) -> bool {
         self.lock().map.contains_key(&Self::key(store, block))
     }
 
@@ -309,13 +298,8 @@ impl BlockCache {
     }
 
     /// Number of blocks currently resident.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().map.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -351,7 +335,6 @@ mod tests {
         assert_eq!(&*got, &blocks[0]);
         let snap = cache.counters().snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));
-        assert!((snap.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

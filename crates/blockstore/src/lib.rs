@@ -9,13 +9,13 @@
 //!
 //! * [`BlockCache`] — decoded [`dbindex::IndexBlock`]s under a byte
 //!   budget, strict LRU, shared across stores, with atomic hit / miss /
-//!   eviction / residency counters ([`CacheCounters`]) exported through
+//!   eviction / residency counters ([`cache::CacheCounters`]) exported through
 //!   the serve stats frame;
 //! * [`SequenceStore`] — one open store file: footer directory + cached
 //!   block fetches, every failure a typed [`StoreError`]; an
 //!   [`engine::BlockSource`], so [`engine::search_batch_blocks`] searches
 //!   it bit-identically to a resident index. It answers
-//!   [`engine::BlockSource::resident`] from [`BlockCache::contains`], so
+//!   [`engine::BlockSource::resident`] from `BlockCache::contains`, so
 //!   an exhaustive scan starts with the blocks the previous one left in
 //!   the cache: eviction stays strict LRU, and it is the *scan order*
 //!   that lets a cache of `c` blocks serve `c` fetches of every scan
@@ -43,10 +43,10 @@
 pub mod cache;
 pub mod stream;
 
-pub use cache::{BlockCache, CacheCounters, CounterSnapshot};
+pub use cache::{BlockCache, CounterSnapshot};
 pub use stream::{
-    write_store_file, SequenceStore, StoreError, StreamingShard, StreamingShards,
-    FAULT_FETCH_FLIP, FAULT_FETCH_LATENCY, FAULT_FETCH_SHORT,
+    SequenceStore, StoreError, StreamingShard, StreamingShards, FAULT_FETCH_FLIP,
+    FAULT_FETCH_LATENCY, FAULT_FETCH_SHORT,
 };
 
 #[cfg(test)]

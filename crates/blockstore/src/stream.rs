@@ -102,11 +102,6 @@ impl<R: Read + Seek> SequenceStore<R> {
         &self.dir
     }
 
-    /// Index configuration the store was built with.
-    pub fn config(&self) -> &IndexConfig {
-        &self.dir.config
-    }
-
     /// Number of blocks in the store.
     pub fn num_blocks(&self) -> usize {
         self.dir.blocks.len()
@@ -186,7 +181,7 @@ impl<R: Read + Seek> SequenceStore<R> {
 /// A store is a block source: bounds come straight from the footer
 /// directory, so a block the top-k pruner skips is never read from disk at
 /// all — the I/O the pruning mode exists to save. `resident` is the
-/// cache's [`BlockCache::contains`], so an exhaustive scan starts with the
+/// cache's `BlockCache::contains`, so an exhaustive scan starts with the
 /// blocks still cached from the previous one. A fetch failure of a block
 /// that actually needed scanning aborts the search with its typed error.
 impl<R: Read + Seek> BlockSource for SequenceStore<R> {
@@ -213,7 +208,7 @@ impl<R: Read + Seek> BlockSource for SequenceStore<R> {
 
 /// Serialize `index` as a store file (format [`dbindex::STORE_VERSION`])
 /// at `path` via the streaming writer, returning the directory.
-pub fn write_store_file(index: &DbIndex, path: &Path) -> Result<StoreDirectory, StoreError> {
+pub(crate) fn write_store_file(index: &DbIndex, path: &Path) -> Result<StoreDirectory, StoreError> {
     let file = std::fs::File::create(path)?;
     let mut writer = StoreWriter::new(std::io::BufWriter::new(file), index.config())?;
     for block in index.blocks() {

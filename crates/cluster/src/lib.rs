@@ -27,4 +27,4 @@ pub mod model;
 pub mod sim;
 
 pub use model::{CalibratedCost, ClusterParams};
-pub use sim::{simulate_mpiblast, simulate_mublastp, simulate_query_partitioned, SimOutcome};
+pub use sim::{simulate_mpiblast, simulate_mublastp};

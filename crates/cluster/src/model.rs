@@ -81,7 +81,7 @@ impl Default for ClusterParams {
 
 impl ClusterParams {
     /// Wire time of one message of `bytes`.
-    pub fn msg_time(&self, bytes: f64) -> f64 {
+    pub(crate) fn msg_time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.bandwidth
     }
 }

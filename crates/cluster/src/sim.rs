@@ -179,56 +179,6 @@ pub fn simulate_mpiblast(
     SimOutcome { nodes, makespan, compute_max, compute_min, overhead }
 }
 
-/// Simulate the *query-partitioned* alternative (paper Sec. IV-D2: prior
-/// systems "partition input queries, database, or both"): every node
-/// holds the entire database index and processes `1/N` of the query
-/// batch; no merge is needed because per-query results are independent.
-///
-/// Its weaknesses — the reasons the paper partitions the database
-/// instead — fall out of the model: scaling is quantised by the batch
-/// size (at `nodes > queries` the extra nodes idle), imbalance follows
-/// the query-length mix rather than the controllable database partition,
-/// and every node must hold the full index in memory (reported in
-/// [`SimOutcome::overhead`] here as zero — memory is the hidden cost this
-/// model cannot price; see the paper's Sec. III motivation for blocking).
-pub fn simulate_query_partitioned(
-    seq_lens: &[usize],
-    query_lens: &[usize],
-    nodes: usize,
-    threads_per_node: usize,
-    cost: &CalibratedCost,
-    params: &ClusterParams,
-) -> SimOutcome {
-    assert!(nodes > 0 && threads_per_node > 0);
-    let db_residues: usize = seq_lens.iter().sum();
-    // Round-robin query assignment, dynamic thread schedule inside a node.
-    let mut node_time = vec![0.0f64; nodes];
-    for (node, slot) in node_time.iter_mut().enumerate() {
-        let mut threads = vec![0f64; threads_per_node];
-        for (qi, &qlen) in query_lens.iter().enumerate() {
-            if qi % nodes != node {
-                continue;
-            }
-            let t = cost.task_cost(qlen, db_residues);
-            *earliest_free(&mut threads) += t;
-        }
-        *slot = threads.iter().cloned().fold(0.0, f64::max);
-    }
-    let compute_max = node_time.iter().cloned().fold(0.0, f64::max);
-    let compute_min = node_time.iter().cloned().fold(f64::INFINITY, f64::min);
-    let gather = (nodes.saturating_sub(1)) as f64
-        * (params.sched_cpu_per_msg
-            + params.result_bytes_per_query * query_lens.len() as f64
-                / (nodes as f64 * params.bandwidth));
-    SimOutcome {
-        nodes,
-        makespan: compute_max + gather,
-        compute_max,
-        compute_min,
-        overhead: gather,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,46 +287,6 @@ mod tests {
                 rr.residue_totals().iter().sum::<usize>()
             );
         }
-    }
-
-    #[test]
-    fn query_partitioning_quantises_at_scale() {
-        let (seq_lens, _) = workload();
-        let c = cost();
-        let p = ClusterParams::default();
-        // 24 equal queries over 16 nodes: ceil(24/16) = 2 queries on some
-        // nodes, 1 on others → ~50 % idle tail; database partitioning has
-        // no such quantisation.
-        let query_lens = vec![256usize; 24];
-        let one = simulate_query_partitioned(&seq_lens, &query_lens, 1, 16, &c, &p);
-        let qp = simulate_query_partitioned(&seq_lens, &query_lens, 16, 16, &c, &p);
-        let dbp = simulate_mublastp(&seq_lens, &query_lens, 16, 16, &c, &p);
-        let eff_qp = qp.efficiency_vs(&one);
-        assert!(eff_qp < 0.80, "quantisation should bite: {eff_qp}");
-        assert!(dbp.makespan < qp.makespan, "db partitioning must win here");
-        // With nodes > queries the extra nodes idle entirely.
-        let over = simulate_query_partitioned(&seq_lens, &query_lens, 64, 16, &c, &p);
-        assert!(over.compute_min == 0.0);
-        assert!(over.makespan >= qp.makespan * 0.49, "no speedup past Q nodes");
-    }
-
-    #[test]
-    fn mixed_lengths_imbalance_query_partitioning() {
-        let (seq_lens, _) = workload();
-        let c = cost();
-        let p = ClusterParams::default();
-        // Strongly mixed query lengths: one straggler per round.
-        let query_lens: Vec<usize> =
-            (0..64).map(|i| if i % 8 == 0 { 1024 } else { 96 }).collect();
-        let qp = simulate_query_partitioned(&seq_lens, &query_lens, 32, 16, &c, &p);
-        let dbp = simulate_mublastp(&seq_lens, &query_lens, 32, 16, &c, &p);
-        assert!(
-            dbp.makespan < qp.makespan,
-            "db partitioning balances what query partitioning cannot: {} vs {}",
-            dbp.makespan,
-            qp.makespan
-        );
-        assert!(qp.compute_max / qp.compute_min.max(1e-12) > dbp.compute_max / dbp.compute_min);
     }
 
     #[test]

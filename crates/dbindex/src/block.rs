@@ -58,17 +58,6 @@ impl IndexBlock {
         &self.residues[s.start as usize..(s.start + s.len) as usize]
     }
 
-    /// The whole residue buffer (for address-space registration in the
-    /// instrumented kernels).
-    pub fn residue_buffer(&self) -> &[u8] {
-        &self.residues
-    }
-
-    /// Start of a fragment within [`Self::residue_buffer`].
-    pub fn seq_start(&self, local: u32) -> u32 {
-        self.seqs[local as usize].start
-    }
-
     /// Packed postings of `word` (ascending by packed value).
     #[inline]
     pub fn postings(&self, word: Word) -> &[u32] {
@@ -90,9 +79,10 @@ impl IndexBlock {
         (entry >> self.offset_bits, entry & ((1 << self.offset_bits) - 1))
     }
 
-    /// Pack `(local sequence id, subject offset)` into a posting.
-    #[inline]
-    pub fn pack(&self, local_seq: u32, offset: u32) -> u32 {
+    /// Pack `(local sequence id, subject offset)` into a posting; the
+    /// tests check [`Self::unpack`] against it.
+    #[cfg(test)]
+    fn pack(&self, local_seq: u32, offset: u32) -> u32 {
         debug_assert!(offset < (1 << self.offset_bits));
         (local_seq << self.offset_bits) | offset
     }
@@ -121,7 +111,7 @@ impl IndexBlock {
     }
 
     /// Bits used for subject offsets in packed postings.
-    pub fn offset_bits(&self) -> u32 {
+    pub(crate) fn offset_bits(&self) -> u32 {
         self.offset_bits
     }
 
@@ -347,8 +337,8 @@ impl DbIndex {
     /// grouped into blocks, an appended index returns exactly what a full
     /// rebuild would — only the cache-locality tuning degrades as deltas
     /// accumulate (delta blocks are length-sorted internally but not
-    /// merged with the old ones); call [`DbIndex::compact`] to restore
-    /// the fully sorted layout.
+    /// merged with the old ones); a fresh [`DbIndex::build`] restores the
+    /// fully sorted layout.
     ///
     /// # Panics
     /// Panics if any id in `new_ids` is out of range for `db`.
@@ -390,13 +380,6 @@ impl DbIndex {
         if !cur.is_empty() {
             self.blocks.push(Self::finish_block(db, &cur, &config));
         }
-    }
-
-    /// Rebuild the whole index from `db` with the current configuration,
-    /// restoring the globally length-sorted block layout after a series
-    /// of [`DbIndex::append`]s.
-    pub fn compact(&mut self, db: &SequenceDb) {
-        *self = DbIndex::build(db, &self.config);
     }
 
     /// The blocks, ascending by fragment length.
@@ -563,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn append_covers_new_sequences_and_compact_restores_layout() {
+    fn append_covers_new_sequences() {
         let strs: Vec<String> =
             (0..20).map(|i| "ARNDCQEGHILKMFPSTWYV".repeat(1 + i % 5)).collect();
         let refs: Vec<&str> = strs.iter().map(|s| s.as_str()).collect();
@@ -613,10 +596,6 @@ mod tests {
             v
         };
         assert_eq!(collect(&index), collect(&fresh));
-
-        // Compacting yields the canonical build exactly.
-        index.compact(&db);
-        assert_eq!(index, fresh);
     }
 
     #[test]

@@ -18,12 +18,12 @@ pub struct IndexConfig {
 
 impl IndexConfig {
     /// Maximum fragment length representable by the offset field.
-    pub fn max_seq_len(&self) -> usize {
+    pub(crate) fn max_seq_len(&self) -> usize {
         (1usize << self.offset_bits) - 1
     }
 
     /// Maximum block-local sequence count.
-    pub fn max_seqs_per_block(&self) -> usize {
+    pub(crate) fn max_seqs_per_block(&self) -> usize {
         1usize << (32 - self.offset_bits)
     }
 

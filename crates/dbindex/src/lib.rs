@@ -48,11 +48,11 @@ pub mod serial;
 pub mod shard;
 pub mod store;
 
-pub use block::{BlockSeq, DbIndex, IndexBlock};
+pub use block::{DbIndex, IndexBlock};
 pub use config::{optimal_block_bytes, IndexConfig};
 pub use serial::{load_index_resilient, LoadOutcome, SerialError, FAULT_LOAD};
-pub use shard::{DbShard, ShardPlan, ShardedIndex};
+pub use shard::{ShardPlan, ShardedIndex};
 pub use store::{
-    decode_block, encode_block, read_directory, read_store, write_store, BlockBound,
-    StoreBlockMeta, StoreDirectory, StoreWriter, STORE_VERSION,
+    decode_block, read_directory, read_store, write_store, BlockBound, StoreBlockMeta,
+    StoreDirectory, StoreWriter, STORE_VERSION,
 };

@@ -107,11 +107,6 @@ impl ShardPlan {
         &self.members[s]
     }
 
-    /// Residue total of shard `s`.
-    pub fn shard_residues(&self, s: usize) -> usize {
-        self.residues[s]
-    }
-
     /// Per-shard residue totals, indexed by shard id.
     pub fn residue_totals(&self) -> &[usize] {
         &self.residues
@@ -242,11 +237,6 @@ impl ShardedIndex {
     pub fn global_seqs(&self) -> usize {
         self.global_seqs
     }
-
-    /// Translate a shard-local sequence id to the global id.
-    pub fn to_global(&self, shard: usize, local: SequenceId) -> SequenceId {
-        self.shards[shard].ids[local as usize]
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +288,7 @@ mod tests {
         let max = *plan.residue_totals().iter().max().expect("nonempty");
         let min = *plan.residue_totals().iter().min().expect("nonempty");
         assert!(max - min <= 1000, "max {max} min {min}");
-        assert!(plan.shard_residues(home) >= 1000);
+        assert!(plan.residue_totals()[home] >= 1000);
     }
 
     #[test]
@@ -319,7 +309,7 @@ mod tests {
         assert_eq!(plan.members(0), &[0, 3, 6]);
         assert_eq!(plan.members(1), &[1, 4]);
         assert_eq!(plan.members(2), &[2, 5]);
-        assert_eq!(plan.shard_residues(0), 3 + 1 + 2);
+        assert_eq!(plan.residue_totals()[0], 3 + 1 + 2);
     }
 
     #[test]
@@ -347,7 +337,7 @@ mod tests {
         assert_eq!(si.global_residues(), db.total_residues());
         assert_eq!(si.global_seqs(), db.len());
         let mut seen = vec![false; db.len()];
-        for (s, shard) in si.shards().iter().enumerate() {
+        for shard in si.shards() {
             assert_eq!(shard.ids.len(), shard.db.len());
             for (local, &gid) in shard.ids.iter().enumerate() {
                 assert!(!seen[gid as usize], "sequence {gid} in two shards");
@@ -356,7 +346,6 @@ mod tests {
                     shard.db.get(local as SequenceId).residues(),
                     db.get(gid).residues()
                 );
-                assert_eq!(si.to_global(s, local as SequenceId), gid);
             }
         }
         assert!(seen.iter().all(|&b| b), "every sequence assigned");

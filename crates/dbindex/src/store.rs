@@ -125,7 +125,7 @@ fn get_u32s(data: &mut &[u8]) -> Result<Vec<u32>, SerialError> {
 // ---------------------------------------------------------------------
 
 /// Serialize one block as a self-contained, CRC-trailed record.
-pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
+pub(crate) fn encode_block(block: &IndexBlock) -> Vec<u8> {
     let (seqs, residues, offsets, entries) = block.parts();
     let mut out = Vec::with_capacity(
         4 + seqs.len() * 16 + 8 + residues.len() + 2 * 8 + (offsets.len() + entries.len()) * 4 + 4,
@@ -150,7 +150,7 @@ pub fn encode_block(block: &IndexBlock) -> Vec<u8> {
     out
 }
 
-/// Decode a block record written by [`encode_block`]. The body is parsed
+/// Decode a block record written by `encode_block`. The body is parsed
 /// first so plain truncation reports [`SerialError::Truncated`]; a record
 /// that parses but fails its CRC — bit rot, a torn write, an injected
 /// fetch fault — is [`SerialError::Corrupt`].

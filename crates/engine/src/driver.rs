@@ -288,8 +288,8 @@ pub fn search_batch_traced(
 /// so the threshold drops early. Each scanned whole-subject block's seeds
 /// are extended on the spot — it holds every seed of its subjects, so this
 /// *is* the finish stage's candidate pipeline
-/// ([`Finisher::candidates`]), run early — and the subjects' preliminary
-/// E-values feed a per-query [`TopKSet`]; the finish pass takes those
+/// (`Finisher::candidates`), run early — and the subjects' preliminary
+/// E-values feed a per-query `TopKSet`; the finish pass takes those
 /// candidates as they are and extends only the seeds of fragment blocks
 /// (a `Gapped` span per `(query, block)` times the early part).
 /// A block is skipped, *without being fetched*, only when for **every**

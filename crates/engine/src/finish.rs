@@ -22,7 +22,8 @@ use scoring::SearchParams;
 /// records one `Gapped` span covering assembly plus score-only gapped
 /// extension (the driver wraps the whole call in a `Finish` span, so
 /// ranking and traceback show up as `Finish` self-time).
-pub fn finish_query<O: StageObs>(
+#[cfg(test)]
+pub(crate) fn finish_query<O: StageObs>(
     query: &[u8],
     db: &SequenceDb,
     seeds: Vec<Seed>,

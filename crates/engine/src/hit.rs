@@ -19,7 +19,7 @@
 /// A filtered hit pair awaiting ungapped extension.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HitPair {
-    /// `(local_seq << diag_bits) | diag`, see [`KeySpec`].
+    /// `(local_seq << diag_bits) | diag`, see `KeySpec`.
     pub key: u32,
     /// Query offset of the second hit's word start.
     pub q_off: u32,
@@ -29,7 +29,7 @@ pub struct HitPair {
 
 /// Packing geometry for hit keys within one (block, query) search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeySpec {
+pub(crate) struct KeySpec {
     /// Bits reserved for the diagonal id (low bits).
     pub diag_bits: u32,
     /// Query length used for the diagonal shift.
@@ -44,7 +44,7 @@ impl KeySpec {
     /// Panics if `local-seq bits + diag bits` exceed 32 — with the default
     /// index config (fragments ≤ 32 767) and queries ≤ 32 767 this cannot
     /// happen for blocks under 2¹⁷ sequences.
-    pub fn new(query_len: usize, max_subject_len: usize, n_seqs: usize) -> KeySpec {
+    pub(crate) fn new(query_len: usize, max_subject_len: usize, n_seqs: usize) -> KeySpec {
         // diag ∈ [0, query_len + max_subject_len], need that many values.
         let diag_span = (query_len + max_subject_len + 1) as u64;
         let diag_bits = 64 - (diag_span - 1).max(1).leading_zeros();
@@ -59,32 +59,32 @@ impl KeySpec {
 
     /// Number of diagonal slots per sequence.
     #[inline]
-    pub fn diag_span(&self) -> u32 {
+    pub(crate) fn diag_span(&self) -> u32 {
         1 << self.diag_bits
     }
 
     /// Diagonal id of a `(q_off, s_off)` hit.
     #[inline]
-    pub fn diag(&self, q_off: u32, s_off: u32) -> u32 {
+    pub(crate) fn diag(&self, q_off: u32, s_off: u32) -> u32 {
         s_off + self.query_len - q_off
     }
 
     /// Pack a key.
     #[inline]
-    pub fn key(&self, local_seq: u32, diag: u32) -> u32 {
+    pub(crate) fn key(&self, local_seq: u32, diag: u32) -> u32 {
         debug_assert!(diag < self.diag_span());
         (local_seq << self.diag_bits) | diag
     }
 
     /// Unpack `(local_seq, diag)`.
     #[inline]
-    pub fn unpack(&self, key: u32) -> (u32, u32) {
+    pub(crate) fn unpack(&self, key: u32) -> (u32, u32) {
         (key >> self.diag_bits, key & (self.diag_span() - 1))
     }
 
     /// Recover the subject offset from a key's diagonal and a query offset.
     #[inline]
-    pub fn s_off(&self, key: u32, q_off: u32) -> u32 {
+    pub(crate) fn s_off(&self, key: u32, q_off: u32) -> u32 {
         let diag = key & (self.diag_span() - 1);
         diag + q_off - self.query_len
     }

@@ -60,13 +60,13 @@ fn db_regions(space: &mut AddressSpace, index: &DbIndex, kind: EngineKind, query
     let max_entries = index.blocks().iter().map(|b| b.total_positions()).max().unwrap_or(0);
     let max_cells = db_cells(index, query_len);
     Regions {
-        query: space.alloc("query", query_len),
-        subject: space.alloc("block residues", max_res),
-        postings: space.alloc("postings", max_entries * 4),
-        lasthit: space.alloc("last-hit array", max_cells * last_hit_cell_bytes(kind, query_len)),
-        coverage: space.alloc("coverage array", max_cells * 4),
-        hitbuf: space.alloc("hit buffer", 1 << 26),
-        neighbors: space.alloc("neighbor table", 1 << 20),
+        query: space.alloc(query_len),
+        subject: space.alloc(max_res),
+        postings: space.alloc(max_entries * 4),
+        lasthit: space.alloc(max_cells * last_hit_cell_bytes(kind, query_len)),
+        coverage: space.alloc(max_cells * 4),
+        hitbuf: space.alloc(1 << 26),
+        neighbors: space.alloc(1 << 20),
         qindex: 0,
     }
 }
@@ -100,11 +100,11 @@ pub fn trace_engine(
             let max_cells =
                 db.iter().map(|(_, s)| s.len()).max().unwrap_or(0) + query.len() + 1;
             let regions = Regions {
-                query: space.alloc("query", query.len()),
-                subject: space.alloc("database residues", acc as usize),
-                qindex: space.alloc("query index", qidx.memory_bytes()),
-                lasthit: space.alloc("last-hit array", max_cells * 4),
-                coverage: space.alloc("coverage array", max_cells * 4),
+                query: space.alloc(query.len()),
+                subject: space.alloc(acc as usize),
+                qindex: space.alloc(qidx.memory_bytes()),
+                lasthit: space.alloc(max_cells * 4),
+                coverage: space.alloc(max_cells * 4),
                 ..Default::default()
             };
             let mut ctx = TraceCtx::new(&mut hierarchy, regions);
@@ -198,7 +198,7 @@ pub fn trace_engine_multicore(
                 acc += s.len() as u64;
             }
             Regions {
-                subject: space.alloc("database residues", acc as usize),
+                subject: space.alloc(acc as usize),
                 ..Default::default()
             }
         }
@@ -221,14 +221,14 @@ pub fn trace_engine_multicore(
         }
     };
     let core_regions: Vec<Regions> = (0..threads)
-        .map(|c| {
+        .map(|_| {
             let mut r = shared_regions;
-            r.query = space.alloc(format!("query core {c}"), max_qlen);
-            r.lasthit = space.alloc(format!("last-hit core {c}"), lasthit_bytes);
-            r.coverage = space.alloc(format!("coverage core {c}"), coverage_bytes);
-            r.hitbuf = space.alloc(format!("hit buffer core {c}"), 1 << 26);
+            r.query = space.alloc(max_qlen);
+            r.lasthit = space.alloc(lasthit_bytes);
+            r.coverage = space.alloc(coverage_bytes);
+            r.hitbuf = space.alloc(1 << 26);
             if matches!(kind, EngineKind::QueryIndexed) {
-                r.qindex = space.alloc(format!("query index core {c}"), 1 << 21);
+                r.qindex = space.alloc(1 << 21);
             }
             r
         })

@@ -48,7 +48,7 @@ pub struct TraceCtx<'a, T: Tracer> {
 
 impl<'a, T: Tracer> TraceCtx<'a, T> {
     /// Bundles a tracer with the address regions it attributes accesses to.
-    pub fn new(tracer: &'a mut T, regions: Regions) -> Self {
+    pub(crate) fn new(tracer: &'a mut T, regions: Regions) -> Self {
         TraceCtx { tracer, regions }
     }
 }

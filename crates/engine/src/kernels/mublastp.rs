@@ -9,7 +9,7 @@
 //!    structure touched, and crucially no subject sequence is read — so
 //!    the pass streams. Its cells are 2 bytes whenever the query's epoch
 //!    span `query_len + 1` fits a `u16` and 4 bytes beyond
-//!    ([`last_hit_cell_bytes`]), one generic scan for both. Fewer than 5 %
+//!    (`last_hit_cell_bytes`), one generic scan for both. Fewer than 5 %
 //!    of hits survive (Fig. 6), which is what makes phase 2 cheap.
 //! 2. **Hit reordering** (Sec. IV-B): a stable LSD radix sort on the
 //!    packed `(sequence, diagonal)` key. Stability preserves the

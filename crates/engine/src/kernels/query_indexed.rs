@@ -29,7 +29,7 @@ use scoring::SearchParams;
     clippy::too_many_arguments,
     reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
 )]
-pub fn search_db<T: Tracer, O: StageObs>(
+pub(crate) fn search_db<T: Tracer, O: StageObs>(
     query: &[u8],
     qidx: &QueryIndex,
     db: &SequenceDb,
@@ -60,7 +60,7 @@ pub fn search_db<T: Tracer, O: StageObs>(
     clippy::too_many_arguments,
     reason = "kernel inputs, per-thread scratch, tracer and observer are independent"
 )]
-pub fn search_db_range<T: Tracer, O: StageObs>(
+pub(crate) fn search_db_range<T: Tracer, O: StageObs>(
     query: &[u8],
     qidx: &QueryIndex,
     db: &SequenceDb,

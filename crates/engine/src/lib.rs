@@ -57,14 +57,14 @@ pub use driver::{
     search_batch, search_batch_blocks, search_batch_traced, BlockSource, EngineKind, SearchConfig,
     SearchOutcome, SortAlgo,
 };
-pub use hit::{HitPair, KeySpec};
-pub use instrument::{trace_engine, trace_engine_multicore, TraceReport};
-pub use report::{tabular_rows, write_tabular, write_tabular_commented, TabularRow};
+pub use hit::HitPair;
+pub use instrument::{trace_engine, trace_engine_multicore};
+pub use report::{tabular_rows, write_tabular, write_tabular_commented};
 pub use results::{compare_alignments, split_batch, Alignment, QueryResult, StageCounts};
 pub use sharded::{
     merge_shard_alignments, search_batch_backend_traced, search_batch_sharded,
     search_batch_sharded_traced, ShardBackend, ShardFailCause, ShardFailure, ShardTiming,
     ShardedOutput, FAULT_SHARD,
 };
-pub use topk::{QueryPruner, TopKShared, TopKStats, Watermark};
+pub use topk::TopKStats;
 pub use verify::results_identical;

@@ -106,13 +106,6 @@ pub struct QueryResult {
     pub counts: StageCounts,
 }
 
-impl QueryResult {
-    /// Best bit score, if anything was reported.
-    pub fn best_bit_score(&self) -> Option<f64> {
-        self.alignments.first().map(|a| a.bit_score)
-    }
-}
-
 /// Demultiplex the results of one coalesced `search_batch` run back into
 /// the per-submitter batches it was formed from.
 ///

@@ -20,7 +20,7 @@ use crate::twohit::{EpochCells, PairFinder};
 /// Per-`(sequence, diagonal)` extension-coverage array for the interleaved
 /// engines (the second half of the paper's "last hit array is twice the
 /// number of positions"), 4 bytes per cell. muBLASTP does not need it:
-/// after sorting, a scalar [`crate::twohit::ExtensionGate`] suffices — one
+/// after sorting, a scalar `crate::twohit::ExtensionGate` suffices — one
 /// of the ways the decoupled pipeline shrinks its working set.
 pub struct CoverageArray {
     ext_reached: EpochCells<u32>,
@@ -34,7 +34,7 @@ impl Default for CoverageArray {
 
 impl CoverageArray {
     /// An empty coverage array; capacity grows on first `reset`.
-    pub fn new() -> CoverageArray {
+    pub(crate) fn new() -> CoverageArray {
         CoverageArray {
             ext_reached: EpochCells::new(),
         }
@@ -42,14 +42,14 @@ impl CoverageArray {
 
     /// Prepare for a new (block, query) search over `cells` slots and
     /// extension ends `<= query_len`; O(1) unless the capacity grows.
-    pub fn reset(&mut self, cells: usize, query_len: u32) {
+    pub(crate) fn reset(&mut self, cells: usize, query_len: u32) {
         self.ext_reached.reset(cells, query_len);
     }
 
     /// Is a pair at `(cell, q_off)` admissible (not covered by a previous
     /// extension on this diagonal)?
     #[inline]
-    pub fn admits(&self, cell: usize, q_off: u32) -> bool {
+    pub(crate) fn admits(&self, cell: usize, q_off: u32) -> bool {
         self.ext_reached
             .get(cell)
             .is_none_or(|reached| reached <= q_off)
@@ -57,14 +57,9 @@ impl CoverageArray {
 
     /// Record an extension on `cell` ending at `q_end`.
     #[inline]
-    pub fn record(&mut self, cell: usize, q_end: u32) {
+    pub(crate) fn record(&mut self, cell: usize, q_end: u32) {
         let reached = self.ext_reached.get(cell).map_or(q_end, |r| r.max(q_end));
         self.ext_reached.set(cell, reached);
-    }
-
-    /// Bytes of backing storage.
-    pub fn memory_bytes(&self) -> usize {
-        self.ext_reached.memory_bytes()
     }
 }
 
@@ -126,7 +121,7 @@ impl Scratch {
     /// Compute the per-fragment diagonal bases for a block and query
     /// length; returns the total cell count. Fragment `i` owns cells
     /// `diag_bases[i] .. diag_bases[i] + len_i + query_len + 1`.
-    pub fn compute_diag_bases(&mut self, frag_lens: impl Iterator<Item = u32>, query_len: u32) -> usize {
+    pub(crate) fn compute_diag_bases(&mut self, frag_lens: impl Iterator<Item = u32>, query_len: u32) -> usize {
         self.diag_bases.clear();
         let mut acc = 0u32;
         for len in frag_lens {

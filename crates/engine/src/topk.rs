@@ -7,16 +7,16 @@
 //! removes at the hit level reappearing as wasted work at the reporting
 //! level. This module supplies the three pieces the pruned drivers share:
 //!
-//! * [`QueryPruner`] — turns a [`dbindex::BlockBound`] (per-block residue
+//! * `QueryPruner` — turns a [`dbindex::BlockBound`] (per-block residue
 //!   histogram + length cap, stored in the store directory) into an
 //!   upper bound on the *preliminary gapped score* any subject in the
 //!   block can reach against one query. The bound ignores gap penalties
 //!   and pairs each subject residue with the best-scoring residue that
 //!   actually occurs in the query, so it dominates every alignment the
 //!   finish stage could produce.
-//! * [`TopKSet`] — a bounded max-heap over admitted preliminary E-values;
-//!   its [`TopKSet::kth`] is the local pruning threshold.
-//! * [`Watermark`] / [`TopKShared`] — an atomic f64-bits cell per query
+//! * `TopKSet` — a bounded max-heap over admitted preliminary E-values;
+//!   its `TopKSet::kth` is the local pruning threshold.
+//! * `Watermark` / [`TopKShared`] — an atomic f64-bits cell per query
 //!   that shard tasks tighten with their k-th-best E-value on successful
 //!   completion. Non-negative IEEE-754 doubles sort identically to their
 //!   bit patterns, so a CAS-min on the bits is a CAS-min on the E-value
@@ -50,7 +50,7 @@ pub struct TopKStats {
 
 impl TopKStats {
     /// Accumulate another search's counters (shard merges).
-    pub fn add(&mut self, other: &TopKStats) {
+    pub(crate) fn add(&mut self, other: &TopKStats) {
         self.blocks_scanned += other.blocks_scanned;
         self.blocks_skipped += other.blocks_skipped;
     }
@@ -62,7 +62,7 @@ impl TopKStats {
 /// an integer compare-exchange-min implements a float min. [`Watermark::update`]
 /// only ever lowers the stored value; a stale read is merely a *looser*
 /// threshold, which costs pruning opportunity but never correctness.
-pub struct Watermark(AtomicU64);
+pub(crate) struct Watermark(AtomicU64);
 
 impl Default for Watermark {
     fn default() -> Watermark {
@@ -72,12 +72,12 @@ impl Default for Watermark {
 
 impl Watermark {
     /// A fresh threshold: `+∞` (nothing prunes until something publishes).
-    pub fn new() -> Watermark {
+    pub(crate) fn new() -> Watermark {
         Watermark(AtomicU64::new(f64::INFINITY.to_bits()))
     }
 
     /// Current threshold value.
-    pub fn load(&self) -> f64 {
+    pub(crate) fn load(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Acquire))
     }
 
@@ -88,7 +88,7 @@ impl Watermark {
     /// that makes the cell monotone under any interleaving. (A
     /// check-then-store protocol loses concurrent updates; the property
     /// test in this module convicts that mutant.)
-    pub fn update(&self, evalue: f64) {
+    pub(crate) fn update(&self, evalue: f64) {
         debug_assert!(evalue >= 0.0 && !evalue.is_nan());
         let new = evalue.to_bits();
         let mut cur = self.0.load(Ordering::Acquire);
@@ -104,7 +104,7 @@ impl Watermark {
     }
 }
 
-/// One [`Watermark`] per query of a batch — the threshold state shard
+/// One `Watermark` per query of a batch — the threshold state shard
 /// tasks share during a sharded top-k search. A shard publishes its local
 /// k-th-best E-values only after completing successfully, so a failed
 /// shard never influences the survivors' output (degraded-mode contract).
@@ -114,17 +114,17 @@ pub struct TopKShared {
 
 impl TopKShared {
     /// Fresh thresholds (`+∞`) for a batch of `n_queries`.
-    pub fn new(n_queries: usize) -> TopKShared {
+    pub(crate) fn new(n_queries: usize) -> TopKShared {
         TopKShared { cells: (0..n_queries).map(|_| Watermark::new()).collect() }
     }
 
     /// Tighten query `q`'s threshold to `min(current, kth_evalue)`.
-    pub fn publish(&self, q: usize, kth_evalue: f64) {
+    pub(crate) fn publish(&self, q: usize, kth_evalue: f64) {
         self.cells[q].update(kth_evalue);
     }
 
     /// Query `q`'s current shared threshold.
-    pub fn load(&self, q: usize) -> f64 {
+    pub(crate) fn load(&self, q: usize) -> f64 {
         self.cells[q].load()
     }
 }
@@ -173,14 +173,14 @@ impl TopKSet {
 /// residue code, the best substitution score against any residue that
 /// occurs in the (SEG-masked) query — sorted best-first, non-positive
 /// entries dropped.
-pub struct QueryPruner {
+pub(crate) struct QueryPruner {
     qlen: usize,
     order: Vec<(u8, i32)>,
 }
 
 impl QueryPruner {
     /// Build the pruner for one encoded query under `matrix`.
-    pub fn new(query: &[u8], matrix: &Matrix) -> QueryPruner {
+    pub(crate) fn new(query: &[u8], matrix: &Matrix) -> QueryPruner {
         let mut present = [false; bioseq::alphabet::ALPHABET_SIZE];
         for &q in query {
             if let Some(p) = present.get_mut(q as usize) {
@@ -213,7 +213,7 @@ impl QueryPruner {
     /// every fragment's residue counts. Greedily spending the pair budget
     /// on the best-scoring residue classes is the exact maximum of that
     /// relaxation, so nothing reachable exceeds it.
-    pub fn bound_raw(&self, bound: &BlockBound) -> i32 {
+    pub(crate) fn bound_raw(&self, bound: &BlockBound) -> i32 {
         let mut left = self.qlen.min(bound.max_len as usize);
         let mut total: i64 = 0;
         for &(code, s) in &self.order {

@@ -15,18 +15,18 @@
 //!    extension end as the coverage horizon (Alg. 1 lines 22/24).
 //!
 //! Steps 1–2 are one select-style rule on an `EpochCells` slot, which
-//! [`PairFinder`] applies per hit; steps 3–4 live in [`ExtensionGate`].
+//! [`PairFinder`] applies per hit; steps 3–4 live in `ExtensionGate`.
 //! The interleaved engines run both per hit; muBLASTP applies the same
 //! rule during detection (the pre-filter scan of
 //! [`crate::kernels::mublastp`], on cells as narrow as the query allows)
-//! and [`ExtensionGate`] after sorting.
+//! and `ExtensionGate` after sorting.
 
 /// Stateless pair-formation rule (step 2): the two hits must not overlap
 /// (NCBI ignores a hit closer than the word length to the previous one —
 /// without this rule the overlapping-word correlation floods the pipeline
 /// with degenerate pairs) and must lie within the two-hit window.
 #[inline]
-pub fn forms_pair(last_q: i64, q_off: u32, window: u32) -> bool {
+pub(crate) fn forms_pair(last_q: i64, q_off: u32, window: u32) -> bool {
     // `last_q` may be an i64::MIN "no previous hit" sentinel; saturate.
     let dist = (q_off as i64).saturating_sub(last_q);
     dist >= bioseq::alphabet::WORD_LEN as i64 && dist <= window as i64
@@ -36,7 +36,7 @@ pub fn forms_pair(last_q: i64, q_off: u32, window: u32) -> bool {
 /// below the word length). Overlapping hits are ignored entirely: they
 /// neither pair nor replace the last hit (NCBI semantics).
 #[inline]
-pub fn overlaps_last(last_q: i64, q_off: u32) -> bool {
+pub(crate) fn overlaps_last(last_q: i64, q_off: u32) -> bool {
     let dist = (q_off as i64).saturating_sub(last_q);
     dist > 0 && dist < bioseq::alphabet::WORD_LEN as i64
 }
@@ -225,7 +225,7 @@ pub struct PairFinder {
 impl PairFinder {
     /// Create a finder with no capacity; call [`PairFinder::reset`] before
     /// use.
-    pub fn new(window: u32) -> PairFinder {
+    pub(crate) fn new(window: u32) -> PairFinder {
         PairFinder {
             last_q: EpochCells::new(),
             window,
@@ -234,7 +234,7 @@ impl PairFinder {
 
     /// Prepare for a new (block, query) search over `cells` diagonal slots
     /// and query offsets `< query_len`.
-    pub fn reset(&mut self, cells: usize, query_len: u32, window: u32) {
+    pub(crate) fn reset(&mut self, cells: usize, query_len: u32, window: u32) {
         self.window = window;
         self.last_q.reset(cells, query_len);
     }
@@ -243,7 +243,7 @@ impl PairFinder {
     /// hit forms a candidate pair with the previous hit of this cell; the
     /// rule is `EpochCells::observe`'s.
     #[inline]
-    pub fn observe(&mut self, cell: usize, q_off: u32) -> Option<u32> {
+    pub(crate) fn observe(&mut self, cell: usize, q_off: u32) -> Option<u32> {
         self.last_q.observe(cell, q_off, self.window)
     }
 
@@ -256,7 +256,7 @@ impl PairFinder {
 /// Coverage gate for the extension stage (steps 3–4), streaming over hit
 /// pairs grouped by key.
 #[derive(Clone, Copy, Debug)]
-pub struct ExtensionGate {
+pub(crate) struct ExtensionGate {
     cur_key: Option<u32>,
     ext_reached: i64,
 }
@@ -269,14 +269,14 @@ impl Default for ExtensionGate {
 
 impl ExtensionGate {
     /// A gate with no coverage recorded yet.
-    pub fn new() -> ExtensionGate {
+    pub(crate) fn new() -> ExtensionGate {
         ExtensionGate { cur_key: None, ext_reached: -1 }
     }
 
     /// Should the pair `(key, q_off)` be extended, or is it covered by a
     /// previous extension on the same diagonal?
     #[inline]
-    pub fn admits(&mut self, key: u32, q_off: u32) -> bool {
+    pub(crate) fn admits(&mut self, key: u32, q_off: u32) -> bool {
         if self.cur_key != Some(key) {
             self.cur_key = Some(key);
             self.ext_reached = -1;
@@ -286,7 +286,7 @@ impl ExtensionGate {
 
     /// Record a successful extension ending at query offset `q_end`.
     #[inline]
-    pub fn record_extension(&mut self, q_end: u32) {
+    pub(crate) fn record_extension(&mut self, q_end: u32) {
         self.ext_reached = self.ext_reached.max(q_end as i64);
     }
 }

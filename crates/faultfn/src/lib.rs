@@ -188,11 +188,6 @@ impl Faults {
         Faults(None)
     }
 
-    /// True when a plan is installed (faults *may* fire).
-    pub fn is_armed(&self) -> bool {
-        !cfg!(feature = "compiled-off") && self.0.is_some()
-    }
-
     /// Should this call to `site` fail? Counts occurrences per site, so the
     /// result depends on call order — use at single-threaded seams only.
     #[inline]
@@ -345,7 +340,6 @@ mod tests {
     #[test]
     fn none_never_fires_and_reports_inert() {
         let f = Faults::none();
-        assert!(!f.is_armed());
         for _ in 0..100 {
             assert!(!f.fire("x"));
             assert!(!f.fire_at("x", 3));
@@ -357,7 +351,6 @@ mod tests {
     #[test]
     fn unarmed_site_never_fires_even_with_plan() {
         let f = FaultPlan::new(1).with("a", Schedule::Always).build();
-        assert!(f.is_armed());
         assert!(!f.fire("b"));
         assert!(f.fire("a"));
     }

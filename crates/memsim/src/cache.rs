@@ -20,7 +20,7 @@ impl CacheConfig {
     /// # Panics
     /// Panics if the geometry is degenerate (zero sizes, capacity not a
     /// multiple of `ways × line`, or a non-power-of-two set count).
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         assert!(self.capacity > 0 && self.ways > 0 && self.line > 0);
         assert_eq!(
             self.capacity % (self.ways * self.line),
@@ -33,28 +33,28 @@ impl CacheConfig {
     }
 
     /// 32 KiB, 8-way, 64 B lines — Haswell L1D.
-    pub fn l1d_haswell() -> Self {
+    pub(crate) fn l1d_haswell() -> Self {
         CacheConfig { capacity: 32 << 10, ways: 8, line: 64 }
     }
 
     /// 256 KiB, 8-way, 64 B lines — Haswell L2.
-    pub fn l2_haswell() -> Self {
+    pub(crate) fn l2_haswell() -> Self {
         CacheConfig { capacity: 256 << 10, ways: 8, line: 64 }
     }
 
     /// 30 MiB, 20-way, 64 B lines — the shared L3 of the paper's
     /// E5-2680v3 (12 cores × 2.5 MiB).
-    pub fn l3_haswell() -> Self {
+    pub(crate) fn l3_haswell() -> Self {
         CacheConfig { capacity: 30 << 20, ways: 20, line: 64 }
     }
 
     /// 64-entry, 4-way data TLB over 4 KiB pages.
-    pub fn dtlb() -> Self {
+    pub(crate) fn dtlb() -> Self {
         CacheConfig { capacity: 64 * 4096, ways: 4, line: 4096 }
     }
 
     /// 1024-entry, 8-way second-level TLB over 4 KiB pages.
-    pub fn stlb() -> Self {
+    pub(crate) fn stlb() -> Self {
         CacheConfig { capacity: 1024 * 4096, ways: 8, line: 4096 }
     }
 }
@@ -68,7 +68,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Miss rate in `[0, 1]`; zero when no accesses were recorded.
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {
             0.0
         } else {
@@ -76,14 +76,14 @@ impl CacheStats {
         }
     }
 
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.accesses - self.misses
     }
 }
 
 /// A set-associative cache with true-LRU replacement.
 #[derive(Clone, Debug)]
-pub struct SetAssocCache {
+pub(crate) struct SetAssocCache {
     config: CacheConfig,
     sets: u64,
     line_shift: u32,
@@ -97,7 +97,7 @@ const EMPTY: u64 = u64::MAX;
 
 impl SetAssocCache {
     /// Build an empty cache with the given geometry.
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         assert!(
             config.line.is_power_of_two(),
@@ -114,7 +114,7 @@ impl SetAssocCache {
 
     /// Access the line containing `addr`; returns `true` on hit. On miss the
     /// line is filled, evicting the LRU way of the set.
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr % self.sets) as usize;
         let tag = line_addr / self.sets;
@@ -133,39 +133,14 @@ impl SetAssocCache {
         }
     }
 
-    /// Whether the line containing `addr` is currently resident (no state
-    /// change, no counting).
-    pub fn probe(&self, addr: u64) -> bool {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr % self.sets) as usize;
-        let tag = line_addr / self.sets;
-        let ways = self.config.ways;
-        self.tags[set * ways..(set + 1) * ways].contains(&tag)
-    }
-
     /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Geometry this cache was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Drop all cached lines but keep statistics.
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
-    }
-
-    /// Reset statistics but keep contents (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Restore a statistics snapshot — used by the prefetcher model to
     /// fill lines without counting them.
-    pub fn set_stats(&mut self, stats: CacheStats) {
+    pub(crate) fn set_stats(&mut self, stats: CacheStats) {
         self.stats = stats;
     }
 }
@@ -222,9 +197,9 @@ mod tests {
         c.access(b); // miss; set = [b, a]
         c.access(a); // hit;  set = [a, b]
         c.access(d); // miss; evicts b (LRU)
-        assert!(c.probe(a));
-        assert!(!c.probe(b));
-        assert!(c.probe(d));
+        assert!(c.access(a)); // hit; set = [a, d]
+        assert!(c.access(d)); // hit; set = [d, a]
+        assert!(!c.access(b)); // b was the one evicted
     }
 
     #[test]
@@ -265,16 +240,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn flush_and_reset() {
-        let mut c = tiny();
-        c.access(0);
-        c.flush();
-        assert!(!c.probe(0));
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

@@ -35,16 +35,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-impl HierarchyConfig {
-    /// Same as the default but with a custom L3 capacity (bytes) — used by
-    /// the block-size sweeps.
-    pub fn with_l3_capacity(capacity: usize) -> Self {
-        let mut c = HierarchyConfig::default();
-        c.l3.capacity = capacity;
-        c
-    }
-}
-
 /// Aggregated statistics of a simulated run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HierarchyStats {
@@ -199,7 +189,7 @@ impl Hierarchy {
     /// With prefetching on, a demand miss fills the next line (uncounted)
     /// and the first demand hit on a prefetched line keeps the stream
     /// running one line ahead.
-    pub fn access(&mut self, addr: u64, bytes: u32) {
+    pub(crate) fn access(&mut self, addr: u64, bytes: u32) {
         let first = addr / self.line;
         let last = (addr + bytes.max(1) as u64 - 1) / self.line;
         for line in first..=last {
@@ -245,24 +235,6 @@ impl Hierarchy {
             stlb: self.stlb.stats(),
         }
     }
-
-    /// Drop all cached state (keep counters).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.dtlb.flush();
-        self.stlb.flush();
-    }
-
-    /// Reset counters (keep cached state), e.g. after warm-up.
-    pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.l3.reset_stats();
-        self.dtlb.reset_stats();
-        self.stlb.reset_stats();
-    }
 }
 
 /// A multi-core hierarchy: per-core private L1/L2/TLBs sharing one L3 —
@@ -303,7 +275,7 @@ impl SharedHierarchy {
     }
 
     /// Number of simulated cores.
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.cores.len()
     }
 
@@ -311,7 +283,7 @@ impl SharedHierarchy {
     ///
     /// # Panics
     /// Panics if `core` is out of range.
-    pub fn access(&mut self, core: usize, addr: u64, bytes: u32) {
+    pub(crate) fn access(&mut self, core: usize, addr: u64, bytes: u32) {
         let first = addr / self.line;
         let last = (addr + bytes.max(1) as u64 - 1) / self.line;
         for line in first..=last {
@@ -360,26 +332,6 @@ impl SharedHierarchy {
         }
         out.l3 = self.l3.stats();
         out
-    }
-
-    /// A per-core tracer view: returns a closure-friendly handle.
-    pub fn core_tracer(&mut self, core: usize) -> CoreTracer<'_> {
-        assert!(core < self.cores.len());
-        CoreTracer { hierarchy: self, core }
-    }
-}
-
-/// Borrowed tracer that funnels one core's accesses into a
-/// [`SharedHierarchy`].
-pub struct CoreTracer<'a> {
-    hierarchy: &'a mut SharedHierarchy,
-    core: usize,
-}
-
-impl crate::Tracer for CoreTracer<'_> {
-    #[inline]
-    fn touch(&mut self, addr: u64, bytes: u32) {
-        self.hierarchy.access(self.core, addr, bytes);
     }
 }
 
@@ -431,12 +383,11 @@ mod tests {
         for addr in (0..512u64).step_by(64) {
             h.access(addr, 8);
         }
-        h.reset_stats();
+        let warm = h.stats().l1.misses;
         for addr in (0..512u64).step_by(64) {
             h.access(addr, 8);
         }
-        let s = h.stats();
-        assert_eq!(s.l1.misses, 0);
+        assert_eq!(h.stats().l1.misses, warm);
     }
 
     #[test]
@@ -507,19 +458,5 @@ mod tests {
         assert_eq!(s.l1.accesses, 2);
         assert_eq!(s.l1.misses, 2); // private L1s: both cold
         assert_eq!(s.l3.accesses, 2);
-    }
-
-    #[test]
-    fn core_tracer_routes_to_core() {
-        use crate::Tracer;
-        let mut h = SharedHierarchy::new(small_config(), 3);
-        {
-            let mut t = h.core_tracer(2);
-            t.touch(0, 8);
-            t.touch(0, 8);
-        }
-        let s = h.stats();
-        assert_eq!(s.l1.accesses, 2);
-        assert_eq!(s.l1.misses, 1);
     }
 }

@@ -27,7 +27,7 @@ pub mod cache;
 pub mod hierarchy;
 pub mod space;
 
-pub use cache::{CacheConfig, CacheStats, SetAssocCache};
+pub use cache::CacheConfig;
 pub use hierarchy::{CycleModel, Hierarchy, HierarchyConfig, HierarchyStats, SharedHierarchy};
 pub use space::AddressSpace;
 

@@ -3,7 +3,7 @@
 //! Instrumented kernels do not trace real pointers (ASLR would make runs
 //! non-reproducible and regions could alias accidentally); instead each
 //! logical data structure — index block, subject sequences, last-hit
-//! arrays, hit buffer — registers itself here and receives a stable,
+//! arrays, hit buffer — allocates its region here and receives a stable,
 //! page-aligned base address in a simulated address space.
 
 /// Simulated address-space allocator. Regions are page-aligned and never
@@ -12,7 +12,6 @@
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     next: u64,
-    regions: Vec<(String, u64, u64)>,
 }
 
 const PAGE: u64 = 4096;
@@ -29,26 +28,15 @@ impl AddressSpace {
     /// Fresh address space starting at a non-zero base (so address 0 is
     /// never valid, catching uninitialised bases in debug assertions).
     pub fn new() -> Self {
-        AddressSpace { next: 1 << 20, regions: Vec::new() }
+        AddressSpace { next: 1 << 20 }
     }
 
-    /// Allocate a named region of `size` bytes; returns its base address.
-    pub fn alloc(&mut self, name: impl Into<String>, size: usize) -> u64 {
+    /// Allocate a region of `size` bytes; returns its base address.
+    pub fn alloc(&mut self, size: usize) -> u64 {
         let base = self.next;
         let span = (size as u64).div_ceil(PAGE) * PAGE + GUARD;
         self.next += span;
-        self.regions.push((name.into(), base, size as u64));
         base
-    }
-
-    /// All registered regions as `(name, base, size)`.
-    pub fn regions(&self) -> &[(String, u64, u64)] {
-        &self.regions
-    }
-
-    /// Total bytes allocated (excluding guards).
-    pub fn total_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.2).sum()
     }
 }
 
@@ -59,20 +47,18 @@ mod tests {
     #[test]
     fn regions_are_disjoint_and_page_aligned() {
         let mut sp = AddressSpace::new();
-        let a = sp.alloc("a", 100);
-        let b = sp.alloc("b", 5000);
-        let c = sp.alloc("c", 0);
+        let a = sp.alloc(100);
+        let b = sp.alloc(5000);
+        let c = sp.alloc(0);
         assert_eq!(a % PAGE, 0);
         assert_eq!(b % PAGE, 0);
         assert!(b >= a + 100);
         assert!(c >= b + 5000);
-        assert_eq!(sp.regions().len(), 3);
-        assert_eq!(sp.total_bytes(), 5100);
     }
 
     #[test]
     fn base_is_nonzero() {
         let mut sp = AddressSpace::new();
-        assert!(sp.alloc("x", 1) > 0);
+        assert!(sp.alloc(1) > 0);
     }
 }

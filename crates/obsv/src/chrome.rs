@@ -71,14 +71,6 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> 
     writeln!(w, "\n]}}")
 }
 
-/// [`write_chrome_trace`] into a `String`.
-pub fn chrome_trace_string(trace: &Trace) -> String {
-    let mut buf = Vec::new();
-    // Writing to a Vec<u8> cannot fail.
-    let _ = write_chrome_trace(&mut buf, trace);
-    String::from_utf8(buf).unwrap_or_default()
-}
-
 /// Nanoseconds rendered as a microsecond decimal (`1234567` → `1234.567`)
 /// using only integer arithmetic, so formatting is exact and
 /// deterministic.
@@ -90,6 +82,13 @@ fn micros(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::span::{SpanRecord, Stage};
+
+    /// What `mublastp-query --trace` writes for `trace`.
+    fn chrome_json(trace: &Trace) -> String {
+        let mut buf = Vec::new();
+        write_chrome_trace(&mut buf, trace).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
 
     fn sample() -> Trace {
         Trace {
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn emits_complete_events_with_exact_timestamps() {
-        let json = chrome_trace_string(&sample());
+        let json = chrome_json(&sample());
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert!(json.trim_end().ends_with("]}"));
         assert!(json.contains("\"name\":\"seed\""));
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let json = chrome_trace_string(&Trace::new());
+        let json = chrome_json(&Trace::new());
         assert_eq!(json, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n");
     }
 
@@ -144,7 +143,7 @@ mod tests {
     fn dropped_spans_are_noted() {
         let mut t = sample();
         t.dropped = 42;
-        let json = chrome_trace_string(&t);
+        let json = chrome_json(&t);
         assert!(json.contains("\"name\":\"spans_dropped\""));
         assert!(json.contains("\"count\":42"));
     }
@@ -153,7 +152,7 @@ mod tests {
     fn output_is_balanced_json() {
         // A structural sanity check without a JSON parser: every brace
         // and bracket balances, and no depth goes negative.
-        let json = chrome_trace_string(&sample());
+        let json = chrome_json(&sample());
         let mut depth = 0i64;
         for c in json.chars() {
             match c {

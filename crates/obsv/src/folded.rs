@@ -41,14 +41,6 @@ pub fn write_folded<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     Ok(())
 }
 
-/// [`write_folded`] into a `String`.
-pub fn folded_string(trace: &Trace) -> String {
-    let mut buf = Vec::new();
-    // Writing to a Vec<u8> cannot fail.
-    let _ = write_folded(&mut buf, trace);
-    String::from_utf8(buf).unwrap_or_default()
-}
-
 fn stage_index(stage: Stage) -> usize {
     (stage.code() - 1) as usize
 }
@@ -69,6 +61,13 @@ fn stack_path(stage: Stage) -> String {
 mod tests {
     use super::*;
     use crate::span::{SpanRecord, NO_BLOCK, NO_QUERY};
+
+    /// What `mublastp-query --trace-folded` writes for `trace`.
+    fn folded_text(trace: &Trace) -> String {
+        let mut buf = Vec::new();
+        write_folded(&mut buf, trace).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
 
     fn span(stage: Stage, dur_ns: u64) -> SpanRecord {
         SpanRecord {
@@ -101,7 +100,7 @@ mod tests {
             ],
             dropped: 0,
         };
-        let out = folded_string(&t);
+        let out = folded_text(&t);
         assert!(out.contains("request;search;seed 50\n"));
         assert!(out.contains("request;search;finish;gapped 30\n"));
         // finish self time = 100 - 30.
@@ -116,12 +115,12 @@ mod tests {
             spans: vec![span(Stage::Search, 80), span(Stage::Seed, 80)],
             dropped: 0,
         };
-        let out = folded_string(&t);
+        let out = folded_text(&t);
         assert_eq!(out, "request;search;seed 80\n");
     }
 
     #[test]
     fn empty_trace_empty_output() {
-        assert_eq!(folded_string(&Trace::new()), "");
+        assert_eq!(folded_text(&Trace::new()), "");
     }
 }

@@ -44,20 +44,30 @@ pub mod recorder;
 pub mod span;
 pub mod trace;
 
-pub use chrome::{chrome_trace_string, write_chrome_trace};
-pub use folded::{folded_string, write_folded};
+pub use chrome::write_chrome_trace;
+pub use folded::write_folded;
 pub use metrics::{
     Counter, Gauge, HistSummary, Histogram, Registry, SizeHistogram, METRICS_VERSION,
 };
-pub use recorder::{
-    NoObs, ObsvConfig, Recorder, SpanStart, StageObs, TraceSession, DEFAULT_RING_CAPACITY,
-};
+pub use recorder::{NoObs, ObsvConfig, Recorder, StageObs, TraceSession};
 pub use span::{SpanRecord, Stage, NO_BLOCK, NO_QUERY};
-pub use trace::{StageTotal, Trace};
+pub use trace::Trace;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Chrome trace and folded stacks `mublastp-query --trace` and
+    /// `--trace-folded` write for `trace`.
+    fn exports(trace: &Trace) -> (String, String) {
+        let (mut json, mut folded) = (Vec::new(), Vec::new());
+        write_chrome_trace(&mut json, trace).unwrap();
+        write_folded(&mut folded, trace).unwrap();
+        (
+            String::from_utf8(json).unwrap(),
+            String::from_utf8(folded).unwrap(),
+        )
+    }
 
     /// Span-merge determinism: recorders merged in any order produce the
     /// same normalized trace, hence byte-identical exports modulo
@@ -98,8 +108,7 @@ mod tests {
         };
         let (sa, sb) = (strip(&ta), strip(&tb));
         assert_eq!(sa, sb);
-        assert_eq!(chrome_trace_string(&sa), chrome_trace_string(&sb));
-        assert_eq!(folded_string(&sa), folded_string(&sb));
+        assert_eq!(exports(&sa), exports(&sb));
     }
 
     /// End-to-end: record through the trait, merge, export both formats.
@@ -116,7 +125,7 @@ mod tests {
         trace.absorb(rec);
         trace.normalize();
         assert_eq!(trace.len(), 2);
-        let json = chrome_trace_string(&trace);
+        let (json, _) = exports(&trace);
         assert!(json.contains("\"name\":\"seed\""));
         assert!(json.contains("\"name\":\"reorder\""));
         assert!(json.contains("\"pid\":9"));

@@ -11,14 +11,14 @@
 //!    [`Histogram`], [`SizeHistogram`]) are resolved once against the
 //!    registry (one short-lived lock) and then update plain atomic cells.
 //!    Where many connection threads hammer one counter, a striped
-//!    per-worker cell (`def_counter_sharded` in [`declare_all`]) spreads the
+//!    per-worker cell (`def_counter_sharded` in `declare_all`) spreads the
 //!    contention and sums at read time.
 //! 2. **The disabled path costs a branch.** A registry built with
 //!    `Registry::new(false)` resolves every handle to `None`; `add` /
 //!    `record` are then a single `Option` test. `crates/bench`'s
 //!    `obsv_overhead` harness asserts the <2% bound.
 //! 3. **The exported surface is pinned.** Series are *declared* in one
-//!    place, [`declare_all`]; declaring a name twice panics, and so does
+//!    place, `declare_all`; declaring a name twice panics, and so does
 //!    resolving a handle against an undeclared name in a debug build.
 //!    The golden exposition `tests/fixtures/metrics.v{METRICS_VERSION}.prom`
 //!    fixes every name, type, label and bucket edge, so a rename, a kind
@@ -237,7 +237,7 @@ const STRIPES: usize = 8;
 /// sum. Trades 8× the memory for no cross-thread cache-line ping-pong on
 /// the admission path.
 #[derive(Debug)]
-pub struct Stripes {
+pub(crate) struct Stripes {
     cells: Vec<AtomicU64>,
 }
 
@@ -281,7 +281,7 @@ const LINEAR_BUCKETS: usize = 64;
 
 /// Shared histogram cell: bucket counts plus count/sum/max.
 #[derive(Debug)]
-pub struct HistCell {
+pub(crate) struct HistCell {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -394,7 +394,7 @@ pub struct Counter {
 
 impl Counter {
     /// A handle that counts nothing (the disabled path).
-    pub fn disabled() -> Counter {
+    pub(crate) fn disabled() -> Counter {
         Counter { cell: None }
     }
 
@@ -434,7 +434,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A handle that records nothing.
-    pub fn disabled() -> Gauge {
+    pub(crate) fn disabled() -> Gauge {
         Gauge { cell: None }
     }
 
@@ -468,7 +468,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// A handle that records nothing.
-    pub fn disabled() -> Histogram {
+    pub(crate) fn disabled() -> Histogram {
         Histogram { cell: None }
     }
 
@@ -503,7 +503,7 @@ pub struct SizeHistogram {
 
 impl SizeHistogram {
     /// A handle that records nothing.
-    pub fn disabled() -> SizeHistogram {
+    pub(crate) fn disabled() -> SizeHistogram {
         SizeHistogram { cell: None }
     }
 
@@ -587,7 +587,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Build a registry with every series from [`declare_all`]
+    /// Build a registry with every series from `declare_all`
     /// pre-declared. A disabled registry still knows its series (renders
     /// as all-zero) but resolves every handle to the no-op path.
     pub fn new(enabled: bool) -> Registry {
@@ -598,11 +598,6 @@ impl Registry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, Series>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether handles resolve to live cells.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     // -- declaration (called from `declare_all` only) -----------------
@@ -871,33 +866,9 @@ impl Registry {
             .map_or(0, |(_, c)| c.value())
     }
 
-    /// Digest of an unlabeled histogram.
-    pub fn summary(&self, name: &str) -> HistSummary {
-        self.summary_for(name, "")
-    }
-
-    /// Digest of one labeled histogram cell.
-    pub fn summary_for(&self, name: &str, label_value: &str) -> HistSummary {
-        let m = self.lock();
-        m.get(name)
-            .and_then(|s| s.cells.iter().find(|(v, _)| v == label_value))
-            .map_or_else(HistSummary::default, |(_, c)| match c {
-                Cell::Hist(h) => h.summary(),
-                _ => HistSummary::default(),
-            })
-    }
-
-    /// The label values currently registered for a labeled series, in
-    /// render order.
-    pub fn label_values(&self, name: &str) -> Vec<String> {
-        let m = self.lock();
-        m.get(name).map_or_else(Vec::new, |s| {
-            s.cells.iter().map(|(v, _)| v.clone()).collect()
-        })
-    }
-
     /// Every declared series name, in render order.
-    pub fn series_names(&self) -> Vec<&'static str> {
+    #[cfg(test)]
+    fn series_names(&self) -> Vec<&'static str> {
         self.lock().keys().copied().collect()
     }
 
@@ -1106,8 +1077,12 @@ mod tests {
         assert_eq!(r.value_for(names::SHARD_FAILURES_BY_CAUSE, "injected"), 0);
         assert_eq!(r.value_for(names::SHARD_FAILURES, "2"), 1);
         assert_eq!(r.value_for(names::SHARD_FAILURES, "0"), 2);
-        // Shard cells render sorted numerically, not lexically.
-        assert_eq!(r.label_values(names::SHARD_FAILURES), vec!["0", "2"]);
+        // Shard cells render in shard order.
+        let text = r.render_prometheus();
+        let row = |shard: &str, v: u64| {
+            text.find(&format!("engine_shard_failures{{shard=\"{shard}\"}} {v}\n"))
+        };
+        assert!(row("0", 2).unwrap() < row("2", 1).unwrap());
         // An unknown cause resolves disabled, not a panic.
         let bogus = r.counter_for_cause(names::SHARD_FAILURES_BY_CAUSE, "gremlins");
         bogus.inc();

@@ -18,7 +18,7 @@ use crate::span::{SpanRecord, Stage, NO_BLOCK, NO_QUERY};
 use std::time::Instant;
 
 /// Default per-worker ring capacity (spans kept per recorder).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Global observability configuration. Off by default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,13 +53,6 @@ impl ObsvConfig {
 /// the clock was never read.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanStart(pub(crate) Option<Instant>);
-
-impl SpanStart {
-    /// A token that records nothing when passed to [`StageObs::record`].
-    pub fn disabled() -> SpanStart {
-        SpanStart(None)
-    }
-}
 
 /// Stage observation hook threaded through the engine kernels, mirroring
 /// how they are generic over `memsim::Tracer`: production code that does
@@ -108,11 +101,6 @@ impl TraceSession {
         TraceSession::new(ObsvConfig::off())
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> ObsvConfig {
-        self.config
-    }
-
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.config.enabled
@@ -146,9 +134,10 @@ impl TraceSession {
 /// worker mutates a recorder, and the driver merges recorders after the
 /// parallel-for joins (see [`crate::Trace::absorb`]).
 ///
-/// When the ring is full the **oldest** span is overwritten and
-/// [`Recorder::dropped`] is incremented; sequence numbers keep the
-/// surviving spans ordered.
+/// When the ring is full the **oldest** span is overwritten and counted
+/// in the drop total [`crate::Trace::absorb`] carries into
+/// [`crate::Trace::dropped`]; sequence numbers keep the surviving spans
+/// ordered.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     enabled: bool,
@@ -180,26 +169,6 @@ impl Recorder {
         self.worker = worker;
     }
 
-    /// Whether this recorder records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Spans currently held (bounded by the ring capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no span has been recorded (or recording is disabled).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Spans overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Record a span with explicit start/end instants (the serving layer
     /// times queue waits across threads this way). No-op when disabled.
     pub fn record_between(&mut self, stage: Stage, start: Instant, end: Instant) {
@@ -210,7 +179,7 @@ impl Recorder {
     }
 
     /// Consume the recorder, returning its spans in recording order.
-    pub fn into_spans(self) -> (Vec<SpanRecord>, u64) {
+    pub(crate) fn into_spans(self) -> (Vec<SpanRecord>, u64) {
         let mut spans = self.ring;
         // The ring wraps at `write`; rotate so recording order (== seq
         // order) is restored without a sort.
@@ -278,9 +247,10 @@ mod tests {
         assert!(t.0.is_none(), "disabled start must not read the clock");
         rec.record(Stage::Seed, t);
         rec.record_between(Stage::Search, session.epoch(), Instant::now());
-        assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.ring.capacity(), 0, "no allocation when disabled");
+        let (spans, dropped) = rec.into_spans();
+        assert!(spans.is_empty());
+        assert_eq!(dropped, 0);
     }
 
     #[test]
@@ -317,8 +287,6 @@ mod tests {
             let t = rec.start();
             rec.record(Stage::Seed, t);
         }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.dropped(), 6);
         let (spans, dropped) = rec.into_spans();
         assert_eq!(dropped, 6);
         // The survivors are the newest four, in recording order.
@@ -335,8 +303,9 @@ mod tests {
         let mut rec = session.recorder();
         let t = rec.start();
         rec.record(Stage::Seed, t);
-        assert_eq!(rec.len(), 0);
-        assert_eq!(rec.dropped(), 1);
+        let (spans, dropped) = rec.into_spans();
+        assert!(spans.is_empty());
+        assert_eq!(dropped, 1);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   claim still advanced the cursor by `chunk`, so with a large `chunk`
 //!   (or merely enough spurious wakeups at `chunk` near `usize::MAX`) the
 //!   cursor could *wrap past zero* and hand the same indices out twice.
-//!   [`claim_next`] instead uses a CAS loop that clamps the cursor to `n`,
+//!   `claim_next` instead uses a CAS loop that clamps the cursor to `n`,
 //!   so the cursor is monotone, bounded, and can never wrap.
-//! * **Model checking.** The function is generic over [`CursorCell`], an
+//! * **Model checking.** The function is generic over `CursorCell`, an
 //!   abstraction of the two atomic operations it needs. Production uses
 //!   the [`AtomicUsize`] implementation below; the test-only model
 //!   checker in `model.rs` substitutes a virtual cursor whose every atomic
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Implemented by [`AtomicUsize`] for production and by the model
 /// checker's virtual cursor (the test-only `model.rs`), where each call is a
 /// scheduling point of the simulated interleaving.
-pub trait CursorCell {
+pub(crate) trait CursorCell {
     /// Atomically read the cursor.
     fn load(&self) -> usize;
     /// Atomically compare-and-swap: if the cursor equals `current`,
@@ -49,6 +49,7 @@ pub trait CursorCell {
     /// suite calls this — the fixed claim protocol is CAS-only — but it is
     /// part of the trait so the pre-fix protocol can be expressed against
     /// the same interface and shown to fail.
+    #[cfg(test)]
     fn store_wrapping_add(&self, delta: usize) -> usize;
 }
 
@@ -64,6 +65,7 @@ impl CursorCell for AtomicUsize {
         AtomicUsize::compare_exchange_weak(self, current, new, Ordering::Relaxed, Ordering::Relaxed)
     }
 
+    #[cfg(test)]
     fn store_wrapping_add(&self, delta: usize) -> usize {
         // lint: allow(relaxed-ordering): see module docs.
         AtomicUsize::fetch_add(self, delta, Ordering::Relaxed)
@@ -81,7 +83,11 @@ impl CursorCell for AtomicUsize {
 /// whole run is exactly `0..n` (verified exhaustively by the model checker
 /// in the test-only `model.rs`).
 #[inline]
-pub fn claim_next<C: CursorCell>(cursor: &C, n: usize, chunk: usize) -> Option<(usize, usize)> {
+pub(crate) fn claim_next<C: CursorCell>(
+    cursor: &C,
+    n: usize,
+    chunk: usize,
+) -> Option<(usize, usize)> {
     let mut current = cursor.load();
     loop {
         if current >= n {

@@ -36,7 +36,7 @@ pub mod cursor;
 #[cfg(test)]
 mod model;
 
-pub use cursor::{claim_next, CursorCell};
+pub(crate) use cursor::claim_next;
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Mutex;

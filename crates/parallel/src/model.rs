@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// A claim protocol under test: `(cursor, n, chunk) -> Some((start, end))`
 /// or `None` when the caller should stop.
-pub type Strategy = fn(&VirtualCursor, usize, usize) -> Option<(usize, usize)>;
+pub(crate) type Strategy = fn(&VirtualCursor, usize, usize) -> Option<(usize, usize)>;
 
 /// What went wrong in a run, in shadow-state terms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub type Strategy = fn(&VirtualCursor, usize, usize) -> Option<(usize, usize)>;
     clippy::enum_variant_names,
     reason = "each variant names the shadow-state check that failed"
 )]
-pub enum Violation {
+pub(crate) enum Violation {
     /// An index was handed to two claims (duplicated work).
     DuplicateIndex { index: usize },
     /// An index was never handed out (lost work).
@@ -62,7 +62,7 @@ pub enum Violation {
 /// A failing schedule: the scheduling choice taken at each turnstile
 /// decision, sufficient to replay the run deterministically.
 #[derive(Clone, Debug)]
-pub struct Counterexample {
+pub(crate) struct Counterexample {
     pub violation: Violation,
     pub schedule: Vec<usize>,
 }
@@ -75,7 +75,7 @@ impl std::fmt::Display for Counterexample {
 
 /// Outcome of an exploration that found no violation.
 #[derive(Clone, Copy, Debug)]
-pub struct ExploreStats {
+pub(crate) struct ExploreStats {
     /// Schedules executed.
     pub runs: usize,
     /// Whether the schedule space was exhausted (`check_exhaustive` only;
@@ -209,7 +209,7 @@ impl Scheduler {
 /// [`CursorCell`] operations is one scheduling point: the worker parks at
 /// the turnstile and the operation executes atomically when the schedule
 /// releases it.
-pub struct VirtualCursor {
+pub(crate) struct VirtualCursor {
     sched: Arc<Scheduler>,
     id: usize,
 }
@@ -363,7 +363,7 @@ fn schedule_of(out: &RunOutcome) -> Vec<usize> {
 /// Returns the first violation with its replayable schedule, or
 /// exploration statistics (`complete == true` iff the whole schedule
 /// space fit inside `max_runs`).
-pub fn check_exhaustive(
+pub(crate) fn check_exhaustive(
     workers: usize,
     n: usize,
     chunk: usize,
@@ -400,7 +400,7 @@ pub fn check_exhaustive(
 /// Run `runs` schedules sampled from a seeded xorshift generator —
 /// coverage for configurations whose schedule space is too large to
 /// exhaust. Deterministic for a given `(seed, runs)`.
-pub fn check_random(
+pub(crate) fn check_random(
     workers: usize,
     n: usize,
     chunk: usize,
@@ -422,7 +422,7 @@ pub fn check_random(
 /// over a panel of small configurations plus randomly over larger ones.
 /// This is the tier-1 entry point (also what CI runs); a `Counterexample`
 /// return means the dynamic scheduler is broken.
-pub fn verify_claim_protocol() -> Result<(), Counterexample> {
+pub(crate) fn verify_claim_protocol() -> Result<(), Counterexample> {
     let claim: Strategy = crate::cursor::claim_next::<VirtualCursor>;
     // Small configs: exhaustive.
     for (workers, n, chunk) in
@@ -458,7 +458,7 @@ impl Xorshift {
 /// every one of these — that conviction is the checker's own regression
 /// suite (a checker that passes a known-broken scheduler is itself
 /// broken).
-pub mod mutations {
+pub(crate) mod mutations {
     use crate::cursor::CursorCell;
 
     /// The seed scheduler's protocol, pre-fix: a bare wrapping
@@ -466,7 +466,7 @@ pub mod mutations {
     /// attempt advances the cursor by `chunk` even after the range is
     /// exhausted, so with `chunk` near `usize::MAX` the cursor wraps past
     /// zero and indices are handed out twice.
-    pub fn claim_wrapping_fetch_add<C: CursorCell>(
+    pub(crate) fn claim_wrapping_fetch_add<C: CursorCell>(
         cursor: &C,
         n: usize,
         chunk: usize,
@@ -481,7 +481,7 @@ pub mod mutations {
     /// Classic lost update: read, compute, then *ignore* the CAS result.
     /// Two workers that read the same cursor value both believe they own
     /// the same range.
-    pub fn claim_lost_update<C: CursorCell>(
+    pub(crate) fn claim_lost_update<C: CursorCell>(
         cursor: &C,
         n: usize,
         chunk: usize,

@@ -11,7 +11,7 @@
 //!
 //! * **presence vector** (`pv` array) — one bit per cell, so the scan can
 //!   skip empty cells without touching the table;
-//! * **thick backbone** — cells with at most [`INLINE_POSITIONS`] hits
+//! * **thick backbone** — cells with at most `INLINE_POSITIONS` hits
 //!   store them inline in the backbone; only heavier cells spill to an
 //!   overflow array. Query indexes are dominated by empty and thin cells,
 //!   which is exactly why these tricks work for the query index and *not*
@@ -29,7 +29,7 @@ use bioseq::alphabet::{Word, WordIter, WORD_SPACE};
 use scoring::NeighborTable;
 
 /// Positions stored inline in a backbone cell (NCBI uses 3).
-pub const INLINE_POSITIONS: usize = 3;
+pub(crate) const INLINE_POSITIONS: usize = 3;
 
 /// One backbone cell: either up to [`INLINE_POSITIONS`] inline positions
 /// or a span of the overflow array.
@@ -47,7 +47,6 @@ pub struct QueryIndex {
     pv: Vec<u64>,
     cells: Vec<Cell>,
     overflow: Vec<u32>,
-    query_len: usize,
 }
 
 impl QueryIndex {
@@ -107,7 +106,7 @@ impl QueryIndex {
                 pv[w / 64] |= 1 << (w % 64);
             }
         }
-        QueryIndex { pv, cells, overflow, query_len: query.len() }
+        QueryIndex { pv, cells, overflow }
     }
 
     /// Presence-vector test: does cell `w` hold any positions?
@@ -127,16 +126,6 @@ impl QueryIndex {
             let off = cell.inline_[0] as usize;
             &self.overflow[off..off + n]
         }
-    }
-
-    /// Length of the indexed query.
-    pub fn query_len(&self) -> usize {
-        self.query_len
-    }
-
-    /// Number of non-empty cells.
-    pub fn populated_cells(&self) -> usize {
-        self.pv.iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// Total stored positions (with neighbor duplication — this is the
@@ -203,10 +192,17 @@ mod tests {
         assert!(hits.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// Number of words the presence vector marks.
+    fn populated_cells(idx: &QueryIndex) -> usize {
+        (0..WORD_SPACE as Word)
+            .filter(|&w| idx.is_present(w))
+            .count()
+    }
+
     #[test]
     fn empty_query_empty_index() {
         let idx = QueryIndex::build(&[], table());
-        assert_eq!(idx.populated_cells(), 0);
+        assert_eq!(populated_cells(&idx), 0);
         assert_eq!(idx.total_positions(), 0);
         assert!(!idx.is_present(word("AAA")));
         assert!(idx.lookup(word("AAA")).is_empty());
@@ -226,7 +222,7 @@ mod tests {
         // The paper's Sec. VI premise: query indexes are sparse.
         let q = encode_str("MARNDCQEGHILKMFPSTWYV").unwrap();
         let idx = QueryIndex::build(&q, table());
-        assert!(idx.populated_cells() < WORD_SPACE / 4);
+        assert!(populated_cells(&idx) < WORD_SPACE / 4);
         assert!(idx.total_positions() >= q.len() - 2); // every word lands somewhere
     }
 }

@@ -7,13 +7,14 @@
 //!
 //! For ungapped scoring, `λ` is the unique positive solution of
 //! `Σ_ij p_i p_j e^{λ s_ij} = 1` and `H = λ · Σ_ij p_i p_j s_ij e^{λ s_ij}`;
-//! both are solved numerically here from the matrix and the
-//! Robinson–Robinson background frequencies. For gapped scoring no closed
-//! form exists and NCBI-BLAST itself ships precomputed constants per
-//! (matrix, gap-open, gap-extend) combination; we do the same for BLOSUM62
-//! (the matrix used throughout the paper) in [`blosum62_gapped_params`].
+//! this module's tests solve both numerically from the matrix and the
+//! Robinson–Robinson background frequencies, and pin
+//! `KarlinParams::UNGAPPED_BLOSUM62` to the result. For gapped scoring no
+//! closed form exists and NCBI-BLAST itself ships precomputed constants per
+//! (matrix, gap-open, gap-extend) combination; we ship the BLOSUM62 11/1 row
+//! (the matrix and penalties used throughout the paper), and the tests pin
+//! it against NCBI's table.
 
-use crate::matrix::Matrix;
 use std::f64::consts::LN_2;
 
 /// Robinson–Robinson background amino-acid frequencies, indexed by the
@@ -55,13 +56,13 @@ pub struct KarlinParams {
 
 impl KarlinParams {
     /// Published NCBI constants for **ungapped** BLOSUM62 statistics.
-    pub const UNGAPPED_BLOSUM62: KarlinParams =
+    pub(crate) const UNGAPPED_BLOSUM62: KarlinParams =
         KarlinParams { lambda: 0.3176, k: 0.134, h: 0.4012 };
 
     /// Published NCBI constants for **gapped** BLOSUM62 with the blastp
-    /// default 11/1 gap penalties — the `(11, 1)` row of
-    /// [`blosum62_gapped_params`], available without a table lookup.
-    pub const GAPPED_BLOSUM62_11_1: KarlinParams =
+    /// default 11/1 gap penalties — the `(11, 1)` row of NCBI's gapped
+    /// table, which this module's tests keep as `blosum62_gapped_params`.
+    pub(crate) const GAPPED_BLOSUM62_11_1: KarlinParams =
         KarlinParams { lambda: 0.267, k: 0.041, h: 0.14 };
 
     /// Convert a raw score to a bit score.
@@ -72,20 +73,20 @@ impl KarlinParams {
 
     /// Smallest raw score whose bit score is at least `bits`.
     #[inline]
-    pub fn raw_for_bits(&self, bits: f64) -> i32 {
+    pub(crate) fn raw_for_bits(&self, bits: f64) -> i32 {
         ((bits * LN_2 + self.k.ln()) / self.lambda).ceil() as i32
     }
 
     /// E-value of a raw score in a search space of `m × n`.
     #[inline]
-    pub fn evalue(&self, raw: i32, m: usize, n: usize) -> f64 {
+    pub(crate) fn evalue(&self, raw: i32, m: usize, n: usize) -> f64 {
         self.k * m as f64 * n as f64 * (-self.lambda * raw as f64).exp()
     }
 
     /// NCBI-style *length adjustment*: the expected alignment length `ℓ`
     /// satisfying `ℓ = ln(K (m − ℓ)(n − ℓ)) / H`, solved by fixed-point
     /// iteration and clamped to keep effective lengths positive.
-    pub fn length_adjustment(&self, m: usize, n: usize) -> usize {
+    pub(crate) fn length_adjustment(&self, m: usize, n: usize) -> usize {
         if m == 0 || n == 0 {
             return 0;
         }
@@ -115,107 +116,97 @@ impl KarlinParams {
     }
 }
 
-/// Convenience wrapper: bit score under the given parameters.
-pub fn bit_score(params: &KarlinParams, raw: i32) -> f64 {
-    params.bit_score(raw)
-}
-
-/// Convenience wrapper: E-value under the given parameters.
-pub fn evalue(params: &KarlinParams, raw: i32, m: usize, n: usize) -> f64 {
-    params.evalue(raw, m, n)
-}
-
-/// Solve the ungapped λ for `matrix` under background frequencies `freqs`
-/// (defaults to Robinson–Robinson over the 20 standard residues).
-///
-/// Returns `None` if the scoring system has a non-negative expected score
-/// (in which case Karlin–Altschul theory does not apply).
-pub fn solve_ungapped_lambda(matrix: &Matrix, freqs: &[f64; 20]) -> Option<f64> {
-    // Expected score must be negative and a positive score must exist.
-    let mut expected = 0.0;
-    let mut any_positive = false;
-    for i in 0..20u8 {
-        for j in 0..20u8 {
-            let s = matrix.score(i, j);
-            expected += freqs[i as usize] * freqs[j as usize] * s as f64;
-            any_positive |= s > 0;
-        }
-    }
-    if expected >= 0.0 || !any_positive {
-        return None;
-    }
-    // f(λ) = Σ p_i p_j e^{λ s_ij} − 1 is convex with f(0) = 0, f'(0) < 0 and
-    // f(∞) = ∞; bisect on the positive root.
-    let f = |lambda: f64| -> f64 {
-        let mut sum = 0.0;
-        for i in 0..20u8 {
-            for j in 0..20u8 {
-                sum += freqs[i as usize]
-                    * freqs[j as usize]
-                    * (lambda * matrix.score(i, j) as f64).exp();
-            }
-        }
-        sum - 1.0
-    };
-    let mut hi = 0.5;
-    while f(hi) < 0.0 {
-        hi *= 2.0;
-        if hi > 32.0 {
-            return None;
-        }
-    }
-    let mut lo = 0.0;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(0.5 * (lo + hi))
-}
-
-/// Relative entropy `H = λ Σ p_i p_j s_ij e^{λ s_ij}` for the given λ.
-pub fn ungapped_entropy(matrix: &Matrix, freqs: &[f64; 20], lambda: f64) -> f64 {
-    let mut h = 0.0;
-    for i in 0..20u8 {
-        for j in 0..20u8 {
-            let s = matrix.score(i, j) as f64;
-            h += freqs[i as usize] * freqs[j as usize] * s * (lambda * s).exp();
-        }
-    }
-    lambda * h
-}
-
-/// Published NCBI gapped Karlin–Altschul parameters for BLOSUM62 by
-/// `(gap_open, gap_extend)`. NCBI-BLAST ships exactly such a table
-/// (`blast_stat.c`) because gapped parameters have no closed form.
-/// Returns `None` for unsupported penalty combinations.
-pub fn blosum62_gapped_params(gap_open: i32, gap_extend: i32) -> Option<KarlinParams> {
-    let table: &[(i32, i32, f64, f64, f64)] = &[
-        (11, 2, 0.297, 0.082, 0.27),
-        (10, 2, 0.291, 0.075, 0.23),
-        (9, 2, 0.279, 0.058, 0.19),
-        (8, 2, 0.264, 0.045, 0.15),
-        (7, 2, 0.239, 0.027, 0.10),
-        (6, 2, 0.201, 0.012, 0.061),
-        (13, 1, 0.292, 0.071, 0.23),
-        (12, 1, 0.283, 0.059, 0.19),
-        (11, 1, 0.267, 0.041, 0.14),
-        (10, 1, 0.243, 0.024, 0.10),
-        (9, 1, 0.206, 0.010, 0.052),
-    ];
-    table
-        .iter()
-        .find(|&&(o, e, ..)| o == gap_open && e == gap_extend)
-        .map(|&(_, _, lambda, k, h)| KarlinParams { lambda, k, h })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::BLOSUM62;
+    use crate::matrix::{Matrix, BLOSUM62};
+
+    /// Solve the ungapped λ for `matrix` under background frequencies `freqs`
+    /// (defaults to Robinson–Robinson over the 20 standard residues).
+    ///
+    /// Returns `None` if the scoring system has a non-negative expected score
+    /// (in which case Karlin–Altschul theory does not apply).
+    fn solve_ungapped_lambda(matrix: &Matrix, freqs: &[f64; 20]) -> Option<f64> {
+        // Expected score must be negative and a positive score must exist.
+        let mut expected = 0.0;
+        let mut any_positive = false;
+        for i in 0..20u8 {
+            for j in 0..20u8 {
+                let s = matrix.score(i, j);
+                expected += freqs[i as usize] * freqs[j as usize] * s as f64;
+                any_positive |= s > 0;
+            }
+        }
+        if expected >= 0.0 || !any_positive {
+            return None;
+        }
+        // f(λ) = Σ p_i p_j e^{λ s_ij} − 1 is convex with f(0) = 0, f'(0) < 0 and
+        // f(∞) = ∞; bisect on the positive root.
+        let f = |lambda: f64| -> f64 {
+            let mut sum = 0.0;
+            for i in 0..20u8 {
+                for j in 0..20u8 {
+                    sum += freqs[i as usize]
+                        * freqs[j as usize]
+                        * (lambda * matrix.score(i, j) as f64).exp();
+                }
+            }
+            sum - 1.0
+        };
+        let mut hi = 0.5;
+        while f(hi) < 0.0 {
+            hi *= 2.0;
+            if hi > 32.0 {
+                return None;
+            }
+        }
+        let mut lo = 0.0;
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if f(mid) < 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    /// Relative entropy `H = λ Σ p_i p_j s_ij e^{λ s_ij}` for the given λ.
+    fn ungapped_entropy(matrix: &Matrix, freqs: &[f64; 20], lambda: f64) -> f64 {
+        let mut h = 0.0;
+        for i in 0..20u8 {
+            for j in 0..20u8 {
+                let s = matrix.score(i, j) as f64;
+                h += freqs[i as usize] * freqs[j as usize] * s * (lambda * s).exp();
+            }
+        }
+        lambda * h
+    }
+
+    /// Published NCBI gapped Karlin–Altschul parameters for BLOSUM62 by
+    /// `(gap_open, gap_extend)`. NCBI-BLAST ships exactly such a table
+    /// (`blast_stat.c`) because gapped parameters have no closed form.
+    /// Returns `None` for unsupported penalty combinations.
+    fn blosum62_gapped_params(gap_open: i32, gap_extend: i32) -> Option<KarlinParams> {
+        let table: &[(i32, i32, f64, f64, f64)] = &[
+            (11, 2, 0.297, 0.082, 0.27),
+            (10, 2, 0.291, 0.075, 0.23),
+            (9, 2, 0.279, 0.058, 0.19),
+            (8, 2, 0.264, 0.045, 0.15),
+            (7, 2, 0.239, 0.027, 0.10),
+            (6, 2, 0.201, 0.012, 0.061),
+            (13, 1, 0.292, 0.071, 0.23),
+            (12, 1, 0.283, 0.059, 0.19),
+            (11, 1, 0.267, 0.041, 0.14),
+            (10, 1, 0.243, 0.024, 0.10),
+            (9, 1, 0.206, 0.010, 0.052),
+        ];
+        table
+            .iter()
+            .find(|&&(o, e, ..)| o == gap_open && e == gap_extend)
+            .map(|&(_, _, lambda, k, h)| KarlinParams { lambda, k, h })
+    }
 
     #[test]
     fn ungapped_lambda_matches_published_value() {

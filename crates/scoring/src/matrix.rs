@@ -3,10 +3,9 @@
 //! Matrices are stored as flat `24 × 24` arrays of `i8` indexed by the
 //! residue codes defined in `bioseq::alphabet` (NCBI order
 //! `ARNDCQEGHILKMFPSTWYVBZX*`). BLOSUM62 — the BLASTP default and the matrix
-//! used throughout the muBLASTP paper — is built in; other matrices can be
-//! loaded from NCBI-format text files with [`Matrix::parse_ncbi`].
+//! used throughout the muBLASTP paper — is built in.
 
-use bioseq::alphabet::{encode_residue, ALPHABET_SIZE};
+use bioseq::alphabet::ALPHABET_SIZE;
 use std::fmt;
 
 /// A square substitution matrix over the 24-letter alphabet.
@@ -41,126 +40,16 @@ impl Matrix {
         &self.scores[a as usize]
     }
 
-    /// Largest score in the matrix (used by branch-and-bound neighbor
-    /// enumeration and by Karlin–Altschul parameter solving).
-    pub fn max_score(&self) -> i32 {
-        self.scores.iter().flatten().fold(i32::MIN, |m, &s| m.max(s as i32))
-    }
-
-    /// Smallest score in the matrix.
-    pub fn min_score(&self) -> i32 {
-        self.scores.iter().flatten().fold(i32::MAX, |m, &s| m.min(s as i32))
-    }
-
     /// Per-row maximum scores: `row_max()[a]` is the best score any residue
     /// can achieve against `a`.
-    pub fn row_max(&self) -> [i32; ALPHABET_SIZE] {
+    pub(crate) fn row_max(&self) -> [i32; ALPHABET_SIZE] {
         let mut out = [i32::MIN; ALPHABET_SIZE];
         for (a, row) in self.scores.iter().enumerate() {
             out[a] = row.iter().fold(i32::MIN, |m, &s| m.max(s as i32));
         }
         out
     }
-
-    /// Whether the matrix is symmetric (all standard matrices are).
-    pub fn is_symmetric(&self) -> bool {
-        for i in 0..ALPHABET_SIZE {
-            for j in 0..i {
-                if self.scores[i][j] != self.scores[j][i] {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Parse a matrix in NCBI text format: `#` comments, a header line of
-    /// residue letters, then one row per residue (`<letter> <24 scores>`).
-    /// Residues absent from the file keep a score of the file's `X`-vs-`X`
-    /// value against everything (mimicking NCBI's handling of reduced
-    /// matrices); in practice NCBI files list all 24 columns.
-    pub fn parse_ncbi(name: &'static str, text: &str) -> Result<Matrix, MatrixParseError> {
-        let mut columns: Vec<u8> = Vec::new();
-        let mut scores = [[0i8; ALPHABET_SIZE]; ALPHABET_SIZE];
-        let mut filled = [[false; ALPHABET_SIZE]; ALPHABET_SIZE];
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if columns.is_empty() {
-                // Header row of column letters.
-                for tok in line.split_whitespace() {
-                    let b = tok.as_bytes();
-                    if b.len() != 1 {
-                        return Err(MatrixParseError::BadHeader { line: lineno + 1 });
-                    }
-                    let code = encode_residue(b[0])
-                        .ok_or(MatrixParseError::BadHeader { line: lineno + 1 })?;
-                    columns.push(code);
-                }
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let row_letter = toks
-                .next()
-                .filter(|t| t.len() == 1)
-                .ok_or(MatrixParseError::BadRow { line: lineno + 1 })?;
-            let row = encode_residue(row_letter.as_bytes()[0])
-                .ok_or(MatrixParseError::BadRow { line: lineno + 1 })?;
-            for &col in &columns {
-                let tok = toks.next().ok_or(MatrixParseError::BadRow { line: lineno + 1 })?;
-                let v: i8 = tok
-                    .parse()
-                    .map_err(|_| MatrixParseError::BadScore { line: lineno + 1 })?;
-                scores[row as usize][col as usize] = v;
-                filled[row as usize][col as usize] = true;
-            }
-        }
-        if columns.is_empty() {
-            return Err(MatrixParseError::Empty);
-        }
-        // Residues the file never mentioned (possible with reduced matrices):
-        // give them the X-vs-X penalty. `X` is always in the alphabet
-        // (NCBI order `ARNDCQEGHILKMFPSTWYVBZX*`, code 22).
-        let x = usize::from(encode_residue(b'X').unwrap_or(22));
-        let default = scores[x][x];
-        for i in 0..ALPHABET_SIZE {
-            for j in 0..ALPHABET_SIZE {
-                if !filled[i][j] {
-                    scores[i][j] = default;
-                }
-            }
-        }
-        Ok(Matrix { name, scores })
-    }
 }
-
-/// Errors from [`Matrix::parse_ncbi`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatrixParseError {
-    /// No header / rows found.
-    Empty,
-    /// Header contained a token that is not a single residue letter.
-    BadHeader { line: usize },
-    /// A row was missing its leading residue letter or had too few columns.
-    BadRow { line: usize },
-    /// A score failed to parse as an integer.
-    BadScore { line: usize },
-}
-
-impl fmt::Display for MatrixParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatrixParseError::Empty => write!(f, "matrix file contained no data"),
-            MatrixParseError::BadHeader { line } => write!(f, "bad matrix header at line {line}"),
-            MatrixParseError::BadRow { line } => write!(f, "bad matrix row at line {line}"),
-            MatrixParseError::BadScore { line } => write!(f, "bad matrix score at line {line}"),
-        }
-    }
-}
-
-impl std::error::Error for MatrixParseError {}
 
 /// BLOSUM62 in NCBI residue order `ARNDCQEGHILKMFPSTWYVBZX*` — the default
 /// matrix for BLASTP and the one used in all of the paper's experiments.
@@ -198,7 +87,7 @@ pub const BLOSUM62: Matrix = Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioseq::alphabet::encode_str;
+    use bioseq::alphabet::{encode_residue, encode_str};
 
     fn code(c: char) -> u8 {
         encode_residue(c as u8).unwrap()
@@ -206,7 +95,11 @@ mod tests {
 
     #[test]
     fn blosum62_is_symmetric() {
-        assert!(BLOSUM62.is_symmetric());
+        for a in 0..ALPHABET_SIZE as u8 {
+            for b in 0..a {
+                assert_eq!(BLOSUM62.score(a, b), BLOSUM62.score(b, a), "codes {a}, {b}");
+            }
+        }
     }
 
     #[test]
@@ -226,8 +119,9 @@ mod tests {
 
     #[test]
     fn blosum62_extremes() {
-        assert_eq!(BLOSUM62.max_score(), 11);
-        assert_eq!(BLOSUM62.min_score(), -4);
+        let all = || BLOSUM62.scores.iter().flatten().copied();
+        assert_eq!(all().max(), Some(11));
+        assert_eq!(all().min(), Some(-4));
     }
 
     #[test]
@@ -244,52 +138,5 @@ mod tests {
             let best = (0..ALPHABET_SIZE as u8).map(|b| BLOSUM62.score(a, b)).max().unwrap();
             assert_eq!(rm[a as usize], best);
         }
-    }
-
-    #[test]
-    fn parse_roundtrip_small() {
-        // A tiny 3-letter matrix; unmentioned cells default to X-vs-X (0
-        // here because X is absent, so default is 0).
-        let text = "# comment\n  A R N\nA 4 -1 -2\nR -1 5 0\nN -2 0 6\n";
-        let m = Matrix::parse_ncbi("toy", text).unwrap();
-        assert_eq!(m.score(code('A'), code('A')), 4);
-        assert_eq!(m.score(code('R'), code('N')), 0);
-        assert_eq!(m.score(code('N'), code('A')), -2);
-    }
-
-    #[test]
-    fn parse_full_blosum62_rendering() {
-        // Render BLOSUM62 to NCBI text format and parse it back.
-        let letters = "ARNDCQEGHILKMFPSTWYVBZX*";
-        let mut text = String::new();
-        text.push_str("# BLOSUM62 re-render\n");
-        text.push_str(&letters.chars().map(|c| format!(" {c}")).collect::<String>());
-        text.push('\n');
-        for (i, c) in letters.chars().enumerate() {
-            text.push(c);
-            for j in 0..ALPHABET_SIZE {
-                text.push_str(&format!(" {}", BLOSUM62.score(i as u8, j as u8)));
-            }
-            text.push('\n');
-        }
-        let parsed = Matrix::parse_ncbi("BLOSUM62", &text).unwrap();
-        assert_eq!(parsed, BLOSUM62);
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert_eq!(Matrix::parse_ncbi("e", "").unwrap_err(), MatrixParseError::Empty);
-        assert_eq!(
-            Matrix::parse_ncbi("e", "AB C\n").unwrap_err(),
-            MatrixParseError::BadHeader { line: 1 }
-        );
-        assert_eq!(
-            Matrix::parse_ncbi("e", "A R\nA 4\n").unwrap_err(),
-            MatrixParseError::BadRow { line: 2 }
-        );
-        assert_eq!(
-            Matrix::parse_ncbi("e", "A R\nA x 1\n").unwrap_err(),
-            MatrixParseError::BadScore { line: 2 }
-        );
     }
 }

@@ -28,8 +28,6 @@ pub struct NeighborTable {
     offsets: Vec<u32>,
     /// Flat neighbor lists, each sorted ascending by word id.
     neighbors: Vec<Word>,
-    /// The threshold the table was built with.
-    threshold: i32,
 }
 
 impl NeighborTable {
@@ -53,7 +51,7 @@ impl NeighborTable {
             neighbors.extend_from_slice(&stack_buf);
             offsets.push(neighbors.len() as u32);
         }
-        NeighborTable { offsets, neighbors, threshold }
+        NeighborTable { offsets, neighbors }
     }
 
     /// Neighbors of word `w` (sorted ascending). May be empty (for
@@ -64,33 +62,6 @@ impl NeighborTable {
         let hi = self.offsets[w as usize + 1] as usize;
         &self.neighbors[lo..hi]
     }
-
-    /// The threshold used to build this table.
-    pub fn threshold(&self) -> i32 {
-        self.threshold
-    }
-
-    /// Total number of (word, neighbor) pairs — the table's footprint.
-    pub fn total_pairs(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Mean number of neighbors per word.
-    pub fn mean_neighbors(&self) -> f64 {
-        self.neighbors.len() as f64 / WORD_SPACE as f64
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.neighbors.len() * 4
-    }
-}
-
-/// Positional word score `Σ_i matrix(a_i, b_i)`.
-pub fn word_score(matrix: &Matrix, a: Word, b: Word) -> i32 {
-    let ua = unpack_word(a);
-    let ub = unpack_word(b);
-    (0..WORD_LEN).map(|i| matrix.score(ua[i], ub[i])).sum()
 }
 
 /// Depth-first enumeration of all words scoring `>= threshold` against
@@ -135,6 +106,13 @@ mod tests {
     use super::*;
     use crate::matrix::BLOSUM62;
     use bioseq::alphabet::encode_str;
+
+    /// Positional word score `Σ_i matrix(a_i, b_i)`.
+    fn word_score(matrix: &Matrix, a: Word, b: Word) -> i32 {
+        let ua = unpack_word(a);
+        let ub = unpack_word(b);
+        (0..WORD_LEN).map(|i| matrix.score(ua[i], ub[i])).sum()
+    }
 
     fn word(s: &str) -> Word {
         let codes = encode_str(s).unwrap();
@@ -197,8 +175,12 @@ mod tests {
     fn higher_threshold_shrinks_table() {
         let t11 = NeighborTable::build(&BLOSUM62, 11);
         let t13 = NeighborTable::build(&BLOSUM62, 13);
-        assert!(t13.total_pairs() < t11.total_pairs());
-        assert!(t11.mean_neighbors() > 1.0);
+        let total_pairs = |t: &NeighborTable| -> usize {
+            (0..WORD_SPACE as Word).map(|w| t.neighbors(w).len()).sum()
+        };
+        assert!(total_pairs(&t13) < total_pairs(&t11));
+        // More than one neighbor per word on average.
+        assert!(total_pairs(&t11) > WORD_SPACE);
     }
 
     #[test]

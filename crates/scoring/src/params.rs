@@ -128,7 +128,8 @@ impl SearchParams {
     /// A permissive parameter set for tests on tiny synthetic data: lower
     /// thresholds so that short random sequences still produce hits and
     /// extensions through all four stages.
-    pub fn relaxed_for_tests() -> SearchParams {
+    #[cfg(test)]
+    pub(crate) fn relaxed_for_tests() -> SearchParams {
         let mut p = SearchParams::blastp_defaults();
         p.word_threshold = 9;
         p.gap_trigger = 15;

@@ -9,17 +9,10 @@
 //! irregularity-elimination move the paper applies to hit detection,
 //! here applied to the extension stages.
 //!
-//! Two orientations exist because [`Matrix`] is not required to be
-//! symmetric (NCBI-format files usually are, but the profile must not
-//! bake that in):
-//!
-//! * [`ScoreProfile::for_query`] — `row(c)[i] == matrix.score(seq[i], c)`:
-//!   the fixed sequence supplies the *first* matrix index. Built once per
-//!   query and reused across every subject the query extends against.
-//! * [`ScoreProfile::for_subject`] — `row(c)[i] == matrix.score(c, seq[i])`:
-//!   the fixed sequence supplies the *second* index. Built per gapped
-//!   extension half over the subject slice, so the banded DP's inner loop
-//!   over subject positions is a sequential read of `row(q[i])`.
+//! [`ScoreProfile::for_query`] builds `row(c)[i] == matrix.score(seq[i], c)`:
+//! the fixed sequence supplies the *first* matrix index, so the profile
+//! does not assume [`Matrix`] is symmetric. It is built once per query and
+//! reused across every subject the query extends against.
 //!
 //! Rows store `i8` (the matrix's own cell width), which is what lets the
 //! striped kernels pack eight scores into a u64 without widening first.
@@ -51,20 +44,6 @@ impl ScoreProfile {
         ScoreProfile { rows, len: seq.len() }
     }
 
-    /// Profile with the fixed sequence as the matrix's second index:
-    /// `row(c)[i] == matrix.score(c, seq[i])`.
-    pub fn for_subject(matrix: &Matrix, seq: &[u8]) -> ScoreProfile {
-        let mut rows = vec![0i8; ALPHABET_SIZE * seq.len()];
-        for (c, row) in rows.chunks_exact_mut(seq.len().max(1)).enumerate() {
-            // `c` ranges over residue codes, far inside u8.
-            let mrow = matrix.row(c as u8);
-            for (slot, &s) in row.iter_mut().zip(seq) {
-                *slot = mrow[s as usize];
-            }
-        }
-        ScoreProfile { rows, len: seq.len() }
-    }
-
     /// Length of the profiled sequence.
     #[inline]
     pub fn len(&self) -> usize {
@@ -83,7 +62,7 @@ impl ScoreProfile {
     /// # Panics
     /// Panics if `c >= ALPHABET_SIZE` (same contract as [`Matrix::score`]).
     #[inline]
-    pub fn row(&self, c: u8) -> &[i8] {
+    pub(crate) fn row(&self, c: u8) -> &[i8] {
         &self.rows[c as usize * self.len..(c as usize + 1) * self.len]
     }
 
@@ -111,17 +90,6 @@ mod tests {
         for c in 0..ALPHABET_SIZE as u8 {
             for (i, &q) in seq.iter().enumerate() {
                 assert_eq!(p.score(c, i), BLOSUM62.score(q, c), "q={q} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn subject_profile_matches_matrix_cell_for_cell() {
-        let seq = all_codes();
-        let p = ScoreProfile::for_subject(&BLOSUM62, &seq);
-        for c in 0..ALPHABET_SIZE as u8 {
-            for (j, &s) in seq.iter().enumerate() {
-                assert_eq!(p.score(c, j), BLOSUM62.score(c, s), "s={s} c={c}");
             }
         }
     }

@@ -24,14 +24,14 @@
 //! per-query independent; the loopback integration tests pin this down
 //! with `engine::verify::results_identical`.
 //!
-//! Only requests with an identical effective configuration ([`ConfigSig`])
+//! Only requests with an identical effective configuration (`ConfigSig`)
 //! share a batch — mixing E-value cutoffs would change results.
 //!
 //! **Failure model.** Deadlines are enforced at the batcher, not just at
 //! the engine: a queued request whose deadline passes is rejected with a
 //! typed `DeadlineExceeded` *before* batch extraction, so it never
 //! consumes a batch slot and never splits a batch of live companions
-//! (see [`split_expired`]'s unit tests for the regression this fixes).
+//! (see `split_expired`'s unit tests for the regression this fixes).
 //! The forming window wakes at the earliest queued deadline, not only at
 //! `max_delay`, so expiry is answered promptly. Dispatch propagates the
 //! batch's effective deadline and the daemon's [`faultfn::Faults`] plan
@@ -118,7 +118,7 @@ pub struct SearchContext {
 /// batch: the engine and every parameter that affects results. Requests
 /// with different signatures are dispatched in separate batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConfigSig {
+pub(crate) struct ConfigSig {
     kind_code: u8,
     evalue_bits: u64,
     max_reported: u32,
@@ -132,7 +132,7 @@ pub struct ConfigSig {
 impl SearchContext {
     /// The batch-compatibility signature of a request against this
     /// context's defaults.
-    pub fn sig(&self, kind: EngineKind, overrides: &ParamOverrides) -> ConfigSig {
+    pub(crate) fn sig(&self, kind: EngineKind, overrides: &ParamOverrides) -> ConfigSig {
         ConfigSig {
             kind_code: crate::proto::engine_to_wire(kind),
             evalue_bits: overrides
@@ -148,7 +148,7 @@ impl SearchContext {
     }
 
     /// Materialize the effective `SearchConfig` for a signature.
-    pub fn config_for(&self, sig: ConfigSig) -> SearchConfig {
+    pub(crate) fn config_for(&self, sig: ConfigSig) -> SearchConfig {
         let mut c = self.base.clone();
         c.kind = match crate::proto::engine_from_wire(sig.kind_code) {
             Ok(kind) => kind,
@@ -164,10 +164,10 @@ impl SearchContext {
 
 /// Fault site: a submission is refused `Overloaded` as if the admission
 /// queue were full, regardless of its actual depth.
-pub const FAULT_QUEUE_FULL: &str = "batcher.queue_full";
+pub(crate) const FAULT_QUEUE_FULL: &str = "batcher.queue_full";
 /// Fault site: a queued job is condemned at batch extraction as if its
 /// deadline had passed (checked once per job per extraction).
-pub const FAULT_EXPIRE: &str = "batcher.expire";
+pub(crate) const FAULT_EXPIRE: &str = "batcher.expire";
 
 /// Batching and admission knobs.
 #[derive(Clone, Debug)]
@@ -192,8 +192,8 @@ pub struct BatchOptions {
     /// Log requests slower than this (µs, admission to reply) to stderr;
     /// 0 disables the slow-query log.
     pub slow_query_us: u64,
-    /// Deterministic fault injection ([`FAULT_QUEUE_FULL`],
-    /// [`FAULT_EXPIRE`], and — via dispatch — the engine's shard site).
+    /// Deterministic fault injection (`FAULT_QUEUE_FULL`,
+    /// `FAULT_EXPIRE`, and — via dispatch — the engine's shard site).
     /// Unarmed (the default) costs one branch per check.
     pub faults: faultfn::Faults,
     /// Structured JSON event sink (`mublastpd --event-log`): slow
@@ -221,7 +221,7 @@ impl Default for BatchOptions {
 /// submission order, plus this request's spans when it asked to be
 /// traced under a tracing daemon (an empty [`Trace`] otherwise).
 #[derive(Clone, Debug)]
-pub struct BatchOutput {
+pub(crate) struct BatchOutput {
     pub results: Vec<QueryResult>,
     /// The trace id the request ran under (assigned at admission).
     pub trace_id: u64,
@@ -240,11 +240,11 @@ pub struct BatchOutput {
 
 /// What a submitter eventually receives: per-query results in submission
 /// order, or a typed error (deadline expiry, internal failure).
-pub type BatchReply = Result<BatchOutput, WireError>;
+pub(crate) type BatchReply = Result<BatchOutput, WireError>;
 
 /// Why a submission was refused at the door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitError {
+pub(crate) enum SubmitError {
     /// Queue full; retry after the hinted back-off.
     Overloaded { retry_after_ms: u32 },
     /// The batcher is draining and accepts no new work.
@@ -301,14 +301,18 @@ fn wait_timeout<'a>(
 }
 
 /// The admission queue plus its batch-forming worker thread.
-pub struct Batcher {
+pub(crate) struct Batcher {
     shared: Arc<Shared>,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Batcher {
     /// Start the batch-forming worker over a loaded search context.
-    pub fn new(ctx: Arc<SearchContext>, opts: BatchOptions, stats: Arc<ServeStats>) -> Batcher {
+    pub(crate) fn new(
+        ctx: Arc<SearchContext>,
+        opts: BatchOptions,
+        stats: Arc<ServeStats>,
+    ) -> Batcher {
         assert!(opts.queue_cap > 0, "queue_cap must be positive");
         assert!(opts.max_batch > 0, "max_batch must be positive");
         if let Some(info) = ctx.index.shard_info() {
@@ -352,10 +356,10 @@ impl Batcher {
         }
     }
 
-    /// Submit one request. On admission, returns the receiver the reply
-    /// will arrive on (the batcher answers every admitted job, even
-    /// during a drain). On refusal, returns immediately.
-    pub fn submit(
+    /// [`Batcher::submit_traced`] with a batcher-assigned trace id and no
+    /// spans requested.
+    #[cfg(test)]
+    pub(crate) fn submit(
         &self,
         queries: Vec<Sequence>,
         kind: EngineKind,
@@ -366,11 +370,13 @@ impl Batcher {
             .map(|(rx, _)| rx)
     }
 
-    /// [`Batcher::submit`] with explicit trace identity: `trace_id` 0
+    /// Submit one request. On admission, returns the receiver the reply
+    /// will arrive on (the batcher answers every admitted job, even
+    /// during a drain). On refusal, returns immediately. `trace_id` 0
     /// asks the batcher to assign one (returned alongside the receiver);
     /// `want_trace` requests this job's spans back in its
     /// [`BatchOutput`].
-    pub fn submit_traced(
+    pub(crate) fn submit_traced(
         &self,
         queries: Vec<Sequence>,
         kind: EngineKind,
@@ -420,12 +426,12 @@ impl Batcher {
     }
 
     /// Requests currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         lock(&self.shared.queue).jobs.len()
     }
 
     /// Configured admission capacity.
-    pub fn queue_cap(&self) -> usize {
+    pub(crate) fn queue_cap(&self) -> usize {
         self.shared.opts.queue_cap
     }
 
@@ -439,7 +445,7 @@ impl Batcher {
 
     /// Stop admitting, dispatch everything already queued, and join the
     /// worker. Idempotent; safe to call from several threads.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         {
             let mut state = lock(&self.shared.queue);
             state.draining = true;

@@ -47,14 +47,14 @@ impl EventLog {
     }
 
     /// A request finished slower than the configured threshold.
-    pub fn slow_query(&self, trace_id: u64, total_us: u64, threshold_us: u64) {
+    pub(crate) fn slow_query(&self, trace_id: u64, total_us: u64, threshold_us: u64) {
         let mut line = self.line_head("slow_query", trace_id);
         let _ = write!(line, ",\"total_us\":{total_us},\"threshold_us\":{threshold_us}}}");
         self.emit(line);
     }
 
     /// A sharded answer shipped with partial coverage.
-    pub fn shard_degradation(
+    pub(crate) fn shard_degradation(
         &self,
         trace_id: u64,
         failed: &[ShardFailure],
@@ -83,7 +83,7 @@ impl EventLog {
 
     /// A retry loop gave up with its budget spent. Runs before
     /// admission, so there is no trace ID yet; `trace_id` is 0.
-    pub fn retry_exhaustion(&self, trace_id: u64, attempts: u32, error: &str) {
+    pub(crate) fn retry_exhaustion(&self, trace_id: u64, attempts: u32, error: &str) {
         let mut line = self.line_head("retry_exhaustion", trace_id);
         line.push_str(",\"attempts\":");
         let _ = write!(line, "{attempts}");
@@ -97,7 +97,7 @@ impl EventLog {
     /// set no longer fits the budget. `hits` and `misses` are the same
     /// dispatch's cache lookups, so the line itself tells thrashing (many
     /// misses, few hits) from one cold block (one miss among hits).
-    pub fn cache_pressure(
+    pub(crate) fn cache_pressure(
         &self,
         trace_id: u64,
         evictions: u64,

@@ -4,16 +4,14 @@
 //! failures a real network produces — resets mid-read, torn writes,
 //! byte-at-a-time short reads, added latency — driven by a deterministic
 //! [`faultfn::Faults`] plan, so the chaos suite can replay the exact
-//! same torn frame on every run. [`FaultyTransport`] decorates a
-//! [`Transport`] so a whole server accept loop hands out faulty
-//! connections; wrapping the *client* side of a [`crate::loopback`] pair
-//! instead exercises the server's handling of a misbehaving peer.
+//! same torn frame on every run. Wrapping the *client* side of a
+//! [`mod@crate::loopback`] pair exercises the server's handling of a
+//! misbehaving peer.
 //!
 //! With an unarmed plan every operation forwards untouched (one branch
 //! of overhead), which is how the chaos tests pin "faults disabled ⇒
 //! byte-identical to the baseline".
 
-use crate::transport::Transport;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
@@ -29,7 +27,7 @@ pub const FAULT_READ_SHORT: &str = "conn.read.short";
 pub const FAULT_WRITE_TORN: &str = "conn.write.torn";
 /// Site: a read call sleeps a deterministic sub-millisecond delay first
 /// (injected network latency; bounded so chaos runs stay fast).
-pub const FAULT_LATENCY: &str = "conn.latency";
+pub(crate) const FAULT_LATENCY: &str = "conn.latency";
 
 /// A `Read + Write` stream with seeded fault injection on every call.
 #[derive(Debug)]
@@ -45,7 +43,8 @@ impl<C> FaultyConn<C> {
     }
 
     /// The wrapped stream, dropping the fault layer.
-    pub fn into_inner(self) -> C {
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> C {
         self.inner
     }
 }
@@ -91,33 +90,6 @@ impl<C: Write> Write for FaultyConn<C> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// A [`Transport`] whose accepted connections inject faults. Each
-/// connection shares the same plan, so site occurrence counts run across
-/// the whole accept sequence — "fail the 3rd read the server ever does",
-/// not "the 3rd read of each connection".
-pub struct FaultyTransport<T> {
-    inner: T,
-    faults: faultfn::Faults,
-}
-
-impl<T> FaultyTransport<T> {
-    /// Wrap `inner`; every accepted connection injects per `faults`.
-    pub fn new(inner: T, faults: faultfn::Faults) -> FaultyTransport<T> {
-        FaultyTransport { inner, faults }
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    type Conn = FaultyConn<T::Conn>;
-
-    fn accept(&mut self, timeout: Duration) -> io::Result<Option<Self::Conn>> {
-        Ok(self
-            .inner
-            .accept(timeout)?
-            .map(|c| FaultyConn::new(c, self.faults.clone())))
     }
 }
 

@@ -23,7 +23,7 @@
 //!   `Read`/`Write`; no I/O policy).
 //! * [`batcher`] — admission control, batch forming, dispatch, demux.
 //! * [`stats`] — queue/batch/latency counters behind one lock.
-//! * [`transport`] / [`loopback`] — pluggable acceptors: real TCP and a
+//! * [`transport`] / [`mod@loopback`] — pluggable acceptors: real TCP and a
 //!   deterministic in-process pair for tests and examples.
 //! * [`server`] — the accept loop and per-connection frame handler.
 //! * [`client`] — a small synchronous client used by `mublastp-query`.
@@ -57,17 +57,14 @@ pub mod server;
 pub mod stats;
 pub mod transport;
 
-pub use batcher::{BatchOptions, BatchOutput, Batcher, ResidentIndex, SearchContext, SubmitError};
+pub use batcher::{BatchOptions, ResidentIndex, SearchContext};
 pub use client::{Client, ClientError};
 pub use events::EventLog;
-pub use faulty::{FaultyConn, FaultyTransport};
-pub use loopback::{loopback, LoopbackConn, LoopbackConnector, LoopbackTransport};
-pub use metrics_http::{serve_metrics, MetricsServer, MetricsSource};
-pub use proto::{
-    Degraded, ErrorCode, Frame, ParamOverrides, ProtoError, SearchRequest, SearchResponse,
-    ShardStat, StageLatency, StatsReport, WireError,
-};
-pub use retry::{retry, AttemptError, RetryObs, RetryOutcome, RetryPolicy};
+pub use faulty::FaultyConn;
+pub use loopback::{loopback, LoopbackConnector};
+pub use metrics_http::serve_metrics;
+pub use proto::{Frame, ParamOverrides, SearchRequest, SearchResponse, StatsReport};
+pub use retry::RetryPolicy;
 pub use server::{serve, serve_with_stats, ServerHandle};
 pub use stats::ServeStats;
-pub use transport::{TcpTransport, Transport};
+pub use transport::TcpTransport;

@@ -23,7 +23,7 @@ const CONN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Renders the current exposition text on demand (the closure typically
 /// wraps [`crate::ServerHandle::render_metrics`]).
-pub type MetricsSource = Arc<dyn Fn() -> String + Send + Sync>;
+pub(crate) type MetricsSource = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// A running metrics endpoint. Dropping the handle stops it.
 pub struct MetricsServer {
@@ -39,7 +39,7 @@ impl MetricsServer {
     }
 
     /// Stop accepting and join the accept thread. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();

@@ -36,7 +36,7 @@ pub const MAGIC: &[u8; 4] = b"MUBQ";
 pub const PROTO_VERSION: u32 = 7;
 /// Upper bound on a single frame's payload (defensive: a corrupt or
 /// hostile length field must not trigger a giant allocation).
-pub const MAX_PAYLOAD: u32 = 256 << 20;
+pub(crate) const MAX_PAYLOAD: u32 = 256 << 20;
 
 const HEADER_LEN: usize = 4 + 4 + 1 + 4;
 
@@ -51,7 +51,7 @@ pub enum ProtoError {
     BadVersion(u32),
     /// Unknown frame-type byte.
     UnknownFrame(u8),
-    /// Payload length exceeds [`MAX_PAYLOAD`].
+    /// Payload length exceeds `MAX_PAYLOAD`.
     TooLarge(u32),
     /// Payload failed to parse (wrong length fields, bad UTF-8, …).
     Malformed(&'static str),
@@ -143,7 +143,7 @@ pub struct ParamOverrides {
 pub struct SearchRequest {
     /// One or more FASTA records; parsed server-side with `bioseq`.
     pub fasta: String,
-    /// Engine selection as a wire code (see [`engine_to_wire`]).
+    /// Engine selection as a wire code (see `engine_to_wire`).
     pub engine: engine::EngineKind,
     pub overrides: ParamOverrides,
     /// Per-request deadline in milliseconds; 0 means none.
@@ -383,7 +383,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Engine selection as a stable wire code.
-pub fn engine_to_wire(kind: engine::EngineKind) -> u8 {
+pub(crate) fn engine_to_wire(kind: engine::EngineKind) -> u8 {
     match kind {
         engine::EngineKind::QueryIndexed => 0,
         engine::EngineKind::DbInterleaved => 1,
@@ -392,7 +392,7 @@ pub fn engine_to_wire(kind: engine::EngineKind) -> u8 {
 }
 
 /// Decode an engine wire code.
-pub fn engine_from_wire(v: u8) -> Result<engine::EngineKind, ProtoError> {
+pub(crate) fn engine_from_wire(v: u8) -> Result<engine::EngineKind, ProtoError> {
     Ok(match v {
         0 => engine::EngineKind::QueryIndexed,
         1 => engine::EngineKind::DbInterleaved,
@@ -621,7 +621,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Write one frame to a stream and flush it.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtoError> {
     w.write_all(&encode_frame(frame))?;
     w.flush()?;
     Ok(())

@@ -4,7 +4,7 @@
 //! have been admitted to the batcher: re-running an admitted request
 //! would double its work (and, for a non-idempotent deployment, its
 //! side effects). Each failed attempt therefore carries an explicit
-//! `admitted` verdict ([`AttemptError`]), and the loop retries only
+//! `admitted` verdict (`AttemptError`), and the loop retries only
 //! refusals that provably happened *before* admission — connection
 //! failures and the server's typed `Overloaded` / `ShuttingDown`
 //! answers. An I/O error after the request frame was written is
@@ -23,8 +23,7 @@ use crate::client::{Client, ClientError};
 use crate::events::EventLog;
 use crate::proto::{ErrorCode, ParamOverrides, SearchResponse};
 use engine::EngineKind;
-use obsv::metrics::names;
-use obsv::{Counter, Registry};
+use obsv::Counter;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,7 +60,7 @@ impl RetryPolicy {
     /// growth capped at [`RetryPolicy::cap`], jittered into the upper
     /// half of the window by a seed-keyed hash — deterministic per
     /// `(seed, attempt)`, decorrelated across seeds.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = self
             .base
             .checked_mul(1u32 << attempt.min(16))
@@ -87,7 +86,7 @@ impl RetryPolicy {
 ///
 /// [disabled]: RetryObs::disabled
 #[derive(Clone, Debug, Default)]
-pub struct RetryObs {
+pub(crate) struct RetryObs {
     attempts: Counter,
     exhausted: Counter,
     events: Option<Arc<EventLog>>,
@@ -95,18 +94,8 @@ pub struct RetryObs {
 
 impl RetryObs {
     /// Hooks that record nothing (the uninstrumented path).
-    pub fn disabled() -> RetryObs {
+    pub(crate) fn disabled() -> RetryObs {
         RetryObs::default()
-    }
-
-    /// Bind the attempt/exhaustion counters to `registry`, optionally
-    /// appending exhaustion events to `events`.
-    pub fn new(registry: &Registry, events: Option<Arc<EventLog>>) -> RetryObs {
-        RetryObs {
-            attempts: registry.counter(names::RETRY_ATTEMPTS),
-            exhausted: registry.counter(names::RETRY_EXHAUSTED),
-            events,
-        }
     }
 
     fn on_attempt(&self) {
@@ -123,7 +112,7 @@ impl RetryObs {
 
 /// One attempt's failure, classified for the retry decision.
 #[derive(Debug)]
-pub struct AttemptError<E> {
+pub(crate) struct AttemptError<E> {
     /// The underlying failure, returned verbatim if the loop gives up.
     pub error: E,
     /// `true` when the request may have reached the batcher — retrying
@@ -134,7 +123,7 @@ pub struct AttemptError<E> {
     pub retry_after: Option<Duration>,
 }
 
-/// What a [`retry`] loop did, alongside its result.
+/// What a `retry` loop did, alongside its result.
 #[derive(Debug)]
 pub struct RetryOutcome<T, E> {
     /// `Ok` from the first successful attempt, or the *last* attempt's
@@ -154,7 +143,7 @@ pub struct RetryOutcome<T, E> {
 /// failure case the **last underlying error** is returned. `sleep` is
 /// injectable so tests (and the chaos battery) run without wall-clock
 /// waits.
-pub fn retry<T, E, F, S>(policy: &RetryPolicy, mut op: F, mut sleep: S) -> RetryOutcome<T, E>
+pub(crate) fn retry<T, E, F, S>(policy: &RetryPolicy, mut op: F, mut sleep: S) -> RetryOutcome<T, E>
 where
     F: FnMut(u32) -> Result<T, AttemptError<E>>,
     S: FnMut(Duration),
@@ -197,7 +186,7 @@ where
 /// recorded through `obs`. Retries happen before admission, so the
 /// request usually has no trace ID yet; pass 0 when that is the case
 /// (the event is still joinable by timestamp and error text).
-pub fn retry_observed<T, E, F, S>(
+pub(crate) fn retry_observed<T, E, F, S>(
     policy: &RetryPolicy,
     obs: &RetryObs,
     trace_id: u64,
@@ -226,7 +215,7 @@ where
 /// Classify a [`ClientError`] from a completed round-trip: only the
 /// server's pre-admission refusals are retriable; everything after the
 /// request frame left the client may already be running.
-pub fn classify_response_error(error: ClientError) -> AttemptError<ClientError> {
+pub(crate) fn classify_response_error(error: ClientError) -> AttemptError<ClientError> {
     let (admitted, retry_after) = match &error {
         ClientError::Server(e) if e.code == ErrorCode::Overloaded => {
             (false, Some(Duration::from_millis(u64::from(e.retry_after_ms))))
@@ -240,8 +229,8 @@ pub fn classify_response_error(error: ClientError) -> AttemptError<ClientError> 
 /// Run one search with retries, dialing a fresh connection per attempt.
 ///
 /// `connect` failures are always retriable (nothing was sent); failures
-/// after the round-trip are classified by [`classify_response_error`].
-/// Sleeps on the real clock — use [`retry`] directly to inject a fake.
+/// after the round-trip are classified by `classify_response_error`.
+/// Sleeps on the real clock — use `retry` directly to inject a fake.
 pub fn search_with_retry<C, F>(
     policy: &RetryPolicy,
     connect: F,
@@ -274,7 +263,7 @@ where
     clippy::too_many_arguments,
     reason = "the observed variant adds its observers to search_with_retry's arguments"
 )]
-pub fn search_with_retry_observed<C, F>(
+pub(crate) fn search_with_retry_observed<C, F>(
     policy: &RetryPolicy,
     obs: &RetryObs,
     mut connect: F,
@@ -310,6 +299,8 @@ where
 mod tests {
     use super::*;
     use crate::proto::WireError;
+    use obsv::metrics::names;
+    use obsv::Registry;
 
     fn policy(seed: u64) -> RetryPolicy {
         RetryPolicy { seed, ..RetryPolicy::default() }
@@ -445,7 +436,11 @@ mod tests {
     #[test]
     fn observed_retries_feed_the_registry() {
         let reg = Registry::new(true);
-        let obs = RetryObs::new(&reg, None);
+        let obs = RetryObs {
+            attempts: reg.counter(names::RETRY_ATTEMPTS),
+            exhausted: reg.counter(names::RETRY_EXHAUSTED),
+            events: None,
+        };
         let out = retry_observed(
             &policy(5),
             &obs,

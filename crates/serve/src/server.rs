@@ -2,7 +2,7 @@
 //!
 //! [`serve`] spawns one accept thread over any [`Transport`] plus one
 //! connection thread per client; all of them funnel search work into the
-//! shared [`Batcher`], which is where the paper's batch-parallel schedule
+//! shared `Batcher`, which is where the paper's batch-parallel schedule
 //! actually runs. Connection threads therefore do no heavy work — they
 //! parse FASTA, submit, block on the reply channel, and frame the answer.
 

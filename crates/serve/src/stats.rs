@@ -3,7 +3,7 @@
 //!
 //! Since the unified-metrics change every counter here is a view over
 //! one [`obsv::Registry`]: the `on_*` methods update pre-resolved
-//! lock-free registry handles, and [`ServeStats::snapshot`] reads the
+//! lock-free registry handles, and `ServeStats::snapshot` reads the
 //! same cells the Prometheus endpoint renders — the wire stats frame,
 //! `--metrics-addr`, and the event log can never disagree. Latencies
 //! land in logarithmic buckets (one per power of two of microseconds):
@@ -122,7 +122,7 @@ impl ServeStats {
     /// Counters over a caller-supplied registry (the daemon shares one
     /// registry between the stats frame, the Prometheus endpoint, and
     /// the event log).
-    pub fn with_registry(registry: Registry) -> ServeStats {
+    pub(crate) fn with_registry(registry: Registry) -> ServeStats {
         ServeStats {
             accepted: registry.counter(names::BATCHER_ACCEPTED),
             rejected: registry.counter(names::BATCHER_REJECTED),
@@ -170,24 +170,24 @@ impl ServeStats {
     }
 
     /// A request entered the queue, which now holds `depth` entries.
-    pub fn on_admit(&self, depth: usize) {
+    pub(crate) fn on_admit(&self, depth: usize) {
         self.accepted.inc();
         self.max_depth.set_max(depth as u64);
     }
 
     /// A request was refused because the queue was full.
-    pub fn on_reject(&self) {
+    pub(crate) fn on_reject(&self) {
         self.rejected.inc();
     }
 
     /// A request's deadline passed while it waited.
-    pub fn on_expire(&self) {
+    pub(crate) fn on_expire(&self) {
         self.expired.inc();
     }
 
     /// A batch of `size` requests was dispatched; `waits` are the
     /// per-request queue delays and `search` the engine time.
-    pub fn on_batch(&self, size: usize, waits: &[Duration], search: Duration) {
+    pub(crate) fn on_batch(&self, size: usize, waits: &[Duration], search: Duration) {
         self.batches.inc();
         self.batch_size.record(size);
         for &w in waits {
@@ -202,25 +202,25 @@ impl ServeStats {
     }
 
     /// A request was answered `total` after admission.
-    pub fn on_complete(&self, total: Duration) {
+    pub(crate) fn on_complete(&self, total: Duration) {
         self.completed.inc();
         self.total.record(total);
     }
 
     /// A request was answered with partial (degraded) results.
-    pub fn on_degraded(&self) {
+    pub(crate) fn on_degraded(&self) {
         self.degraded.inc();
     }
 
     /// A request crossed the slow-query threshold.
-    pub fn on_slow_query(&self) {
+    pub(crate) fn on_slow_query(&self) {
         self.slow_queries.inc();
     }
 
     /// A top-k batch of `requests` requests was dispatched: `scanned`
     /// blocks were fetched and searched, `skipped` blocks were pruned by
     /// their stored score bound.
-    pub fn on_topk(&self, requests: u64, scanned: u64, skipped: u64) {
+    pub(crate) fn on_topk(&self, requests: u64, scanned: u64, skipped: u64) {
         self.topk_requests.add(requests);
         self.topk_scanned.add(scanned);
         self.topk_skipped.add(skipped);
@@ -231,7 +231,7 @@ impl ServeStats {
     /// `scoring::KernelKind`). `rescues_total` is the process-wide cumulative
     /// value of `align::gapped_rescues()`; the gauge mirrors it
     /// absolutely, so concurrent batches can race without drift.
-    pub fn on_kernel(&self, striped: bool, requests: u64, rescues_total: u64) {
+    pub(crate) fn on_kernel(&self, striped: bool, requests: u64, rescues_total: u64) {
         if striped {
             self.kernel_striped.add(requests);
         } else {
@@ -243,7 +243,7 @@ impl ServeStats {
     /// Declare how many bytes of decoded index stay resident for the
     /// daemon's lifetime. Called once at startup by resident daemons;
     /// reported as `index_resident_bytes` on the stats frame.
-    pub fn set_index_memory(&self, bytes: u64) {
+    pub(crate) fn set_index_memory(&self, bytes: u64) {
         self.index_pinned.set(bytes);
     }
 
@@ -260,7 +260,7 @@ impl ServeStats {
     /// residues)` per shard, in shard order). Called once at startup;
     /// every snapshot thereafter carries one [`ShardStat`] row per shard,
     /// even before the first dispatch.
-    pub fn init_shards(&self, info: &[(u64, u64)]) {
+    pub(crate) fn init_shards(&self, info: &[(u64, u64)]) {
         let mut m = lock(&self.meta);
         m.shards = info
             .iter()
@@ -283,7 +283,7 @@ impl ServeStats {
     /// depth made visible as latency) and search time land in that
     /// shard's digests. Timings for shards never declared via
     /// [`ServeStats::init_shards`] are ignored.
-    pub fn on_shard_batch(&self, timings: &[ShardTiming]) {
+    pub(crate) fn on_shard_batch(&self, timings: &[ShardTiming]) {
         let m = lock(&self.meta);
         for t in timings {
             if let Some(slot) = m.shards.get(t.shard) {
@@ -296,7 +296,7 @@ impl ServeStats {
     /// Record which shards dropped out of one sharded dispatch. Every
     /// failure counts toward its cause; per-shard rows only count shards
     /// declared via [`ServeStats::init_shards`].
-    pub fn on_shard_failures(&self, failed: &[ShardFailure]) {
+    pub(crate) fn on_shard_failures(&self, failed: &[ShardFailure]) {
         if failed.is_empty() {
             return;
         }
@@ -311,7 +311,7 @@ impl ServeStats {
 
     /// Digest the span durations of a traced batch into the per-stage
     /// latency histograms. A no-op for empty traces.
-    pub fn on_trace(&self, trace: &obsv::Trace) {
+    pub(crate) fn on_trace(&self, trace: &obsv::Trace) {
         for span in &trace.spans {
             let idx = (span.stage.code() - 1) as usize;
             self.stage_lat[idx].record(Duration::from_nanos(span.dur_ns));
@@ -321,7 +321,7 @@ impl ServeStats {
     /// Render the Prometheus text exposition of the registry, refreshing
     /// the queue gauges first (they are owned by the batcher and sampled
     /// at read time, like in [`ServeStats::snapshot`]).
-    pub fn render_metrics(&self, queue_depth: usize, queue_cap: usize) -> String {
+    pub(crate) fn render_metrics(&self, queue_depth: usize, queue_cap: usize) -> String {
         self.queue_depth.set(queue_depth as u64);
         self.queue_cap.set(queue_cap as u64);
         self.registry.render_prometheus()
@@ -330,7 +330,7 @@ impl ServeStats {
     /// Point-in-time report (`queue_depth`/`queue_cap` are owned by the
     /// batcher and passed in; they are published to the registry gauges
     /// here so a scrape racing a stats frame sees the same values).
-    pub fn snapshot(&self, queue_depth: usize, queue_cap: usize) -> StatsReport {
+    pub(crate) fn snapshot(&self, queue_depth: usize, queue_cap: usize) -> StatsReport {
         self.queue_depth.set(queue_depth as u64);
         self.queue_cap.set(queue_cap as u64);
         let m = lock(&self.meta);

@@ -2,7 +2,7 @@
 //!
 //! The server core is written against [`Transport`], so the same accept
 //! loop, framing, and batching code runs over real TCP sockets in
-//! production and over the deterministic in-process [`crate::loopback`]
+//! production and over the deterministic in-process [`mod@crate::loopback`]
 //! pair in tests — no ports, no firewalls, no flakiness.
 
 use std::io::{self, Read, Write};

@@ -39,7 +39,7 @@ pub mod radix;
 
 pub use binning::two_level_binning_sort;
 pub use merge::merge_sort_by_key;
-pub use radix::{lsd_radix_sort_by_key, lsd_radix_sort_u64_by_key, msd_radix_sort_by_key};
+pub use radix::{lsd_radix_sort_by_key, msd_radix_sort_by_key};
 
 #[cfg(test)]
 #[expect(

@@ -1,4 +1,4 @@
-//! LSD and MSD radix sorts on `u32`/`u64` keys.
+//! LSD and MSD radix sorts on `u32` keys.
 //!
 //! The LSD sort is the workhorse of muBLASTP's hit reordering: stable,
 //! `O(n)` per 8-bit digit pass, and it **skips passes whose digit is
@@ -45,57 +45,6 @@ pub fn lsd_radix_sort_by_key<T: Clone, F: Fn(&T) -> u32>(items: &mut Vec<T>, key
             continue;
         }
         // Exclusive prefix sums → starting offsets.
-        let mut offsets = [0usize; RADIX];
-        let mut sum = 0usize;
-        for (b, &count) in hist[d].iter().enumerate() {
-            offsets[b] = sum;
-            sum += count;
-        }
-        scratch.clear();
-        scratch.resize_with(src.len(), || src[0].clone());
-        for it in src.iter() {
-            let b = (key(it) >> (d * RADIX_BITS)) as usize & (RADIX - 1);
-            scratch[offsets[b]] = it.clone();
-            offsets[b] += 1;
-        }
-        std::mem::swap(&mut src, &mut scratch);
-    }
-    *items = src;
-}
-
-/// Stable LSD radix sort by a `u64` key (eight 8-bit passes, constant
-/// digits skipped). Used when `(seq_id, diag_id)` does not fit in 32 bits.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "each u64 -> usize cast is masked to one RADIX_BITS digit, so truncation drops only bits the mask drops"
-)]
-pub fn lsd_radix_sort_u64_by_key<T: Clone, F: Fn(&T) -> u64>(items: &mut Vec<T>, key: F) {
-    if items.len() < 2 {
-        return;
-    }
-    let mut hist = vec![[0usize; RADIX]; 8];
-    let mut or_all = 0u64;
-    let mut and_all = u64::MAX;
-    for it in items.iter() {
-        let k = key(it);
-        or_all |= k;
-        and_all &= k;
-        for (d, h) in hist.iter_mut().enumerate() {
-            h[(k >> (d * RADIX_BITS)) as usize & (RADIX - 1)] += 1;
-        }
-    }
-    let mut scratch: Vec<T> = Vec::new();
-    let mut src: Vec<T> = std::mem::take(items);
-    #[allow(
-        clippy::needless_range_loop,
-        reason = "d is a digit shift, not just an index"
-    )]
-    for d in 0..8 {
-        let digit_or = (or_all >> (d * RADIX_BITS)) as usize & (RADIX - 1);
-        let digit_and = (and_all >> (d * RADIX_BITS)) as usize & (RADIX - 1);
-        if digit_or == digit_and {
-            continue;
-        }
         let mut offsets = [0usize; RADIX];
         let mut sum = 0usize;
         for (b, &count) in hist[d].iter().enumerate() {
@@ -230,18 +179,6 @@ mod tests {
         let mut got = data.clone();
         lsd_radix_sort_by_key(&mut got, |kv| kv.0);
         assert_eq!(got, reference(data));
-    }
-
-    #[test]
-    fn lsd_u64_wide_keys() {
-        let keys = [u64::MAX, 0, 1 << 40, 1 << 40 | 3, 77, 1 << 63];
-        let data: Vec<(u64, u32)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-        let mut got = data.clone();
-        lsd_radix_sort_u64_by_key(&mut got, |kv| kv.0);
-        let mut expect = data;
-        expect.sort_by_key(|kv| kv.0);
-        assert_eq!(got, expect);
     }
 
     #[test]
