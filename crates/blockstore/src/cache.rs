@@ -22,9 +22,10 @@
 //! them without touching the cache lock.
 
 use dbindex::IndexBlock;
+use obsv::Lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 // Every counter access funnels through these four helpers. The counters
 // are advisory statistics — readers tolerate torn multi-field snapshots
@@ -33,23 +34,23 @@ use std::sync::{Arc, Mutex, MutexGuard};
 // held, so the mutex provides all the ordering that matters.
 
 fn stat_load(c: &AtomicU64) -> u64 {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.load(Ordering::Relaxed)
 }
 
 /// Returns the post-add value (for peak tracking).
 fn stat_add(c: &AtomicU64, n: u64) -> u64 {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.fetch_add(n, Ordering::Relaxed) + n
 }
 
 fn stat_sub(c: &AtomicU64, n: u64) {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.fetch_sub(n, Ordering::Relaxed);
 }
 
 fn stat_max(c: &AtomicU64, n: u64) {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.fetch_max(n, Ordering::Relaxed);
 }
 
@@ -164,7 +165,7 @@ struct Inner {
 pub struct BlockCache {
     budget: u64,
     counters: CacheCounters,
-    inner: Mutex<Inner>,
+    inner: Lock<Inner>,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -182,7 +183,7 @@ impl BlockCache {
         BlockCache {
             budget: budget_bytes,
             counters: CacheCounters::default(),
-            inner: Mutex::new(Inner { map: HashMap::new(), tick: 0, next_store: 0 }),
+            inner: Lock::new(Inner { map: HashMap::new(), tick: 0, next_store: 0 }),
         }
     }
 
@@ -218,19 +219,10 @@ impl BlockCache {
 
     /// Claim a fresh store-id namespace for one open store.
     pub fn register_store(&self) -> u32 {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let id = inner.next_store;
         inner.next_store += 1;
         id
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // The cache holds plain data; recover from a poisoned lock
-        // rather than propagating an unrelated worker's panic.
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     fn key(store: u32, block: u32) -> u64 {
@@ -240,7 +232,7 @@ impl BlockCache {
     /// Look up a decoded block, refreshing its recency. Counts a hit or
     /// a miss.
     pub(crate) fn get(&self, store: u32, block: u32) -> Option<Arc<IndexBlock>> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&Self::key(store, block)) {
@@ -262,7 +254,7 @@ impl BlockCache {
     /// can be stale as soon as it is returned; callers use it to *order*
     /// fetches ([`engine::BlockSource::resident`]), never to skip one.
     pub(crate) fn contains(&self, store: u32, block: u32) -> bool {
-        self.lock().map.contains_key(&Self::key(store, block))
+        self.inner.lock().map.contains_key(&Self::key(store, block))
     }
 
     /// Insert a freshly decoded block, evicting least-recently-used
@@ -272,7 +264,7 @@ impl BlockCache {
     pub fn insert(&self, store: u32, block: u32, decoded: Arc<IndexBlock>) {
         let bytes = decoded.memory_bytes() as u64;
         let key = Self::key(store, block);
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.remove(&key) {
@@ -299,7 +291,7 @@ impl BlockCache {
 
     /// Number of blocks currently resident.
     pub(crate) fn len(&self) -> usize {
-        self.lock().map.len()
+        self.inner.lock().map.len()
     }
 }
 

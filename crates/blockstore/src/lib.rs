@@ -37,7 +37,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 
 pub mod cache;

@@ -21,10 +21,11 @@ use dbindex::{
 };
 use engine::{BlockSource, ShardBackend};
 use faultfn::Faults;
+use obsv::Lock;
 use std::borrow::Borrow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fault site: drop the tail of a fetched record (a short read / torn
@@ -77,7 +78,7 @@ impl From<SerialError> for StoreError {
 /// The reader sits behind a mutex so one store can serve concurrent
 /// shard tasks; each fetch holds the lock only for its seek+read.
 pub struct SequenceStore<R: Read + Seek> {
-    reader: Mutex<R>,
+    reader: Lock<R>,
     dir: StoreDirectory,
     cache: Arc<BlockCache>,
     store_id: u32,
@@ -94,7 +95,7 @@ impl<R: Read + Seek> SequenceStore<R> {
     ) -> Result<SequenceStore<R>, StoreError> {
         let dir = read_directory(&mut reader)?;
         let store_id = cache.register_store();
-        Ok(SequenceStore { reader: Mutex::new(reader), dir, cache, store_id, faults })
+        Ok(SequenceStore { reader: Lock::new(reader), dir, cache, store_id, faults })
     }
 
     /// The parsed footer directory.
@@ -135,16 +136,14 @@ impl<R: Read + Seek> SequenceStore<R> {
         // whole, so zero-filling it first would be a wasted pass.
         let mut buf = Vec::with_capacity(meta.len as usize);
         {
-            let mut r = match self.reader.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut r = self.reader.lock();
             r.seek(SeekFrom::Start(meta.offset))?;
             r.by_ref().take(u64::from(meta.len)).read_to_end(&mut buf)?;
         }
         if buf.len() != meta.len as usize {
             return Err(StoreError::Io(std::io::ErrorKind::UnexpectedEof.into()));
         }
+        obsv::assert_unlocked("an injected fault delay");
         if self.faults.fire_at(FAULT_FETCH_LATENCY, u64::from(block_id)) {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }

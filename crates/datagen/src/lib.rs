@@ -26,7 +26,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 
 use bioseq::{Sequence, SequenceDb};

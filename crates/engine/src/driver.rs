@@ -678,26 +678,19 @@ fn finish_all<T: Send>(
     finish: impl Fn(&Finisher<'_>, Vec<SubjectCandidates>) -> T + Sync,
 ) -> Vec<(T, StageCounts)> {
     // Move each query's pending work into a slot the workers can take from.
-    let slots: Vec<std::sync::Mutex<Pending>> =
-        per_query.into_iter().map(std::sync::Mutex::new).collect();
+    let slots: Vec<obsv::Lock<Pending>> = per_query.into_iter().map(obsv::Lock::new).collect();
     let mut recorders: Vec<Recorder> = worker_recorders(session, config.threads).collect();
     let results = parallel_map_dynamic_with_state(
         &mut recorders,
         finishers.len(),
         1,
         |rec, qi| {
-            // Each slot is taken exactly once; recover from poisoning rather
-            // than propagating a panic from an unrelated worker.
-            let mut slot = match slots[qi].lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            // Each slot is taken exactly once.
             let Pending {
                 seeds,
                 extended,
                 mut counts,
-            } = std::mem::take(&mut *slot);
-            drop(slot);
+            } = std::mem::take(&mut *slots[qi].lock());
             rec.set_ctx(0, qi as u32, NO_BLOCK);
             let span = rec.start();
             let (ranked, gapped) = finishers[qi].rank(db, seeds, extended, rec);
@@ -833,7 +826,7 @@ mod tests {
     struct ClaimsResident<'a> {
         index: &'a DbIndex,
         resident: &'a dyn Fn(usize) -> bool,
-        fetched: std::sync::Mutex<Vec<usize>>,
+        fetched: obsv::Lock<Vec<usize>>,
     }
 
     impl BlockSource for ClaimsResident<'_> {
@@ -852,7 +845,7 @@ mod tests {
         }
 
         fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
-            self.fetched.lock().unwrap().push(i);
+            self.fetched.lock().push(i);
             self.index.fetch(i)
         }
     }
@@ -895,12 +888,12 @@ mod tests {
             let source = ClaimsResident {
                 index: &index,
                 resident,
-                fetched: Default::default(),
+                fetched: obsv::Lock::new(Vec::new()),
             };
             let session = TraceSession::disabled();
             let Ok(out) =
                 search_batch_blocks(&db, &source, neighbors(), &queries, &config, None, &session);
-            assert_eq!(&*source.fetched.lock().unwrap(), want);
+            assert_eq!(&*source.fetched.lock(), want);
             assert_eq!(out.results, reference);
         }
     }

@@ -27,7 +27,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 
 pub mod golden;
@@ -130,13 +131,13 @@ impl FaultPlan {
 
     fn fire(&self, name: &str) -> bool {
         let Some(site) = self.site(name) else { return false };
-        // lint: allow(relaxed-ordering): monotonic occurrence counter —
+        // relaxed: monotonic occurrence counter —
         // each caller only needs its own unique ticket from fetch_add;
         // no other memory is published under it.
         let occurrence = site.calls.fetch_add(1, Ordering::Relaxed);
         let hit = site.schedule.decide(self.seed, name, occurrence);
         if hit {
-            // lint: allow(relaxed-ordering): statistics counter, read
+            // relaxed: statistics counter, read
             // only by test assertions after the threads join.
             site.fired.fetch_add(1, Ordering::Relaxed);
         }
@@ -145,13 +146,13 @@ impl FaultPlan {
 
     fn fire_at(&self, name: &str, index: u64) -> bool {
         let Some(site) = self.site(name) else { return false };
-        // lint: allow(relaxed-ordering): statistics counter, read only
+        // relaxed: statistics counter, read only
         // by test assertions after the threads join; the decision below
         // is pure in (seed, site, index) and ignores it.
         site.calls.fetch_add(1, Ordering::Relaxed);
         let hit = site.schedule.decide(self.seed, name, index);
         if hit {
-            // lint: allow(relaxed-ordering): statistics counter, read
+            // relaxed: statistics counter, read
             // only by test assertions after the threads join.
             site.fired.fetch_add(1, Ordering::Relaxed);
         }
@@ -236,7 +237,7 @@ impl Faults {
             None => 0,
             Some(plan) => plan
                 .site(site)
-                // lint: allow(relaxed-ordering): statistics read; tests
+                // relaxed: statistics read; tests
                 // call this after joining the threads that counted.
                 .map(|s| s.fired.load(Ordering::Relaxed))
                 .unwrap_or(0),
@@ -249,7 +250,7 @@ impl Faults {
             None => 0,
             Some(plan) => plan
                 .site(site)
-                // lint: allow(relaxed-ordering): statistics read; tests
+                // relaxed: statistics read; tests
                 // call this after joining the threads that counted.
                 .map(|s| s.calls.load(Ordering::Relaxed))
                 .unwrap_or(0),

@@ -29,16 +29,22 @@
 //! serving stack exports, declared under stable dotted names, rendered
 //! as a Prometheus text exposition, and pinned by the golden exposition
 //! `tests/fixtures/metrics.v{METRICS_VERSION}.prom`.
+//!
+//! It also hosts the workspace's one mutex, [`Lock`], which checks the
+//! lock rules (one lock per thread; none held across a channel [`send`]
+//! or an injected fault delay) at run time in debug builds.
 
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 
 pub mod chrome;
 pub mod folded;
+mod lock;
 pub mod metrics;
 pub mod recorder;
 pub mod span;
@@ -46,6 +52,7 @@ pub mod trace;
 
 pub use chrome::write_chrome_trace;
 pub use folded::write_folded;
+pub use lock::{assert_unlocked, send, Lock, LockGuard};
 pub use metrics::{
     Counter, Gauge, HistSummary, Histogram, Registry, SizeHistogram, METRICS_VERSION,
 };

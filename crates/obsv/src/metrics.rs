@@ -31,10 +31,11 @@
 //! the true observed maximum.
 
 use crate::span::Stage;
+use crate::Lock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Version of the exported metrics surface; it names the golden
@@ -210,22 +211,22 @@ fn declare_all(r: &Registry) {
 // ---------------------------------------------------------------------
 
 fn stat_add(c: &AtomicU64, n: u64) {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.fetch_add(n, Ordering::Relaxed);
 }
 
 fn stat_load(c: &AtomicU64) -> u64 {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.load(Ordering::Relaxed)
 }
 
 fn stat_store(c: &AtomicU64, v: u64) {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.store(v, Ordering::Relaxed);
 }
 
 fn stat_max(c: &AtomicU64, v: u64) {
-    // lint: allow(relaxed-ordering): advisory statistic; see above.
+    // relaxed: advisory statistic; see above.
     c.fetch_max(v, Ordering::Relaxed);
 }
 
@@ -264,7 +265,7 @@ fn stripe_id() -> usize {
     STRIPE.with(|s| {
         let mut v = s.get();
         if v == usize::MAX {
-            // lint: allow(relaxed-ordering): round-robin stripe assignment
+            // relaxed: round-robin stripe assignment
             // only needs distinct-ish values, not ordering.
             v = NEXT.fetch_add(1, Ordering::Relaxed);
             s.set(v);
@@ -583,7 +584,7 @@ struct Series {
 #[derive(Clone, Debug)]
 pub struct Registry {
     enabled: bool,
-    inner: Arc<Mutex<BTreeMap<&'static str, Series>>>,
+    inner: Arc<Lock<BTreeMap<&'static str, Series>>>,
 }
 
 impl Registry {
@@ -591,13 +592,9 @@ impl Registry {
     /// pre-declared. A disabled registry still knows its series (renders
     /// as all-zero) but resolves every handle to the no-op path.
     pub fn new(enabled: bool) -> Registry {
-        let r = Registry { enabled, inner: Arc::new(Mutex::new(BTreeMap::new())) };
+        let r = Registry { enabled, inner: Arc::new(Lock::new(BTreeMap::new())) };
         declare_all(&r);
         r
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, Series>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     // -- declaration (called from `declare_all` only) -----------------
@@ -605,7 +602,7 @@ impl Registry {
     /// Add one series. A name declared twice is a programming error: the
     /// second declaration would silently drop the first one's cells.
     fn insert(&self, name: &'static str, series: Series) {
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         assert!(
             !m.contains_key(name),
             "metrics series `{name}` declared twice"
@@ -703,7 +700,7 @@ impl Registry {
         if !self.enabled {
             return None;
         }
-        let m = self.lock();
+        let m = self.inner.lock();
         let s = m.get(name);
         debug_assert!(s.is_some(), "metrics series `{name}` is not declared");
         let (_, cell) = s?.cells.iter().find(|(v, _)| v == value)?;
@@ -721,7 +718,7 @@ impl Registry {
         if !self.enabled {
             return None;
         }
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         let s = m.get_mut(name);
         debug_assert!(s.is_some(), "metrics series `{name}` is not declared");
         let s = s?;
@@ -843,7 +840,7 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        let mut m = self.lock();
+        let mut m = self.inner.lock();
         if let Some(s) = m.get_mut(name) {
             if s.label.is_none() && matches!(s.kind, Kind::Counter | Kind::Gauge) {
                 s.cells = vec![(String::new(), Cell::Num(cell))];
@@ -860,7 +857,7 @@ impl Registry {
 
     /// Current value of one labeled counter/gauge cell (zero if absent).
     pub fn value_for(&self, name: &str, label_value: &str) -> u64 {
-        let m = self.lock();
+        let m = self.inner.lock();
         m.get(name)
             .and_then(|s| s.cells.iter().find(|(v, _)| v == label_value))
             .map_or(0, |(_, c)| c.value())
@@ -869,7 +866,7 @@ impl Registry {
     /// Every declared series name, in render order.
     #[cfg(test)]
     fn series_names(&self) -> Vec<&'static str> {
-        self.lock().keys().copied().collect()
+        self.inner.lock().keys().copied().collect()
     }
 
     /// Render the whole registry in Prometheus text exposition format
@@ -879,7 +876,7 @@ impl Registry {
     /// non-empty finite bucket, then `le="+Inf"`, `_sum` and `_count`.
     /// Each layout's top bucket is open-ended, so it has no finite row.
     pub fn render_prometheus(&self) -> String {
-        let m = self.lock();
+        let m = self.inner.lock();
         let mut out = String::new();
         for (name, s) in m.iter() {
             let flat = name.replace('.', "_");

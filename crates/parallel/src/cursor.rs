@@ -24,9 +24,9 @@
 //! carries is *which indices are still unclaimed*. No other shared memory
 //! is published through it — per-worker scratch state never crosses
 //! threads, each index `i` is touched by exactly one worker, and results
-//! (in `parallel_map_dynamic`) travel through a `Mutex` that provides its
-//! own acquire/release edges. The final happens-before edge for the whole
-//! loop is the scope join. Relaxed RMW operations on a single atomic are
+//! (in the maps) stay with the worker that computed them until it is
+//! joined. The scope join is the one happens-before edge the whole loop
+//! needs. Relaxed RMW operations on a single atomic are
 //! still globally ordered (the modification order of the cursor), which is
 //! the only property the claim protocol needs.
 
@@ -55,19 +55,19 @@ pub(crate) trait CursorCell {
 
 impl CursorCell for AtomicUsize {
     fn load(&self) -> usize {
-        // lint: allow(relaxed-ordering): see module docs — the cursor
+        // relaxed: see module docs — the cursor
         // publishes no data, it only partitions the index space.
         AtomicUsize::load(self, Ordering::Relaxed)
     }
 
     fn compare_exchange(&self, current: usize, new: usize) -> Result<usize, usize> {
-        // lint: allow(relaxed-ordering): see module docs.
+        // relaxed: see module docs.
         AtomicUsize::compare_exchange_weak(self, current, new, Ordering::Relaxed, Ordering::Relaxed)
     }
 
     #[cfg(test)]
     fn store_wrapping_add(&self, delta: usize) -> usize {
-        // lint: allow(relaxed-ordering): see module docs.
+        // relaxed: see module docs.
         AtomicUsize::fetch_add(self, delta, Ordering::Relaxed)
     }
 }

@@ -9,8 +9,8 @@
 //! * work items are handed out through an atomic cursor in chunks
 //!   (dynamic scheduling — BLAST is input-sensitive, so static partitioning
 //!   of queries load-imbalances badly, see paper Sec. IV-D); the claim
-//!   protocol lives in [`cursor`] and is model-checked in the test-only
-//!   `model` module;
+//!   protocol lives in the private `cursor` module and is model-checked
+//!   in the test-only `model` module;
 //! * every worker owns a scratch value created by an `init` closure at
 //!   spawn time and reused across all its items (the paper's per-thread
 //!   last-hit arrays);
@@ -18,7 +18,9 @@
 //!   read-only data — the index block, the database — needs no `Arc`;
 //! * a panicking worker propagates its *original* panic payload to the
 //!   caller (via [`std::panic::resume_unwind`]), so a failure inside a
-//!   kernel surfaces its own message instead of a generic pool error.
+//!   kernel surfaces its own message instead of a generic pool error;
+//! * the maps take no lock: each worker fills its own `(index, value)`
+//!   list, and the caller puts them in index order after the join.
 //!
 //! We deliberately do not use rayon: the execution structure here *is* the
 //! system under study, and owning it keeps the schedule identical to the
@@ -28,18 +30,18 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 #![deny(missing_docs)]
 
-pub mod cursor;
+mod cursor;
 #[cfg(test)]
 mod model;
 
 pub(crate) use cursor::claim_next;
 
 use std::sync::atomic::AtomicUsize;
-use std::sync::Mutex;
 
 /// Number of worker threads to use by default (the machine's available
 /// parallelism, or 1 if it cannot be determined).
@@ -62,6 +64,40 @@ fn join_resuming_first_panic<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T
     }
 }
 
+/// One list per worker, each with room for all `n` values, so that no
+/// worker allocates to collect: a thread that allocates takes a malloc
+/// arena of its own, which shows in peak RSS.
+fn worker_lists<T>(workers: usize, n: usize) -> Vec<Vec<(usize, T)>> {
+    (0..workers).map(|_| Vec::with_capacity(n)).collect()
+}
+
+/// One worker's share of a dynamic map: claim chunks until the cursor runs
+/// out, pushing each value with its index onto the worker's own `out`.
+fn map_claimed<T, S>(
+    state: &mut S,
+    out: &mut Vec<(usize, T)>,
+    cursor: &AtomicUsize,
+    n: usize,
+    chunk: usize,
+    body: &impl Fn(&mut S, usize) -> T,
+) {
+    while let Some((start, end)) = claim_next(cursor, n, chunk) {
+        out.extend((start..end).map(|i| (i, body(state, i))));
+    }
+}
+
+/// The workers' `(index, value)` lists as one vector in index order.
+///
+/// # Panics
+/// If the lists do not hold exactly `n` values: the scheduler lost or
+/// duplicated an index.
+fn in_index_order<T>(parts: Vec<Vec<(usize, T)>>, n: usize) -> Vec<T> {
+    let mut all: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+    all.sort_by_key(|&(i, _)| i);
+    assert_eq!(all.len(), n, "dynamic scheduler lost or duplicated results");
+    all.into_iter().map(|(_, v)| v).collect()
+}
+
 /// Dynamic-scheduled parallel for: run `body(&mut scratch, i)` for every
 /// `i in 0..n` on `threads` workers, handing out indices in chunks of
 /// `chunk`. `init` runs once per worker to build its scratch state.
@@ -69,10 +105,11 @@ fn join_resuming_first_panic<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T
 /// With `threads == 1` the loop runs inline on the caller's thread (no
 /// spawn), which keeps single-threaded benchmarks free of pool overhead.
 ///
-/// Scheduling invariants (see [`cursor`] for the claim protocol and
-/// the test-only `model` module for the machine-checked argument): every
-/// index in `0..n` is executed exactly once, for any `threads`, `n`, and
-/// `chunk` — including `chunk > n` and `chunk == usize::MAX`.
+/// Scheduling invariants (see the private `cursor` module for the claim
+/// protocol and the test-only `model` module for the machine-checked
+/// argument): every index in `0..n` is executed exactly once, for any
+/// `threads`, `n`, and `chunk` — including `chunk > n` and
+/// `chunk == usize::MAX`.
 ///
 /// # Panics
 /// Panics if `threads == 0` or `chunk == 0`. A panic from `body` is
@@ -172,31 +209,23 @@ where
     INIT: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
+    assert!(threads > 0, "need at least one thread");
     if threads == 1 || n <= 1 {
-        assert!(threads > 0, "need at least one thread");
         let mut scratch = init();
         return (0..n).map(|i| body(&mut scratch, i)).collect();
     }
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    parallel_for_dynamic(threads, n, chunk, init, |scratch, i| {
-        let v = body(scratch, i);
-        // One short lock per item; items here are whole-query searches, so
-        // the critical section is negligible against the work. Poisoning
-        // is recoverable: a payload-carrying panic elsewhere must not be
-        // masked by a PoisonError panic here.
-        let mut slot = match results.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.push((i, v));
+    assert!(chunk > 0, "chunk size must be positive");
+    let cursor = AtomicUsize::new(0);
+    let (cursor, init, body) = (&cursor, &init, &body);
+    let mut parts = worker_lists(threads.min(n), n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .iter_mut()
+            .map(|out| scope.spawn(move || map_claimed(&mut init(), out, cursor, n, chunk, body)))
+            .collect();
+        join_resuming_first_panic(handles);
     });
-    let mut all = match results.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|&(i, _)| i);
-    assert_eq!(all.len(), n, "dynamic scheduler lost or duplicated results");
-    all.into_iter().map(|(_, v)| v).collect()
+    in_index_order(parts, n)
 }
 
 /// Like [`parallel_map_dynamic`], but the per-worker states are the
@@ -232,46 +261,26 @@ where
         return (0..n).map(|i| body(state, i)).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let (cursor, body, results_ref) = (&cursor, &body, &results);
+    let (cursor, body) = (&cursor, &body);
+    let mut parts = worker_lists(states.len().min(n), n);
     std::thread::scope(|scope| {
         let handles: Vec<_> = states
             .iter_mut()
-            .take(n)
-            .map(|state| {
-                scope.spawn(move || {
-                    while let Some((start, end)) = claim_next(cursor, n, chunk) {
-                        for i in start..end {
-                            let v = body(state, i);
-                            // One short lock per item (see the identical
-                            // trade-off note in parallel_map_dynamic);
-                            // recover from poisoning so a worker panic
-                            // keeps its own payload.
-                            let mut slot = match results_ref.lock() {
-                                Ok(guard) => guard,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            slot.push((i, v));
-                        }
-                    }
-                })
+            .zip(&mut parts)
+            .map(|(state, out)| {
+                scope.spawn(move || map_claimed(state, out, cursor, n, chunk, body))
             })
             .collect();
         join_resuming_first_panic(handles);
     });
-    let mut all = match results.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|&(i, _)| i);
-    assert_eq!(all.len(), n, "dynamic scheduler lost or duplicated results");
-    all.into_iter().map(|(_, v)| v).collect()
+    in_index_order(parts, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::OnceLock;
 
     #[test]
     fn visits_every_index_exactly_once() {
@@ -286,11 +295,13 @@ mod tests {
     #[test]
     fn single_thread_runs_inline() {
         // threads == 1 must preserve index order (inline execution).
-        let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let next = AtomicUsize::new(0);
+        let caller = std::thread::current().id();
         parallel_for_dynamic(1, 5, 2, || (), |_, i| {
-            order.lock().unwrap().push(i);
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(next.fetch_add(1, Ordering::Relaxed), i);
         });
-        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(next.into_inner(), 5);
     }
 
     #[test]
@@ -497,7 +508,9 @@ mod tests {
     #[test]
     fn static_schedule_partitions_contiguously() {
         // Each worker's scratch records its indices; ranges are contiguous.
-        let ranges: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+        // A fourth full range would index past `ranges` and panic.
+        let ranges: [OnceLock<Vec<usize>>; 3] = Default::default();
+        let filled = AtomicUsize::new(0);
         parallel_for_static(
             3,
             30,
@@ -505,11 +518,15 @@ mod tests {
             |local, i| {
                 local.push(i);
                 if local.len() == 10 {
-                    ranges.lock().unwrap().push(local.clone());
+                    let slot = &ranges[filled.fetch_add(1, Ordering::Relaxed)];
+                    slot.set(local.clone()).unwrap();
                 }
             },
         );
-        let mut r = ranges.into_inner().unwrap();
+        let mut r: Vec<Vec<usize>> = ranges
+            .into_iter()
+            .filter_map(OnceLock::into_inner)
+            .collect();
         r.sort();
         assert_eq!(r.len(), 3);
         for chunk in &r {

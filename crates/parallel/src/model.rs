@@ -30,6 +30,14 @@
 //! scheduler's wrapping `fetch_add`, and a classic lost-update) that the
 //! checker must be able to convict — they double as a self-test that the
 //! checker actually has the power to see these bugs.
+//!
+//! The turnstile is a raw `Mutex`/`Condvar`, and the claim recorder nests
+//! `claims` → `runaway` on purpose. This crate cannot use `obsv::Lock`:
+//! it stays dependency-free.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test-only model checker on raw std locks; the crate has no dependencies"
+)]
 
 use crate::cursor::CursorCell;
 use std::sync::{Arc, Condvar, Mutex};

@@ -22,7 +22,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::disallowed_methods
 )]
 
 use bioseq::alphabet::{Word, WordIter, WORD_SPACE};

@@ -44,12 +44,12 @@ use crate::stats::{ServeStats, Trigger};
 use bioseq::{Sequence, SequenceDb};
 use dbindex::{DbIndex, ShardedIndex};
 use engine::{split_batch, EngineKind, QueryResult, SearchConfig, ShardFailCause};
-use obsv::{ObsvConfig, Stage, Trace, TraceSession, NO_BLOCK, NO_QUERY};
+use obsv::{Lock, ObsvConfig, Stage, Trace, TraceSession, NO_BLOCK, NO_QUERY};
 use scoring::NeighborTable;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -269,7 +269,7 @@ struct QueueState {
 }
 
 struct Shared {
-    queue: Mutex<QueueState>,
+    queue: Lock<QueueState>,
     cv: Condvar,
     opts: BatchOptions,
     ctx: Arc<SearchContext>,
@@ -282,28 +282,10 @@ struct Shared {
     next_trace: AtomicU64,
 }
 
-fn lock(queue: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
-    queue.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait_timeout<'a>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, QueueState>,
-    dur: Duration,
-) -> MutexGuard<'a, QueueState> {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
-        .0
-}
-
 /// The admission queue plus its batch-forming worker thread.
 pub(crate) struct Batcher {
     shared: Arc<Shared>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    worker: Lock<Option<JoinHandle<()>>>,
 }
 
 impl Batcher {
@@ -335,7 +317,7 @@ impl Batcher {
         }
         let session = TraceSession::new(opts.obsv);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
+            queue: Lock::new(QueueState {
                 jobs: VecDeque::new(),
                 draining: false,
             }),
@@ -352,7 +334,7 @@ impl Batcher {
         let worker = std::thread::spawn(move || worker_loop(&worker_shared, created));
         Batcher {
             shared,
-            worker: Mutex::new(Some(worker)),
+            worker: Lock::new(Some(worker)),
         }
     }
 
@@ -391,14 +373,12 @@ impl Batcher {
         } else {
             self.shared.next_trace.fetch_add(1, Ordering::SeqCst) + 1
         };
-        let mut state = lock(&self.shared.queue);
+        let mut state = self.shared.queue.lock();
         if state.draining {
             return Err(SubmitError::ShuttingDown);
         }
         // The fault check runs first so the site's occurrence count is
         // "submissions seen", independent of queue depth.
-        // lint: allow(lock-across-fire): Faults::fire is a pair of atomic
-        // counter ops — it cannot block or take a lock under `queue`.
         let injected_full = self.shared.opts.faults.fire(FAULT_QUEUE_FULL);
         if injected_full || state.jobs.len() >= self.shared.opts.queue_cap {
             drop(state);
@@ -427,7 +407,7 @@ impl Batcher {
 
     /// Requests currently waiting in the queue.
     pub(crate) fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).jobs.len()
+        self.shared.queue.lock().jobs.len()
     }
 
     /// Configured admission capacity.
@@ -447,15 +427,11 @@ impl Batcher {
     /// worker. Idempotent; safe to call from several threads.
     pub(crate) fn shutdown(&self) {
         {
-            let mut state = lock(&self.shared.queue);
+            let mut state = self.shared.queue.lock();
             state.draining = true;
         }
         self.shared.cv.notify_all();
-        let handle = self
-            .worker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
+        let handle = self.worker.lock().take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
@@ -495,11 +471,14 @@ fn reject_expired(shared: &Shared, expired: Vec<Job>, now: Instant) {
     for job in expired {
         shared.stats.on_expire();
         let waited = now.saturating_duration_since(job.admitted);
-        let _ = job.reply.send(Err(WireError {
-            code: ErrorCode::DeadlineExceeded,
-            message: format!("deadline passed after {} ms in queue", waited.as_millis()),
-            retry_after_ms: 0,
-        }));
+        let _ = obsv::send(
+            &job.reply,
+            Err(WireError {
+                code: ErrorCode::DeadlineExceeded,
+                message: format!("deadline passed after {} ms in queue", waited.as_millis()),
+                retry_after_ms: 0,
+            }),
+        );
     }
 }
 
@@ -528,13 +507,13 @@ fn window(idle_since: Instant, bet_lost: bool, head: Instant, max_delay: Duratio
 fn worker_loop(shared: &Shared, mut idle_since: Instant) {
     let mut bet = false; // the previous dispatch was an `Idle` one
     loop {
-        let mut state = lock(&shared.queue);
+        let mut state = shared.queue.lock();
         // Wait for work; an empty queue under drain means we are done.
         while state.jobs.is_empty() {
             if state.draining {
                 return;
             }
-            state = wait(&shared.cv, state);
+            state = state.wait(&shared.cv);
         }
         // Forming window: coalesce until max_batch companions are queued,
         // a drain flushes the queue, or the window closes. The wake time
@@ -549,8 +528,6 @@ fn worker_loop(shared: &Shared, mut idle_since: Instant) {
                 break Trigger::Full;
             }
             let now = Instant::now();
-            // lint: allow(lock-across-fire): `Faults::none()` never fires,
-            // and Faults::fire is atomics-only in any case.
             let expired = split_expired(&mut state.jobs, now, &faultfn::Faults::none());
             if !expired.is_empty() {
                 // Answer the dead with the queue lock released: the reply
@@ -558,7 +535,7 @@ fn worker_loop(shared: &Shared, mut idle_since: Instant) {
                 // must not contend with this worker for `queue`.
                 drop(state);
                 reject_expired(shared, expired, now);
-                state = lock(&shared.queue);
+                state = shared.queue.lock();
                 continue;
             }
             let Some(head) = state.jobs.front().map(|j| j.admitted) else {
@@ -575,14 +552,12 @@ fn worker_loop(shared: &Shared, mut idle_since: Instant) {
                 .iter()
                 .filter_map(|j| j.deadline)
                 .fold(formed_by, Instant::min);
-            state = wait_timeout(&shared.cv, state, wake.saturating_duration_since(now));
+            state = state.wait_timeout(&shared.cv, wake.saturating_duration_since(now));
         };
         // Extraction: reject the dead first (with fault injection, so the
         // chaos suite can condemn arbitrary queued jobs), then batch the
         // live prefix.
         let now = Instant::now();
-        // lint: allow(lock-across-fire): Faults::fire is atomics-only and
-        // cannot block while `queue` is held.
         let expired = split_expired(&mut state.jobs, now, &shared.opts.faults);
         let batch = take_batch(&mut state.jobs, shared.opts.max_batch);
         drop(state);
@@ -749,11 +724,14 @@ fn dispatch(shared: &Shared, mut live: Vec<Job>) {
                 if all_deadline {
                     shared.stats.on_expire();
                 }
-                let _ = job.reply.send(Err(WireError {
-                    code,
-                    message: message.to_string(),
-                    retry_after_ms: 0,
-                }));
+                let _ = obsv::send(
+                    &job.reply,
+                    Err(WireError {
+                        code,
+                        message: message.to_string(),
+                        retry_after_ms: 0,
+                    }),
+                );
             }
             return;
         }
@@ -817,14 +795,17 @@ fn dispatch(shared: &Shared, mut live: Vec<Job>) {
         if degraded.is_some() {
             shared.stats.on_degraded();
         }
-        let _ = job.reply.send(Ok(BatchOutput {
-            results: part,
-            trace_id: job.trace_id,
-            trace: if job.want_trace { spans } else { Trace::new() },
-            degraded: degraded.clone(),
-            blocks_scanned: topk.blocks_scanned,
-            blocks_skipped: topk.blocks_skipped,
-        }));
+        let _ = obsv::send(
+            &job.reply,
+            Ok(BatchOutput {
+                results: part,
+                trace_id: job.trace_id,
+                trace: if job.want_trace { spans } else { Trace::new() },
+                degraded: degraded.clone(),
+                blocks_scanned: topk.blocks_scanned,
+                blocks_skipped: topk.blocks_skipped,
+            }),
+        );
     }
 }
 

@@ -16,19 +16,18 @@
 
 use engine::ShardFailure;
 use obsv::metrics::names;
-use obsv::{Counter, Registry};
+use obsv::{Counter, Lock, Registry};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// An append-only JSON-lines event sink shared by the batcher and the
 /// retry layer.
 #[derive(Debug)]
 pub struct EventLog {
-    writer: Mutex<File>,
+    writer: Lock<File>,
     logged: Counter,
     dropped: Counter,
 }
@@ -40,7 +39,7 @@ impl EventLog {
     pub fn create(path: &Path, registry: &Registry) -> io::Result<EventLog> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(EventLog {
-            writer: Mutex::new(file),
+            writer: Lock::new(file),
             logged: registry.counter(names::EVENTS_LOGGED),
             dropped: registry.counter(names::EVENTS_DROPPED),
         })
@@ -126,9 +125,9 @@ impl EventLog {
 
     fn emit(&self, mut line: String) {
         line.push('\n');
-        let ok = match self.writer.lock() {
-            Ok(mut w) => w.write_all(line.as_bytes()).and_then(|()| w.flush()).is_ok(),
-            Err(_) => false,
+        let ok = {
+            let mut w = self.writer.lock();
+            w.write_all(line.as_bytes()).and_then(|()| w.flush()).is_ok()
         };
         if ok {
             self.logged.inc();

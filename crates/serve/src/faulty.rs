@@ -51,6 +51,7 @@ impl<C> FaultyConn<C> {
 
 impl<C: Read> Read for FaultyConn<C> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        obsv::assert_unlocked("an injected fault delay");
         if self.faults.fire(FAULT_LATENCY) {
             // Deterministic 0..512 µs: visible in latency digests without
             // slowing a thousand-frame chaos sweep to a crawl.

@@ -5,20 +5,21 @@
 //! listener; each `connect()` on the (cloneable) connector yields the
 //! client end of a fresh duplex byte pipe whose server end pops out of
 //! the transport's `accept`. Everything is `std` primitives — two
-//! `Mutex<VecDeque<u8>>` half-pipes with condvars — so multi-client
+//! `Lock<VecDeque<u8>>` half-pipes with condvars — so multi-client
 //! integration tests run with zero sockets and zero timing flakiness
 //! beyond the scheduler itself.
 
 use crate::transport::Transport;
+use obsv::Lock;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 /// One direction of a duplex pipe.
 struct Pipe {
-    state: Mutex<PipeState>,
+    state: Lock<PipeState>,
     cv: Condvar,
 }
 
@@ -32,7 +33,7 @@ struct PipeState {
 impl Pipe {
     fn new() -> Arc<Pipe> {
         Arc::new(Pipe {
-            state: Mutex::new(PipeState {
+            state: Lock::new(PipeState {
                 buf: VecDeque::new(),
                 closed: false,
             }),
@@ -41,11 +42,7 @@ impl Pipe {
     }
 
     fn close(&self) {
-        let mut state = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.closed = true;
+        self.state.lock().closed = true;
         self.cv.notify_all();
     }
 }
@@ -77,10 +74,7 @@ impl Read for LoopbackConn {
         if out.is_empty() {
             return Ok(0);
         }
-        let mut state = match self.read_from.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut state = self.read_from.state.lock();
         loop {
             if !state.buf.is_empty() {
                 let n = out.len().min(state.buf.len());
@@ -92,20 +86,14 @@ impl Read for LoopbackConn {
             if state.closed {
                 return Ok(0); // EOF
             }
-            state = match self.read_from.cv.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            state = state.wait(&self.read_from.cv);
         }
     }
 }
 
 impl Write for LoopbackConn {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut state = match self.write_to.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut state = self.write_to.state.lock();
         if state.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
         }
@@ -138,8 +126,7 @@ impl LoopbackConnector {
     /// Open a new connection to the paired transport.
     pub fn connect(&self) -> io::Result<LoopbackConn> {
         let (client_end, server_end) = duplex();
-        self.tx
-            .send(server_end)
+        obsv::send(&self.tx, server_end)
             .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "server gone"))?;
         Ok(client_end)
     }

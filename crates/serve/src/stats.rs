@@ -14,8 +14,8 @@
 use crate::proto::{LatencySummary, ShardStat, StageLatency, StatsReport};
 use engine::{ShardFailCause, ShardFailure, ShardTiming};
 use obsv::metrics::names;
-use obsv::{Counter, Gauge, HistSummary, Histogram, Registry, SizeHistogram};
-use std::sync::{Arc, Mutex};
+use obsv::{Counter, Gauge, HistSummary, Histogram, Lock, Registry, SizeHistogram};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Registry histogram digest → wire shape.
@@ -103,14 +103,7 @@ pub struct ServeStats {
     stage_lat: [Histogram; obsv::Stage::ALL.len()],
     by_cause: [Counter; obsv::metrics::CAUSES.len()],
     by_trigger: [Counter; obsv::metrics::TRIGGERS.len()],
-    meta: Mutex<Meta>,
-}
-
-fn lock(meta: &Mutex<Meta>) -> std::sync::MutexGuard<'_, Meta> {
-    match meta.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    meta: Lock<Meta>,
 }
 
 impl ServeStats {
@@ -158,7 +151,7 @@ impl ServeStats {
                 registry
                     .counter_for_trigger(names::DISPATCHES_BY_TRIGGER, obsv::metrics::TRIGGERS[i])
             }),
-            meta: Mutex::new(Meta::default()),
+            meta: Lock::new(Meta::default()),
             registry,
         }
     }
@@ -253,7 +246,7 @@ impl ServeStats {
     /// hit/miss/eviction counters into the stats frame's cache fields.
     pub fn set_block_cache(&self, cache: Arc<blockstore::BlockCache>) {
         cache.bind_metrics(&self.registry);
-        lock(&self.meta).block_cache = Some(cache);
+        self.meta.lock().block_cache = Some(cache);
     }
 
     /// Declare the shard layout of a sharded daemon (`(sequences,
@@ -261,8 +254,9 @@ impl ServeStats {
     /// every snapshot thereafter carries one [`ShardStat`] row per shard,
     /// even before the first dispatch.
     pub(crate) fn init_shards(&self, info: &[(u64, u64)]) {
-        let mut m = lock(&self.meta);
-        m.shards = info
+        // Registering a series takes the registry's lock, so the slots are
+        // built before `meta` is taken.
+        let shards = info
             .iter()
             .enumerate()
             .map(|(i, &(seqs, residues))| {
@@ -277,6 +271,7 @@ impl ServeStats {
                 }
             })
             .collect();
+        self.meta.lock().shards = shards;
     }
 
     /// Record one sharded dispatch: each shard's scheduler wait (queue
@@ -284,7 +279,7 @@ impl ServeStats {
     /// shard's digests. Timings for shards never declared via
     /// [`ServeStats::init_shards`] are ignored.
     pub(crate) fn on_shard_batch(&self, timings: &[ShardTiming]) {
-        let m = lock(&self.meta);
+        let m = self.meta.lock();
         for t in timings {
             if let Some(slot) = m.shards.get(t.shard) {
                 slot.queued.record(t.queued);
@@ -300,7 +295,7 @@ impl ServeStats {
         if failed.is_empty() {
             return;
         }
-        let m = lock(&self.meta);
+        let m = self.meta.lock();
         for f in failed {
             self.by_cause[cause_idx(f.cause)].inc();
             if let Some(slot) = m.shards.get(f.shard) {
@@ -333,11 +328,26 @@ impl ServeStats {
     pub(crate) fn snapshot(&self, queue_depth: usize, queue_cap: usize) -> StatsReport {
         self.queue_depth.set(queue_depth as u64);
         self.queue_cap.set(queue_cap as u64);
-        let m = lock(&self.meta);
-        let cache = m
-            .block_cache
-            .as_ref()
-            .map(|c| (c.budget_bytes(), c.counters().snapshot()));
+        // Copy out what `meta` guards, then let it go: reading a series
+        // below takes the registry's lock.
+        let (shards, cache) = {
+            let m = self.meta.lock();
+            let shards: Vec<ShardStat> = m
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, sh)| ShardStat {
+                    shard: i as u32,
+                    seqs: sh.seqs,
+                    residues: sh.residues,
+                    queued: wire(sh.queued.summary()),
+                    search: wire(sh.search.summary()),
+                    failures: sh.failures.value(),
+                })
+                .collect();
+            (shards, m.block_cache.clone())
+        };
+        let cache = cache.map(|c| (c.budget_bytes(), c.counters().snapshot()));
         let cs = |f: fn(&blockstore::CounterSnapshot) -> u64| {
             cache.as_ref().map_or(0, |(_, c)| f(c))
         };
@@ -365,19 +375,7 @@ impl ServeStats {
                     })
                 })
                 .collect(),
-            shards: m
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, sh)| ShardStat {
-                    shard: i as u32,
-                    seqs: sh.seqs,
-                    residues: sh.residues,
-                    queued: wire(sh.queued.summary()),
-                    search: wire(sh.search.summary()),
-                    failures: sh.failures.value(),
-                })
-                .collect(),
+            shards,
             index_resident_bytes: self.index_pinned.value()
                 + cs(|c| c.resident_bytes),
             cache_budget_bytes: cache.as_ref().map_or(0, |&(budget, _)| budget),
