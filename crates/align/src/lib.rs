@@ -4,22 +4,22 @@
 //! implements the per-pair computational kernels for stages 2–4 plus the
 //! exact reference algorithm they approximate:
 //!
-//! * [`ungapped`] — the two-hit x-drop **ungapped extension** (stage 2),
+//! * `ungapped` — the two-hit x-drop **ungapped extension** (stage 2),
 //!   with an instrumented twin that reports its memory accesses to a
 //!   [`memsim::Tracer`] for the cache-behaviour experiments.
 //! * [`gapped`] — x-drop **gapped extension** (stage 3, score-only) and the
 //!   **traceback** alignment (stage 4) via a banded affine-gap DP.
-//! * [`sw`] — a full Smith–Waterman implementation used as the ground truth
+//! * `sw` — a full Smith–Waterman implementation used as the ground truth
 //!   in property tests (`BLAST score ≤ SW score` etc.).
 //! * [`assembly`] — splitting of very long subject sequences into
 //!   overlapped fragments and re-assembly of their extensions
 //!   (paper Sec. IV-A, following Orion).
 //! * [`pretty`] — human-readable rendering of gapped alignments for the
 //!   example binaries.
-//! * [`striped`] — profile-driven SWAR twins of the stage-2/3/4 kernels
+//! * `striped` — profile-driven SWAR twins of the stage-2/3/4 kernels
 //!   (DESIGN.md §3.8), bit-identical to the scalar oracles above and
 //!   selected at runtime through `scoring::KernelKind`.
-//! * [`swar`] — the packed-u64 lane arithmetic the striped kernels build
+//! * `swar` — the packed-u64 lane arithmetic the striped kernels build
 //!   on (safe Rust, no intrinsics).
 //!
 //! Every engine (query-indexed, database-indexed interleaved, muBLASTP)
@@ -38,11 +38,11 @@
 pub mod assembly;
 pub mod gapped;
 pub mod pretty;
-pub mod striped;
-pub mod sw;
-pub mod swar;
-pub mod types;
-pub mod ungapped;
+mod striped;
+mod sw;
+mod swar;
+mod types;
+mod ungapped;
 
 pub use gapped::{gapped_extend_score, gapped_extend_traceback, xdrop_half, GappedExtender};
 pub use striped::{

@@ -74,7 +74,7 @@ pub struct CacheCounters {
     decoded_postings: Arc<AtomicU64>,
 }
 
-/// A point-in-time copy of [`CacheCounters`], for stats frames and bench
+/// A point-in-time copy of `CacheCounters`, for stats frames and bench
 /// reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {

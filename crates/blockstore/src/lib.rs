@@ -9,7 +9,7 @@
 //!
 //! * [`BlockCache`] — decoded [`dbindex::IndexBlock`]s under a byte
 //!   budget, strict LRU, shared across stores, with atomic hit / miss /
-//!   eviction / residency counters ([`cache::CacheCounters`]) exported through
+//!   eviction / residency counters (`cache::CacheCounters`) exported through
 //!   the serve stats frame;
 //! * [`SequenceStore`] — one open store file: footer directory + cached
 //!   block fetches, every failure a typed [`StoreError`]; an
@@ -41,8 +41,8 @@
     clippy::disallowed_methods
 )]
 
-pub mod cache;
-pub mod stream;
+mod cache;
+mod stream;
 
 pub use cache::{BlockCache, CounterSnapshot};
 pub use stream::{

@@ -7,9 +7,9 @@
 //! global E-value statistics, one batched merge — is the sharded driver
 //! (`engine::search_batch_sharded` over a `dbindex::ShardPlan::round_robin`
 //! plan), which `mublastp distributed` runs. This crate is the *scaling*
-//! half: [`sim`] is a discrete-event model of both muBLASTP-MPI and
+//! half: `sim` is a discrete-event model of both muBLASTP-MPI and
 //! mpiBLAST executions whose per-task compute costs are calibrated from
-//! *measured* single-node engine runs ([`model`]). The structural
+//! *measured* single-node engine runs (`model`). The structural
 //! differences the paper credits for its 88–92 % vs 31–57 % strong scaling
 //! efficiency are all present: mpiBLAST's centralised scheduler
 //! serialisation, per-(query, fragment) task granularity, unsorted
@@ -24,8 +24,8 @@
     clippy::disallowed_methods
 )]
 
-pub mod model;
-pub mod sim;
+mod model;
+mod sim;
 
 pub use model::{CalibratedCost, ClusterParams};
 pub use sim::{simulate_mpiblast, simulate_mublastp};

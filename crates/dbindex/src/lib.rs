@@ -6,7 +6,7 @@
 //! database-indexed search returns exactly what query-indexed NCBI-BLAST
 //! returns. The structural choices all come from the paper:
 //!
-//! * **Index blocking** ([`block`]): the database is sorted by sequence
+//! * **Index blocking** (`block`): the database is sorted by sequence
 //!   length and packed into blocks of a similar character count; each block
 //!   gets its own index and the pipeline walks blocks one by one, merging
 //!   top results afterwards. Blocks sized to the cache hierarchy are the
@@ -22,10 +22,10 @@
 //!   offset field are split into overlapped fragments (Sec. IV-A,
 //!   following Orion); `align::assembly` re-joins their extensions.
 //!
-//! [`store`] is the one on-disk format (build once, reuse for many query
+//! `store` is the one on-disk format (build once, reuse for many query
 //! batches — the paper excludes index build time from end-to-end timings
 //! for the same reason): a store of fixed-width block records read
-//! resident or streamed block by block; [`serial`] holds its error type
+//! resident or streamed block by block; `serial` holds its error type
 //! and the daemon's resilient loader.
 
 #![deny(
@@ -42,12 +42,12 @@
 )]
 #![deny(missing_docs)]
 
-pub mod block;
-pub mod config;
+mod block;
+mod config;
 pub mod crc;
-pub mod serial;
-pub mod shard;
-pub mod store;
+mod serial;
+mod shard;
+mod store;
 
 pub use block::{DbIndex, IndexBlock};
 pub use config::{optimal_block_bytes, IndexConfig};

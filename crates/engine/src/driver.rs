@@ -71,9 +71,9 @@ pub struct SearchConfig {
     /// provably cannot beat the current k-th-best E-value are skipped
     /// before seeding (out-of-core: before they are even fetched). Output
     /// is bit-identical to an exhaustive search with
-    /// `params.max_reported = min(max_reported, K)` — the invariant
-    /// `tests/topk_oracle.rs` pins. `None` (the default) searches
-    /// exhaustively.
+    /// `params.max_reported = min(max_reported, K)` — the invariant the
+    /// oracle matrix's top-k cells (`tests/oracle/`) pin. `None` (the
+    /// default) searches exhaustively.
     pub top_k: Option<u32>,
 }
 
@@ -968,8 +968,9 @@ mod tests {
 
     /// Pruned top-k output is bit-identical to the exhaustive oracle
     /// truncated at k subjects, for both database-indexed engines (the
-    /// full matrix lives in `tests/topk_oracle.rs`; this is the smoke
-    /// version that keeps the invariant close to the implementation).
+    /// full sweep is the oracle matrix's top-k cells in `tests/oracle/`;
+    /// this is the smoke version that keeps the invariant close to the
+    /// implementation).
     #[test]
     fn topk_matches_exhaustive_truncation() {
         let (db, index, queries) = small_world();

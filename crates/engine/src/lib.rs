@@ -23,12 +23,12 @@
 //!   jumping.
 //!
 //! All three share the alignment kernels in `align`, the two-hit diagonal
-//! discipline in [`twohit`], and the finishing stages (gapped extension,
-//! E-values, traceback) in [`finish`] — so their outputs are identical
-//! ([`verify`] asserts this, reproducing the paper's Sec. V-E), and any
+//! discipline in `twohit`, and the finishing stages (gapped extension,
+//! E-values, traceback) in `finish` — so their outputs are identical
+//! (`verify` asserts this, reproducing the paper's Sec. V-E), and any
 //! performance difference is attributable to data layout and schedule.
 //!
-//! [`driver`] runs whole query batches with the paper's intra-node
+//! `driver` runs whole query batches with the paper's intra-node
 //! parallelisation (Alg. 3): a serial loop over index blocks with an
 //! OpenMP-style dynamic parallel-for over queries inside each block.
 
@@ -41,18 +41,18 @@
 )]
 #![deny(missing_docs)]
 
-pub mod driver;
-pub mod finish;
-pub mod hit;
-pub mod instrument;
+mod driver;
+mod finish;
+mod hit;
+mod instrument;
 pub mod kernels;
-pub mod report;
+mod report;
 pub mod results;
 pub mod scratch;
-pub mod sharded;
-pub mod topk;
-pub mod twohit;
-pub mod verify;
+mod sharded;
+mod topk;
+mod twohit;
+mod verify;
 
 pub use driver::{
     search_batch, search_batch_blocks, search_batch_traced, BlockSource, EngineKind, SearchConfig,

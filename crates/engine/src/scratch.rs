@@ -10,7 +10,7 @@
 //! (`twohit::EpochCells`) make the per-pair reset O(1) instead of
 //! O(cells). muBLASTP's last-hit cells are 2 bytes whenever the query's
 //! epoch span `query_len + 1` fits a `u16` — every query short of 65 534
-//! residues — and the 4-byte cells of [`PairFinder`] beyond that, so a
+//! residues — and the 4-byte cells of `PairFinder` beyond that, so a
 //! worker's array is half the size it would be at one width.
 
 use crate::hit::HitPair;

@@ -22,7 +22,7 @@
 //!   same dynamic scheduler (so a one-query batch still uses every
 //!   thread), and ordered with the canonical total order — so the output
 //!   is byte-identical to an unsharded search of the same database, which
-//!   `tests/shard_equivalence.rs` locks in for K up to
+//!   the oracle matrix's shard cells (`tests/oracle/`) lock in for K up to
 //!   one-sequence-per-shard.
 //!
 //! Why identity holds: a subject's sequences never span shards, so its

@@ -24,9 +24,9 @@
     clippy::disallowed_methods
 )]
 
-pub mod cache;
-pub mod hierarchy;
-pub mod space;
+mod cache;
+mod hierarchy;
+mod space;
 
 pub use cache::CacheConfig;
 pub use hierarchy::{CycleModel, Hierarchy, HierarchyConfig, HierarchyStats, SharedHierarchy};

@@ -42,13 +42,13 @@
     clippy::disallowed_methods
 )]
 
-pub mod chrome;
-pub mod folded;
+mod chrome;
+mod folded;
 mod lock;
 pub mod metrics;
-pub mod recorder;
-pub mod span;
-pub mod trace;
+mod recorder;
+mod span;
+mod trace;
 
 pub use chrome::write_chrome_trace;
 pub use folded::write_folded;

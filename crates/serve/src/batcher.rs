@@ -1499,6 +1499,55 @@ mod tests {
         assert_eq!(report.completed, 1, "only the live job counts as served");
     }
 
+    /// The extraction path consults the batcher's fault plan: a queued
+    /// job it condemns is answered `DeadlineExceeded`, its companions are
+    /// served, and only they count as completed.
+    #[test]
+    fn extraction_expires_jobs_the_fault_plan_condemns() {
+        let ctx = context();
+        let stats = Arc::new(ServeStats::new());
+        let batcher = Batcher::new(
+            Arc::clone(&ctx),
+            BatchOptions {
+                queue_cap: 8,
+                max_batch: 3,
+                max_delay: Duration::from_secs(5),
+                faults: faultfn::FaultPlan::new(3)
+                    .with(FAULT_EXPIRE, faultfn::Schedule::Nth(1))
+                    .build(),
+                ..BatchOptions::default()
+            },
+            Arc::clone(&stats),
+        );
+        // The third submission fills the batch; extraction then checks
+        // the queued jobs in order, and the second check condemns job 1.
+        let rxs: Vec<_> = (0..3)
+            .map(|i| {
+                batcher
+                    .submit(
+                        query(&ctx, i),
+                        EngineKind::MuBlastp,
+                        &Default::default(),
+                        None,
+                    )
+                    .unwrap()
+            })
+            .collect();
+        for (i, rx) in rxs.iter().enumerate() {
+            match rx.recv().unwrap() {
+                Err(e) => {
+                    assert_eq!(i, 1, "job {i} was condemned");
+                    assert_eq!(e.code, ErrorCode::DeadlineExceeded);
+                }
+                Ok(_) => assert_ne!(i, 1, "the condemned job must not be served"),
+            }
+        }
+        batcher.shutdown();
+        let report = stats.snapshot(0, 8);
+        assert_eq!(report.expired, 1);
+        assert_eq!(report.completed, 2, "only the live jobs count as served");
+    }
+
     #[test]
     fn injected_queue_full_refuses_at_the_door() {
         let ctx = context();

@@ -5,7 +5,7 @@
 //! byte-at-a-time short reads, added latency — driven by a deterministic
 //! [`faultfn::Faults`] plan, so the chaos suite can replay the exact
 //! same torn frame on every run. Wrapping the *client* side of a
-//! [`mod@crate::loopback`] pair exercises the server's handling of a
+//! `loopback` pair exercises the server's handling of a
 //! misbehaving peer.
 //!
 //! With an unarmed plan every operation forwards untouched (one branch

@@ -11,7 +11,7 @@
 //! schedule (serial over index blocks, dynamic parallel-for over queries
 //! within each block) pays off when many queries share each block's trip
 //! through the cache hierarchy. Network clients arrive one at a time, so
-//! the daemon's [`batcher`] coalesces concurrent requests into engine
+//! the daemon's `batcher` coalesces concurrent requests into engine
 //! batches behind a bounded admission queue — overload is answered with a
 //! typed `Overloaded` error instead of unbounded queueing, and coalescing
 //! is provably invisible in the results because every engine stage is
@@ -21,20 +21,20 @@
 //!
 //! * [`proto`] — the framed, version-stamped wire protocol (pure functions over
 //!   `Read`/`Write`; no I/O policy).
-//! * [`batcher`] — admission control, batch forming, dispatch, demux.
-//! * [`stats`] — queue/batch/latency counters behind one lock.
-//! * [`transport`] / [`mod@loopback`] — pluggable acceptors: real TCP and a
+//! * `batcher` — admission control, batch forming, dispatch, demux.
+//! * `stats` — queue/batch/latency counters behind one lock.
+//! * `transport` / `loopback` — pluggable acceptors: real TCP and a
 //!   deterministic in-process pair for tests and examples.
-//! * [`server`] — the accept loop and per-connection frame handler.
-//! * [`client`] — a small synchronous client used by `mublastp-query`.
+//! * `server` — the accept loop and per-connection frame handler.
+//! * `client` — a small synchronous client used by `mublastp-query`.
 //! * [`faulty`] — deterministic fault-injecting transport wrappers for
 //!   the chaos suite.
 //! * [`retry`] — a deterministic retry/backoff policy for clients, with
 //!   admission-aware classification of which failures are safe to retry.
-//! * [`events`] — the append-only JSON-lines event log (slow queries,
+//! * `events` — the append-only JSON-lines event log (slow queries,
 //!   degradation, retry exhaustion, cache pressure), joined to span
 //!   traces by wire trace ID.
-//! * [`metrics_http`] — a dependency-free HTTP/1.0 endpoint serving the
+//! * `metrics_http` — a dependency-free HTTP/1.0 endpoint serving the
 //!   Prometheus text exposition of the daemon's metrics registry
 //!   (`mublastpd --metrics-addr`).
 
@@ -46,17 +46,17 @@
     clippy::disallowed_methods
 )]
 
-pub mod batcher;
-pub mod client;
-pub mod events;
+mod batcher;
+mod client;
+mod events;
 pub mod faulty;
-pub mod loopback;
-pub mod metrics_http;
+mod loopback;
+mod metrics_http;
 pub mod proto;
 pub mod retry;
-pub mod server;
-pub mod stats;
-pub mod transport;
+mod server;
+mod stats;
+mod transport;
 
 pub use batcher::{BatchOptions, ResidentIndex, SearchContext};
 pub use client::{Client, ClientError};

@@ -34,9 +34,9 @@
     clippy::cast_possible_wrap
 )]
 
-pub mod binning;
-pub mod merge;
-pub mod radix;
+mod binning;
+mod merge;
+mod radix;
 
 pub use binning::two_level_binning_sort;
 pub use merge::merge_sort_by_key;
