@@ -48,7 +48,8 @@ pub(crate) enum Trigger {
     Idle,
     /// The window ran out with fewer than `max_batch` requests queued.
     Aged,
-    /// `max_batch` requests were queued.
+    /// No further request could join: `max_batch` requests were queued,
+    /// or every attached connection had one queued.
     Full,
     /// A shutdown flushed the queue.
     Drain,

@@ -9,6 +9,7 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bioseq::{Sequence, SequenceDb};
@@ -18,7 +19,7 @@ use scoring::{NeighborTable, BLOSUM62};
 use serve::proto::ErrorCode;
 use serve::{
     loopback, serve, BatchOptions, Client, ClientError, LoopbackConnector, ParamOverrides,
-    ResidentIndex, SearchContext, ServerHandle,
+    ResidentIndex, SearchContext, SearchResponse, ServerHandle,
 };
 
 /// A small database with deliberate shared motifs so every query aligns.
@@ -96,6 +97,16 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// A connection that never searches. Its stats round trip returns only
+/// once the server's connection thread is running, so from then on it
+/// counts as a connection that could still send, and a forming window
+/// waits for it until `max_delay`.
+fn idle_connection(connector: &LoopbackConnector) -> Client<impl Read + Write + Send + 'static> {
+    let mut idle = Client::new(connector.connect().expect("connect"));
+    idle.stats().expect("stats round trip");
+    idle
 }
 
 #[test]
@@ -194,7 +205,8 @@ fn concurrent_clients_get_solo_identical_results() {
 fn saturation_answers_overloaded_and_bounds_the_queue() {
     let ctx = context(1);
     // Tiny queue, huge forming window: submissions park in the queue, so
-    // the third concurrent request must bounce.
+    // the third concurrent request must bounce. The idle connection keeps
+    // the window open while both fillers are queued.
     let (mut handle, connector) = start(
         &ctx,
         BatchOptions {
@@ -204,6 +216,7 @@ fn saturation_answers_overloaded_and_bounds_the_queue() {
             ..BatchOptions::default()
         },
     );
+    let _idle = idle_connection(&connector);
 
     let fillers: Vec<_> = (0..2)
         .map(|i| {
@@ -259,7 +272,8 @@ fn saturation_answers_overloaded_and_bounds_the_queue() {
 #[test]
 fn queued_past_deadline_gets_deadline_exceeded() {
     let ctx = context(1);
-    // The forming window alone (400 ms) outlives a 1 ms deadline.
+    // The forming window alone (400 ms) outlives a 1 ms deadline; the idle
+    // connection keeps it open.
     let (mut handle, connector) = start(
         &ctx,
         BatchOptions {
@@ -269,6 +283,7 @@ fn queued_past_deadline_gets_deadline_exceeded() {
             ..BatchOptions::default()
         },
     );
+    let _idle = idle_connection(&connector);
     let mut client = Client::new(connector.connect().expect("connect"));
     match client.search(
         &fasta_for(0),
@@ -295,6 +310,9 @@ fn wire_shutdown_drains_queued_work_before_acking() {
             ..BatchOptions::default()
         },
     );
+    // Connected first, the admin is the idle connection that keeps the
+    // window open while the three requests park.
+    let mut admin = idle_connection(&connector);
 
     let parked: Vec<_> = (0..3)
         .map(|i| {
@@ -312,7 +330,6 @@ fn wire_shutdown_drains_queued_work_before_acking() {
         .collect();
     wait_until("three parked requests", || handle.stats().queue_depth == 3);
 
-    let mut admin = Client::new(connector.connect().expect("connect"));
     admin.shutdown().expect("shutdown ack");
     // The ack arrives only after the drain: all parked work is answered.
     for p in parked {
@@ -392,6 +409,148 @@ fn default_options_dispatch_a_lone_request_without_a_forming_delay() {
         }
     }
     assert_eq!(handle.stats().batches, 3);
+    handle.shutdown();
+}
+
+/// `[idle, aged, full, drain]` dispatch counts off the metrics exposition.
+fn triggers(handle: &ServerHandle) -> [u64; 4] {
+    let metrics = handle.render_metrics();
+    ["idle", "aged", "full", "drain"].map(|trigger| {
+        let row = format!("serve_batcher_dispatches_by_trigger{{trigger=\"{trigger}\"}} ");
+        let line = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(row.as_str()))
+            .unwrap_or_else(|| panic!("no `{row}` row in:\n{metrics}"));
+        line.parse().expect("a count")
+    })
+}
+
+/// Search from a thread of its own.
+fn search_in_background(
+    mut client: Client<impl Read + Write + Send + 'static>,
+) -> JoinHandle<Result<SearchResponse, ClientError>> {
+    std::thread::spawn(move || {
+        client.search(
+            &fasta_for(0),
+            EngineKind::MuBlastp,
+            ParamOverrides::default(),
+            0,
+        )
+    })
+}
+
+/// A window that outlasts any of the tests below: a request answered in
+/// [`PROMPT`] was not held until it closed.
+const LONG_WINDOW: Duration = Duration::from_secs(30);
+const PROMPT: Duration = Duration::from_secs(5);
+
+fn long_window() -> BatchOptions {
+    BatchOptions {
+        max_delay: LONG_WINDOW,
+        ..BatchOptions::default()
+    }
+}
+
+/// Join a background search that must be answered within [`PROMPT`].
+fn answered_promptly(search: JoinHandle<Result<SearchResponse, ClientError>>) -> SearchResponse {
+    let deadline = Instant::now() + PROMPT;
+    while !search.is_finished() {
+        assert!(Instant::now() < deadline, "held for the forming window");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    search.join().expect("search thread").expect("search")
+}
+
+/// Two connections, one request each: once both are queued neither
+/// connection can send a companion, so the batch of two leaves at once,
+/// labelled `full`, instead of waiting out the window.
+#[test]
+fn every_connection_queued_closes_the_window_at_once() {
+    let ctx = context(1);
+    let (mut handle, connector) = start(&ctx, long_window());
+    let clients = [idle_connection(&connector), idle_connection(&connector)];
+    for search in clients.map(search_in_background) {
+        assert!(!answered_promptly(search).replies.is_empty());
+    }
+    assert_eq!(triggers(&handle), [0, 0, 1, 0]);
+    assert_eq!(handle.stats().batch_hist, vec![0, 1], "one batch of two");
+    handle.shutdown();
+}
+
+/// The same two requests beside a third connection that has not sent:
+/// it could still send a companion, so the batch is held until the
+/// window closes and leaves `aged`.
+#[test]
+fn an_idle_connection_holds_the_window_until_it_closes() {
+    const WINDOW: Duration = Duration::from_millis(500);
+    let ctx = context(1);
+    let created = Instant::now();
+    let (mut handle, connector) = start(
+        &ctx,
+        BatchOptions {
+            max_delay: WINDOW,
+            ..BatchOptions::default()
+        },
+    );
+    let _idle = idle_connection(&connector);
+    let clients = [idle_connection(&connector), idle_connection(&connector)];
+    for search in clients.map(search_in_background) {
+        let reply = search.join().expect("search thread").expect("search");
+        assert!(!reply.replies.is_empty());
+    }
+    assert!(
+        created.elapsed() >= WINDOW,
+        "answered {:?} after start, before the window closed",
+        created.elapsed()
+    );
+    assert_eq!(triggers(&handle), [0, 1, 0, 0]);
+    assert_eq!(handle.stats().batch_hist, vec![0, 1], "one batch of two");
+    handle.shutdown();
+}
+
+/// A request held only because another connection could still send is
+/// released when that connection closes: the closing connection wakes
+/// the dispatcher, which finds every remaining connection queued.
+#[test]
+fn a_closing_idle_connection_releases_a_held_request() {
+    let ctx = context(1);
+    let (mut handle, connector) = start(&ctx, long_window());
+    let idle = idle_connection(&connector);
+    let search = search_in_background(idle_connection(&connector));
+    wait_until("the request to queue", || handle.stats().queue_depth == 1);
+    drop(idle);
+    assert!(!answered_promptly(search).replies.is_empty());
+    assert_eq!(triggers(&handle), [0, 0, 1, 0]);
+    handle.shutdown();
+}
+
+/// A lone connection sending back to back never has a companion to wait
+/// for: no request of it waits out the window.
+#[test]
+fn a_lone_closed_loop_connection_is_never_held() {
+    const SENT: u64 = 5;
+    let ctx = context(1);
+    let (mut handle, connector) = start(&ctx, long_window());
+    let mut client = Client::new(connector.connect().expect("connect"));
+    for i in 0..SENT {
+        let sent = Instant::now();
+        client
+            .search(
+                &fasta_for(i as usize),
+                EngineKind::MuBlastp,
+                ParamOverrides::default(),
+                0,
+            )
+            .expect("search");
+        assert!(
+            sent.elapsed() < PROMPT,
+            "request {i} held {:?}",
+            sent.elapsed()
+        );
+    }
+    let [idle, aged, full, drain] = triggers(&handle);
+    assert_eq!((aged, drain), (0, 0));
+    assert_eq!(idle + full, SENT);
     handle.shutdown();
 }
 

@@ -528,6 +528,11 @@ fn expired_deadlines_are_typed_rejections_not_hangs() {
             ..BatchOptions::default()
         },
     );
+    // A connection that has not searched keeps the window open: the one
+    // below is then not the only one that could still send.
+    let mut idle = Client::new(connector.connect().unwrap_or_else(|e| panic!("{e}")));
+    idle.stats()
+        .unwrap_or_else(|e| panic!("stats round trip: {e}"));
     let fasta = fasta_for(&db, 1);
     let mut client = Client::new(connector.connect().unwrap_or_else(|e| panic!("{e}")));
     match client.search(&fasta, EngineKind::MuBlastp, ParamOverrides::default(), 1) {
