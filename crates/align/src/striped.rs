@@ -19,7 +19,11 @@
 //!   Pass 1 is element-wise — the next row's vertical-gap lane `F =
 //!   max(F_up, H_up − open) − extend`, a single-output select chain the
 //!   autovectorizer lifts. Pass 2 is one fused serial walk: the match
-//!   candidate from a lazily-built subject score strip, `G = max(M, F)`,
+//!   candidate read straight from the query residue's matrix row,
+//!   `matrix.row(q[i − 1])[s[j − 1]]` (two loads off the serial chains,
+//!   so they run while the chains wait; a precomputed score strip would
+//!   cost about one write per cell on the narrow x-drop bands),
+//!   `G = max(M, F)`,
 //!   the rolling horizontal gap `E(j+1) = max(E(j), G(j) − open) −
 //!   extend` (reopening a gap from a gap cell never beats extending it,
 //!   and a dead cell's true value can never climb back above `best −
@@ -57,7 +61,7 @@ use crate::gapped::{extend_seeded, reversed_through, xdrop_half, GappedExtension
 use crate::swar;
 use crate::types::{GappedAlignment, UngappedAlignment};
 use crate::ungapped::TwoHitOutcome;
-use bioseq::alphabet::{ALPHABET_SIZE, WORD_LEN};
+use bioseq::alphabet::WORD_LEN;
 use scoring::{Matrix, ScoreProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -297,46 +301,6 @@ pub fn extend_two_hit_striped(
     TwoHitOutcome { alignment: Some(alignment), last_hit_update: alignment.q_end }
 }
 
-/// Lazily-built subject score strip: a score profile with the subject
-/// as the matrix's second index, materialized one residue-code row at a
-/// time and only over the columns the live window has actually visited.
-/// Row `c` holds `matrix.score(c, s[j])` widened to `i16`, so the DP
-/// reads its scores sequentially from one contiguous run.
-///
-/// Each row is anchored at the first column the code was requested at —
-/// the window's left edge never moves back (the live span's `lo` is
-/// nondecreasing), so a code first seen late in the extension skips the
-/// columns the window has already left behind instead of scoring the
-/// whole prefix.
-struct SubjectStrip<'a> {
-    matrix: &'a Matrix,
-    s: &'a [u8],
-    rows: [(usize, Vec<i16>); ALPHABET_SIZE],
-}
-
-impl<'a> SubjectStrip<'a> {
-    fn new(matrix: &'a Matrix, s: &'a [u8]) -> SubjectStrip<'a> {
-        SubjectStrip { matrix, s, rows: std::array::from_fn(|_| (0, Vec::new())) }
-    }
-
-    /// The strip scores for residue code `c` over subject columns
-    /// `[from, upto)`. `from` must be nondecreasing across calls for
-    /// the same code (the window invariant above).
-    fn range(&mut self, c: u8, from: usize, upto: usize) -> &[i16] {
-        let (base, row) = &mut self.rows[c as usize];
-        if row.is_empty() {
-            *base = from;
-        }
-        debug_assert!(from >= *base, "window left edge moved back");
-        let have = *base + row.len();
-        if have < upto {
-            let mrow = self.matrix.row(c);
-            row.extend(self.s[have..upto].iter().map(|&r| i16::from(mrow[r as usize])));
-        }
-        &row[from - *base..upto - *base]
-    }
-}
-
 /// Striped twin of [`crate::gapped::xdrop_half`]: anchored x-drop
 /// half-extension, score only, identical result for every input.
 ///
@@ -370,7 +334,6 @@ pub fn xdrop_half_striped(
     let mut f_prev = vec![neg; n + 1];
     let mut h_cur = vec![neg; n + 1];
     let mut f_cur = vec![neg; n + 1];
-    let mut strip = SubjectStrip::new(matrix, s);
 
     // Row 0: leading horizontal gap (same i32 arithmetic as the oracle).
     h_prev[0] = 0;
@@ -458,14 +421,14 @@ pub fn xdrop_half_striped(
             // maxes measured slower than this fusion.)
             let mut pb = best;
             {
-                let srow = strip.range(code, jstart - 1, je);
+                let mrow = matrix.row(code);
                 let half = (NEG16 / 2) as i16;
                 let it = h_cur[jstart..=je]
                     .iter_mut()
-                    .zip(h_prev[jstart - 1..je].iter().zip(srow))
+                    .zip(h_prev[jstart - 1..je].iter().zip(&s[jstart - 1..je]))
                     .zip(&f_cur[jstart..=je]);
-                for ((hd, (&d, &sck)), &fv) in it {
-                    let sum = d.wrapping_add(sck);
+                for ((hd, (&d, &r)), &fv) in it {
+                    let sum = d.wrapping_add(i16::from(mrow[r as usize]));
                     let mv = if d > half { sum } else { neg };
                     let g = i32::from(mv.max(fv));
                     let h = g.max(e);

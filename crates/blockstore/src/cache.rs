@@ -1,4 +1,4 @@
-//! LRU cache over decoded index blocks.
+//! Decoded-block cache with admission by reuse.
 //!
 //! The fetch unit of the block store is a whole [`IndexBlock`] record; the
 //! cache holds *decoded* blocks (ready to search) under a byte budget, so
@@ -8,12 +8,23 @@
 //! directory records as `decoded_bytes` — so a budget can be chosen from
 //! the directory alone, before anything is decoded.
 //!
-//! Eviction is strict LRU and nothing else. LRU alone serves a repeated
-//! ascending scan of more blocks than fit *nothing* — each block is the
-//! least recently used just before its turn comes round — so the engine's
-//! exhaustive scan asks `BlockCache::contains` (a pure observation: no
-//! counter, no recency refresh) and visits resident blocks first; the
-//! policy stays simple and the visit order does the work.
+//! **Admission by reuse.** On a miss for block `b`, `b` may displace only
+//! resident blocks that have not been used since `b`'s own previous
+//! request, least recently used first; a block never requested before
+//! takes free space only; and when free space plus those idle blocks
+//! cannot hold `b`, the caller gets `b` uncached. Within one search the
+//! executor fetches each block at most once, so a resident block used
+//! since `b`'s previous request will be needed again at least as soon as
+//! `b`: swapping them cannot add a hit, and in a repeated visit order —
+//! ascending, or the top-k bound order — it loses every one (strict
+//! LRU's loop pathology: each block is the least recently used just
+//! before its turn comes round). Under this rule a cache of `c` blocks
+//! keeps the first `c` of a repeated order and hits them on every later
+//! pass, whatever the order; when the working set changes, the idle
+//! blocks are displaced on the second request of each new block. A
+//! declined block counts as one eviction — the cache evicted the
+//! newcomer to stay under budget — so `evictions` still means "the
+//! working set no longer fits".
 //!
 //! One cache is shared by all open stores (each store registers for an id
 //! namespace), which is exactly the serving-box scenario: many shards,
@@ -146,22 +157,26 @@ struct Entry {
 
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// Logical clock for LRU recency (bumped on every touch).
+    /// Per block ever requested: the ticks of its previous request (if
+    /// any) and its latest one. Bounded by the blocks of the registered
+    /// stores.
+    requests: HashMap<u64, (Option<u64>, u64)>,
+    /// Logical clock for requests and recency (bumped on every touch).
     tick: u64,
     next_store: u32,
 }
 
-/// An LRU cache of decoded [`IndexBlock`]s under a byte budget, shared
-/// across stores.
+/// A cache of decoded [`IndexBlock`]s under a byte budget, shared across
+/// stores, admitting by reuse (see the module docs).
 ///
 /// Keys are `(store id, block id)`; store ids come from
 /// [`BlockCache::register_store`] so independent shard stores sharing one
-/// cache can never collide. Eviction is strict LRU by last touch and
-/// makes room *before* an insert is charged, so `resident_bytes` (and its
-/// peak) stays within the budget — with one documented exception: a
-/// single block larger than the whole budget is still cached (the search
-/// cannot proceed without it resident), and the peak then records the
-/// true overshoot rather than hiding it.
+/// cache can never collide. Eviction makes room *before* an insert is
+/// charged, so `resident_bytes` (and its peak) stays within the budget —
+/// with one documented exception: a single block larger than the whole
+/// budget, which no rule could ever fit, is cached alone in place of
+/// everything resident, and the peak then records the true overshoot
+/// rather than hiding it.
 pub struct BlockCache {
     budget: u64,
     counters: CacheCounters,
@@ -183,7 +198,12 @@ impl BlockCache {
         BlockCache {
             budget: budget_bytes,
             counters: CacheCounters::default(),
-            inner: Lock::new(Inner { map: HashMap::new(), tick: 0, next_store: 0 }),
+            inner: Lock::new(Inner {
+                map: HashMap::new(),
+                requests: HashMap::new(),
+                tick: 0,
+                next_store: 0,
+            }),
         }
     }
 
@@ -229,13 +249,20 @@ impl BlockCache {
         (u64::from(store) << 32) | u64::from(block)
     }
 
-    /// Look up a decoded block, refreshing its recency. Counts a hit or
-    /// a miss.
+    /// Request a decoded block: records the request (what a later
+    /// [`BlockCache::insert`] of it is admitted by) and, on a hit,
+    /// refreshes its recency. Counts a hit or a miss.
     pub(crate) fn get(&self, store: u32, block: u32) -> Option<Arc<IndexBlock>> {
+        let key = Self::key(store, block);
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&Self::key(store, block)) {
+        inner
+            .requests
+            .entry(key)
+            .and_modify(|r| *r = (Some(r.1), tick))
+            .or_insert((None, tick));
+        match inner.map.get_mut(&key) {
             Some(entry) => {
                 entry.last_used = tick;
                 stat_add(&self.counters.hits, 1);
@@ -248,19 +275,11 @@ impl BlockCache {
         }
     }
 
-    /// Whether a block is resident right now, as a pure observation: no
-    /// counter moves and the block's recency is not refreshed, so asking
-    /// never changes what [`BlockCache::insert`] evicts next. The answer
-    /// can be stale as soon as it is returned; callers use it to *order*
-    /// fetches ([`engine::BlockSource::resident`]), never to skip one.
-    pub(crate) fn contains(&self, store: u32, block: u32) -> bool {
-        self.inner.lock().map.contains_key(&Self::key(store, block))
-    }
-
-    /// Insert a freshly decoded block, evicting least-recently-used
-    /// entries first so the charge fits the budget. Re-inserting a
-    /// resident key refreshes the block and recency without double
-    /// charging.
+    /// Offer a freshly decoded block for caching under admission by
+    /// reuse (module docs): it takes free space, else displaces blocks
+    /// idle since its previous request, least recently used first, else
+    /// is declined and counted as one eviction. Re-inserting a resident
+    /// key refreshes the block and recency without double charging.
     pub fn insert(&self, store: u32, block: u32, decoded: Arc<IndexBlock>) {
         let bytes = decoded.memory_bytes() as u64;
         let key = Self::key(store, block);
@@ -270,15 +289,37 @@ impl BlockCache {
         if let Some(old) = inner.map.remove(&key) {
             stat_sub(&self.counters.resident_bytes, old.bytes);
         }
-        // Make room before charging, so resident never transiently
-        // overshoots (except for the single-oversized-block case).
-        while stat_load(&self.counters.resident_bytes) + bytes > self.budget {
-            let victim = inner
+        let resident = stat_load(&self.counters.resident_bytes);
+        let free = self.budget.saturating_sub(resident);
+        let victims: Vec<u64> = if bytes <= free {
+            Vec::new()
+        } else if bytes > self.budget {
+            // Oversized: no rule could ever fit it, so it is cached alone.
+            inner.map.keys().copied().collect()
+        } else {
+            // Displaceable: blocks idle since this one's previous request,
+            // least recently used first, as many as make room.
+            let since = inner.requests.get(&key).and_then(|r| r.0).unwrap_or(0);
+            let mut idle: Vec<(u64, u64, u64)> = inner
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { break };
+                .filter(|(_, e)| e.last_used < since)
+                .map(|(&k, e)| (e.last_used, k, e.bytes))
+                .collect();
+            idle.sort_unstable();
+            let (mut room, mut take) = (free, 0);
+            while room < bytes && take < idle.len() {
+                room += idle[take].2;
+                take += 1;
+            }
+            if room < bytes {
+                // Declined: the newcomer is the block evicted.
+                stat_add(&self.counters.evictions, 1);
+                return;
+            }
+            idle[..take].iter().map(|&(_, k, _)| k).collect()
+        };
+        for victim in victims {
             if let Some(evicted) = inner.map.remove(&victim) {
                 stat_sub(&self.counters.resident_bytes, evicted.bytes);
                 stat_add(&self.counters.evictions, 1);
@@ -329,54 +370,110 @@ mod tests {
         assert_eq!((snap.hits, snap.misses), (1, 1));
     }
 
-    #[test]
-    fn lru_evicts_least_recently_used_and_respects_budget() {
-        let blocks = blocks();
-        let per = blocks[0].memory_bytes() as u64;
-        // Budget fits two of the first blocks (blocks of this toy index
-        // share a size because the offsets array dominates).
-        let cache = BlockCache::new(2 * per + per / 2);
-        let store = cache.register_store();
-        for (i, b) in blocks.iter().take(3).enumerate() {
-            cache.get(store, i as u32);
-            cache.insert(store, i as u32, Arc::new(b.clone()));
-            // Keep block 0 hot so the LRU victim is block 1.
-            cache.get(store, 0);
+    /// One request as the store makes it: look up, and on a miss offer
+    /// the block for caching. Returns whether it hit, and checks the
+    /// budget after every step.
+    fn request(cache: &BlockCache, store: u32, blocks: &[IndexBlock], i: usize) -> bool {
+        let hit = cache.get(store, i as u32).is_some();
+        if !hit {
+            cache.insert(store, i as u32, Arc::new(blocks[i].clone()));
         }
         let snap = cache.counters().snapshot();
-        assert!(snap.evictions >= 1, "third insert must evict");
-        assert!(snap.resident_bytes <= cache.budget_bytes());
-        assert!(snap.peak_resident_bytes <= cache.budget_bytes());
-        assert!(cache.get(store, 0).is_some(), "hot block survives");
-        assert!(cache.get(store, 1).is_none(), "LRU block evicted");
+        assert!(snap.resident_bytes <= cache.budget_bytes(), "resident over budget");
+        assert!(snap.peak_resident_bytes <= cache.budget_bytes(), "peak over budget");
+        hit
     }
 
-    /// `contains` observes and nothing else: no counter moves, and the
-    /// LRU victim is the one it would have been without the calls.
-    #[test]
-    fn contains_moves_no_counter_and_refreshes_no_recency() {
-        let blocks = blocks();
+    fn resident(cache: &BlockCache, store: u32) -> Vec<u32> {
+        let inner = cache.inner.lock();
+        let mut ids: Vec<u32> = inner
+            .map
+            .keys()
+            .filter(|&&k| (k >> 32) as u32 == store)
+            .map(|&k| k as u32)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// A budget of two and a half blocks of the first four (equal-sized:
+    /// the offsets array dominates a toy block).
+    fn two_block_cache(blocks: &[IndexBlock]) -> BlockCache {
         let per = blocks[0].memory_bytes() as u64;
-        let victim_after = |probe: bool| {
-            let cache = BlockCache::new(2 * per + per / 2);
+        assert!(blocks[..4].iter().all(|b| b.memory_bytes() as u64 == per));
+        BlockCache::new(2 * per + per / 2)
+    }
+
+    #[test]
+    fn never_requested_block_takes_free_space_only() {
+        let blocks = blocks();
+        let cache = two_block_cache(&blocks);
+        let store = cache.register_store();
+        assert!(!request(&cache, store, &blocks, 0));
+        assert!(!request(&cache, store, &blocks, 1));
+        let full = cache.counters().snapshot();
+        assert_eq!(full.evictions, 0, "free space admits");
+        // Blocks 0 and 1 are idle since forever, but block 2 was never
+        // requested before: it is handed back uncached.
+        assert!(!request(&cache, store, &blocks, 2));
+        let snap = cache.counters().snapshot();
+        assert_eq!(snap.evictions, 1, "the declined newcomer counts once");
+        assert_eq!(snap.resident_bytes, full.resident_bytes);
+        assert_eq!(resident(&cache, store), [0, 1]);
+    }
+
+    #[test]
+    fn reuse_displaces_only_blocks_idle_since_the_previous_request() {
+        let blocks = blocks();
+        let cache = two_block_cache(&blocks);
+        let store = cache.register_store();
+        let evictions = || cache.counters().snapshot().evictions;
+        request(&cache, store, &blocks, 0);
+        request(&cache, store, &blocks, 1);
+        assert!(request(&cache, store, &blocks, 0), "block 1 is now the LRU");
+        request(&cache, store, &blocks, 2); // first request: declined
+        assert_eq!((resident(&cache, store), evictions()), (vec![0, 1], 1));
+        // Both blocks idle since 2's previous request: the least recently
+        // used one (1, not the older insert 0) makes room.
+        assert!(!request(&cache, store, &blocks, 2));
+        assert_eq!((resident(&cache, store), evictions()), (vec![0, 2], 2));
+        // Block 1's previous request predates every use of 0 and 2.
+        request(&cache, store, &blocks, 1);
+        assert_eq!((resident(&cache, store), evictions()), (vec![0, 2], 3));
+        // A block used since the newcomer's previous request is needed at
+        // least as soon: neither 0 nor 2 gives way, however often 1 asks.
+        assert!(request(&cache, store, &blocks, 0));
+        assert!(request(&cache, store, &blocks, 2));
+        request(&cache, store, &blocks, 1);
+        assert_eq!((resident(&cache, store), evictions()), (vec![0, 2], 4));
+        // The working set moved on to 1: after one idle round, the LRU
+        // of the idle blocks (0) goes.
+        request(&cache, store, &blocks, 1);
+        assert_eq!((resident(&cache, store), evictions()), (vec![1, 2], 5));
+        assert!(request(&cache, store, &blocks, 1));
+    }
+
+    /// A seeded stream of requests over every block keeps residency,
+    /// its peak and the byte account within the budget throughout.
+    #[test]
+    fn residency_stays_within_budget_under_any_request_stream() {
+        let blocks = blocks();
+        let per = blocks.iter().map(|b| b.memory_bytes() as u64).max().unwrap();
+        for budget in [per, 2 * per + per / 2, 3 * per] {
+            let cache = BlockCache::new(budget);
             let store = cache.register_store();
-            cache.insert(store, 0, Arc::new(blocks[0].clone()));
-            cache.insert(store, 1, Arc::new(blocks[1].clone()));
-            let before = cache.counters().snapshot();
-            if probe {
-                // A refresh of block 0 here would make block 1 the victim.
-                for _ in 0..3 {
-                    assert!(cache.contains(store, 0));
-                    assert!(!cache.contains(store, 2), "absent block");
-                    assert!(!cache.contains(store + 1, 0), "other store's id space");
-                }
-                assert_eq!(cache.counters().snapshot(), before);
+            for step in 0..400u64 {
+                let i = (faultfn::mix64(budget, step) % blocks.len() as u64) as usize;
+                request(&cache, store, &blocks, i);
+                let charged: u64 = resident(&cache, store)
+                    .iter()
+                    .map(|&b| blocks[b as usize].memory_bytes() as u64)
+                    .sum();
+                assert_eq!(cache.counters().snapshot().resident_bytes, charged);
             }
-            cache.insert(store, 2, Arc::new(blocks[2].clone()));
-            (cache.contains(store, 0), cache.contains(store, 1), cache.contains(store, 2))
-        };
-        assert_eq!(victim_after(false), (false, true, true), "block 0 is the LRU victim");
-        assert_eq!(victim_after(true), victim_after(false));
+            let snap = cache.counters().snapshot();
+            assert!(snap.hits > 0 && snap.evictions > 0, "budget {budget}: {snap:?}");
+        }
     }
 
     #[test]

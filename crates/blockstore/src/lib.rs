@@ -1,5 +1,5 @@
-//! Out-of-core database search: the block store behind an LRU
-//! decoded-block cache, as a block source for the engine's one executor.
+//! Out-of-core database search: the block store behind a decoded-block
+//! cache, as a block source for the engine's one executor.
 //!
 //! The paper's execution structure — a serial loop over index blocks
 //! with parallel queries inside each block (Alg. 3) — already bounds the
@@ -8,20 +8,19 @@
 //! need to be resident at all. It provides
 //!
 //! * [`BlockCache`] — decoded [`dbindex::IndexBlock`]s under a byte
-//!   budget, strict LRU, shared across stores, with atomic hit / miss /
-//!   eviction / residency counters (`cache::CacheCounters`) exported through
-//!   the serve stats frame;
+//!   budget, shared across stores, with atomic hit / miss / eviction /
+//!   residency counters (`cache::CacheCounters`) exported through the
+//!   serve stats frame. It admits by reuse: a missed block displaces
+//!   only blocks idle since its own previous request, else it is handed
+//!   back uncached, so a cache of `c` blocks serves `c` fetches of every
+//!   repeated scan, in any visit order, where strict LRU would serve
+//!   none;
 //! * [`SequenceStore`] — one open store file: footer directory + cached
 //!   block fetches, every failure a typed [`StoreError`]; an
 //!   [`engine::BlockSource`], so [`engine::search_batch_blocks`] searches
-//!   it bit-identically to a resident index. It answers
-//!   [`engine::BlockSource::resident`] from `BlockCache::contains`, so
-//!   an exhaustive scan starts with the blocks the previous one left in
-//!   the cache: eviction stays strict LRU, and it is the *scan order*
-//!   that lets a cache of `c` blocks serve `c` fetches of every scan
-//!   where an ascending cyclic scan would be served none. A miss is a
-//!   read, one CRC pass over the record and a bounds-checked copy of its
-//!   fixed-width arrays;
+//!   it bit-identically to a resident index. A miss is a read, one CRC
+//!   pass over the record and a bounds-checked copy of its fixed-width
+//!   arrays;
 //! * [`StreamingShards`] — [`engine::ShardBackend`] over disk-resident
 //!   shards, so the sharded driver's dispatch, deadline, degradation and
 //!   statistics-correct merge machinery runs unchanged out-of-core, with
@@ -181,10 +180,9 @@ mod tests {
     }
 
     /// A cyclic exhaustive scan through a cache of exactly `c` blocks:
-    /// the executor visits what the previous batch left resident first, so
-    /// after the cold pass every pass hits exactly `c` times. (In plain
-    /// ascending order a strict LRU evicts each block just before its next
-    /// use and never hits.)
+    /// the cache keeps the first `c` blocks of the cold pass, so every
+    /// later pass hits exactly `c` times. (A strict LRU evicts each block
+    /// just before its next use and never hits.)
     #[test]
     fn cyclic_scan_hits_exactly_what_the_cache_holds() {
         let db = seeded_db();
@@ -224,6 +222,113 @@ mod tests {
                 assert!(after.resident_bytes <= budget && after.peak_resident_bytes <= budget);
                 before = after;
             }
+        }
+    }
+
+    /// A store seen through a fixed visit order: the executor's block `i`
+    /// is the store's block `order[i]`, and every fetch is logged by its
+    /// store id.
+    struct Visit<'a> {
+        store: &'a SequenceStore<std::io::Cursor<Vec<u8>>>,
+        order: Vec<usize>,
+        fetched: obsv::Lock<Vec<usize>>,
+    }
+
+    impl BlockSource for Visit<'_> {
+        type Error = StoreError;
+
+        fn num_blocks(&self) -> usize {
+            self.order.len()
+        }
+
+        fn bound(&self, i: usize) -> dbindex::BlockBound {
+            self.store.bound(self.order[i])
+        }
+
+        fn fetch(
+            &self,
+            i: usize,
+        ) -> Result<impl std::borrow::Borrow<dbindex::IndexBlock>, StoreError> {
+            self.fetched.lock().push(self.order[i]);
+            self.store.block(self.order[i])
+        }
+    }
+
+    /// The cyclic-scan check in a fixed order that is not ascending — what
+    /// the top-k bound order is from batch to batch: the first `c` blocks
+    /// of the order stay cached and hit on every later pass.
+    #[test]
+    fn fixed_order_scan_hits_exactly_what_the_cache_holds() {
+        let db = seeded_db();
+        let queries = queries(&db);
+        let cfg = search_config();
+        let index = DbIndex::build(&db, &index_config());
+        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &cfg);
+        let n = index.blocks().len();
+        assert!(n >= 8, "want at least 8 blocks, got {n}");
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| faultfn::mix64(0x5eed, i as u64));
+        assert!(order.windows(2).any(|w| w[0] > w[1]), "order must not be ascending");
+        let max = index.blocks().iter().map(|b| b.memory_bytes() as u64).max().unwrap();
+        let min = index.blocks().iter().map(|b| b.memory_bytes() as u64).min().unwrap();
+        let bytes = dbindex::write_store(&index);
+        for c in [2, n as u64 / 4] {
+            let budget = c * max;
+            assert!((c + 1) * min > budget, "block sizes too uneven: {min}..{max}");
+            let cache = Arc::new(BlockCache::new(budget));
+            let store = SequenceStore::open(
+                std::io::Cursor::new(bytes.clone()),
+                Arc::clone(&cache),
+                faultfn::Faults::none(),
+            )
+            .unwrap();
+            let visit = Visit { store: &store, order: order.clone(), fetched: obsv::Lock::new(Vec::new()) };
+            let mut before = cache.counters().snapshot();
+            for pass in 0..5 {
+                let out = search(&db, &visit, &queries, &cfg).unwrap();
+                engine::results_identical(&reference, &out)
+                    .unwrap_or_else(|e| panic!("c={c} pass {pass}: {e}"));
+                let after = cache.counters().snapshot();
+                let hits = if pass == 0 { 0 } else { c };
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (hits, n as u64 - hits),
+                    "c={c} pass {pass}"
+                );
+                assert!(after.resident_bytes <= budget && after.peak_resident_bytes <= budget);
+                before = after;
+            }
+        }
+    }
+
+    /// An exhaustive scan fetches `0..n` ascending whatever the cache
+    /// already holds: residency decides what a fetch costs, not when it
+    /// comes.
+    #[test]
+    fn exhaustive_scan_fetches_ascending_whatever_the_cache_holds() {
+        let db = toy_db();
+        let queries = queries(&db);
+        let cfg = search_config();
+        let index = DbIndex::build(&db, &index_config());
+        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &cfg);
+        let n = index.blocks().len();
+        assert!(n >= 3, "want several blocks, got {n}");
+        let bytes = dbindex::write_store(&index);
+        for warm in [vec![], vec![n - 1], (0..n).filter(|i| i % 3 == 2).collect()] {
+            let cache = Arc::new(BlockCache::new(u64::MAX));
+            let store = SequenceStore::open(
+                std::io::Cursor::new(bytes.clone()),
+                cache,
+                faultfn::Faults::none(),
+            )
+            .unwrap();
+            for &i in &warm {
+                store.block(i).unwrap();
+            }
+            let visit = Visit { store: &store, order: (0..n).collect(), fetched: obsv::Lock::new(Vec::new()) };
+            let out = search(&db, &visit, &queries, &cfg).unwrap();
+            assert_eq!(*visit.fetched.lock(), (0..n).collect::<Vec<_>>(), "warm {warm:?}");
+            engine::results_identical(&reference, &out).expect("order never shows in results");
         }
     }
 

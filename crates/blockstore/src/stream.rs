@@ -114,7 +114,7 @@ impl<R: Read + Seek> SequenceStore<R> {
     }
 
     /// Fetch block `i`, from cache when resident, else by seek + read +
-    /// decode + insert. A record is fixed-width arrays, so a miss costs
+    /// decode, then offered to the cache (which may decline it). A record is fixed-width arrays, so a miss costs
     /// the read, one CRC pass over the record (four lanes at once, see
     /// `dbindex::crc`) and a bounds-checked copy into the block's vectors.
     /// A record that decodes must also be the one directory row `i`
@@ -179,10 +179,10 @@ impl<R: Read + Seek> SequenceStore<R> {
 
 /// A store is a block source: bounds come straight from the footer
 /// directory, so a block the top-k pruner skips is never read from disk at
-/// all — the I/O the pruning mode exists to save. `resident` is the
-/// cache's `BlockCache::contains`, so an exhaustive scan starts with the
-/// blocks still cached from the previous one. A fetch failure of a block
-/// that actually needed scanning aborts the search with its typed error.
+/// all — the I/O the pruning mode exists to save. Whatever the visit
+/// order, the cache's admission by reuse keeps what a repeat of it will
+/// hit. A fetch failure of a block that actually needed scanning aborts
+/// the search with its typed error.
 impl<R: Read + Seek> BlockSource for SequenceStore<R> {
     type Error = StoreError;
 
@@ -192,12 +192,6 @@ impl<R: Read + Seek> BlockSource for SequenceStore<R> {
 
     fn bound(&self, i: usize) -> BlockBound {
         self.dir.blocks[i].bound
-    }
-
-    fn resident(&self, i: usize) -> bool {
-        // Directory rows are u32-indexed by
-        // construction (the tail stores n_blocks as u32).
-        self.cache.contains(self.store_id, i as u32)
     }
 
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, StoreError> {

@@ -127,8 +127,10 @@ impl SearchConfig {
 /// not copies of the executor.
 ///
 /// The executor decides the visit order from what a source can say
-/// *without* fetching: [`bound`](BlockSource::bound) under top-k,
-/// [`resident`](BlockSource::resident) for an exhaustive scan.
+/// *without* fetching: [`bound`](BlockSource::bound) under top-k; an
+/// exhaustive scan runs in ascending order. Which fetches a cache serves
+/// is the cache's business (`blockstore`'s admission by reuse hits a
+/// repeated order, whatever it is).
 pub trait BlockSource {
     /// Why a fetch can fail ([`Infallible`] for resident blocks).
     type Error;
@@ -140,17 +142,6 @@ pub trait BlockSource {
     /// (the pruner's skip-before-fetch). Only consulted when
     /// `config.top_k` is set.
     fn bound(&self, i: usize) -> BlockBound;
-
-    /// Whether fetching block `i` right now would be cheaper than fetching
-    /// it later — it sits in a cache it may be evicted from. An exhaustive
-    /// scan visits such blocks first. Advisory: the answer may be stale by
-    /// the time the block is fetched, and asking must not itself keep the
-    /// block cached. A source whose blocks all cost the same — every fully
-    /// resident one — keeps the default `false` and is scanned in
-    /// ascending order.
-    fn resident(&self, _i: usize) -> bool {
-        false
-    }
 
     /// Materialise block `i`.
     fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Self::Error>;
@@ -271,16 +262,12 @@ pub fn search_batch_traced(
 /// `session` that costs a few never-taken branches per stage.
 ///
 /// **Exhaustive** (`config.top_k = None`): every block is fetched exactly
-/// once — first the blocks the source reports
-/// [`resident`](BlockSource::resident), then the rest, ascending within
-/// each group; no bound is read and no pruning state is built. A cyclic
-/// ascending scan through an LRU cache smaller than the index evicts each
-/// block just before its next use and never hits; starting with what the
-/// previous batch left behind makes the cache serve its share of the
-/// fetches. The order cannot show in the output: seeds from different
-/// blocks only meet in the finish pass, which sorts them (the top-k visit
-/// order below relies on the same fact), and a source that never reports
-/// `resident` — every fully resident index — is scanned in ascending order.
+/// once, in ascending order; no bound is read and no pruning state is
+/// built. A cache behind the source that admits by reuse serves a
+/// repeated scan its share of the fetches in this order as in any other.
+/// The order cannot show in the output: seeds from different blocks only
+/// meet in the finish pass, which sorts them (the top-k visit order below
+/// relies on the same fact).
 ///
 /// **Top-k** (`config.top_k = Some(K)`, database-indexed engines): the
 /// reporting cap becomes `min(max_reported, K)` and blocks are pruned.
@@ -462,10 +449,10 @@ where
         // blocks in descending best-possible-score order so strong
         // subjects are admitted early and the threshold drops fast. Purely
         // a heuristic: the output is order-independent because a skip
-        // decision is only ever taken when provably harmless. `resident`
-        // is deliberately not part of the key: visiting cached blocks
-        // first raised the cache hit rate from 0 to 0.30 but scanned
-        // blocks bound order skips (EXPERIMENTS.md "PR 22").
+        // decision is only ever taken when provably harmless. The block
+        // cache's admission by reuse hits this order when the next batch
+        // repeats it, so residency has no say in it (visiting cached
+        // blocks first cost skips: EXPERIMENTS.md "PR 22").
         let best_bound = |i: usize| {
             p.pruners
                 .iter()
@@ -480,10 +467,6 @@ where
                 i,
             )
         });
-    } else {
-        // Stable partition: resident blocks first, ascending within both
-        // groups (see the function docs). Each block is asked once.
-        order.sort_by_cached_key(|&i| !source.resident(i));
     }
     // One pass = one parallel-for over the queries, against one block or
     // (query-indexed, no blocks) against the whole database.
@@ -818,83 +801,6 @@ mod tests {
                 threads.min(queries.len()),
                 "{threads} threads"
             );
-        }
-    }
-
-    /// A resident index that claims an arbitrary set of blocks is cached
-    /// and logs the order blocks are fetched in.
-    struct ClaimsResident<'a> {
-        index: &'a DbIndex,
-        resident: &'a dyn Fn(usize) -> bool,
-        fetched: obsv::Lock<Vec<usize>>,
-    }
-
-    impl BlockSource for ClaimsResident<'_> {
-        type Error = Infallible;
-
-        fn num_blocks(&self) -> usize {
-            self.index.num_blocks()
-        }
-
-        fn bound(&self, i: usize) -> BlockBound {
-            self.index.bound(i)
-        }
-
-        fn resident(&self, i: usize) -> bool {
-            (self.resident)(i)
-        }
-
-        fn fetch(&self, i: usize) -> Result<impl Borrow<IndexBlock>, Infallible> {
-            self.fetched.lock().push(i);
-            self.index.fetch(i)
-        }
-    }
-
-    /// The exhaustive scan is a stable partition on `resident`: a source
-    /// that answers the same for every block — all resident indexes, via
-    /// the default — is scanned in ascending order, a mixed one resident
-    /// blocks first; the results never notice.
-    #[test]
-    fn exhaustive_scan_visits_resident_blocks_first_else_ascending() {
-        let (db, _, queries) = small_world();
-        let index = DbIndex::build(
-            &db,
-            &IndexConfig {
-                block_bytes: 128,
-                offset_bits: 15,
-                frag_overlap: 16,
-            },
-        );
-        let n = index.num_blocks();
-        assert!(n >= 6, "need several blocks, got {n}");
-        let mut params = SearchParams::blastp_defaults();
-        params.evalue_cutoff = 1e9;
-        let config = SearchConfig::new(EngineKind::MuBlastp)
-            .with_params(params)
-            .with_threads(2);
-        let reference = search_batch(&db, Some(&index), neighbors(), &queries, &config);
-        let ascending: Vec<usize> = (0..n).collect();
-        let mixed: Vec<usize> = (0..n)
-            .filter(|i| i % 3 == 2)
-            .chain((0..n).filter(|i| i % 3 != 2))
-            .collect();
-        type Case<'a> = (&'a dyn Fn(usize) -> bool, &'a Vec<usize>);
-        let cases: [Case<'_>; 3] = [
-            (&|_| false, &ascending),
-            (&|_| true, &ascending),
-            (&|i| i % 3 == 2, &mixed),
-        ];
-        for (resident, want) in cases {
-            let source = ClaimsResident {
-                index: &index,
-                resident,
-                fetched: obsv::Lock::new(Vec::new()),
-            };
-            let session = TraceSession::disabled();
-            let Ok(out) =
-                search_batch_blocks(&db, &source, neighbors(), &queries, &config, None, &session);
-            assert_eq!(&*source.fetched.lock(), want);
-            assert_eq!(out.results, reference);
         }
     }
 
