@@ -8,7 +8,7 @@
 //! directory records as `decoded_bytes` — so a budget can be chosen from
 //! the directory alone, before anything is decoded.
 //!
-//! **Admission by reuse.** On a miss for block `b`, `b` may displace only
+//! **Admission by reuse.** On a miss for block `b`, `b` may displace
 //! resident blocks that have not been used since `b`'s own previous
 //! request, least recently used first; a block never requested before
 //! takes free space only; and when free space plus those idle blocks
@@ -25,6 +25,26 @@
 //! declined block counts as one eviction — the cache evicted the
 //! newcomer to stay under budget — so `evictions` still means "the
 //! working set no longer fits".
+//!
+//! **Stores scanned concurrently.** One store's fetches are one
+//! sequential stream (a shard's task), but shards scan their stores side
+//! by side at whatever phase their work sets, and that changes two
+//! things. First, a block of a store that finished its pass early looks
+//! idle to the late blocks of a slower one although the next batch uses
+//! it at once; so a block of another store counts as idle only if unused
+//! since `b`'s request *before* its previous one — a whole cycle of
+//! margin, which a stale block still exceeds. Second, by reuse alone the
+//! first pass's interleaving would decide once and for all which store
+//! keeps the free space — three blocks to one on a two-shard box, from
+//! run to run differently — and a batch waits for the shard with the
+//! most misses. So when the idle blocks cannot make room, a block
+//! requested before may also displace, least recently used first, blocks
+//! of the other store that holds the most bytes, provided its own store
+//! then holds no more than that one. Bytes only move to a poorer store
+//! and never past the donor, so nothing oscillates: a repeated scan
+//! settles after one pass with the stores within about a block of each
+//! other, whatever the first pass's order.
+//! With one store the rule is the plain admission by reuse.
 //!
 //! One cache is shared by all open stores (each store registers for an id
 //! namespace), which is exactly the serving-box scenario: many shards,
@@ -157,13 +177,86 @@ struct Entry {
 
 struct Inner {
     map: HashMap<u64, Entry>,
-    /// Per block ever requested: the ticks of its previous request (if
-    /// any) and its latest one. Bounded by the blocks of the registered
+    /// Per block ever requested: the ticks of its last three requests,
+    /// oldest first, 0 for none. Bounded by the blocks of the registered
     /// stores.
-    requests: HashMap<u64, (Option<u64>, u64)>,
+    requests: HashMap<u64, [u64; 3]>,
+    /// Decoded bytes resident per store id.
+    held: Vec<u64>,
     /// Logical clock for requests and recency (bumped on every touch).
     tick: u64,
     next_store: u32,
+}
+
+fn store_of(key: u64) -> usize {
+    (key >> 32) as usize
+}
+
+impl Inner {
+    fn held_mut(&mut self, store: usize) -> &mut u64 {
+        if self.held.len() <= store {
+            self.held.resize(store + 1, 0);
+        }
+        &mut self.held[store]
+    }
+
+    fn remove(&mut self, key: u64) -> Option<Entry> {
+        let entry = self.map.remove(&key)?;
+        *self.held_mut(store_of(key)) -= entry.bytes;
+        Some(entry)
+    }
+
+    /// Resident blocks that pass `keep`, least recently used first, as
+    /// `(last_used, key, bytes)`.
+    fn lru(&self, keep: impl Fn(u64, &Entry) -> bool) -> Vec<(u64, u64, u64)> {
+        let mut blocks: Vec<(u64, u64, u64)> = self
+            .map
+            .iter()
+            .filter(|(&k, e)| keep(k, e))
+            .map(|(&k, e)| (e.last_used, k, e.bytes))
+            .collect();
+        blocks.sort_unstable();
+        blocks
+    }
+
+    /// What a block of `store` displaces to fit `bytes` beside `free`
+    /// bytes of free space, given the ticks of its request before last
+    /// and its previous one (`[.., since, _]`, module docs); `None`
+    /// declines it. First idle blocks, least recently used first; then,
+    /// least recently used first, blocks of the other store that holds
+    /// the most, provided `store` then holds no more than it.
+    fn make_room(&self, store: usize, bytes: u64, free: u64, ticks: [u64; 3]) -> Option<Vec<u64>> {
+        let [before, since, _] = ticks;
+        let mut after = self.held.clone();
+        after.resize(after.len().max(store + 1), 0);
+        let (mut room, mut victims) = (free, Vec::new());
+        let idle = |k, e: &Entry| e.last_used < if store_of(k) == store { since } else { before };
+        for (_, k, b) in self.lru(idle) {
+            if room >= bytes {
+                break;
+            }
+            room += b;
+            after[store_of(k)] -= b;
+            victims.push(k);
+        }
+        if room < bytes {
+            let donor = (0..after.len())
+                .filter(|&t| t != store)
+                .max_by_key(|&t| (after[t], std::cmp::Reverse(t)))?;
+            for (_, k, b) in self.lru(|k, e| store_of(k) == donor && !idle(k, e)) {
+                if room >= bytes {
+                    break;
+                }
+                room += b;
+                after[donor] -= b;
+                victims.push(k);
+            }
+            if room < bytes || after[store] + bytes > after[donor] {
+                return None;
+            }
+        }
+        Some(victims)
+    }
 }
 
 /// A cache of decoded [`IndexBlock`]s under a byte budget, shared across
@@ -201,6 +294,7 @@ impl BlockCache {
             inner: Lock::new(Inner {
                 map: HashMap::new(),
                 requests: HashMap::new(),
+                held: Vec::new(),
                 tick: 0,
                 next_store: 0,
             }),
@@ -257,11 +351,9 @@ impl BlockCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        inner
-            .requests
-            .entry(key)
-            .and_modify(|r| *r = (Some(r.1), tick))
-            .or_insert((None, tick));
+        let ticks = inner.requests.entry(key).or_default();
+        ticks.rotate_left(1);
+        ticks[2] = tick;
         match inner.map.get_mut(&key) {
             Some(entry) => {
                 entry.last_used = tick;
@@ -277,55 +369,47 @@ impl BlockCache {
 
     /// Offer a freshly decoded block for caching under admission by
     /// reuse (module docs): it takes free space, else displaces blocks
-    /// idle since its previous request, least recently used first, else
-    /// is declined and counted as one eviction. Re-inserting a resident
-    /// key refreshes the block and recency without double charging.
+    /// idle since its previous request, least recently used first, then
+    /// blocks of the store that holds the most while its own store stays
+    /// the poorer, else is declined and counted as one eviction.
+    /// Re-inserting a resident key refreshes the block and recency
+    /// without double charging.
     pub fn insert(&self, store: u32, block: u32, decoded: Arc<IndexBlock>) {
         let bytes = decoded.memory_bytes() as u64;
         let key = Self::key(store, block);
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&key) {
+        if let Some(old) = inner.remove(key) {
             stat_sub(&self.counters.resident_bytes, old.bytes);
         }
         let resident = stat_load(&self.counters.resident_bytes);
         let free = self.budget.saturating_sub(resident);
-        let victims: Vec<u64> = if bytes <= free {
-            Vec::new()
+        let victims = if bytes <= free {
+            Some(Vec::new())
         } else if bytes > self.budget {
             // Oversized: no rule could ever fit it, so it is cached alone.
-            inner.map.keys().copied().collect()
+            Some(inner.map.keys().copied().collect())
         } else {
-            // Displaceable: blocks idle since this one's previous request,
-            // least recently used first, as many as make room.
-            let since = inner.requests.get(&key).and_then(|r| r.0).unwrap_or(0);
-            let mut idle: Vec<(u64, u64, u64)> = inner
-                .map
-                .iter()
-                .filter(|(_, e)| e.last_used < since)
-                .map(|(&k, e)| (e.last_used, k, e.bytes))
-                .collect();
-            idle.sort_unstable();
-            let (mut room, mut take) = (free, 0);
-            while room < bytes && take < idle.len() {
-                room += idle[take].2;
-                take += 1;
+            // A block never requested before takes free space only.
+            match inner.requests.get(&key) {
+                Some(&ticks) if ticks[1] > 0 => inner.make_room(store as usize, bytes, free, ticks),
+                _ => None,
             }
-            if room < bytes {
-                // Declined: the newcomer is the block evicted.
-                stat_add(&self.counters.evictions, 1);
-                return;
-            }
-            idle[..take].iter().map(|&(_, k, _)| k).collect()
+        };
+        let Some(victims) = victims else {
+            // Declined: the newcomer is the block evicted.
+            stat_add(&self.counters.evictions, 1);
+            return;
         };
         for victim in victims {
-            if let Some(evicted) = inner.map.remove(&victim) {
+            if let Some(evicted) = inner.remove(victim) {
                 stat_sub(&self.counters.resident_bytes, evicted.bytes);
                 stat_add(&self.counters.evictions, 1);
             }
         }
         inner.map.insert(key, Entry { block: decoded, bytes, last_used: tick });
+        *inner.held_mut(store as usize) += bytes;
         let resident = stat_add(&self.counters.resident_bytes, bytes);
         stat_max(&self.counters.peak_resident_bytes, resident);
     }
@@ -451,6 +535,84 @@ mod tests {
         request(&cache, store, &blocks, 1);
         assert_eq!((resident(&cache, store), evictions()), (vec![1, 2], 5));
         assert!(request(&cache, store, &blocks, 1));
+    }
+
+    /// Two stores scanned cyclically through one cache: however a pass
+    /// interleaves them, from the second pass on they hold within one
+    /// block of each other and hit three blocks every pass. (By reuse
+    /// alone, the store scanned first keeps all three; with another
+    /// store's blocks idle one cycle sooner, the late blocks of the slower
+    /// store would take the faster one's every pass.)
+    #[test]
+    fn shared_cache_balances_stores_whatever_the_first_pass_order() {
+        let blocks = blocks();
+        let per = blocks[0].memory_bytes() as u64;
+        let one_then_other = |s: [u32; 2]| -> Vec<(u32, usize)> {
+            s.iter()
+                .flat_map(|&s| (0..4).map(move |i| (s, i)))
+                .collect()
+        };
+        let interleaved: Vec<(u32, usize)> = (0..4).flat_map(|i| [(0, i), (1, i)]).collect();
+        // Store 0 ends its pass well before store 1 ends its own.
+        let ahead = vec![
+            (0, 0),
+            (1, 0),
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 1),
+            (1, 2),
+            (1, 3),
+        ];
+        for order in [
+            one_then_other([0, 1]),
+            one_then_other([1, 0]),
+            interleaved,
+            ahead,
+        ] {
+            let cache = BlockCache::new(3 * per + per / 2);
+            let stores = [cache.register_store(), cache.register_store()];
+            for pass in 0..5 {
+                let hits = order
+                    .iter()
+                    .filter(|&&(s, i)| request(&cache, stores[s as usize], &blocks, i))
+                    .count();
+                let held = stores.map(|s| resident(&cache, s).len());
+                if pass > 0 {
+                    assert_eq!(hits, 3, "{order:?} pass {pass}");
+                    assert!(
+                        held[0].abs_diff(held[1]) <= 1,
+                        "{order:?} pass {pass}: {held:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two stores whose passes swap phase from one cycle to the next: the
+    /// store that ran first last time is not idle to the other, so
+    /// neither takes the other's blocks every pass and the split holds.
+    #[test]
+    fn another_stores_blocks_count_idle_only_after_a_whole_cycle() {
+        let blocks = blocks();
+        let cache = two_block_cache(&blocks);
+        let stores = [cache.register_store(), cache.register_store()];
+        for pass in 0..6 {
+            let first = pass % 2;
+            let hits = [first, 1 - first]
+                .iter()
+                .flat_map(|&s| [(s, 0), (s, 1)])
+                .filter(|&(s, i)| request(&cache, stores[s], &blocks, i))
+                .count();
+            if pass >= 2 {
+                assert_eq!(hits, 2, "pass {pass}");
+                assert_eq!(
+                    stores.map(|s| resident(&cache, s).len()),
+                    [1, 1],
+                    "pass {pass}"
+                );
+            }
+        }
     }
 
     /// A seeded stream of requests over every block keeps residency,

@@ -11,10 +11,10 @@
 //!   budget, shared across stores, with atomic hit / miss / eviction /
 //!   residency counters (`cache::CacheCounters`) exported through the
 //!   serve stats frame. It admits by reuse: a missed block displaces
-//!   only blocks idle since its own previous request, else it is handed
-//!   back uncached, so a cache of `c` blocks serves `c` fetches of every
-//!   repeated scan, in any visit order, where strict LRU would serve
-//!   none;
+//!   blocks idle since its own previous request, or blocks of a store
+//!   holding more than its own will, else it is handed back uncached,
+//!   so a cache of `c` blocks serves `c` fetches of every repeated
+//!   scan, in any visit order, where strict LRU would serve none;
 //! * [`SequenceStore`] — one open store file: footer directory + cached
 //!   block fetches, every failure a typed [`StoreError`]; an
 //!   [`engine::BlockSource`], so [`engine::search_batch_blocks`] searches
